@@ -8,6 +8,7 @@ from .aperture import (
     gold_path_length,
 )
 from .codes import Pattern, SubsequenceStats, generate_de_bruijn, verify_uniqueness, window_stats
+from .config import ExperimentConfig
 from .forward import (
     CodingMatrix,
     ScanSeries,
@@ -22,7 +23,6 @@ from .metrics import (
     CellResult,
     SuccessCriteria,
     SweepCell,
-    SweepConfig,
     SweepResult,
     TrialOutcome,
     msp,
@@ -30,10 +30,6 @@ from .metrics import (
     run_sweep,
     scan_point_count,
     score,
-    sweep_aspect_ratio,
-    sweep_bsr,
-    sweep_patterning,
-    sweep_scan_length,
 )
 from .nnls import NumericalFailureError, nnls
 from .recovery import (
@@ -53,6 +49,7 @@ __all__ = [
     "ApertureGeometry",
     "CellResult",
     "CodingMatrix",
+    "ExperimentConfig",
     "FlatSeriesError",
     "NormalizationEstimate",
     "NumericalFailureError",
@@ -65,7 +62,6 @@ __all__ = [
     "SubsequenceStats",
     "SuccessCriteria",
     "SweepCell",
-    "SweepConfig",
     "SweepResult",
     "TransmissivityProfile",
     "TrialOutcome",
@@ -86,10 +82,6 @@ __all__ = [
     "search_position",
     "simulate",
     "solve_signal",
-    "sweep_aspect_ratio",
-    "sweep_bsr",
-    "sweep_patterning",
-    "sweep_scan_length",
     "trial_rng",
     "verify_uniqueness",
     "window_stats",

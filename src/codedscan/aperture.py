@@ -41,15 +41,18 @@ class ApertureGeometry:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
+    def bit_edges_um(self) -> np.ndarray:
+        """Start of every bit and the end of the last, from 0: len(pattern) + 1 values."""
+        sizes = np.where(self.pattern.bits == 1, self.bit_size_one_um, self.bit_size_zero_um)
+        return np.concatenate([[0.0], np.cumsum(sizes)])
+
     @property
     def length_um(self) -> float:
-        sizes = np.where(self.pattern.bits == 1, self.bit_size_one_um, self.bit_size_zero_um)
-        return float(sizes.sum())
+        return float(self.bit_edges_um()[-1])
 
     def bar_intervals(self) -> np.ndarray:
         """Merged [start, end) intervals of absorber bars, shape (k, 2)."""
-        sizes = np.where(self.pattern.bits == 1, self.bit_size_one_um, self.bit_size_zero_um)
-        edges = np.concatenate([[0.0], np.cumsum(sizes)])
+        edges = self.bit_edges_um()
         intervals: list[list[float]] = []
         for bit, lo, hi in zip(self.pattern.bits, edges[:-1], edges[1:]):
             if bit == 1:
@@ -114,6 +117,10 @@ class TransmissivityProfile:
             values, self.grid_step_um, self.origin_um - left_cells * self.grid_step_um
         )
 
+    def extend_open(self, length: int) -> "TransmissivityProfile":
+        """Pad open cells on the right until the profile holds ``length`` cells."""
+        return self.pad_open(0, length - len(self)) if length > len(self) else self
+
     def index_of(self, position_um: float) -> int:
         """Grid index of a physical coordinate (rounded to the nearest cell)."""
         return int(round((position_um - self.origin_um) / self.grid_step_um))
@@ -160,7 +167,6 @@ def gold_path_length(geometry: ApertureGeometry, entry_z_um, context: OpticalCon
         raise ValueError("incidence angle must be < 90 degrees")
     z = np.asarray(entry_z_um, dtype=float)
     intervals = geometry.bar_intervals()
-    coverage = _coverage_function(intervals)
     if theta == 0.0:
         if intervals.size == 0:
             path = np.zeros_like(z)
@@ -170,6 +176,7 @@ def gold_path_length(geometry: ApertureGeometry, entry_z_um, context: OpticalCon
             inside = (j >= 0) & (j % 2 == 0)
             path = np.where(inside, geometry.thickness_um, 0.0)
     else:
+        coverage = _coverage_function(intervals)
         sweep = geometry.thickness_um * math.tan(theta)
         path = (coverage(z + sweep) - coverage(z)) / math.sin(theta)
     return float(path) if np.isscalar(entry_z_um) else path

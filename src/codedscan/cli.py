@@ -6,6 +6,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from . import metrics
 from .aperture import build_profile
 from .codes import all_window_stats, generate_de_bruijn
 from .config import ConfigError, load_config
-from .forward import ScanSeries, build_coding_matrix, make_boxcar_signal, make_gaussian_signal, simulate
+from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simulate
 from .metrics import patterning_correlations, scan_point_count
 from .nnls import NumericalFailureError
 from .recovery import FlatSeriesError, RecoverOptions, normalize, recover
@@ -87,19 +88,21 @@ def run_sweep_command(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     cfg = load_config(args.config)
-    sweep_cfg = cfg.sweep_config(
-        noiseless=args.noiseless,
-        seed=args.seed,
-        replicates=QUICK_REPLICATES if args.quick else None,
+    run = replace(
+        cfg,
+        seed=cfg.seed if args.seed is None else args.seed,
+        replicates=QUICK_REPLICATES if args.quick else cfg.replicates,
+        noise_levels=(math.inf,) if args.noiseless else cfg.noise_levels,
     )
-    result = metrics.run_sweep(sweep_cfg, workers=args.workers)
+    result = metrics.run_sweep(run, workers=args.workers)
+    # The header echoes the file's values, then what the run actually used.
     items = list(cfg.echo_items())
     items += [
-        ("effective_seed", str(sweep_cfg.seed)),
-        ("effective_replicates", str(sweep_cfg.replicates)),
-        ("noiseless_run", str(sweep_cfg.noiseless)),
+        ("effective_seed", str(run.seed)),
+        ("effective_replicates", str(run.replicates)),
+        ("noiseless_run", str(args.noiseless)),
     ]
-    out = Path(args.out or cfg.out_csv or f"sweep_{sweep_cfg.kind}.csv")
+    out = Path(args.out or cfg.out_csv or f"sweep_{cfg.sweep_kind}.csv")
     write_sweep_csv(out, result, items)
     failures = 0
     for cell in result.cells:
@@ -151,10 +154,7 @@ def run_recover_command(args) -> int:
     series = read_pixel_series(args.series)
     pattern = generate_de_bruijn(cfg.pattern_order)
     profile = build_profile(cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample)
-    if cfg.template == "gaussian":
-        probe = make_gaussian_signal(cfg.signal_width_um, cfg.grid_step_um)
-    else:
-        probe = make_boxcar_signal(cfg.signal_width_um, cfg.grid_step_um)
+    probe = cfg.probe()
     options = RecoverOptions(max_rounds=cfg.max_rounds, nnls_tol=cfg.nnls_tol)
     n_keep = None
     if args.truncate_bits is not None:
@@ -230,19 +230,17 @@ def run_pattern_command(args) -> int:
 def run_simulate_command(args) -> int:
     cfg = load_config(args.config)
     pattern = generate_de_bruijn(cfg.pattern_order)
-    profile = build_profile(cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample)
+    geometry = cfg.geometry(pattern)
+    profile = build_profile(geometry, cfg.optics(), cfg.grid_step_um, cfg.oversample)
     signal = make_gaussian_signal(cfg.signal_width_um, cfg.grid_step_um)
     n_windows = len(pattern) - cfg.pattern_order + 1
     if not 0 <= args.window < n_windows:
         raise ConfigError(f"window must be in [0, {n_windows}), got {args.window}")
-    sizes = np.where(pattern.bits == 1, cfg.bit_size_one_um, cfg.bit_size_zero_um)
-    start_um = float(sizes[: args.window].sum())
+    start_um = float(geometry.bit_edges_um()[args.window])
     p_star = profile.index_of(start_um)
     m = scan_point_count(cfg.scan_bits, cfg.bit_size_zero_um, cfg.grid_step_um)
     n = len(signal)
-    shortfall = p_star + m + n - 1 - len(profile)
-    if shortfall > 0:
-        profile = profile.pad_open(0, shortfall)
+    profile = profile.extend_open(p_star + m + n - 1)
     matrix = build_coding_matrix(profile, p_star, m, n)
     seed = cfg.seed if args.seed is None else args.seed
     peak = cfg.noise_levels[0]

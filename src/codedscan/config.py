@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .aperture import ApertureGeometry, OpticalContext
 from .codes import Pattern
-from .metrics import SWEEP_KINDS, SweepConfig
+from .forward import Signal, make_boxcar_signal, make_gaussian_signal
+from .metrics import SWEEP_KINDS
 
 
 class ConfigError(ValueError):
@@ -30,15 +32,36 @@ _VALID_KEYS = {
 }
 
 
+TEMPLATES = ("gaussian", "boxcar")
+NORMALIZATIONS = ("corrected", "minmax")
+_TUPLE_FIELDS = (
+    "noise_levels",
+    "bsr_values",
+    "scan_bits_values",
+    "aspect_values",
+    "angles_deg",
+    "energies_kev",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment parameters (file values merged over defaults)."""
+    """Resolved experiment parameters; a sweep's trials derive from them alone.
+
+    ``bsr``, ``scan_bits``, ``thickness_um``, ``incidence_angle_deg`` and
+    ``energy_kev`` pin the parameters a given sweep does *not* vary; the
+    ``*_values`` tuples are the axes for the sweeps that do. ``template``
+    selects the solver's probe shape; the simulated truth is always the
+    bounded Gaussian. A noise level of ``inf`` means exact intensities. An
+    empty ``mu_table`` stands for the bundled gold table, read when the
+    config is built.
+    """
 
     pattern_order: int = 8
     bit_size_zero_um: float = 10.0
     bit_size_one_um: float = 10.0
     thickness_um: float = 10.0
-    mu_per_um: float | None = None
+    mu_per_um: float | None = None  # overrides the table lookup when set
     energy_kev: float = 10.0
     mu_table: tuple = ()
     incidence_angle_deg: float = 0.0
@@ -66,55 +89,52 @@ class ExperimentConfig:
     out_csv: str | None = None
     svg_prefix: str | None = None
 
-    def sweep_config(self, *, noiseless: bool = False, seed: int | None = None,
-                     replicates: int | None = None) -> SweepConfig:
-        """Build the harness configuration, applying command-line overrides."""
-        return SweepConfig(
-            kind=self.sweep_kind,
-            pattern_order=self.pattern_order,
-            signal_width_um=self.signal_width_um,
-            grid_step_um=self.grid_step_um,
-            template=self.template,
-            scan_bits=self.scan_bits,
-            bsr=self.bsr,
-            thickness_um=self.thickness_um,
-            incidence_angle_deg=self.incidence_angle_deg,
-            energy_kev=self.energy_kev,
-            mu_per_um=self.mu_per_um,
-            mu_table=self.mu_table,
-            noise_levels=self.noise_levels,
-            noiseless=noiseless,
-            normalization=self.normalization,
-            replicates=self.replicates if replicates is None else replicates,
-            position_stride=self.position_stride,
-            seed=self.seed if seed is None else seed,
-            oversample=self.oversample,
-            max_rounds=self.max_rounds,
-            nnls_tol=self.nnls_tol,
-            epsilon=self.epsilon,
-            position_margin_bits=self.position_margin_bits,
-            bsr_values=self.bsr_values,
-            scan_bits_values=self.scan_bits_values,
-            aspect_values=self.aspect_values,
-            angles_deg=self.angles_deg,
-            energies_kev=self.energies_kev,
-        )
+    def __post_init__(self):
+        if self.sweep_kind not in SWEEP_KINDS:
+            raise ValueError(f"sweep_kind must be one of {SWEEP_KINDS}, got {self.sweep_kind!r}")
+        if self.template not in TEMPLATES:
+            raise ValueError(f"unknown template {self.template!r}")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {self.normalization!r}")
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
+        if self.position_stride < 1:
+            raise ValueError("position_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in _TUPLE_FIELDS:
+            value = tuple(getattr(self, name))
+            if not value:
+                raise ValueError(f"{name} must not be empty")
+            object.__setattr__(self, name, value)
+        table = self.mu_table or load_mu_table(default_mu_table_path())
+        object.__setattr__(self, "mu_table", tuple((float(e), float(m)) for e, m in table))
 
     def geometry(self, pattern: Pattern) -> ApertureGeometry:
         return ApertureGeometry(
             self.bit_size_zero_um, self.bit_size_one_um, self.thickness_um, pattern
         )
 
+    def mu_at(self, energy_kev: float) -> float:
+        """Absorber attenuation in 1/um: ``mu_per_um`` if set, else the table's."""
+        if self.mu_per_um is not None:
+            return self.mu_per_um
+        table = dict(self.mu_table)
+        if energy_kev not in table:
+            raise ConfigError(
+                f"[optics] mu_table: no attenuation entry for {energy_kev:g} keV"
+            )
+        return table[energy_kev]
+
     def optics(self) -> OpticalContext:
-        mu = self.mu_per_um
-        if mu is None:
-            table = dict(self.mu_table)
-            if self.energy_kev not in table:
-                raise ConfigError(
-                    f"[optics] energy_kev: no attenuation entry for {self.energy_kev:g} keV"
-                )
-            mu = table[self.energy_kev]
-        return OpticalContext(mu, self.incidence_angle_deg, self.energy_kev)
+        return OpticalContext(
+            self.mu_at(self.energy_kev), self.incidence_angle_deg, self.energy_kev
+        )
+
+    def probe(self) -> Signal:
+        """The solver's search template, ``signal_width_um`` wide."""
+        make = make_gaussian_signal if self.template == "gaussian" else make_boxcar_signal
+        return make(self.signal_width_um, self.grid_step_um)
 
     def echo_items(self):
         """Resolved (key, value) pairs, one per field, for output headers."""
@@ -150,9 +170,9 @@ def load_mu_table(path) -> tuple:
         try:
             energy, mu = float(key), float(raw)
         except ValueError:
-            raise ConfigError(
-                f"attenuation table {path}: bad entry {key!r} = {raw!r}"
-            ) from None
+            energy = mu = math.nan
+        if not (math.isfinite(energy) and math.isfinite(mu)):
+            raise ConfigError(f"attenuation table {path}: bad entry {key!r} = {raw!r}")
         if mu < 0:
             raise ConfigError(f"attenuation table {path}: negative mu at {key} keV")
         entries.append((energy, mu))
@@ -162,7 +182,10 @@ def load_mu_table(path) -> tuple:
 
 
 class _Reader:
-    """Typed accessors over one parsed file with [section] key diagnostics."""
+    """Typed accessors over one parsed file with [section] key diagnostics.
+
+    Each returns None for a key the file does not set.
+    """
 
     def __init__(self, parser: configparser.ConfigParser):
         self.parser = parser
@@ -172,30 +195,31 @@ class _Reader:
             return self.parser.get(section, key).strip()
         return None
 
-    def string(self, section, key, default, choices=None):
+    def string(self, section, key, choices=None):
         raw = self._raw(section, key)
-        value = default if raw is None else raw
-        if choices is not None and value not in choices:
+        if raw is not None and choices is not None and raw not in choices:
             raise ConfigError(
-                f"[{section}] {key}: expected one of {', '.join(choices)}, got {value!r}"
+                f"[{section}] {key}: expected one of {', '.join(choices)}, got {raw!r}"
             )
-        return value
+        return raw
 
-    def number(self, section, key, default, minimum=None, positive=False):
+    def number(self, section, key, minimum=None, positive=False):
         raw = self._raw(section, key)
         if raw is None:
-            return default
+            return None
         try:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
         self._check_range(section, key, value, minimum, positive)
         return value
 
-    def integer(self, section, key, default, minimum=None):
+    def integer(self, section, key, minimum=None):
         raw = self._raw(section, key)
         if raw is None:
-            return default
+            return None
         try:
             value = int(raw)
         except ValueError:
@@ -204,10 +228,10 @@ class _Reader:
             raise ConfigError(f"[{section}] {key}: must be >= {minimum}, got {value}")
         return value
 
-    def numbers(self, section, key, default, positive=False):
+    def numbers(self, section, key, positive=False, allow_inf=False):
         raw = self._raw(section, key)
         if raw is None:
-            return default
+            return None
         parts = [p for p in (s.strip() for s in raw.split(",")) if p]
         if not parts:
             raise ConfigError(f"[{section}] {key}: empty list")
@@ -217,6 +241,8 @@ class _Reader:
                 values.append(float(part))
             except ValueError:
                 raise ConfigError(f"[{section}] {key}: not a number: {part!r}") from None
+            if math.isnan(values[-1]) or (math.isinf(values[-1]) and not allow_inf):
+                raise ConfigError(f"[{section}] {key}: must be finite, got {part!r}")
         if positive and any(v <= 0 for v in values):
             raise ConfigError(f"[{section}] {key}: all values must be positive")
         return tuple(values)
@@ -249,47 +275,40 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] {key}: unknown key")
 
     r = _Reader(parser)
-    mu_table_path = r.string("optics", "mu_table", None)
-    if mu_table_path is not None:
-        table = load_mu_table(path.parent / mu_table_path)
-    else:
-        table = load_mu_table(default_mu_table_path())
-
-    mu_raw = r.number("optics", "mu_per_um", None, minimum=0.0)
-    return ExperimentConfig(
-        pattern_order=r.integer("aperture", "pattern_order", 8, minimum=1),
-        bit_size_zero_um=r.number("aperture", "bit_size_zero_um", 10.0, positive=True),
-        bit_size_one_um=r.number("aperture", "bit_size_one_um", 10.0, positive=True),
-        thickness_um=r.number("aperture", "thickness_um", 10.0, positive=True),
-        mu_per_um=mu_raw,
-        energy_kev=r.number("optics", "energy_kev", 10.0, positive=True),
-        mu_table=table,
-        incidence_angle_deg=r.number("optics", "incidence_angle_deg", 0.0, minimum=0.0),
-        signal_width_um=r.number("signal", "width_um", 10.0, positive=True),
-        template=r.string("signal", "template", "gaussian", choices=("gaussian", "boxcar")),
-        grid_step_um=r.number("scan", "grid_step_um", 1.0, positive=True),
-        scan_bits=r.number("scan", "scan_bits", 8.0, minimum=1.0),
-        noise_levels=r.numbers("scan", "noise_levels", (10.0, 100.0), positive=True),
-        seed=r.integer("scan", "seed", 0, minimum=0),
-        oversample=r.integer("scan", "oversample", 16, minimum=1),
-        normalization=r.string("scan", "normalization", "corrected",
-                               choices=("corrected", "minmax")),
-        sweep_kind=r.string("sweep", "kind", "bsr", choices=SWEEP_KINDS),
-        bsr=r.number("sweep", "bsr", 1.0, positive=True),
-        bsr_values=r.numbers("sweep", "bsr_values", (0.25, 0.5, 1.0, 2.0), positive=True),
-        scan_bits_values=r.numbers("sweep", "scan_bits_values",
-                                   (2.0, 4.0, 8.0, 16.0, 24.0), positive=True),
-        aspect_values=r.numbers("sweep", "aspect_values",
-                                (0.1, 0.5, 1.0, 2.0, 5.0, 10.0), positive=True),
-        angles_deg=r.numbers("sweep", "angles_deg", (0.0, 10.0, 20.0, 40.0)),
-        energies_kev=r.numbers("sweep", "energies_kev", (5.0, 10.0, 20.0, 30.0),
-                               positive=True),
-        replicates=r.integer("sweep", "replicates", 30, minimum=1),
-        position_stride=r.integer("sweep", "position_stride", 1, minimum=1),
-        epsilon=r.number("criteria", "epsilon", 0.02, positive=True),
-        position_margin_bits=r.number("criteria", "position_margin_bits", 1.0, minimum=0.0),
-        max_rounds=r.integer("recover", "max_rounds", 3, minimum=1),
-        nnls_tol=r.number("recover", "nnls_tol", 1e-10, positive=True),
-        out_csv=r.string("output", "csv", None),
-        svg_prefix=r.string("output", "svg_prefix", None),
+    mu_table_path = r.string("optics", "mu_table")
+    given = dict(
+        pattern_order=r.integer("aperture", "pattern_order", minimum=1),
+        bit_size_zero_um=r.number("aperture", "bit_size_zero_um", positive=True),
+        bit_size_one_um=r.number("aperture", "bit_size_one_um", positive=True),
+        thickness_um=r.number("aperture", "thickness_um", positive=True),
+        mu_per_um=r.number("optics", "mu_per_um", minimum=0.0),
+        energy_kev=r.number("optics", "energy_kev", positive=True),
+        mu_table=None if mu_table_path is None else load_mu_table(path.parent / mu_table_path),
+        incidence_angle_deg=r.number("optics", "incidence_angle_deg", minimum=0.0),
+        signal_width_um=r.number("signal", "width_um", positive=True),
+        template=r.string("signal", "template", choices=TEMPLATES),
+        grid_step_um=r.number("scan", "grid_step_um", positive=True),
+        scan_bits=r.number("scan", "scan_bits", minimum=1.0),
+        # inf is the documented spelling of noiseless (exact intensities)
+        noise_levels=r.numbers("scan", "noise_levels", positive=True, allow_inf=True),
+        seed=r.integer("scan", "seed", minimum=0),
+        oversample=r.integer("scan", "oversample", minimum=1),
+        normalization=r.string("scan", "normalization", choices=NORMALIZATIONS),
+        sweep_kind=r.string("sweep", "kind", choices=SWEEP_KINDS),
+        bsr=r.number("sweep", "bsr", positive=True),
+        bsr_values=r.numbers("sweep", "bsr_values", positive=True),
+        scan_bits_values=r.numbers("sweep", "scan_bits_values", positive=True),
+        aspect_values=r.numbers("sweep", "aspect_values", positive=True),
+        angles_deg=r.numbers("sweep", "angles_deg"),
+        energies_kev=r.numbers("sweep", "energies_kev", positive=True),
+        replicates=r.integer("sweep", "replicates", minimum=1),
+        position_stride=r.integer("sweep", "position_stride", minimum=1),
+        epsilon=r.number("criteria", "epsilon", positive=True),
+        position_margin_bits=r.number("criteria", "position_margin_bits", minimum=0.0),
+        max_rounds=r.integer("recover", "max_rounds", minimum=1),
+        nnls_tol=r.number("recover", "nnls_tol", positive=True),
+        out_csv=r.string("output", "csv"),
+        svg_prefix=r.string("output", "svg_prefix"),
     )
+    # Keys the file leaves out keep the ExperimentConfig defaults.
+    return ExperimentConfig(**{key: value for key, value in given.items() if value is not None})

@@ -52,7 +52,6 @@ class CodingMatrix:
 
     values: np.ndarray
     offset: int
-    normalized: bool = True
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)

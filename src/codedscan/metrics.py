@@ -5,35 +5,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .aperture import ApertureGeometry, OpticalContext, build_profile
 from .codes import generate_de_bruijn, window_stats
-from .forward import (
-    Signal,
-    build_coding_matrix,
-    make_boxcar_signal,
-    make_gaussian_signal,
-    simulate,
-)
+from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
 from .recovery import FlatSeriesError, RecoverOptions, RecoveryResult, normalize, recover
 
-SWEEP_KINDS = ("bsr", "scan_length", "aspect", "patterning")
-
-# Absorber (Au) linear attenuation in 1/um, keyed by beam energy in keV.
-DEFAULT_MU_TABLE = ((5.0, 1.373), (10.0, 0.219), (20.0, 0.152), (30.0, 0.052))
-
-_TUPLE_FIELDS = (
-    "noise_levels",
-    "bsr_values",
-    "scan_bits_values",
-    "aspect_values",
-    "angles_deg",
-    "energies_kev",
-)
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -109,69 +92,6 @@ class SweepResult:
                 raise ValueError("MSP outside [0, 100]")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Everything needed to reproduce a sweep; trials derive from it alone.
-
-    ``bsr``, ``scan_bits``, ``thickness_um``, ``incidence_angle_deg`` and
-    ``energy_kev`` pin the parameters a given sweep does *not* vary; the
-    ``*_values`` tuples are the axes for the sweeps that do. ``template``
-    selects the solver's probe shape — the simulated truth is always the
-    bounded Gaussian.
-    """
-
-    kind: str
-    pattern_order: int = 8
-    signal_width_um: float = 10.0
-    grid_step_um: float = 1.0
-    template: str = "gaussian"
-    scan_bits: float = 8.0
-    bsr: float = 1.0
-    thickness_um: float | None = None  # None: as thick as the signal is wide
-    incidence_angle_deg: float = 0.0
-    energy_kev: float = 10.0
-    mu_per_um: float | None = None  # overrides the table lookup when set
-    mu_table: tuple = DEFAULT_MU_TABLE
-    noise_levels: tuple = (10.0, 100.0)
-    noiseless: bool = False
-    normalization: str = "corrected"
-    replicates: int = 30
-    position_stride: int = 1
-    seed: int = 0
-    oversample: int = 16
-    max_rounds: int = 3
-    nnls_tol: float = 1e-10
-    epsilon: float = 0.02
-    position_margin_bits: float = 1.0
-    bsr_values: tuple = (0.25, 0.5, 1.0, 2.0)
-    scan_bits_values: tuple = (2.0, 4.0, 8.0, 16.0, 24.0)
-    aspect_values: tuple = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    angles_deg: tuple = (0.0, 10.0, 20.0, 40.0)
-    energies_kev: tuple = (5.0, 10.0, 20.0, 30.0)
-
-    def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
-            raise ValueError(f"kind must be one of {SWEEP_KINDS}, got {self.kind!r}")
-        if self.template not in ("gaussian", "boxcar"):
-            raise ValueError(f"unknown template {self.template!r}")
-        if self.normalization not in ("corrected", "minmax"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.position_stride < 1:
-            raise ValueError("position_stride must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        for name in _TUPLE_FIELDS:
-            value = tuple(getattr(self, name))
-            if not value:
-                raise ValueError(f"{name} must not be empty")
-            object.__setattr__(self, name, value)
-        object.__setattr__(
-            self, "mu_table", tuple((float(e), float(m)) for e, m in self.mu_table)
-        )
-
-
 def score(
     result: RecoveryResult,
     truth: tuple,
@@ -220,128 +140,81 @@ def scan_point_count(scan_bits: float, bit_size_um: float, grid_step_um: float) 
     return int(round(scan_bits * bit_size_um / grid_step_um)) + 1
 
 
-def _mu_for(config: SweepConfig, energy_kev: float) -> float:
-    if config.mu_per_um is not None:
-        return config.mu_per_um
-    table = dict(config.mu_table)
-    if energy_kev not in table:
-        raise ValueError(f"no attenuation entry for {energy_kev:g} keV")
-    return table[energy_kev]
+def _window_starts(pattern, config: ExperimentConfig) -> range:
+    return range(0, len(pattern) - config.pattern_order + 1, config.position_stride)
 
 
-def _noise_axis(config: SweepConfig) -> tuple:
-    return (math.inf,) if config.noiseless else config.noise_levels
+# Per sweep kind: the swept parameter's name, its values, and the groups
+# under each value (beam energies in keV, or incidence angles in degrees).
+_AXES = {
+    "bsr": ("bsr", lambda c: c.bsr_values, lambda c: c.energies_kev),
+    "scan_length": ("scan_bits", lambda c: c.scan_bits_values, lambda c: c.energies_kev),
+    "aspect": ("aspect", lambda c: c.aspect_values, lambda c: c.angles_deg),
+    "patterning": (
+        "subseq_start",
+        lambda c: tuple(map(float, _window_starts(generate_de_bruijn(c.pattern_order), c))),
+        lambda c: (c.energy_kev,),
+    ),
+}
+SWEEP_KINDS = tuple(_AXES)
 
 
-def _default_thickness(config: SweepConfig) -> float:
-    return config.thickness_um if config.thickness_um is not None else config.signal_width_um
+def _cells(config: ExperimentConfig, param_name: str, values, groups) -> list:
+    """Cells in result order: swept value, then group, then noise level.
 
-
-def _bsr_cells(config: SweepConfig) -> list:
+    The swept value replaces the configured one: the bit size (``bsr``),
+    the scan travel (``scan_bits``), the bar thickness as a multiple of the
+    bit (``aspect``) or the scored window (``subseq_start``). The group
+    replaces the energy, or the incidence angle on the aspect axis.
+    """
+    kind = config.sweep_kind
     cells = []
-    thickness = _default_thickness(config)
-    for value in config.bsr_values:
-        bit = value * config.signal_width_um
-        if bit < config.grid_step_um:
-            raise ValueError(f"BSR {value:g} puts the bit below the grid step")
-        for energy in config.energies_kev:
-            mu = _mu_for(config, energy)
-            for noise in _noise_axis(config):
-                cells.append(
-                    SweepCell(
-                        len(cells), "bsr", value, energy, noise, mu,
-                        config.incidence_angle_deg, bit, thickness, config.scan_bits,
-                    )
-                )
-    return cells
-
-
-def _scan_length_cells(config: SweepConfig) -> list:
-    cells = []
-    bit = config.bsr * config.signal_width_um
-    thickness = _default_thickness(config)
-    for value in config.scan_bits_values:
-        if value < 1:
-            raise ValueError(f"scan length of {value:g} bits is below one bit")
-        for energy in config.energies_kev:
-            mu = _mu_for(config, energy)
-            for noise in _noise_axis(config):
-                cells.append(
-                    SweepCell(
-                        len(cells), "scan_bits", value, energy, noise, mu,
-                        config.incidence_angle_deg, bit, thickness, value,
-                    )
-                )
-    return cells
-
-
-def _aspect_cells(config: SweepConfig) -> list:
-    cells = []
-    bit = config.bsr * config.signal_width_um
-    mu = _mu_for(config, config.energy_kev)
-    for angle in config.angles_deg:
-        if not 0 <= angle < 90:
-            raise ValueError(f"incidence angle {angle:g} outside [0, 90)")
-    for value in config.aspect_values:
-        if value <= 0:
-            raise ValueError("aspect ratios must be positive")
-        for angle in config.angles_deg:
-            for noise in _noise_axis(config):
-                cells.append(
-                    SweepCell(
-                        len(cells), "aspect", value, angle, noise, mu,
-                        angle, bit, value * bit, config.scan_bits,
-                    )
-                )
-    return cells
-
-
-def _patterning_cells(config: SweepConfig) -> list:
-    cells = []
-    bit = config.bsr * config.signal_width_um
-    if bit < config.grid_step_um:
-        raise ValueError(f"BSR {config.bsr:g} puts the bit below the grid step")
-    thickness = _default_thickness(config)
-    mu = _mu_for(config, config.energy_kev)
-    pattern = generate_de_bruijn(config.pattern_order)
-    n_windows = len(pattern) - config.pattern_order + 1
-    for start in range(0, n_windows, config.position_stride):
-        for noise in _noise_axis(config):
-            cells.append(
-                SweepCell(
-                    len(cells), "subseq_start", float(start), config.energy_kev,
-                    noise, mu, config.incidence_angle_deg, bit, thickness,
-                    config.scan_bits, window_start=start,
-                )
+    for value in values:
+        for group in groups:
+            bsr = value if kind == "bsr" else config.bsr
+            bit = bsr * config.signal_width_um
+            scan_bits = value if kind == "scan_length" else config.scan_bits
+            thickness = value * bit if kind == "aspect" else config.thickness_um
+            energy, angle = (
+                (config.energy_kev, group) if kind == "aspect"
+                else (group, config.incidence_angle_deg)
             )
+            if bit < config.grid_step_um:
+                raise ValueError(f"BSR {bsr:g} puts the bit below the grid step")
+            if scan_bits < 1:
+                raise ValueError(f"scan length of {scan_bits:g} bits is below one bit")
+            if not 0 <= angle < 90:
+                raise ValueError(f"incidence angle {angle:g} outside [0, 90)")
+            if not thickness > 0:
+                raise ValueError(f"bar thickness must be positive, got {thickness:g} um")
+            mu = config.mu_at(energy)
+            for noise in config.noise_levels:
+                cells.append(
+                    SweepCell(
+                        len(cells), param_name, float(value), group, noise, mu, angle,
+                        bit, thickness, scan_bits,
+                        window_start=int(value) if kind == "patterning" else None,
+                    )
+                )
     return cells
 
 
-def _run_cell(config: SweepConfig, cell: SweepCell) -> CellResult:
+def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
     pattern = generate_de_bruijn(config.pattern_order)
     geometry = ApertureGeometry(cell.bit_size_um, cell.bit_size_um, cell.thickness_um, pattern)
-    # On the aspect axis energy_or_angle carries the angle, not an energy.
-    energy_tag = config.energy_kev if cell.param_name == "aspect" else cell.energy_or_angle
-    context = OpticalContext(cell.mu_per_um, cell.incidence_angle_deg, energy_tag)
+    context = OpticalContext(cell.mu_per_um, cell.incidence_angle_deg)
     profile = build_profile(geometry, context, config.grid_step_um, config.oversample)
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
-    if config.template == "gaussian":
-        probe = truth_signal
-    else:
-        probe = make_boxcar_signal(config.signal_width_um, config.grid_step_um)
+    probe = config.probe()
     s_true = truth_signal.unit_sum().values
     m = scan_point_count(cell.scan_bits, cell.bit_size_um, config.grid_step_um)
     n = len(truth_signal)
     if cell.window_start is None:
-        n_windows = len(pattern) - config.pattern_order + 1
-        starts = range(0, n_windows, config.position_stride)
+        starts = _window_starts(pattern, config)
     else:
         starts = (cell.window_start,)
     # Pad the open region past the mask so the deepest start still fits.
-    p_last = profile.index_of(max(starts) * cell.bit_size_um)
-    shortfall = p_last + m + n - 1 - len(profile)
-    if shortfall > 0:
-        profile = profile.pad_open(0, shortfall)
+    profile = profile.extend_open(profile.index_of(max(starts) * cell.bit_size_um) + m + n - 1)
     criteria = SuccessCriteria(config.epsilon, config.position_margin_bits)
     options = RecoverOptions(max_rounds=config.max_rounds, nnls_tol=config.nnls_tol)
     # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
@@ -380,63 +253,24 @@ def _run_cell(config: SweepConfig, cell: SweepCell) -> CellResult:
     )
 
 
-def _run_cell_task(args) -> CellResult:
-    return _run_cell(*args)
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
+    """MSP grid of the configured sweep kind, one cell per worker task.
 
-
-def _execute(config: SweepConfig, cells, workers: int) -> tuple:
-    # Trials are keyed by (cell, window, replicate), so any execution order
-    # reproduces the same numbers; merging in cell order keeps output stable.
+    Trials are keyed by (seed, cell, window, replicate), so any execution
+    order reproduces the same numbers; merging in cell order keeps output
+    stable.
+    """
+    param_name, values, groups = _AXES[config.sweep_kind]
+    param_values = tuple(values(config))
+    cells = _cells(config, param_name, param_values, groups(config))
     if workers <= 1 or len(cells) <= 1:
-        return tuple(_run_cell(config, cell) for cell in cells)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(_run_cell_task, [(config, cell) for cell in cells]))
-
-
-def sweep_bsr(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """MSP grid over bit-to-signal ratio x energy x noise at 8-bit travel."""
-    cells = _execute(config, _bsr_cells(config), workers)
-    return SweepResult("bsr", "bsr", config.bsr_values, config.seed, config.replicates, cells)
-
-
-def sweep_scan_length(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """MSP grid over scan travel (in bits) at fixed bit size."""
-    cells = _execute(config, _scan_length_cells(config), workers)
+        results = tuple(_run_cell(config, cell) for cell in cells)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = tuple(pool.map(_run_cell, [config] * len(cells), cells))
     return SweepResult(
-        "scan_length", "scan_bits", config.scan_bits_values,
-        config.seed, config.replicates, cells,
+        config.sweep_kind, param_name, param_values, config.seed, config.replicates, results
     )
-
-
-def sweep_aspect_ratio(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """MSP grid over thickness-to-bit ratio x incidence angle x noise."""
-    cells = _execute(config, _aspect_cells(config), workers)
-    return SweepResult(
-        "aspect", "aspect", config.aspect_values, config.seed, config.replicates, cells
-    )
-
-
-def sweep_patterning(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Per-subsequence MSP joined with window composition stats."""
-    cells = _execute(config, _patterning_cells(config), workers)
-    return SweepResult(
-        "patterning", "subseq_start",
-        tuple(c.cell.param_value for c in cells if c.cell.noise_level == cells[0].cell.noise_level),
-        config.seed, config.replicates, cells,
-    )
-
-
-_SWEEPS = {
-    "bsr": sweep_bsr,
-    "scan_length": sweep_scan_length,
-    "aspect": sweep_aspect_ratio,
-    "patterning": sweep_patterning,
-}
-
-
-def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Dispatch on ``config.kind``."""
-    return _SWEEPS[config.kind](config, workers)
 
 
 def patterning_correlations(result: SweepResult) -> dict:
@@ -445,6 +279,8 @@ def patterning_correlations(result: SweepResult) -> dict:
     """
     if result.kind != "patterning":
         raise ValueError("correlations are defined for patterning sweeps only")
+    from scipy.stats import spearmanr  # slow to import; only this function needs it
+
     out = {}
     for noise in sorted({c.cell.noise_level for c in result.cells}):
         rows = [c for c in result.cells if c.cell.noise_level == noise]

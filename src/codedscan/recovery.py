@@ -37,10 +37,9 @@ class NormalizationEstimate:
 
 @dataclass(frozen=True)
 class RecoverOptions:
-    """Knobs for ``recover``: alternation budget and search restriction."""
+    """Knobs for ``recover``: alternation budget and NNLS tolerance."""
 
     max_rounds: int = 3
-    search_range: tuple[int, int] | None = None  # half-open [lo, hi) offsets
     nnls_tol: float = 1e-10
 
 
@@ -94,7 +93,6 @@ def search_position(
     profile: TransmissivityProfile,
     series: ScanSeries,
     template: Signal,
-    search_range: tuple[int, int] | None = None,
 ) -> int:
     """Offset minimizing ||A_p * template - d'||^2 over all feasible p.
 
@@ -113,16 +111,12 @@ def search_position(
             f"profile of length {a.size} cannot host a scan of {m} points "
             f"with an {n}-cell signal"
         )
-    lo, hi = (0, last + 1) if search_range is None else map(int, search_range)
-    if not (0 <= lo < hi <= last + 1):
-        raise ValueError(f"empty or out-of-bounds search range [{lo}, {hi})")
-
     window_dots = np.correlate(a, t, mode="valid")  # r[j] = sum_n a[j+n] t_n
     cum = np.concatenate([[0.0], np.cumsum(window_dots**2)])
     sliding_sq = cum[m:] - cum[:-m]  # sum_m r[p+m]^2 for each p
     cross = np.correlate(window_dots, d, mode="valid")  # sum_m r[p+m] d_m
     objective = sliding_sq - 2.0 * cross + float(d @ d)
-    return lo + int(np.argmin(objective[lo:hi]))
+    return int(np.argmin(objective))
 
 
 def solve_signal(
@@ -159,13 +153,11 @@ def recover(
     n = len(template)
     probe = template.unit_sum()
 
-    position = search_position(profile, series, probe, options.search_range)
+    position = search_position(profile, series, probe)
     signal = solve_signal(profile, series, position, n, options.nnls_tol)
     rounds = 1
     while rounds < options.max_rounds and signal.sum() > 0.0:
-        again = search_position(
-            profile, series, Signal(signal, template.grid_step_um), options.search_range
-        )
+        again = search_position(profile, series, Signal(signal, template.grid_step_um))
         if again == position:
             break
         position = again

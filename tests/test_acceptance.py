@@ -13,13 +13,10 @@ from collections import Counter
 import numpy as np
 
 from codedscan import (
-    SweepConfig,
+    ExperimentConfig,
     generate_de_bruijn,
     patterning_correlations,
-    sweep_aspect_ratio,
-    sweep_bsr,
-    sweep_patterning,
-    sweep_scan_length,
+    run_sweep,
 )
 from codedscan.forward import CodingMatrix, Signal, simulate
 from codedscan.nnls import kkt_residuals, nnls
@@ -45,19 +42,19 @@ def test_1_every_cyclic_word_appears_exactly_once():
 
 
 def test_2_noiseless_recovery_is_exact_at_every_window():
-    config = SweepConfig(
-        kind="bsr",
+    config = ExperimentConfig(
+        sweep_kind="bsr",
         bsr_values=(1.0,),
         energies_kev=(10.0,),
         mu_per_um=1e9,  # fully opaque bars
-        noiseless=True,
+        noise_levels=(math.inf,),
         replicates=1,
         position_stride=1,
         seed=SEED,
         epsilon=1e-6,
         position_margin_bits=0.0,
     )
-    cell = sweep_bsr(config).cells[0]
+    cell = run_sweep(config).cells[0]
     assert cell.k == 249
     assert cell.failures == 0
     assert cell.msp_position == 100.0
@@ -66,14 +63,14 @@ def test_2_noiseless_recovery_is_exact_at_every_window():
 
 
 def test_3_position_success_rises_with_bit_to_signal_ratio():
-    config = SweepConfig(
-        kind="bsr",
+    config = ExperimentConfig(
+        sweep_kind="bsr",
         energies_kev=(10.0,),
         noise_levels=(100.0,),
         replicates=5,
         seed=SEED,
     )
-    result = sweep_bsr(config, workers=4)
+    result = run_sweep(config, workers=4)
     msp = {c.cell.param_value: c.msp_position for c in result.cells}
     assert msp[2.0] - msp[0.25] >= 10.0
     assert msp[1.0] >= 90.0
@@ -85,15 +82,15 @@ def test_3_position_success_rises_with_bit_to_signal_ratio():
 
 
 def test_4_short_scans_fail_while_longer_scans_hold():
-    config = SweepConfig(
-        kind="scan_length",
+    config = ExperimentConfig(
+        sweep_kind="scan_length",
         scan_bits_values=(4.0, 8.0, 16.0, 24.0),
         energies_kev=(10.0,),
         noise_levels=(10.0,),
         replicates=5,
         seed=SEED,
     )
-    result = sweep_scan_length(config, workers=4)
+    result = run_sweep(config, workers=4)
     msp = {c.cell.param_value: c.msp_position for c in result.cells}
     assert msp[4.0] <= msp[8.0] - 20.0
     assert msp[16.0] >= msp[8.0] - 5.0
@@ -105,14 +102,14 @@ def test_4_short_scans_fail_while_longer_scans_hold():
 
 
 def test_5_aspect_ratio_peaks_between_half_and_two():
-    config = SweepConfig(
-        kind="aspect",
+    config = ExperimentConfig(
+        sweep_kind="aspect",
         noise_levels=(10.0,),
         replicates=5,
         position_stride=3,
         seed=SEED,
     )
-    result = sweep_aspect_ratio(config, workers=4)
+    result = run_sweep(config, workers=4)
     rows = {}
     for c in result.cells:
         key = (c.cell.energy_or_angle, c.cell.noise_level)
@@ -134,14 +131,14 @@ def test_5_aspect_ratio_peaks_between_half_and_two():
 
 
 def test_6_open_fraction_predicts_success_better_than_flips():
-    config = SweepConfig(
-        kind="patterning",
+    config = ExperimentConfig(
+        sweep_kind="patterning",
         bsr=0.5,
         noise_levels=(10.0,),
         replicates=12,
         seed=SEED,
     )
-    result = sweep_patterning(config, workers=4)
+    result = run_sweep(config, workers=4)
     rho_zeros, rho_flips = patterning_correlations(result)[10.0]
     assert rho_zeros > 0.0
     assert abs(rho_zeros) > abs(rho_flips)

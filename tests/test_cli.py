@@ -1,5 +1,10 @@
 """End-to-end command-line behaviour: exit codes, files, round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +88,49 @@ def test_sweep_quick_and_seed_flags_echo(tmp_path):
     assert "# seed = 4" in text  # the configured value still echoes
 
 
+def test_sweep_header_echoes_effective_values(tmp_path):
+    cfg = write_cfg(tmp_path, """
+[sweep]
+kind = scan_length
+scan_bits_values = 8
+energies_kev = 10
+replicates = 9
+position_stride = 64
+
+[scan]
+seed = 13
+noise_levels = 25
+""")
+
+    def run(*flags):
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        lines = out.read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        return set(lines), rows
+
+    header, rows = run()
+    assert {"# effective_seed = 13", "# effective_replicates = 9",
+            "# noiseless_run = False"} <= header
+    assert [(row[0], row[3], row[6]) for row in rows] == [("scan_bits", "25.0", "36")]
+    header, rows = run("--noiseless", "--seed", "99", "--quick")
+    assert {"# effective_seed = 99", "# effective_replicates = 5", "# noiseless_run = True",
+            "# seed = 13", "# replicates = 9", "# noise_levels = 25"} <= header
+    assert [(row[3], row[6]) for row in rows] == [("inf", "20")]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep", "[sweep]\nbsr_values = 1, inf\n"),
+    ("simulate", "[signal]\nwidth_um = inf\n"),
+])
+def test_non_finite_config_number_is_exit_2(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_noiseless_saturates_above_unit_bsr(tmp_path):
     cfg = write_cfg(tmp_path, OPAQUE + """
 [sweep]
@@ -98,6 +146,21 @@ position_stride = 16
             if l and not l.startswith("#")][1:]
     assert all(row[3] == "inf" for row in rows)
     assert all(float(row[4]) == 100.0 for row in rows)
+
+
+def test_inf_noise_level_matches_noiseless_flag(tmp_path, capsys):
+    runs = {}
+    for name, text, flags in (
+        ("flag", SMALL_SWEEP, ["--noiseless"]),
+        ("inf", SMALL_SWEEP.replace("noise_levels = 50", "noise_levels = inf"), []),
+    ):
+        cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
+        out = tmp_path / "grid.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        runs[name] = (body, capsys.readouterr().out)
+    assert runs["flag"] == runs["inf"]
+    assert all(row.split(",")[3] == "inf" for row in runs["inf"][0][1:])
 
 
 def test_sweep_svg_flag_writes_plots(tmp_path):
@@ -149,6 +212,19 @@ def test_workers_must_be_positive(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_SWEEP)
     assert main(["sweep", "--config", str(cfg), "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import and only the patterning
+    # correlations need it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = "import sys, codedscan.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_usage_error():

@@ -9,7 +9,6 @@ from codedscan.config import (
     load_config,
     load_mu_table,
 )
-from codedscan.metrics import DEFAULT_MU_TABLE
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -31,7 +30,9 @@ def test_empty_file_resolves_to_defaults(tmp_path):
 
 
 def test_bundled_attenuation_table_matches_harness_default():
-    assert load_mu_table(default_mu_table_path()) == DEFAULT_MU_TABLE
+    bundled = load_mu_table(default_mu_table_path())
+    assert ExperimentConfig().mu_table == bundled
+    assert dict(bundled)[10.0] == 0.219
 
 
 def test_full_file_round_trip(tmp_path):
@@ -134,6 +135,19 @@ def test_choice_and_range_validation(tmp_path):
         load_config(write(tmp_path, "[scan]\nscan_bits = 0.5\n"))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("sweep", "bsr_values", "1, inf"),
+    ("sweep", "energies_kev", "nan"),
+    ("signal", "width_um", "inf"),
+    ("optics", "incidence_angle_deg", "nan"),
+    ("aperture", "thickness_um", "-inf"),
+    ("scan", "noise_levels", "10, nan"),
+])
+def test_non_finite_numbers_are_rejected(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be finite"):
+        load_config(write(tmp_path, f"[{section}]\n{key} = {value}\n"))
+
+
 def test_missing_mu_table_path_names_the_file(tmp_path):
     with pytest.raises(ConfigError, match="mu_missing.cfg"):
         load_config(write(tmp_path, "[optics]\nmu_table = mu_missing.cfg\n"))
@@ -150,6 +164,9 @@ def test_mu_table_validation(tmp_path):
     bad_entry = write(tmp_path, "[attenuation]\nten = 0.2\n", name="a.cfg")
     with pytest.raises(ConfigError, match="bad entry"):
         load_mu_table(bad_entry)
+    not_finite = write(tmp_path, "[attenuation]\n10 = inf\n", name="e.cfg")
+    with pytest.raises(ConfigError, match="bad entry"):
+        load_mu_table(not_finite)
     negative = write(tmp_path, "[attenuation]\n10 = -0.2\n", name="b.cfg")
     with pytest.raises(ConfigError, match="negative"):
         load_mu_table(negative)
@@ -159,26 +176,6 @@ def test_mu_table_validation(tmp_path):
     empty = write(tmp_path, "[attenuation]\n", name="d.cfg")
     with pytest.raises(ConfigError, match="no entries"):
         load_mu_table(empty)
-
-
-def test_sweep_config_mapping_and_overrides(tmp_path):
-    cfg = load_config(write(tmp_path, """
-[sweep]
-kind = scan_length
-replicates = 9
-
-[scan]
-seed = 13
-noise_levels = 25
-"""))
-    sweep = cfg.sweep_config()
-    assert sweep.kind == "scan_length"
-    assert sweep.replicates == 9
-    assert sweep.seed == 13
-    assert sweep.noise_levels == (25.0,)
-    assert sweep.mu_table == cfg.mu_table
-    quick = cfg.sweep_config(noiseless=True, seed=99, replicates=5)
-    assert (quick.noiseless, quick.seed, quick.replicates) == (True, 99, 5)
 
 
 def test_geometry_and_optics_accessors(tmp_path):

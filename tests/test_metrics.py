@@ -8,9 +8,9 @@ import pytest
 from codedscan import (
     CellResult,
     RecoveryResult,
+    ExperimentConfig,
     SuccessCriteria,
     SweepCell,
-    SweepConfig,
     SweepResult,
     TrialOutcome,
     build_coding_matrix,
@@ -25,10 +25,6 @@ from codedscan import (
     scan_point_count,
     score,
     simulate,
-    sweep_aspect_ratio,
-    sweep_bsr,
-    sweep_patterning,
-    sweep_scan_length,
     window_stats,
 )
 from codedscan.aperture import ApertureGeometry, OpticalContext
@@ -165,61 +161,61 @@ def test_scan_point_count_rejects_sub_bit_travel():
         scan_point_count(0.5, 10.0, 1.0)
 
 
-# --------------------------------------------------------- SweepConfig
+# ---------------------------------------------------- ExperimentConfig
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="kind"):
-        SweepConfig(kind="frequency")
+        ExperimentConfig(sweep_kind="frequency")
     with pytest.raises(ValueError, match="template"):
-        SweepConfig(kind="bsr", template="sinc")
+        ExperimentConfig(sweep_kind="bsr", template="sinc")
     with pytest.raises(ValueError, match="normalization"):
-        SweepConfig(kind="bsr", normalization="zscore")
+        ExperimentConfig(sweep_kind="bsr", normalization="zscore")
     with pytest.raises(ValueError, match="replicates"):
-        SweepConfig(kind="bsr", replicates=0)
+        ExperimentConfig(sweep_kind="bsr", replicates=0)
     with pytest.raises(ValueError, match="stride"):
-        SweepConfig(kind="bsr", position_stride=0)
+        ExperimentConfig(sweep_kind="bsr", position_stride=0)
     with pytest.raises(ValueError, match="seed"):
-        SweepConfig(kind="bsr", seed=-1)
+        ExperimentConfig(sweep_kind="bsr", seed=-1)
     with pytest.raises(ValueError, match="empty"):
-        SweepConfig(kind="bsr", noise_levels=())
+        ExperimentConfig(sweep_kind="bsr", noise_levels=())
 
 
 def test_config_coerces_axis_lists_to_tuples():
-    cfg = SweepConfig(kind="bsr", bsr_values=[0.5, 1.0], noise_levels=[10.0])
+    cfg = ExperimentConfig(sweep_kind="bsr", bsr_values=[0.5, 1.0], noise_levels=[10.0])
     assert cfg.bsr_values == (0.5, 1.0)
     assert cfg.noise_levels == (10.0,)
 
 
 def test_bsr_below_grid_step_rejected():
-    cfg = SweepConfig(kind="bsr", bsr_values=(0.05,))
+    cfg = ExperimentConfig(sweep_kind="bsr", bsr_values=(0.05,))
     with pytest.raises(ValueError, match="grid step"):
-        sweep_bsr(cfg)
+        run_sweep(cfg)
 
 
 def test_scan_length_below_one_bit_rejected():
-    cfg = SweepConfig(kind="scan_length", scan_bits_values=(0.5, 8.0))
+    cfg = ExperimentConfig(sweep_kind="scan_length", scan_bits_values=(0.5, 8.0))
     with pytest.raises(ValueError, match="one bit"):
-        sweep_scan_length(cfg)
+        run_sweep(cfg)
 
 
 def test_aspect_rejects_bad_angles_and_values():
     with pytest.raises(ValueError, match="angle"):
-        sweep_aspect_ratio(SweepConfig(kind="aspect", angles_deg=(0.0, 90.0)))
+        run_sweep(ExperimentConfig(sweep_kind="aspect", angles_deg=(0.0, 90.0)))
     with pytest.raises(ValueError, match="positive"):
-        sweep_aspect_ratio(SweepConfig(kind="aspect", aspect_values=(0.0, 1.0)))
+        run_sweep(ExperimentConfig(sweep_kind="aspect", aspect_values=(0.0, 1.0)))
 
 
 def test_missing_attenuation_entry_is_an_error():
-    cfg = SweepConfig(kind="bsr", energies_kev=(7.0,), bsr_values=(1.0,))
+    cfg = ExperimentConfig(sweep_kind="bsr", energies_kev=(7.0,), bsr_values=(1.0,))
     with pytest.raises(ValueError, match="7 keV"):
-        sweep_bsr(cfg)
+        run_sweep(cfg)
 
 
 def test_mu_override_bypasses_table():
-    cfg = SweepConfig(kind="bsr", mu_per_um=0.3, energies_kev=(7.0,), bsr_values=(1.0,),
+    cfg = ExperimentConfig(sweep_kind="bsr", mu_per_um=0.3, energies_kev=(7.0,), bsr_values=(1.0,),
                       noise_levels=(10.0,), replicates=1, position_stride=64)
-    res = sweep_bsr(cfg)
+    res = run_sweep(cfg)
     assert all(c.cell.mu_per_um == 0.3 for c in res.cells)
 
 
@@ -237,9 +233,9 @@ def test_single_cell_msp_matches_manual_recomputation():
     # Re-derive one cell's MSP from the public primitives, mirroring the
     # documented trial keying (seed, cell index, window start, replicate).
     seed, reps, stride = 99, 2, 16
-    cfg = SweepConfig(kind="bsr", seed=seed, replicates=reps, position_stride=stride,
+    cfg = ExperimentConfig(sweep_kind="bsr", seed=seed, replicates=reps, position_stride=stride,
                       bsr_values=(1.0,), energies_kev=(10.0,), noise_levels=(30.0,))
-    res = sweep_bsr(cfg)
+    res = run_sweep(cfg)
     assert len(res.cells) == 1
     cell = res.cells[0]
 
@@ -273,9 +269,9 @@ def test_single_cell_msp_matches_manual_recomputation():
 def test_noiseless_opaque_sweep_is_perfect():
     # Exact-recovery invariant carried through the whole harness: with
     # opaque bars and no noise both MSPs saturate for BSR >= 1.
-    cfg = SweepConfig(kind="bsr", noiseless=True, mu_per_um=1e9, replicates=1,
+    cfg = ExperimentConfig(sweep_kind="bsr", noise_levels=(math.inf,), mu_per_um=1e9, replicates=1,
                       position_stride=16, bsr_values=(1.0, 2.0), energies_kev=(10.0,))
-    res = sweep_bsr(cfg)
+    res = run_sweep(cfg)
     assert len(res.cells) == 2
     for c in res.cells:
         assert math.isinf(c.cell.noise_level)
@@ -285,10 +281,10 @@ def test_noiseless_opaque_sweep_is_perfect():
 
 
 def test_cell_layout_and_stderr():
-    cfg = SweepConfig(kind="bsr", seed=3, replicates=2, position_stride=32,
+    cfg = ExperimentConfig(sweep_kind="bsr", seed=3, replicates=2, position_stride=32,
                       bsr_values=(0.5, 1.0), energies_kev=(5.0, 10.0),
                       noise_levels=(10.0, 100.0))
-    res = sweep_bsr(cfg)
+    res = run_sweep(cfg)
     # cells enumerate bsr (outer) x energy x noise (inner)
     assert len(res.cells) == 8
     assert [c.cell.index for c in res.cells] == list(range(8))
@@ -302,10 +298,10 @@ def test_cell_layout_and_stderr():
 
 def test_monotone_noise_invariant():
     # More photons never hurt beyond Monte-Carlo slack.
-    cfg = SweepConfig(kind="bsr", seed=11, replicates=3, position_stride=8,
+    cfg = ExperimentConfig(sweep_kind="bsr", seed=11, replicates=3, position_stride=8,
                       bsr_values=(0.5, 1.0), energies_kev=(10.0,),
                       noise_levels=(10.0, 100.0))
-    res = sweep_bsr(cfg)
+    res = run_sweep(cfg)
     by_key = {}
     for c in res.cells:
         by_key[(c.cell.param_value, c.cell.noise_level)] = c.msp_position
@@ -314,25 +310,25 @@ def test_monotone_noise_invariant():
 
 
 def test_worker_count_does_not_change_results():
-    cfg = SweepConfig(kind="patterning", seed=5, replicates=2, position_stride=32,
+    cfg = ExperimentConfig(sweep_kind="patterning", seed=5, replicates=2, position_stride=32,
                       bsr=0.5, noise_levels=(20.0,))
     assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=3)
 
 
 def test_scan_length_trend_more_bits_help():
-    cfg = SweepConfig(kind="scan_length", seed=17, replicates=3, position_stride=12,
+    cfg = ExperimentConfig(sweep_kind="scan_length", seed=17, replicates=3, position_stride=12,
                       scan_bits_values=(4.0, 8.0), energies_kev=(10.0,),
                       noise_levels=(10.0,))
-    res = sweep_scan_length(cfg)
+    res = run_sweep(cfg)
     by_bits = {c.cell.param_value: c.msp_position for c in res.cells}
     assert by_bits[4.0] < by_bits[8.0] - 20.0
     assert all(c.cell.scan_bits == c.cell.param_value for c in res.cells)
 
 
 def test_aspect_trend_shear_collapse_at_steep_incidence():
-    cfg = SweepConfig(kind="aspect", seed=23, replicates=3, position_stride=12,
+    cfg = ExperimentConfig(sweep_kind="aspect", seed=23, replicates=3, position_stride=12,
                       aspect_values=(1.0, 10.0), angles_deg=(40.0,), noise_levels=(10.0,))
-    res = sweep_aspect_ratio(cfg)
+    res = run_sweep(cfg)
     by_aspect = {c.cell.param_value: c.msp_position for c in res.cells}
     assert by_aspect[10.0] < by_aspect[1.0] - 20.0
     # thickness follows the aspect axis at fixed 10 um bits
@@ -340,9 +336,9 @@ def test_aspect_trend_shear_collapse_at_steep_incidence():
 
 
 def test_patterning_cells_carry_composition_join():
-    cfg = SweepConfig(kind="patterning", seed=2, replicates=1, position_stride=50,
+    cfg = ExperimentConfig(sweep_kind="patterning", seed=2, replicates=1, position_stride=50,
                       noise_levels=(50.0,))
-    res = sweep_patterning(cfg)
+    res = run_sweep(cfg)
     pattern = generate_de_bruijn(8)
     assert [c.cell.window_start for c in res.cells] == [0, 50, 100, 150, 200]
     for c in res.cells:
@@ -353,9 +349,9 @@ def test_patterning_cells_carry_composition_join():
 
 
 def test_non_patterning_cells_have_no_join():
-    cfg = SweepConfig(kind="bsr", replicates=1, position_stride=64, bsr_values=(1.0,),
+    cfg = ExperimentConfig(sweep_kind="bsr", replicates=1, position_stride=64, bsr_values=(1.0,),
                       energies_kev=(10.0,), noise_levels=(50.0,))
-    res = sweep_bsr(cfg)
+    res = run_sweep(cfg)
     assert res.cells[0].zeros_fraction is None
     assert res.cells[0].bit_flips is None
 
@@ -384,10 +380,10 @@ def test_patterning_correlations_known_rankings():
 
 
 def test_patterning_correlations_require_patterning_result():
-    cfg = SweepConfig(kind="bsr", replicates=1, position_stride=64, bsr_values=(1.0,),
+    cfg = ExperimentConfig(sweep_kind="bsr", replicates=1, position_stride=64, bsr_values=(1.0,),
                       energies_kev=(10.0,), noise_levels=(50.0,))
     with pytest.raises(ValueError, match="patterning"):
-        patterning_correlations(sweep_bsr(cfg))
+        patterning_correlations(run_sweep(cfg))
 
 
 def test_patterning_correlations_reject_missing_join():
@@ -401,7 +397,7 @@ def test_patterning_correlations_reject_missing_join():
 
 
 def test_run_sweep_dispatch():
-    cfg = SweepConfig(kind="aspect", replicates=1, position_stride=64,
+    cfg = ExperimentConfig(sweep_kind="aspect", replicates=1, position_stride=64,
                       aspect_values=(1.0,), angles_deg=(0.0,), noise_levels=(50.0,))
     res = run_sweep(cfg)
     assert res.kind == "aspect"

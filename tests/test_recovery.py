@@ -111,30 +111,6 @@ def test_search_boxcar_template_within_one_bit_everywhere():
     assert worst * STEP_UM <= BIT_UM
 
 
-def test_search_range_restriction():
-    profile = opaque_profile()
-    template = make_gaussian_signal(10.0, STEP_UM)
-    p_star = 500
-    series = synthetic_normalized(profile, p_star, template)
-    p_hat = search_position(profile, series, template.unit_sum(), search_range=(600, 900))
-    assert 600 <= p_hat < 900
-    matrix = build_coding_matrix(profile, p_hat, SCAN_POINTS, len(template))
-    residual = np.sum((matrix.values @ template.unit_sum().values - series.normalized) ** 2)
-    assert residual > 0.0
-
-
-def test_search_rejects_bad_ranges():
-    profile = opaque_profile()
-    template = make_gaussian_signal(10.0, STEP_UM).unit_sum()
-    series = synthetic_normalized(profile, 0, template)
-    with pytest.raises(ValueError):
-        search_position(profile, series, template, search_range=(100, 100))
-    with pytest.raises(ValueError):
-        search_position(profile, series, template, search_range=(-5, 10))
-    with pytest.raises(ValueError):
-        search_position(profile, series, template, search_range=(0, 10**9))
-
-
 def test_search_requires_normalized_series():
     profile = opaque_profile()
     template = make_gaussian_signal(10.0, STEP_UM)
