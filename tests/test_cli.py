@@ -80,43 +80,22 @@ def test_sweep_worker_count_is_invisible_in_output(tmp_path):
 def test_sweep_quick_and_seed_flags_echo(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_SWEEP)
     out = tmp_path / "grid.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--quick",
-                 "--seed", "123"]) == 0
-    text = out.read_text()
-    assert "# effective_replicates = 5" in text
-    assert "# effective_seed = 123" in text
-    assert "# seed = 4" in text  # the configured value still echoes
-
-
-def test_sweep_header_echoes_effective_values(tmp_path):
-    cfg = write_cfg(tmp_path, """
-[sweep]
-kind = scan_length
-scan_bits_values = 8
-energies_kev = 10
-replicates = 9
-position_stride = 64
-
-[scan]
-seed = 13
-noise_levels = 25
-""")
 
     def run(*flags):
-        out = tmp_path / "grid.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), *flags]) == 0
         lines = out.read_text().splitlines()
-        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
-        return set(lines), rows
+        return set(lines), [l.split(",") for l in lines if not l.startswith("#")][1:]
 
     header, rows = run()
-    assert {"# effective_seed = 13", "# effective_replicates = 9",
+    assert {"# effective_seed = 4", "# effective_replicates = 2",
             "# noiseless_run = False"} <= header
-    assert [(row[0], row[3], row[6]) for row in rows] == [("scan_bits", "25.0", "36")]
-    header, rows = run("--noiseless", "--seed", "99", "--quick")
-    assert {"# effective_seed = 99", "# effective_replicates = 5", "# noiseless_run = True",
-            "# seed = 13", "# replicates = 9", "# noise_levels = 25"} <= header
-    assert [(row[3], row[6]) for row in rows] == [("inf", "20")]
+    assert [(row[3], row[6]) for row in rows] == [("50.0", "16")] * 2
+    header, rows = run("--quick", "--seed", "123", "--noiseless")
+    assert {"# effective_replicates = 5", "# effective_seed = 123",
+            "# noiseless_run = True"} <= header
+    # the configured values still echo
+    assert {"# seed = 4", "# replicates = 2", "# noise_levels = 50"} <= header
+    assert [(row[3], row[6]) for row in rows] == [("inf", "40")] * 2
 
 
 @pytest.mark.parametrize("command, text", [
