@@ -1,5 +1,8 @@
 """Experiment-file parsing, validation diagnostics, and defaults."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from codedscan.config import (
@@ -176,6 +179,30 @@ def test_mu_table_validation(tmp_path):
     empty = write(tmp_path, "[attenuation]\n", name="d.cfg")
     with pytest.raises(ConfigError, match="no entries"):
         load_mu_table(empty)
+
+
+def test_sweep_config_mapping_and_overrides(tmp_path):
+    cfg = load_config(write(tmp_path, """
+[sweep]
+kind = scan_length
+replicates = 9
+
+[scan]
+seed = 13
+noise_levels = 25
+"""))
+    assert cfg.sweep_kind == "scan_length"
+    assert cfg.replicates == 9
+    assert cfg.seed == 13
+    assert cfg.noise_levels == (25.0,)
+    assert cfg.mu_table == load_mu_table(default_mu_table_path())
+    # a run's overrides are a replaced copy; the loaded config is untouched
+    quick = replace(cfg, noise_levels=(math.inf,), seed=99, replicates=5)
+    assert (quick.noise_levels, quick.seed, quick.replicates) == ((math.inf,), 99, 5)
+    assert (quick.sweep_kind, quick.mu_table) == (cfg.sweep_kind, cfg.mu_table)
+    assert (cfg.seed, cfg.replicates) == (13, 9)
+    with pytest.raises(ValueError, match="replicates"):
+        replace(cfg, replicates=0)
 
 
 def test_geometry_and_optics_accessors(tmp_path):
