@@ -10,7 +10,6 @@ from .aperture import (
 from .codes import Pattern, SubsequenceStats, generate_de_bruijn, verify_uniqueness, window_stats
 from .config import ExperimentConfig
 from .forward import (
-    CodingMatrix,
     ScanSeries,
     Signal,
     build_coding_matrix,
@@ -35,7 +34,6 @@ from .nnls import NumericalFailureError, nnls
 from .recovery import (
     FlatSeriesError,
     NormalizationEstimate,
-    RecoverOptions,
     RecoveryResult,
     normalize,
     recover,
@@ -48,14 +46,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ApertureGeometry",
     "CellResult",
-    "CodingMatrix",
     "ExperimentConfig",
     "FlatSeriesError",
     "NormalizationEstimate",
     "NumericalFailureError",
     "OpticalContext",
     "Pattern",
-    "RecoverOptions",
     "RecoveryResult",
     "ScanSeries",
     "Signal",

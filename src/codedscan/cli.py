@@ -18,7 +18,7 @@ from .config import ConfigError, load_config
 from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simulate
 from .metrics import patterning_correlations, scan_point_count
 from .nnls import NumericalFailureError
-from .recovery import FlatSeriesError, RecoverOptions, normalize, recover
+from .recovery import FlatSeriesError, normalize, recover
 from .reporting import (
     RecoveryRow,
     SeriesFormatError,
@@ -132,11 +132,10 @@ def run_sweep_command(args) -> int:
 
 
 def _recover_pixel(task) -> RecoveryRow:
-    profile, probe, options, mode, pixel_id, counts, step = task
-    series = ScanSeries(np.asarray(counts, dtype=float), step)
+    profile, probe, max_rounds, mode, pixel_id, counts = task
+    series = ScanSeries(counts)
     try:
-        normalized = normalize(series, mode)
-        result = recover(profile, normalized, probe, options)
+        result = recover(profile, normalize(series, mode), probe, max_rounds)
     except FlatSeriesError:
         return RecoveryRow(pixel_id, None, None, 0, None, "flat")
     except NumericalFailureError:
@@ -155,7 +154,6 @@ def run_recover_command(args) -> int:
     pattern = generate_de_bruijn(cfg.pattern_order)
     profile = build_profile(cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample)
     probe = cfg.probe()
-    options = RecoverOptions(max_rounds=cfg.max_rounds, nnls_tol=cfg.nnls_tol)
     n_keep = None
     if args.truncate_bits is not None:
         n_keep = scan_point_count(args.truncate_bits, cfg.bit_size_zero_um, cfg.grid_step_um)
@@ -174,13 +172,13 @@ def run_recover_command(args) -> int:
             if counts.size < 2:
                 raise ConfigError("--truncate-bits leaves fewer than 2 samples")
         max_len = max(max_len, counts.size)
-        tasks.append((pixel_id, counts, step))
+        tasks.append((pixel_id, counts))
     # Open padding on both flanks: scans may start before or run past the
     # mask, and the search needs those alignments to exist.
     margin = max_len + len(probe)
     profile = profile.pad_open(margin, margin)
-    work = [(profile, probe, options, cfg.normalization, pid, counts, step)
-            for pid, counts, step in tasks]
+    work = [(profile, probe, cfg.max_rounds, cfg.normalization, pid, counts)
+            for pid, counts in tasks]
     if args.workers == 1 or len(work) == 1:
         rows = [_recover_pixel(item) for item in work]
     else:

@@ -27,8 +27,8 @@ _VALID_KEYS = {
     "sweep": ("kind", "bsr", "bsr_values", "scan_bits_values", "aspect_values",
               "angles_deg", "energies_kev", "replicates", "position_stride"),
     "criteria": ("epsilon", "position_margin_bits"),
-    "recover": ("max_rounds", "nnls_tol"),
-    "output": ("csv", "svg_prefix"),
+    "recover": ("max_rounds",),
+    "output": ("csv",),
 }
 
 
@@ -85,9 +85,7 @@ class ExperimentConfig:
     epsilon: float = 0.02
     position_margin_bits: float = 1.0
     max_rounds: int = 3
-    nnls_tol: float = 1e-10
     out_csv: str | None = None
-    svg_prefix: str | None = None
 
     def __post_init__(self):
         if self.sweep_kind not in SWEEP_KINDS:
@@ -306,9 +304,7 @@ def load_config(path) -> ExperimentConfig:
         epsilon=r.number("criteria", "epsilon", positive=True),
         position_margin_bits=r.number("criteria", "position_margin_bits", minimum=0.0),
         max_rounds=r.integer("recover", "max_rounds", minimum=1),
-        nnls_tol=r.number("recover", "nnls_tol", positive=True),
         out_csv=r.string("output", "csv"),
-        svg_prefix=r.string("output", "svg_prefix"),
     )
     # Keys the file leaves out keep the ExperimentConfig defaults.
     return ExperimentConfig(**{key: value for key, value in given.items() if value is not None})

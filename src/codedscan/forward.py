@@ -22,7 +22,6 @@ class Signal:
     """Non-negative beam footprint sampled on the scan grid."""
 
     values: np.ndarray
-    grid_step_um: float
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -30,8 +29,6 @@ class Signal:
             raise ValueError("signal must be a non-empty vector")
         if values.min() < 0:
             raise ValueError("signal values are intensities and must be >= 0")
-        if self.grid_step_um <= 0:
-            raise ValueError("grid_step_um must be positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -43,35 +40,14 @@ class Signal:
         total = float(self.values.sum())
         if total <= 0:
             raise ValueError("cannot rescale an all-zero signal")
-        return Signal(self.values / total, self.grid_step_um)
-
-
-@dataclass(frozen=True)
-class CodingMatrix:
-    """Hankel-structured slice of a profile: entry (m, n) = a[p + m + n]."""
-
-    values: np.ndarray
-    offset: int
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.ndim != 2 or values.size == 0:
-            raise ValueError("coding matrix must be a non-empty 2-D array")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+        return Signal(self.values / total)
 
 
 @dataclass(frozen=True)
 class ScanSeries:
-    """Measured counts per scan step, plus the optional normalized view."""
+    """Measured counts, one per scan step."""
 
     raw: np.ndarray
-    step_um: float
-    normalized: np.ndarray | None = None
 
     def __post_init__(self):
         raw = np.ascontiguousarray(self.raw, dtype=float)
@@ -79,16 +55,8 @@ class ScanSeries:
             raise ValueError("series must be a non-empty vector")
         if raw.min() < 0:
             raise ValueError("counts must be >= 0")
-        if self.step_um <= 0:
-            raise ValueError("step_um must be positive")
         raw.flags.writeable = False
         object.__setattr__(self, "raw", raw)
-        if self.normalized is not None:
-            norm = np.ascontiguousarray(self.normalized, dtype=float)
-            if norm.shape != raw.shape or not np.isfinite(norm).all():
-                raise ValueError("normalized view must be finite and match raw shape")
-            norm.flags.writeable = False
-            object.__setattr__(self, "normalized", norm)
 
     def __len__(self) -> int:
         return int(self.raw.size)
@@ -108,7 +76,7 @@ def make_gaussian_signal(width_um: float, grid_step_um: float) -> Signal:
         raise ValueError("signal width must be at least one grid step")
     n = int(round(width_um / grid_step_um))
     centers = (np.arange(n) - (n - 1) / 2.0) * grid_step_um
-    return Signal(bounded_gaussian(centers, width_um), grid_step_um)
+    return Signal(bounded_gaussian(centers, width_um))
 
 
 def make_boxcar_signal(width_um: float, grid_step_um: float) -> Signal:
@@ -116,13 +84,13 @@ def make_boxcar_signal(width_um: float, grid_step_um: float) -> Signal:
     if width_um < grid_step_um:
         raise ValueError("signal width must be at least one grid step")
     n = int(round(width_um / grid_step_um))
-    return Signal(np.ones(n), grid_step_um)
+    return Signal(np.ones(n))
 
 
 def build_coding_matrix(
     profile: TransmissivityProfile | np.ndarray, p: int, m: int, n: int
-) -> CodingMatrix:
-    """M x N scan matrix starting at profile index p; entry (i, j) = a[p+i+j]."""
+) -> np.ndarray:
+    """Read-only M x N Hankel slice at profile index p: entry (i, j) = a[p+i+j]."""
     values = profile.values if isinstance(profile, TransmissivityProfile) else np.asarray(profile, dtype=float)
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be >= 1")
@@ -132,7 +100,9 @@ def build_coding_matrix(
             f"length {values.size}; pad the profile or shrink the scan"
         )
     windows = np.lib.stride_tricks.sliding_window_view(values, n)
-    return CodingMatrix(windows[p : p + m].copy(), offset=int(p))
+    matrix = windows[p : p + m].copy()
+    matrix.flags.writeable = False
+    return matrix
 
 
 def trial_rng(*entropy: int) -> np.random.Generator:
@@ -146,7 +116,7 @@ def trial_rng(*entropy: int) -> np.random.Generator:
 
 
 def simulate(
-    matrix: CodingMatrix,
+    matrix: np.ndarray,
     signal: Signal,
     peak_counts: float,
     seed,
@@ -154,26 +124,27 @@ def simulate(
 ) -> ScanSeries:
     """Expected intensities I = A_p s, Poisson-sampled unless noiseless.
 
-    ``peak_counts`` sets the expected count at a fully open alignment
-    (sum of the rescaled signal); ``math.inf`` skips rescaling and noise,
-    returning raw intensities. ``seed`` is an int or tuple of ints keying
-    the per-trial counter-based stream; an ``np.random.Generator`` is also
-    accepted directly.
+    ``matrix`` is A_p from ``build_coding_matrix``. ``peak_counts`` sets
+    the expected count at a fully open alignment (sum of the rescaled
+    signal); ``math.inf`` skips rescaling and noise, returning raw
+    intensities. ``seed`` is an int or tuple of ints keying the per-trial
+    counter-based stream; an ``np.random.Generator`` is also accepted
+    directly.
     """
     total = float(signal.values.sum())
     if total <= 0:
         raise ValueError("signal is identically zero: nothing to detect")
-    intensity = matrix.values @ signal.values
+    intensity = matrix @ signal.values
     if math.isinf(peak_counts):
-        return ScanSeries(intensity, signal.grid_step_um)
+        return ScanSeries(intensity)
     if peak_counts <= 0:
         raise ValueError("peak_counts must be positive (or inf for raw intensities)")
     intensity = intensity * (peak_counts / total)
     if noiseless:
-        return ScanSeries(intensity, signal.grid_step_um)
+        return ScanSeries(intensity)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = trial_rng(*(seed if isinstance(seed, (tuple, list)) else (seed,)))
     counts = rng.poisson(intensity).astype(float)
-    return ScanSeries(counts, signal.grid_step_um)
+    return ScanSeries(counts)

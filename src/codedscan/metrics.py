@@ -13,7 +13,7 @@ from .aperture import ApertureGeometry, OpticalContext, build_profile
 from .codes import generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
-from .recovery import FlatSeriesError, RecoverOptions, RecoveryResult, normalize, recover
+from .recovery import FlatSeriesError, RecoveryResult, normalize, recover
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -39,7 +39,6 @@ class TrialOutcome:
 
     position_success: int
     signal_success: int
-    q: tuple | None = None  # (window start, replicate) when run by a sweep
 
     def __post_init__(self):
         if self.position_success not in (0, 1) or self.signal_success not in (0, 1):
@@ -98,7 +97,6 @@ def score(
     criteria: SuccessCriteria,
     bit_size_um: float,
     grid_step_um: float,
-    trial_id: tuple | None = None,
 ) -> TrialOutcome:
     """Grade one recovery against ground truth.
 
@@ -120,7 +118,7 @@ def score(
     position_success = int(offset_um <= criteria.position_margin_bits * bit_size_um)
     relative = float(np.linalg.norm(result.signal - s_true)) / denom
     signal_success = int(position_success == 1 and relative < criteria.epsilon)
-    return TrialOutcome(position_success, signal_success, trial_id)
+    return TrialOutcome(position_success, signal_success)
 
 
 def msp(outcomes) -> tuple:
@@ -216,7 +214,6 @@ def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
     # Pad the open region past the mask so the deepest start still fits.
     profile = profile.extend_open(profile.index_of(max(starts) * cell.bit_size_um) + m + n - 1)
     criteria = SuccessCriteria(config.epsilon, config.position_margin_bits)
-    options = RecoverOptions(max_rounds=config.max_rounds, nnls_tol=config.nnls_tol)
     # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
     # series normalize by plain extrema.
     mode = "minmax" if math.isinf(cell.noise_level) else config.normalization
@@ -230,16 +227,13 @@ def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
                 matrix, truth_signal, cell.noise_level, (config.seed, cell.index, q, r)
             )
             try:
-                result = recover(profile, normalize(series, mode), probe, options)
+                result = recover(profile, normalize(series, mode), probe, config.max_rounds)
             except (FlatSeriesError, NumericalFailureError):
                 failures += 1
-                outcomes.append(TrialOutcome(0, 0, (q, r)))
+                outcomes.append(TrialOutcome(0, 0))
                 continue
             outcomes.append(
-                score(
-                    result, (p_star, s_true), criteria,
-                    cell.bit_size_um, config.grid_step_um, trial_id=(q, r),
-                )
+                score(result, (p_star, s_true), criteria, cell.bit_size_um, config.grid_step_um)
             )
     position, shape = msp(outcomes)
     k = len(outcomes)

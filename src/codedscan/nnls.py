@@ -5,12 +5,16 @@ set (pinned at zero) and a passive set (free); each outer pass admits the
 active coordinate with the largest dual w = A'(b - A x), then an inner
 loop backtracks along the unconstrained least-squares solution of the
 passive columns until it is feasible. Terminates when no active dual
-exceeds ``tol``, which is exactly the KKT condition for this problem.
+exceeds ``DUAL_TOLERANCE``: exactly the KKT condition for this problem.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Stop once no zero coordinate's dual w_i = [A'(b - A x)]_i exceeds this;
+# passive coordinates that backtrack to within it of zero are pinned there.
+DUAL_TOLERANCE = 1e-10
 
 
 class NumericalFailureError(RuntimeError):
@@ -21,16 +25,13 @@ class NumericalFailureError(RuntimeError):
         self.best_iterate = best_iterate
 
 
-def nnls(a, b, tol: float = 1e-10, max_iterations: int | None = None) -> np.ndarray:
+def nnls(a, b, max_iterations: int | None = None) -> np.ndarray:
     """Return argmin_{x >= 0} ||A x - b||_2^2.
 
     Parameters
     ----------
     a : (M, N) array_like
     b : (M,) array_like
-    tol : float
-        Dual-feasibility threshold: the solver stops once every zero
-        coordinate's dual component w_i = [A'(b - A x)]_i is <= tol.
     max_iterations : int, optional
         Cap on active-set changes, default 10*N.
 
@@ -55,7 +56,7 @@ def nnls(a, b, tol: float = 1e-10, max_iterations: int | None = None) -> np.ndar
         w = a.T @ (b - a @ x)
         w_active = np.where(passive, -np.inf, w)
         j = int(np.argmax(w_active))
-        if passive.all() or w_active[j] <= tol:
+        if passive.all() or w_active[j] <= DUAL_TOLERANCE:
             return x
         iterations += 1
         if iterations > max_iterations:
@@ -77,7 +78,7 @@ def nnls(a, b, tol: float = 1e-10, max_iterations: int | None = None) -> np.ndar
                 ratios = np.where(blocking, x / (x - z), np.inf)
             alpha = float(np.nanmin(ratios))
             x = x + alpha * (z - x)
-            released = passive & (x <= tol)
+            released = passive & (x <= DUAL_TOLERANCE)
             x[released] = 0.0
             passive &= ~released
             iterations += 1
@@ -85,20 +86,3 @@ def nnls(a, b, tol: float = 1e-10, max_iterations: int | None = None) -> np.ndar
                 raise NumericalFailureError(
                     f"no convergence within {max_iterations} active-set changes", x
                 )
-
-
-def kkt_residuals(a, b, x) -> tuple[float, float]:
-    """Worst-case KKT violations of a candidate solution.
-
-    Returns ``(active, free)``: the largest positive dual among zero
-    coordinates (should be ~0: no profitable coordinate to free) and the
-    largest absolute dual among positive coordinates (should be ~0:
-    stationarity on the face).
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    w = a.T @ (np.asarray(b, dtype=float) - a @ x)
-    zero = x == 0.0
-    active = float(np.max(w[zero], initial=0.0))
-    free = float(np.max(np.abs(w[~zero]), initial=0.0))
-    return active, free

@@ -36,14 +36,6 @@ class NormalizationEstimate:
 
 
 @dataclass(frozen=True)
-class RecoverOptions:
-    """Knobs for ``recover``: alternation budget and NNLS tolerance."""
-
-    max_rounds: int = 3
-    nnls_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class RecoveryResult:
     position: int
     signal: np.ndarray
@@ -70,8 +62,8 @@ def estimate_levels(series: ScanSeries, mode: str = "corrected") -> Normalizatio
     return NormalizationEstimate(mu0=d_min, mu1=d_max)
 
 
-def normalize(series: ScanSeries, mode: str = "corrected") -> ScanSeries:
-    """Series with the normalized view (d - mu0)/(mu1 - mu0) populated."""
+def normalize(series: ScanSeries, mode: str = "corrected") -> np.ndarray:
+    """Normalized counts d' = (d - mu0)/(mu1 - mu0)."""
     if len(series) < 2:
         raise ValueError("need at least 2 scan points to normalize")
     levels = estimate_levels(series, mode)
@@ -79,20 +71,13 @@ def normalize(series: ScanSeries, mode: str = "corrected") -> ScanSeries:
         raise FlatSeriesError(
             f"no modulation: open level {levels.mu1:g} <= blocked level {levels.mu0:g}"
         )
-    normalized = (series.raw - levels.mu0) / (levels.mu1 - levels.mu0)
-    return ScanSeries(series.raw, series.step_um, normalized=normalized)
-
-
-def _require_normalized(series: ScanSeries) -> np.ndarray:
-    if series.normalized is None:
-        raise ValueError("series is not normalized; call normalize() first")
-    return series.normalized
+    return (series.raw - levels.mu0) / (levels.mu1 - levels.mu0)
 
 
 def search_position(
     profile: TransmissivityProfile,
-    series: ScanSeries,
-    template: Signal,
+    d: np.ndarray,
+    template: np.ndarray,
 ) -> int:
     """Offset minimizing ||A_p * template - d'||^2 over all feasible p.
 
@@ -101,9 +86,8 @@ def search_position(
     so the exhaustive search is O(L*M) rather than O(L*M*N). Ties break
     toward the smallest offset.
     """
-    d = _require_normalized(series)
     a = profile.values
-    t = np.asarray(template.values, dtype=float)
+    t = np.asarray(template, dtype=float)
     m, n = d.size, t.size
     last = a.size - m - n + 1  # largest feasible offset
     if last < 0:
@@ -121,49 +105,46 @@ def search_position(
 
 def solve_signal(
     profile: TransmissivityProfile,
-    series: ScanSeries,
+    d: np.ndarray,
     p: int,
     n_signal: int,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Non-negative beam shape at offset p: argmin_{s>=0} ||A_p s - d'||^2."""
-    d = _require_normalized(series)
     matrix = build_coding_matrix(profile, p, d.size, n_signal)
-    return nnls(matrix.values, d, tol=tol)
+    return nnls(matrix, d)
 
 
 def recover(
     profile: TransmissivityProfile,
-    series: ScanSeries,
+    d: np.ndarray,
     template: Signal,
-    options: RecoverOptions = RecoverOptions(),
+    max_rounds: int = 3,
 ) -> RecoveryResult:
     """Alternate position search and shape solve until the position settles.
 
-    Round 1 searches with the supplied template (rescaled to unit sum to
-    match normalized-count units) and solves for the shape there; further
+    ``d`` holds normalized counts, as ``normalize`` returns them. Round 1
+    searches with the supplied template (rescaled to unit sum to match
+    normalized-count units) and solves for the shape there; further
     rounds re-search with the recovered shape as the template and re-solve,
     stopping as soon as the position repeats or ``max_rounds`` is reached.
     The residual never increases between rounds: each half-step minimizes
     the same objective in one block of variables.
     """
-    if options.max_rounds < 1:
+    if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    d = _require_normalized(series)
     n = len(template)
-    probe = template.unit_sum()
 
-    position = search_position(profile, series, probe)
-    signal = solve_signal(profile, series, position, n, options.nnls_tol)
+    position = search_position(profile, d, template.unit_sum().values)
+    signal = solve_signal(profile, d, position, n)
     rounds = 1
-    while rounds < options.max_rounds and signal.sum() > 0.0:
-        again = search_position(profile, series, Signal(signal, template.grid_step_um))
+    while rounds < max_rounds and signal.sum() > 0.0:
+        again = search_position(profile, d, signal)
         if again == position:
             break
         position = again
-        signal = solve_signal(profile, series, position, n, options.nnls_tol)
+        signal = solve_signal(profile, d, position, n)
         rounds += 1
 
     matrix = build_coding_matrix(profile, position, d.size, n)
-    residual = float(np.sum((matrix.values @ signal - d) ** 2))
+    residual = float(np.sum((matrix @ signal - d) ** 2))
     return RecoveryResult(position=position, signal=signal, residual=residual, rounds=rounds)

@@ -148,8 +148,9 @@ def write_series_csv(path, pixel_series, config_items=()) -> Path:
 def read_pixel_series(path) -> dict:
     """Parse a scan-series file to ``{pixel_id: (positions_um, counts)}``.
 
-    Positions must be strictly increasing and equidistant per pixel (within
-    ``POSITION_TOLERANCE_UM``); scan indices must count up from zero.
+    Positions and counts must be finite; positions must be strictly
+    increasing and equidistant per pixel (within ``POSITION_TOLERANCE_UM``);
+    scan indices must count up from zero.
     """
     path = Path(path)
     if not path.is_file():
@@ -170,6 +171,11 @@ def read_pixel_series(path) -> dict:
                 counts = float(row[3])
             except ValueError:
                 raise SeriesFormatError(f"{path}:{line_no}: non-numeric row") from None
+            # nan compares false against every check below, so reject it here
+            if not math.isfinite(position):
+                raise SeriesFormatError(f"{path}:{line_no}: non-finite position")
+            if not math.isfinite(counts):
+                raise SeriesFormatError(f"{path}:{line_no}: non-finite counts")
             if counts < 0:
                 raise SeriesFormatError(f"{path}:{line_no}: negative counts")
             bucket = collected.setdefault(pixel_id, [])

@@ -18,9 +18,10 @@ from codedscan import (
     patterning_correlations,
     run_sweep,
 )
-from codedscan.forward import CodingMatrix, Signal, simulate
-from codedscan.nnls import kkt_residuals, nnls
+from codedscan.forward import Signal, simulate
+from codedscan.nnls import nnls
 from codedscan.recovery import estimate_levels, normalize, ScanSeries
+from test_nnls import kkt_residuals
 
 SEED = 20260815
 
@@ -166,19 +167,19 @@ def test_7_nnls_meets_kkt_and_beats_projected_least_squares():
 
 
 def test_8_level_estimates_from_extrema_are_exact():
-    series = ScanSeries(np.array([100.0, 250.0, 4000.0, 10000.0]), 1.0)
+    series = ScanSeries(np.array([100.0, 250.0, 4000.0, 10000.0]))
     levels = estimate_levels(series, "corrected")
     assert levels.mu0 == 120.0
     assert levels.mu1 == 9800.0
-    normalized = normalize(series, "corrected").normalized
+    normalized = normalize(series, "corrected")
     assert np.array_equal(normalized, (series.raw - 120.0) / 9680.0)
     print("criterion 8: PASS — extrema 100/10000 give levels 120/9800 exactly")
 
 
 def test_9_poisson_sampler_moments_match_theory():
     draws = 100_000
-    matrix = CodingMatrix(np.ones((draws, 1)), 0)
-    probe = Signal(np.array([1.0]), 1.0)
+    matrix = np.ones((draws, 1))
+    probe = Signal(np.array([1.0]))
     for index, lam in enumerate((0.5, 5.0, 50.0, 500.0)):
         counts = simulate(matrix, probe, lam, (SEED, index)).raw
         se_mean = math.sqrt(lam / draws)

@@ -353,6 +353,16 @@ def test_recover_malformed_row_is_exit_2(tmp_path, capsys):
     assert "columns" in capsys.readouterr().err
 
 
+def test_recover_non_finite_position_is_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OPAQUE)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,0,0.0,5\n0,1,nan,6\n0,2,2.0,7\n0,3,3.0,8\n")
+    assert main(["recover", str(bad), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: non-finite position" in err
+    assert "Traceback" not in err
+
+
 def test_recover_step_mismatch_is_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scan]\ngrid_step_um = 0.5\n")
     series = multi_pixel_file(tmp_path, (10,), peak=1000.0, seed=2)

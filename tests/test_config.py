@@ -77,11 +77,9 @@ position_margin_bits = 2
 
 [recover]
 max_rounds = 5
-nnls_tol = 1e-9
 
 [output]
 csv = results.csv
-svg_prefix = plots/run
 """))
     assert cfg.pattern_order == 6
     assert (cfg.bit_size_zero_um, cfg.bit_size_one_um) == (15.0, 7.5)
@@ -97,7 +95,6 @@ svg_prefix = plots/run
     assert cfg.epsilon == 0.05
     assert cfg.max_rounds == 5
     assert cfg.out_csv == "results.csv"
-    assert cfg.svg_prefix == "plots/run"
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -110,6 +107,12 @@ def test_unknown_section_and_key_are_named(tmp_path):
         load_config(write(tmp_path, "[detector]\ngain = 2\n"))
     with pytest.raises(ConfigError, match=r"\[scan\] sped"):
         load_config(write(tmp_path, "[scan]\nsped = 1\n"))
+    # retired keys: the NNLS tolerance is a solver constant, and --svg
+    # always names its plots after the CSV
+    with pytest.raises(ConfigError, match=r"\[recover\] nnls_tol: unknown key"):
+        load_config(write(tmp_path, "[recover]\nnnls_tol = 1e-9\n"))
+    with pytest.raises(ConfigError, match=r"\[output\] svg_prefix: unknown key"):
+        load_config(write(tmp_path, "[output]\nsvg_prefix = plots/run\n"))
 
 
 def test_type_errors_carry_section_and_key(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 from codedscan.aperture import TransmissivityProfile
 from codedscan.forward import (
-    CodingMatrix,
     ScanSeries,
     Signal,
     bounded_gaussian,
@@ -56,7 +55,7 @@ def test_boxcar_signal():
 def test_coding_matrix_all_ones_profile():
     profile = TransmissivityProfile(np.ones(20), 1.0)
     matrix = build_coding_matrix(profile, 3, 4, 5)
-    np.testing.assert_array_equal(matrix.values, np.ones((4, 5)))
+    np.testing.assert_array_equal(matrix, np.ones((4, 5)))
     signal = make_gaussian_signal(5.0, 1.0)
     series = simulate(matrix, signal, peak_counts=math.inf, seed=0)
     np.testing.assert_allclose(series.raw, signal.values.sum())
@@ -66,13 +65,13 @@ def test_coding_matrix_single_row_is_dot_product():
     values = np.linspace(0.0, 1.0, 12)
     profile = TransmissivityProfile(values, 1.0)
     matrix = build_coding_matrix(profile, 2, 1, 6)
-    np.testing.assert_array_equal(matrix.values[0], values[2:8])
+    np.testing.assert_array_equal(matrix[0], values[2:8])
 
 
 def test_coding_matrix_alternating_frozen():
     profile = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     matrix = build_coding_matrix(profile, 0, 2, 2)
-    np.testing.assert_array_equal(matrix.values, [[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_coding_matrix_bounds():
@@ -92,7 +91,7 @@ def test_coding_matrix_constant_antidiagonals():
     matrix = build_coding_matrix(values, 5, 8, 6)
     for i in range(8):
         for j in range(6):
-            assert matrix.values[i, j] == values[5 + i + j]
+            assert matrix[i, j] == values[5 + i + j]
 
 
 def test_simulate_noiseless_scaling():
@@ -115,7 +114,7 @@ def test_simulate_zero_signal_rejected():
     profile = TransmissivityProfile(np.ones(30), 1.0)
     matrix = build_coding_matrix(profile, 0, 10, 10)
     with pytest.raises(ValueError):
-        simulate(matrix, Signal(np.zeros(10), 1.0), peak_counts=100.0, seed=0)
+        simulate(matrix, Signal(np.zeros(10)), peak_counts=100.0, seed=0)
 
 
 def test_simulate_law_of_large_numbers():
@@ -135,9 +134,9 @@ def test_simulate_linearity_noiseless():
     rng = np.random.default_rng(3)
     profile = TransmissivityProfile(rng.random(40), 1.0)
     matrix = build_coding_matrix(profile, 0, 20, 8)
-    s1 = Signal(rng.random(8), 1.0)
-    s2 = Signal(rng.random(8), 1.0)
-    both = Signal(s1.values + s2.values, 1.0)
+    s1 = Signal(rng.random(8))
+    s2 = Signal(rng.random(8))
+    both = Signal(s1.values + s2.values)
     d1 = simulate(matrix, s1, math.inf, 0).raw
     d2 = simulate(matrix, s2, math.inf, 0).raw
     d12 = simulate(matrix, both, math.inf, 0).raw
@@ -168,20 +167,17 @@ def test_poisson_sampler_statistics(mean):
 
 def test_signal_and_series_validation():
     with pytest.raises(ValueError):
-        Signal(np.array([-0.1, 0.5]), 1.0)
+        Signal(np.array([-0.1, 0.5]))
     with pytest.raises(ValueError):
-        Signal(np.array([0.1]), 0.0)
+        ScanSeries(np.array([-1.0]))
     with pytest.raises(ValueError):
-        ScanSeries(np.array([-1.0]), 1.0)
-    with pytest.raises(ValueError):
-        ScanSeries(np.array([1.0, 2.0]), 1.0, normalized=np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError):
-        Signal(np.zeros(3), 1.0).unit_sum()
-    unit = Signal(np.array([1.0, 3.0]), 1.0).unit_sum()
+        Signal(np.zeros(3)).unit_sum()
+    unit = Signal(np.array([1.0, 3.0])).unit_sum()
     np.testing.assert_allclose(unit.values, [0.25, 0.75])
 
 
 def test_coding_matrix_immutable():
     matrix = build_coding_matrix(np.ones(10), 0, 3, 3)
+    assert matrix.flags.c_contiguous
     with pytest.raises(ValueError):
-        matrix.values[0, 0] = 5.0
+        matrix[0, 0] = 5.0

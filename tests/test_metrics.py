@@ -28,7 +28,6 @@ from codedscan import (
     window_stats,
 )
 from codedscan.aperture import ApertureGeometry, OpticalContext
-from codedscan.recovery import RecoverOptions
 
 BIT_UM = 10.0
 STEP_UM = 1.0
@@ -94,12 +93,6 @@ def test_score_rejects_zero_truth():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="zero norm"):
         score(result_at(40, s), (40, np.zeros_like(s)), SuccessCriteria(), BIT_UM, STEP_UM)
-
-
-def test_score_carries_trial_id():
-    s = unit_gaussian()
-    out = score(result_at(40, s), (40, s), SuccessCriteria(), BIT_UM, STEP_UM, trial_id=(3, 7))
-    assert out.q == (3, 7)
 
 
 def test_criteria_validation():
@@ -256,7 +249,7 @@ def test_single_cell_msp_matches_manual_recomputation():
         matrix = build_coding_matrix(profile, p_star, m, n)
         for r in range(reps):
             series = simulate(matrix, signal, 30.0, (seed, 0, q, r))
-            got = recover(profile, normalize(series, "corrected"), signal, RecoverOptions())
+            got = recover(profile, normalize(series, "corrected"), signal)
             out = score(got, (p_star, s_true), SuccessCriteria(), BIT_UM, STEP_UM)
             hits_p += out.position_success
             hits_s += out.signal_success

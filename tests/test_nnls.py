@@ -6,7 +6,24 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from codedscan.nnls import NumericalFailureError, kkt_residuals, nnls
+from codedscan.nnls import NumericalFailureError, nnls
+
+
+def kkt_residuals(a, b, x) -> tuple[float, float]:
+    """Worst-case KKT violations of a candidate solution.
+
+    Returns ``(active, free)``: the largest positive dual among zero
+    coordinates (should be ~0: no profitable coordinate to free) and the
+    largest absolute dual among positive coordinates (should be ~0:
+    stationarity on the face).
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w = a.T @ (np.asarray(b, dtype=float) - a @ x)
+    zero = x == 0.0
+    active = float(np.max(w[zero], initial=0.0))
+    free = float(np.max(np.abs(w[~zero]), initial=0.0))
+    return active, free
 
 
 def objective(a, b, x):

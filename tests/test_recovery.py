@@ -19,7 +19,6 @@ from codedscan.forward import (
 )
 from codedscan.recovery import (
     FlatSeriesError,
-    RecoverOptions,
     estimate_levels,
     normalize,
     recover,
@@ -38,85 +37,76 @@ def opaque_profile(pad_cells: int = 12) -> TransmissivityProfile:
     return build_profile(geometry, context, STEP_UM).pad_open(0, pad_cells)
 
 
-def synthetic_normalized(profile, p_star, template: Signal) -> ScanSeries:
-    """Series whose normalized view is exactly A_p* (unit-sum template)."""
+def synthetic_normalized(profile, p_star, template: Signal) -> np.ndarray:
+    """Normalized counts exactly A_p* times the unit-sum template."""
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(template))
-    d = matrix.values @ template.unit_sum().values
-    return ScanSeries(d, STEP_UM, normalized=d)
+    return matrix @ template.unit_sum().values
 
 
-def noiseless_series(profile, p_star, signal: Signal, peak=100.0) -> ScanSeries:
+def noiseless_series(profile, p_star, signal: Signal, peak=100.0) -> np.ndarray:
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
     raw = simulate(matrix, signal, peak_counts=peak, seed=0, noiseless=True)
     return normalize(raw, mode="minmax")
 
 
 def test_estimate_levels_frozen_values():
-    series = ScanSeries(np.array([100.0, 5000.0, 10000.0]), 1.0)
+    series = ScanSeries(np.array([100.0, 5000.0, 10000.0]))
     levels = estimate_levels(series)
     assert levels.mu0 == 120.0
     assert levels.mu1 == 9800.0
 
 
 def test_normalize_maps_extremes():
-    series = ScanSeries(np.array([100.0, 9800.0, 10000.0]), 1.0)
-    normalized = normalize(series).normalized
+    series = ScanSeries(np.array([100.0, 9800.0, 10000.0]))
+    normalized = normalize(series)
     assert normalized[1] == pytest.approx(1.0)  # raw 9800 = mu1 maps to 1 exactly
     assert normalized[0] == pytest.approx((100.0 - 120.0) / 9680.0)
 
 
 def test_normalize_zero_minimum():
-    series = ScanSeries(np.array([0.0, 10.0, 40.0]), 1.0)
+    series = ScanSeries(np.array([0.0, 10.0, 40.0]))
     assert estimate_levels(series).mu0 == 0.0
-    normalized = normalize(series).normalized
+    normalized = normalize(series)
     assert normalized[0] == 0.0
 
 
 def test_normalize_minmax_mode():
-    series = ScanSeries(np.array([2.0, 6.0, 10.0]), 1.0)
-    normalized = normalize(series, mode="minmax").normalized
+    series = ScanSeries(np.array([2.0, 6.0, 10.0]))
+    normalized = normalize(series, mode="minmax")
     np.testing.assert_allclose(normalized, [0.0, 0.5, 1.0])
 
 
 def test_normalize_flat_series_rejected():
     with pytest.raises(FlatSeriesError):
-        normalize(ScanSeries(np.full(10, 7.0), 1.0))
+        normalize(ScanSeries(np.full(10, 7.0)))
     # corrected estimators can cross even on non-constant but weak series
     with pytest.raises(FlatSeriesError):
-        normalize(ScanSeries(np.array([99.0, 100.0, 101.0]), 1.0))
+        normalize(ScanSeries(np.array([99.0, 100.0, 101.0])))
     with pytest.raises(ValueError):
-        normalize(ScanSeries(np.array([1.0]), 1.0))
+        normalize(ScanSeries(np.array([1.0])))
     with pytest.raises(ValueError):
-        estimate_levels(ScanSeries(np.array([1.0, 2.0]), 1.0), mode="median")
+        estimate_levels(ScanSeries(np.array([1.0, 2.0])), mode="median")
 
 
 def test_search_exact_at_truth():
     profile = opaque_profile()
     template = make_gaussian_signal(10.0, STEP_UM)
     for p_star in (0, 7, 480, 1033, 2480):
-        series = synthetic_normalized(profile, p_star, template)
-        assert search_position(profile, series, template.unit_sum()) == p_star
+        d = synthetic_normalized(profile, p_star, template)
+        assert search_position(profile, d, template.unit_sum().values) == p_star
 
 
 def test_search_boxcar_template_within_one_bit_everywhere():
     profile = opaque_profile()
     truth = make_gaussian_signal(10.0, STEP_UM)
-    boxcar = make_boxcar_signal(10.0, STEP_UM).unit_sum()
+    boxcar = make_boxcar_signal(10.0, STEP_UM).unit_sum().values
     worst = 0
     for q in range(249):
         p_star = q * int(BIT_UM / STEP_UM)
-        series = synthetic_normalized(profile, p_star, truth)
-        p_hat = search_position(profile, series, boxcar)
+        d = synthetic_normalized(profile, p_star, truth)
+        p_hat = search_position(profile, d, boxcar)
         worst = max(worst, abs(p_hat - p_star))
     assert worst * STEP_UM <= BIT_UM
-
-
-def test_search_requires_normalized_series():
-    profile = opaque_profile()
-    template = make_gaussian_signal(10.0, STEP_UM)
-    series = ScanSeries(np.ones(SCAN_POINTS), STEP_UM)
-    with pytest.raises(ValueError):
-        search_position(profile, series, template)
 
 
 def test_solve_antidiagonal_matrix_clamps_reversed_data():
@@ -127,8 +117,7 @@ def test_solve_antidiagonal_matrix_clamps_reversed_data():
     values[n - 1] = 1.0
     profile = TransmissivityProfile(values, 1.0)
     d = np.array([0.5, -0.2, 0.1, -0.9, 0.0, 0.3])
-    series = ScanSeries(np.abs(d), 1.0, normalized=d)
-    s_hat = solve_signal(profile, series, 0, n)
+    s_hat = solve_signal(profile, d, 0, n)
     np.testing.assert_allclose(s_hat, np.clip(d[::-1], 0.0, None), atol=1e-12)
 
 
@@ -137,12 +126,11 @@ def test_solve_square_system_matches_direct_solve():
     values = rng.random(64)
     profile = TransmissivityProfile(values, 1.0)
     n = 8
-    matrix = build_coding_matrix(profile, 20, n, n).values
+    matrix = build_coding_matrix(profile, 20, n, n)
     assert np.linalg.matrix_rank(matrix) == n
     s_true = rng.random(n) + 0.2
     d = matrix @ s_true
-    series = ScanSeries(d, 1.0, normalized=d)
-    s_hat = solve_signal(profile, series, 20, n)
+    s_hat = solve_signal(profile, d, 20, n)
     direct = np.linalg.solve(matrix, d)
     np.testing.assert_allclose(s_hat, direct, rtol=1e-6)
     np.testing.assert_allclose(s_hat, s_true, rtol=1e-6)
@@ -151,9 +139,8 @@ def test_solve_square_system_matches_direct_solve():
 def test_solve_all_negative_data_yields_zero():
     profile = opaque_profile()
     matrix = build_coding_matrix(profile, 40, SCAN_POINTS, 10)
-    d = -(matrix.values @ np.ones(10)) - 0.1
-    series = ScanSeries(np.zeros(SCAN_POINTS), STEP_UM, normalized=d)
-    np.testing.assert_array_equal(solve_signal(profile, series, 40, 10), 0.0)
+    d = -(matrix @ np.ones(10)) - 0.1
+    np.testing.assert_array_equal(solve_signal(profile, d, 40, 10), 0.0)
 
 
 @pytest.mark.parametrize("p_star", [0, 1, 17, 248, 1240, 2470, 2480])
@@ -175,9 +162,9 @@ def test_recover_single_round_is_two_step():
     p_star = 1234
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
     noisy = normalize(simulate(matrix, signal, 10.0, seed=(1, 2)))
-    one = recover(profile, noisy, signal, RecoverOptions(max_rounds=1))
+    one = recover(profile, noisy, signal, max_rounds=1)
     assert one.rounds == 1
-    expected_p = search_position(profile, noisy, signal.unit_sum())
+    expected_p = search_position(profile, noisy, signal.unit_sum().values)
     assert one.position == expected_p
     np.testing.assert_array_equal(
         one.signal, solve_signal(profile, noisy, expected_p, len(signal))
@@ -192,7 +179,7 @@ def test_recover_residual_never_increases_with_rounds():
         matrix = build_coding_matrix(profile, 731, SCAN_POINTS, len(signal))
         noisy = normalize(simulate(matrix, signal, 10.0, seed=seed))
         res = [
-            recover(profile, noisy, signal, RecoverOptions(max_rounds=r)).residual
+            recover(profile, noisy, signal, max_rounds=r).residual
             for r in (1, 2, 3)
         ]
         assert res[1] <= res[0] + 1e-12
@@ -207,7 +194,7 @@ def test_recover_residual_dominates_template_fit():
     noisy = normalize(simulate(matrix, signal, 100.0, seed=(3, 1)))
     result = recover(profile, noisy, signal)
     template_fit = np.sum(
-        (matrix.values @ signal.unit_sum().values - noisy.normalized) ** 2
+        (matrix @ signal.unit_sum().values - noisy) ** 2
     )
     assert result.residual <= template_fit + 1e-12
 
@@ -215,9 +202,7 @@ def test_recover_residual_dominates_template_fit():
 def test_recover_zero_shape_stops_alternation():
     profile = opaque_profile()
     template = make_gaussian_signal(10.0, STEP_UM)
-    d = -np.ones(SCAN_POINTS)
-    series = ScanSeries(np.zeros(SCAN_POINTS), STEP_UM, normalized=d)
-    result = recover(profile, series, template)
+    result = recover(profile, -np.ones(SCAN_POINTS), template)
     assert result.rounds == 1
     np.testing.assert_array_equal(result.signal, 0.0)
 
@@ -228,16 +213,16 @@ def test_normalization_affine_invariance():
     p_star = 620
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
     base = simulate(matrix, signal, peak_counts=10_000.0, seed=0, noiseless=True)
-    scaled = ScanSeries(base.raw * 7.0, STEP_UM)
+    scaled = ScanSeries(base.raw * 7.0)
 
     # plain extrema: normalization is exactly scale-free, argmin unchanged
     a = normalize(base, mode="minmax")
     b = normalize(scaled, mode="minmax")
-    np.testing.assert_allclose(a.normalized, b.normalized, atol=1e-12)
-    t = signal.unit_sum()
+    np.testing.assert_allclose(a, b, atol=1e-12)
+    t = signal.unit_sum().values
     assert search_position(profile, a, t) == search_position(profile, b, t)
 
     # corrected estimators: scaling perturbs d' only at the 1/sqrt(counts) scale
-    c = normalize(base).normalized
-    d = normalize(scaled).normalized
+    c = normalize(base)
+    d = normalize(scaled)
     assert np.abs(c - d).max() < 5.0 / math.sqrt(10_000.0)

@@ -171,6 +171,19 @@ def test_series_reader_rejections(tmp_path):
         read_pixel_series(tmp_path / "ghost.csv")
 
 
+@pytest.mark.parametrize("row, match", [
+    ("0,1,nan,6", "non-finite position"),
+    ("0,1,inf,6", "non-finite position"),
+    ("0,1,1.0,nan", "non-finite counts"),
+    ("0,1,1.0,inf", "non-finite counts"),
+])
+def test_series_reader_rejects_non_finite_values(tmp_path, row, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0,0.0,5\n{row}\n0,2,2.0,7\n")
+    with pytest.raises(SeriesFormatError, match=f"bad.csv:2: {match}"):
+        read_pixel_series(path)
+
+
 # -------------------------------------------------------------------- SVG
 
 
