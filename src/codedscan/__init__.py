@@ -37,6 +37,7 @@ from .recovery import (
     RecoveryResult,
     normalize,
     recover,
+    recover_batch,
     search_position,
     solve_signal,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "normalize",
     "patterning_correlations",
     "recover",
+    "recover_batch",
     "run_sweep",
     "scan_point_count",
     "score",

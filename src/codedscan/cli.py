@@ -18,7 +18,8 @@ from .config import ConfigError, load_config
 from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simulate
 from .metrics import patterning_correlations, scan_point_count
 from .nnls import NumericalFailureError
-from .recovery import FlatSeriesError, normalize, recover
+# ``recover`` stays bound here for callers and tracers that look it up by module.
+from .recovery import STACK_ROWS, FlatSeriesError, normalize, recover, recover_batch  # noqa: F401
 from .reporting import (
     RecoveryRow,
     SeriesFormatError,
@@ -131,19 +132,29 @@ def run_sweep_command(args) -> int:
     return 0
 
 
-def _recover_pixel(task) -> RecoveryRow:
-    profile, probe, max_rounds, mode, pixel_id, counts = task
-    series = ScanSeries(counts)
-    try:
-        result = recover(profile, normalize(series, mode), probe, max_rounds)
-    except FlatSeriesError:
-        return RecoveryRow(pixel_id, None, None, 0, None, "flat")
-    except NumericalFailureError:
-        return RecoveryRow(pixel_id, None, None, 0, None, "failed")
-    return RecoveryRow(
-        pixel_id, float(profile.position_of(result.position)), result.residual,
-        result.rounds, result.signal, "ok",
-    )
+def _recover_pixels(task) -> list:
+    """Recovery rows of equal-length pixels, in the order given."""
+    profile, probe, max_rounds, mode, pixels = task
+    rows = [None] * len(pixels)
+    normalized = []
+    for k, (pixel_id, counts) in enumerate(pixels):
+        try:
+            normalized.append(normalize(ScanSeries(counts), mode))
+        except FlatSeriesError:
+            rows[k] = RecoveryRow(pixel_id, None, None, 0, None, "flat")
+    results = iter(recover_batch(profile, normalized, probe, max_rounds))
+    for k, (pixel_id, _) in enumerate(pixels):
+        if rows[k] is not None:
+            continue
+        result = next(results)
+        if isinstance(result, NumericalFailureError):
+            rows[k] = RecoveryRow(pixel_id, None, None, 0, None, "failed")
+        else:
+            rows[k] = RecoveryRow(
+                pixel_id, float(profile.position_of(result.position)), result.residual,
+                result.rounds, result.signal, "ok",
+            )
+    return rows
 
 
 def run_recover_command(args) -> int:
@@ -177,13 +188,24 @@ def run_recover_command(args) -> int:
     # mask, and the search needs those alignments to exist.
     margin = max_len + len(probe)
     profile = profile.pad_open(margin, margin)
-    work = [(profile, probe, cfg.max_rounds, cfg.normalization, pid, counts)
-            for pid, counts in tasks]
+    # One task per chunk of equal-length pixels: each recovers as one stack,
+    # and a worker receives the profile once per chunk, not once per pixel.
+    by_length = {}
+    for pixel_id, counts in tasks:
+        by_length.setdefault(counts.size, []).append((pixel_id, counts))
+    work = []
+    for group in by_length.values():
+        size = min(STACK_ROWS, -(-len(group) // args.workers))
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            work.append((profile, probe, cfg.max_rounds, cfg.normalization, chunk))
     if args.workers == 1 or len(work) == 1:
-        rows = [_recover_pixel(item) for item in work]
+        chunks = [_recover_pixels(item) for item in work]
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_recover_pixel, work))
+            chunks = list(pool.map(_recover_pixels, work))
+    order = {pixel_id: k for k, (pixel_id, _) in enumerate(tasks)}
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: order[r.pixel_id])
     items = list(cfg.echo_items())
     if args.truncate_bits is not None:
         items.append(("truncate_bits", f"{args.truncate_bits:g}"))

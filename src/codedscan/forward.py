@@ -88,19 +88,26 @@ def make_boxcar_signal(width_um: float, grid_step_um: float) -> Signal:
 
 
 def build_coding_matrix(
-    profile: TransmissivityProfile | np.ndarray, p: int, m: int, n: int
+    profile: TransmissivityProfile | np.ndarray, p, m: int, n: int
 ) -> np.ndarray:
-    """Read-only M x N Hankel slice at profile index p: entry (i, j) = a[p+i+j]."""
+    """Read-only M x N Hankel slice at profile index p: entry (i, j) = a[p+i+j].
+
+    An array of T offsets gives the C-contiguous (T, M, N) stack of their
+    slices, each holding the same values as its single-offset matrix.
+    """
     values = profile.values if isinstance(profile, TransmissivityProfile) else np.asarray(profile, dtype=float)
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be >= 1")
-    if p < 0 or p + m + n - 1 > values.size:
+    offsets = np.asarray(p)
+    outside = offsets[(offsets < 0) | (offsets + m + n - 1 > values.size)]
+    if outside.size:
+        q = int(outside[0])
         raise ValueError(
-            f"scan window [p={p}, p+M+N-1={p + m + n - 1}] exceeds profile of "
+            f"scan window [p={q}, p+M+N-1={q + m + n - 1}] exceeds profile of "
             f"length {values.size}; pad the profile or shrink the scan"
         )
     windows = np.lib.stride_tricks.sliding_window_view(values, n)
-    matrix = windows[p : p + m].copy()
+    matrix = windows[offsets[..., None] + np.arange(m)]
     matrix.flags.writeable = False
     return matrix
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -13,7 +14,8 @@ from .aperture import ApertureGeometry, OpticalContext, build_profile
 from .codes import generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
-from .recovery import FlatSeriesError, RecoveryResult, normalize, recover
+# ``recover`` stays bound here for callers and tracers that look it up by module.
+from .recovery import FlatSeriesError, RecoveryResult, normalize, recover, recover_batch  # noqa: F401
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -197,11 +199,32 @@ def _cells(config: ExperimentConfig, param_name: str, values, groups) -> list:
     return cells
 
 
+@lru_cache(maxsize=8)
+def _cell_profile(
+    pattern_order: int,
+    bit_size_um: float,
+    thickness_um: float,
+    mu_per_um: float,
+    angle_deg: float,
+    grid_step_um: float,
+    oversample: int,
+):
+    """Unpadded profile of a sweep cell's aperture; cells that differ only
+    in noise level or scored window share it. ``run_sweep`` empties the memo.
+    """
+    geometry = ApertureGeometry(
+        bit_size_um, bit_size_um, thickness_um, generate_de_bruijn(pattern_order)
+    )
+    context = OpticalContext(mu_per_um, angle_deg)
+    return build_profile(geometry, context, grid_step_um, oversample)
+
+
 def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
     pattern = generate_de_bruijn(config.pattern_order)
-    geometry = ApertureGeometry(cell.bit_size_um, cell.bit_size_um, cell.thickness_um, pattern)
-    context = OpticalContext(cell.mu_per_um, cell.incidence_angle_deg)
-    profile = build_profile(geometry, context, config.grid_step_um, config.oversample)
+    profile = _cell_profile(
+        config.pattern_order, cell.bit_size_um, cell.thickness_um, cell.mu_per_um,
+        cell.incidence_angle_deg, config.grid_step_um, config.oversample,
+    )
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
     probe = config.probe()
     s_true = truth_signal.unit_sum().values
@@ -217,7 +240,8 @@ def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
     # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
     # series normalize by plain extrema.
     mode = "minmax" if math.isinf(cell.noise_level) else config.normalization
-    outcomes = []
+    normalized = []
+    p_stars = []
     failures = 0
     for q in starts:
         p_star = profile.index_of(q * cell.bit_size_um)
@@ -227,11 +251,18 @@ def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
                 matrix, truth_signal, cell.noise_level, (config.seed, cell.index, q, r)
             )
             try:
-                result = recover(profile, normalize(series, mode), probe, config.max_rounds)
-            except (FlatSeriesError, NumericalFailureError):
+                normalized.append(normalize(series, mode))
+            except FlatSeriesError:
                 failures += 1
-                outcomes.append(TrialOutcome(0, 0))
                 continue
+            p_stars.append(p_star)
+    outcomes = [TrialOutcome(0, 0)] * failures
+    results = recover_batch(profile, normalized, probe, config.max_rounds)
+    for p_star, result in zip(p_stars, results):
+        if isinstance(result, NumericalFailureError):
+            failures += 1
+            outcomes.append(TrialOutcome(0, 0))
+        else:
             outcomes.append(
                 score(result, (p_star, s_true), criteria, cell.bit_size_um, config.grid_step_um)
             )
@@ -254,6 +285,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     order reproduces the same numbers; merging in cell order keeps output
     stable.
     """
+    _cell_profile.cache_clear()
     param_name, values, groups = _AXES[config.sweep_kind]
     param_values = tuple(values(config))
     cells = _cells(config, param_name, param_values, groups(config))

@@ -6,6 +6,20 @@ active coordinate with the largest dual w = A'(b - A x), then an inner
 loop backtracks along the unconstrained least-squares solution of the
 passive columns until it is feasible. Terminates when no active dual
 exceeds ``DUAL_TOLERANCE``: exactly the KKT condition for this problem.
+
+A stack of T problems runs the method once for all of them: every inner
+step is one masked ``np.linalg.solve`` over the stacked Gram matrices A'A
+and right-hand sides A'b, so the numpy call overhead is paid per step,
+not per problem. When the Gram duals say a problem is done, its point is
+recomputed the way the method itself ends, with ``lstsq`` on its columns
+of A over the passive set, and the method's own tests are applied there:
+a passive entry that is not positive starts one more backtracking step, an
+active dual above the tolerance admits that coordinate, and otherwise that
+``lstsq`` point is the answer. So a problem returns what a single-problem
+run with ``lstsq`` steps returns, bit for bit, unless rounding makes the
+two runs pick different passive sets where the fit is not unique (fewer
+rows than columns) or sits at a degenerate vertex (a zero coordinate
+whose dual is also zero); both answers then pass the same stopping test.
 """
 
 from __future__ import annotations
@@ -18,71 +32,165 @@ DUAL_TOLERANCE = 1e-10
 
 
 class NumericalFailureError(RuntimeError):
-    """Solver exceeded its iteration budget; carries the best iterate found."""
+    """Solver exceeded its iteration budget (or met a singular system);
+    carries the best iterate found."""
 
     def __init__(self, message: str, best_iterate: np.ndarray):
         super().__init__(message)
         self.best_iterate = best_iterate
 
 
-def nnls(a, b, max_iterations: int | None = None) -> np.ndarray:
-    """Return argmin_{x >= 0} ||A x - b||_2^2.
+def nnls(a, b, max_iterations: int | None = None):
+    """Return argmin_{x >= 0} ||A x - b||_2^2, for one problem or a stack.
 
     Parameters
     ----------
-    a : (M, N) array_like
-    b : (M,) array_like
+    a : (M, N) or (T, M, N) array_like
+    b : (M,) or (T, M) array_like
     max_iterations : int, optional
-        Cap on active-set changes, default 10*N.
+        Cap on active-set changes per problem, default 10*N.
+
+    Returns
+    -------
+    x : (N,) ndarray
+        For a single problem.
+    (x, converged) : (T, N) ndarray and (T,) bool ndarray
+        For a stack. A problem that exceeds the cap, or meets a singular
+        system, reads ``converged`` False and holds its best iterate in
+        ``x``; the other problems are unaffected.
 
     Raises
     ------
     NumericalFailureError
-        If the cap is exceeded; the exception carries the best iterate.
+        If a single problem does not converge; the exception carries the
+        best iterate.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.ndim != 2 or a.shape[0] != b.size:
+    b = np.asarray(b, dtype=float)
+    single = a.ndim == 2
+    if single:
+        b = b.reshape(-1)
+    if not (single or a.ndim == 3) or b.shape != a.shape[:-1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    m, n = a.shape
+    if single:
+        a, b = a[None], b[None]
     if max_iterations is None:
-        max_iterations = 10 * n
+        max_iterations = 10 * a.shape[2]
+    x, converged = _lawson_hanson(a, b, max_iterations)
+    if not single:
+        return x, converged
+    if not converged[0]:
+        raise NumericalFailureError(
+            f"no convergence within {max_iterations} active-set changes", x[0]
+        )
+    return x[0]
 
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    iterations = 0
 
-    while True:
-        w = a.T @ (b - a @ x)
-        w_active = np.where(passive, -np.inf, w)
+def _lawson_hanson(a, b, max_iterations):
+    t, _, n = a.shape
+    at = a.transpose(0, 2, 1)
+    gram = at @ a
+    atb = (at @ b[..., None])[..., 0]
+
+    x = np.zeros((t, n))
+    passive = np.zeros((t, n), dtype=bool)
+    iterations = np.zeros(t, dtype=int)
+    converged = np.zeros(t, dtype=bool)
+
+    def under_cap(rows):
+        """Count one active-set change; rows past the cap stop unconverged.
+        Returns which rows are still under it."""
+        iterations[rows] += 1
+        return iterations[rows] <= max_iterations
+
+    def step_toward(rows, z):
+        """Step from x toward z, stopping at the first coordinate to hit 0."""
+        xi, p = x[rows], passive[rows]
+        blocking = p & (z <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(blocking, xi / (xi - z), np.inf)
+        alpha = np.nanmin(ratios, axis=1)
+        xi = xi + alpha[:, None] * (z - xi)
+        released = p & (xi <= DUAL_TOLERANCE)
+        xi[released] = 0.0
+        x[rows] = xi
+        passive[rows] = p & ~released
+        return rows[under_cap(rows)]
+
+    def finish(r) -> np.ndarray:
+        """The method's last step, from A itself: lstsq over the passive
+        columns, then its own tests. Where one fails, the method goes on:
+        returns the row if it re-enters the inner loop."""
+        p = passive[r]
+        z = np.zeros(n)
+        cols = np.flatnonzero(p)
+        if cols.size:
+            z[cols] = np.linalg.lstsq(a[r][:, cols], b[r], rcond=None)[0]
+            if not z[cols].min() > 0.0:
+                return step_toward(np.array([r]), z[None])
+        x[r] = z
+        w = a[r].T @ (b[r] - a[r] @ z)
+        w_active = np.where(p, -np.inf, w)
         j = int(np.argmax(w_active))
-        if passive.all() or w_active[j] <= DUAL_TOLERANCE:
-            return x
-        iterations += 1
-        if iterations > max_iterations:
-            raise NumericalFailureError(
-                f"no convergence within {max_iterations} active-set changes", x
-            )
-        passive[j] = True
+        if w_active[j] <= DUAL_TOLERANCE:
+            converged[r] = True
+            return np.empty(0, dtype=int)
+        p[j] = True
+        rows = np.array([r])
+        return rows[under_cap(rows)]
 
-        while True:
-            cols = np.flatnonzero(passive)
-            z = np.zeros(n)
-            z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-            if z[cols].min() > 0.0:
-                x = z
+    outer = np.arange(t)  # rows about to admit a coordinate or stop
+    inner = outer[:0]  # rows about to solve over their passive set
+    while outer.size or inner.size:
+        if outer.size:
+            w = atb[outer] - (gram[outer] @ x[outer, :, None])[..., 0]
+            w[passive[outer]] = -np.inf
+            j = np.argmax(w, axis=1)
+            done = w[np.arange(outer.size), j] <= DUAL_TOLERANCE
+            # The Gram duals say stop: the row's own finish decides.
+            resumed = [finish(r) for r in outer[done]]
+            grow, j = outer[~done], j[~done]
+            keep = under_cap(grow)
+            grow = grow[keep]
+            passive[grow, j[keep]] = True
+            inner = np.concatenate([inner, grow, *resumed])
+            if not inner.size:
                 break
-            # step from x toward z, stopping at the first coordinate to hit 0
-            blocking = passive & (z <= 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(blocking, x / (x - z), np.inf)
-            alpha = float(np.nanmin(ratios))
-            x = x + alpha * (z - x)
-            released = passive & (x <= DUAL_TOLERANCE)
-            x[released] = 0.0
-            passive &= ~released
-            iterations += 1
-            if iterations > max_iterations:
-                raise NumericalFailureError(
-                    f"no convergence within {max_iterations} active-set changes", x
-                )
+        system, rhs = _passive_system(gram[inner], atb[inner], passive[inner])
+        try:
+            z = np.linalg.solve(system, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            z = _solve_each(system, rhs)
+            regular = ~np.isnan(z).any(axis=1)  # singular rows stop unconverged
+            inner, z = inner[regular], z[regular]
+        feasible = np.where(passive[inner], z, np.inf).min(axis=1) > 0.0
+        outer = inner[feasible]
+        x[outer] = z[feasible]
+        inner = inner[~feasible]
+        if inner.size:
+            inner = step_toward(inner, z[~feasible])
+    return x, converged
+
+
+def _passive_system(gram, atb, passive):
+    """Normal equations over each problem's passive columns, as (T, N, N)
+    systems whose solution is 0 on the active coordinates.
+
+    Active rows and columns of each Gram matrix are replaced by the
+    identity and their right-hand side by 0, so one stacked solve serves
+    passive sets of any size.
+    """
+    both = passive[:, :, None] & passive[:, None, :]
+    system = np.where(both, gram, np.eye(gram.shape[-1]))
+    return system, np.where(passive, atb, 0.0)[..., None]
+
+
+def _solve_each(system, rhs):
+    """Solve the systems one by one; a singular one gets a row of NaN."""
+    out = np.full(rhs.shape[:2], np.nan)
+    for k in range(system.shape[0]):
+        try:
+            out[k] = np.linalg.solve(system[k], rhs[k])[:, 0]
+        except np.linalg.LinAlgError:
+            pass
+    return out

@@ -20,7 +20,11 @@ import numpy as np
 
 from .aperture import TransmissivityProfile
 from .forward import ScanSeries, Signal, build_coding_matrix
-from .nnls import nnls
+from .nnls import NumericalFailureError, nnls
+
+# Rows per stacked shape solve: bounds the (rows, M, N) stack of coding
+# matrices that one ``nnls`` call holds.
+STACK_ROWS = 128
 
 
 class FlatSeriesError(ValueError):
@@ -74,6 +78,25 @@ def normalize(series: ScanSeries, mode: str = "corrected") -> np.ndarray:
     return (series.raw - levels.mu0) / (levels.mu1 - levels.mu0)
 
 
+def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
+    """Window dots r[j] = sum_n a[j+n] t_n and, per offset p, sum_m r[p+m]^2."""
+    last = a.size - m - t.size + 1  # largest feasible offset
+    if last < 0:
+        raise ValueError(
+            f"profile of length {a.size} cannot host a scan of {m} points "
+            f"with an {t.size}-cell signal"
+        )
+    window_dots = np.correlate(a, t, mode="valid")
+    cum = np.concatenate([[0.0], np.cumsum(window_dots**2)])
+    return window_dots, cum[m:] - cum[:-m]
+
+
+def _best_offset(window_dots: np.ndarray, sliding_sq: np.ndarray, d: np.ndarray) -> int:
+    cross = np.correlate(window_dots, d, mode="valid")  # sum_m r[p+m] d_m
+    objective = sliding_sq - 2.0 * cross + float(d @ d)
+    return int(np.argmin(objective))
+
+
 def search_position(
     profile: TransmissivityProfile,
     d: np.ndarray,
@@ -86,21 +109,8 @@ def search_position(
     so the exhaustive search is O(L*M) rather than O(L*M*N). Ties break
     toward the smallest offset.
     """
-    a = profile.values
-    t = np.asarray(template, dtype=float)
-    m, n = d.size, t.size
-    last = a.size - m - n + 1  # largest feasible offset
-    if last < 0:
-        raise ValueError(
-            f"profile of length {a.size} cannot host a scan of {m} points "
-            f"with an {n}-cell signal"
-        )
-    window_dots = np.correlate(a, t, mode="valid")  # r[j] = sum_n a[j+n] t_n
-    cum = np.concatenate([[0.0], np.cumsum(window_dots**2)])
-    sliding_sq = cum[m:] - cum[:-m]  # sum_m r[p+m]^2 for each p
-    cross = np.correlate(window_dots, d, mode="valid")  # sum_m r[p+m] d_m
-    objective = sliding_sq - 2.0 * cross + float(d @ d)
-    return int(np.argmin(objective))
+    terms = _template_terms(profile.values, np.asarray(template, dtype=float), d.size)
+    return _best_offset(*terms, d)
 
 
 def solve_signal(
@@ -128,23 +138,83 @@ def recover(
     rounds re-search with the recovered shape as the template and re-solve,
     stopping as soon as the position repeats or ``max_rounds`` is reached.
     The residual never increases between rounds: each half-step minimizes
-    the same objective in one block of variables.
+    the same objective in one block of variables. Raises
+    ``NumericalFailureError`` if a shape solve does not converge.
+    """
+    (result,) = recover_batch(profile, np.asarray(d)[None], template, max_rounds)
+    if isinstance(result, NumericalFailureError):
+        raise result
+    return result
+
+
+def recover_batch(
+    profile: TransmissivityProfile,
+    d,
+    template: Signal,
+    max_rounds: int = 3,
+) -> list:
+    """``recover`` for every row of ``d``, a (T, M) stack of normalized series.
+
+    Returns one entry per row: its ``RecoveryResult``, or the
+    ``NumericalFailureError`` that its own shape solve ended in. Row i is
+    ``recover(profile, d[i], template, max_rounds)`` bit for bit. The
+    round-1 template terms are computed once; each round solves all rows
+    whose position moved in one stacked ``nnls`` call, ``STACK_ROWS`` rows
+    at a time.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    n = len(template)
+    if len(d) == 0:
+        return []
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2:
+        raise ValueError(f"expected a (T, M) stack of series, got shape {d.shape}")
+    terms = _template_terms(profile.values, template.unit_sum().values, d.shape[1])
+    results = []
+    for start in range(0, len(d), STACK_ROWS):
+        chunk = d[start : start + STACK_ROWS]
+        results += _recover_stack(profile, chunk, terms, len(template), max_rounds)
+    return results
 
-    position = search_position(profile, d, template.unit_sum().values)
-    signal = solve_signal(profile, d, position, n)
-    rounds = 1
-    while rounds < max_rounds and signal.sum() > 0.0:
-        again = search_position(profile, d, signal)
-        if again == position:
+
+def _recover_stack(profile, d, terms, n, max_rounds) -> list:
+    """``recover_batch`` on at most ``STACK_ROWS`` rows, given the round-1 terms."""
+    count, m = d.shape
+    positions = [_best_offset(*terms, row) for row in d]
+    signals = [None] * count
+    matrices = [None] * count  # each row's coding matrix at its last solve
+    failures = {}
+    rounds = [1] * count
+    moving = list(range(count))
+    for round_index in range(max_rounds):
+        if round_index:
+            # Re-search with each recovered shape; a row stops once it repeats.
+            moved = []
+            for i in moving:
+                again = search_position(profile, d[i], signals[i])
+                if again != positions[i]:
+                    positions[i] = again
+                    rounds[i] += 1
+                    moved.append(i)
+            moving = moved
+        if not moving:
             break
-        position = again
-        signal = solve_signal(profile, d, position, n)
-        rounds += 1
+        stack = build_coding_matrix(profile, np.array([positions[i] for i in moving]), m, n)
+        x, converged = nnls(stack, d[moving])
+        for k, i in enumerate(moving):
+            if converged[k]:
+                signals[i], matrices[i] = x[k], stack[k]
+            else:
+                failures[i] = NumericalFailureError(
+                    f"no convergence for the shape at offset {positions[i]}", x[k]
+                )
+        moving = [i for k, i in enumerate(moving) if converged[k] and x[k].sum() > 0.0]
 
-    matrix = build_coding_matrix(profile, position, d.size, n)
-    residual = float(np.sum((matrix @ signal - d) ** 2))
-    return RecoveryResult(position=position, signal=signal, residual=residual, rounds=rounds)
+    results = []
+    for i in range(count):
+        if i in failures:
+            results.append(failures[i])
+            continue
+        residual = float(np.sum((matrices[i] @ signals[i] - d[i]) ** 2))
+        results.append(RecoveryResult(positions[i], signals[i], residual, rounds[i]))
+    return results

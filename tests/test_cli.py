@@ -296,6 +296,32 @@ def test_recover_multi_pixel_and_worker_identity(tmp_path, capsys):
         assert abs(p_hat - q * 10.0) <= 10.0  # within one bit
 
 
+def test_recover_worker_chunks_give_identical_csv_and_stdout(tmp_path, capsys, monkeypatch):
+    # Two series lengths, a flat pixel, and chunks of at most two pixels:
+    # the workers get several stacks each, in a different order than written.
+    cfg = write_cfg(tmp_path, "[scan]\nnoise_levels = 100\n")
+    series = multi_pixel_file(tmp_path, (3, 40, 80, 120, 160, 200, 240), peak=100.0, seed=9)
+    pixels = read_pixel_series(series)
+    for pixel_id in ("040", "160"):
+        positions, counts = pixels[pixel_id]
+        pixels[pixel_id] = (positions[:41], counts[:41])
+    positions = pixels["080"][0]
+    pixels["flat"] = (positions, np.full(positions.size, 7.0))
+    write_series_csv(series, pixels)
+    monkeypatch.setattr("codedscan.cli.STACK_ROWS", 2)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["recover", str(series), "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 0
+        stdout = capsys.readouterr().out
+        outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
+    assert outputs[0] == outputs[1]
+    statuses = {pid: status for pid, (status, _) in recovered_positions(tmp_path / "w1.csv").items()}
+    assert statuses.pop("flat") == "flat"
+    assert set(statuses.values()) == {"ok"} and len(statuses) == 7
+
+
 def test_recover_truncation_loses_positions(tmp_path, capsys):
     # With only the first 4 bits of an 8-bit scan the windows stop being
     # unique, so more pixels land away from their true depth.

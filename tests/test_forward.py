@@ -176,6 +176,21 @@ def test_signal_and_series_validation():
     np.testing.assert_allclose(unit.values, [0.25, 0.75])
 
 
+def test_coding_matrix_stack_holds_each_offsets_matrix():
+    values = np.random.default_rng(3).random(50)
+    offsets = np.array([7, 0, 31, 7])
+    stack = build_coding_matrix(values, offsets, 9, 4)
+    assert stack.shape == (4, 9, 4)
+    assert stack.flags.c_contiguous and not stack.flags.writeable
+    for p, matrix in zip(offsets, stack):
+        assert matrix.tobytes() == build_coding_matrix(values, int(p), 9, 4).tobytes()
+    assert build_coding_matrix(values, np.array([], dtype=int), 9, 4).shape == (0, 9, 4)
+    with pytest.raises(ValueError):
+        build_coding_matrix(values, np.array([0, 39]), 9, 4)  # 39 + 9 + 4 - 1 > 50
+    with pytest.raises(ValueError):
+        build_coding_matrix(values, np.array([-1, 3]), 9, 4)
+
+
 def test_coding_matrix_immutable():
     matrix = build_coding_matrix(np.ones(10), 0, 3, 3)
     assert matrix.flags.c_contiguous

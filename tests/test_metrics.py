@@ -259,6 +259,34 @@ def test_single_cell_msp_matches_manual_recomputation():
     assert cell.msp_shape == pytest.approx(100.0 * hits_s / total, abs=1e-12)
 
 
+def test_sweep_builds_each_distinct_profile_once(monkeypatch):
+    # Cells differing only in noise level (bsr) or scored window
+    # (patterning) share one unpadded profile within a run.
+    import codedscan.metrics as metrics_module
+
+    built = []
+    real = metrics_module.build_profile
+
+    def counting(*args, **kwargs):
+        built.append(args[0].bit_size_zero_um)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "build_profile", counting)
+    bsr = ExperimentConfig(sweep_kind="bsr", replicates=1, position_stride=64,
+                           bsr_values=(0.5, 1.0), energies_kev=(10.0,),
+                           noise_levels=(10.0, 100.0))
+    assert len(run_sweep(bsr).cells) == 4
+    assert sorted(built) == [5.0, 10.0]
+    built.clear()
+    patterning = ExperimentConfig(sweep_kind="patterning", replicates=1, position_stride=64,
+                                  noise_levels=(10.0, 100.0))
+    assert len(run_sweep(patterning).cells) == 8
+    assert built == [10.0]
+    built.clear()
+    run_sweep(patterning)  # a new run builds its own
+    assert built == [10.0]
+
+
 def test_noiseless_opaque_sweep_is_perfect():
     # Exact-recovery invariant carried through the whole harness: with
     # opaque bars and no noise both MSPs saturate for BSR >= 1.

@@ -5,8 +5,63 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codedscan.nnls import NumericalFailureError, nnls
+from codedscan.nnls import DUAL_TOLERANCE, NumericalFailureError, nnls
+
+
+def lawson_hanson_oracle(a, b, max_iterations: int | None = None) -> np.ndarray:
+    """The single-problem Lawson-Hanson solver, one ``lstsq`` per inner step.
+
+    The stacked solver must return this function's answer bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.ndim != 2 or a.shape[0] != b.size:
+        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
+    m, n = a.shape
+    if max_iterations is None:
+        max_iterations = 10 * n
+
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    iterations = 0
+
+    while True:
+        w = a.T @ (b - a @ x)
+        w_active = np.where(passive, -np.inf, w)
+        j = int(np.argmax(w_active))
+        if passive.all() or w_active[j] <= DUAL_TOLERANCE:
+            return x
+        iterations += 1
+        if iterations > max_iterations:
+            raise NumericalFailureError(
+                f"no convergence within {max_iterations} active-set changes", x
+            )
+        passive[j] = True
+
+        while True:
+            cols = np.flatnonzero(passive)
+            z = np.zeros(n)
+            z[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            if z[cols].min() > 0.0:
+                x = z
+                break
+            # step from x toward z, stopping at the first coordinate to hit 0
+            blocking = passive & (z <= 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(blocking, x / (x - z), np.inf)
+            alpha = float(np.nanmin(ratios))
+            x = x + alpha * (z - x)
+            released = passive & (x <= DUAL_TOLERANCE)
+            x[released] = 0.0
+            passive &= ~released
+            iterations += 1
+            if iterations > max_iterations:
+                raise NumericalFailureError(
+                    f"no convergence within {max_iterations} active-set changes", x
+                )
 
 
 def kkt_residuals(a, b, x) -> tuple[float, float]:
@@ -121,3 +176,154 @@ def test_iteration_cap_carries_best_iterate():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         nnls(np.ones((3, 2)), np.ones(4))
+
+
+# Stacks of full-column-rank problems: Gaussian matrices (any sign) or, as
+# in recovery, Hankel slices of a profile in [0, 1] with a noisy right side.
+@st.composite
+def problem_stacks(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    t = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(n, 3 * n + 20))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        a = rng.standard_normal((t, m, n))
+        b = rng.standard_normal((t, m))
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(rng.random(m + n + 40), n)
+        starts = rng.integers(0, 41, size=t)
+        a = windows[starts[:, None] + np.arange(m)]
+        b = a @ rng.random(n) + 0.1 * rng.standard_normal((t, m))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_stacks())
+def test_stacked_solve_matches_oracle_bit_for_bit(stack):
+    a, b = stack
+    x, converged = nnls(a, b)
+    assert converged.all()
+    for r in range(len(a)):
+        assert x[r].tobytes() == lawson_hanson_oracle(a[r].copy(), b[r].copy()).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_stacks(), st.one_of(st.none(), st.integers(0, 12)), st.randoms())
+def test_row_answer_does_not_depend_on_its_stack(stack, cap, shuffle):
+    a, b = stack
+    order = list(range(len(a)))
+    shuffle.shuffle(order)
+    x, converged = nnls(a, b, max_iterations=cap)
+    x_shuffled, converged_shuffled = nnls(a[order], b[order], max_iterations=cap)
+    for k, r in enumerate(order):
+        assert converged_shuffled[k] == converged[r]
+        assert x_shuffled[k].tobytes() == x[r].tobytes()
+        try:
+            alone = nnls(a[r], b[r], max_iterations=cap)
+        except NumericalFailureError as error:
+            assert not converged[r]
+            assert error.best_iterate.tobytes() == x[r].tobytes()
+        else:
+            assert converged[r]
+            assert alone.tobytes() == x[r].tobytes()
+
+
+def test_capped_row_fails_alone():
+    # On the identity every positive entry of b costs one active-set change.
+    n = 5
+    a = np.stack([np.eye(n)] * 3)
+    b = np.array([[1.0, 0, 0, 0, 0], np.ones(n), [0, 2.0, 0, -1.0, 0]])
+    x, converged = nnls(a, b, max_iterations=2)
+    assert converged.tolist() == [True, False, True]
+    np.testing.assert_array_equal(x[0], [1.0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(x[2], [0, 2.0, 0, 0, 0])
+    with pytest.raises(NumericalFailureError) as info:
+        nnls(a[1], b[1], max_iterations=2)
+    np.testing.assert_array_equal(info.value.best_iterate, x[1])
+
+
+def test_stack_shape_mismatch_rejected():
+    with pytest.raises(ValueError):
+        nnls(np.ones((2, 3, 2)), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        nnls(np.ones((2, 3, 2)), np.ones((3, 3)))
+
+
+def test_singular_passive_system_fails_its_row_alone():
+    # Two equal columns at this scale: rounding leaves the copy of a passive
+    # column a dual above the tolerance, so both turn passive and the
+    # stacked solve meets an exactly singular system in that row only.
+    u = np.array([947766.7836116699, 48994.149885756015, 3229208.0366397835, 9907447.18241222])
+    b_bad = np.array([250869.69446178936, 12968.152354121665, 854756.2193854768, 2622451.565427641])
+    a_good = np.array([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5], [0.1, 0.7]])
+    b_good = np.array([1.0, -0.5, 0.2, 0.3])
+    x, converged = nnls(np.stack([np.stack([u, u], axis=1), a_good]), np.stack([b_bad, b_good]))
+    assert converged.tolist() == [False, True]
+    assert x[1].tobytes() == lawson_hanson_oracle(a_good, b_good).tobytes()
+
+
+@pytest.mark.parametrize("trial, start, offset", [(55, 1189, 1189), (142, 1393, 2381), (226, 2474, 2381)])
+def test_gram_pass_that_stops_on_a_non_positive_lstsq_point_goes_on(trial, start, offset):
+    # Noisy scans fitted at a wrong offset: here the Gram-matrix pass stops
+    # on a passive set whose lstsq point has an entry <= 0, so the solve
+    # must backtrack once more, as the single-problem method does.
+    from codedscan import ApertureGeometry, OpticalContext, build_profile, generate_de_bruijn
+    from codedscan import build_coding_matrix, make_gaussian_signal, normalize, simulate
+
+    geometry = ApertureGeometry(10.0, 10.0, 10.0, generate_de_bruijn(8))
+    profile = build_profile(geometry, OpticalContext(0.219), 1.0).pad_open(0, 12)
+    truth = build_coding_matrix(profile, start, 81, 10)
+    d = normalize(simulate(truth, make_gaussian_signal(10.0, 1.0), 10.0, seed=(5, trial)))
+    a = build_coding_matrix(profile, offset, 81, 10)
+    x, converged = nnls(a[None], d[None])
+    assert converged[0]
+    assert x[0].tobytes() == lawson_hanson_oracle(a, d).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 11), st.integers(1, 7),
+       st.integers(-6, 6), st.booleans())
+def test_converged_rows_pass_the_stopping_test(seed, t, m, n, scale, near_duplicate):
+    # Badly scaled, underdetermined or nearly rank-deficient problems, where
+    # Gram-matrix rounding is largest: whatever the pass did, a row reported
+    # converged is the lstsq point over its support with no active dual
+    # above the tolerance.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((t, m, n)) * 10.0**scale
+    if near_duplicate and n > 1:
+        a[:, :, -1] = a[:, :, 0] * (1 + 1e-9 * rng.standard_normal((t, 1)))
+    b = rng.standard_normal((t, m)) * 10.0 ** rng.integers(-6, 7)
+    x, converged = nnls(a, b)
+    for r in np.flatnonzero(converged):
+        support = np.flatnonzero(x[r])
+        assert x[r].min() >= 0.0
+        if support.size:
+            fit = np.linalg.lstsq(a[r][:, support], b[r], rcond=None)[0]
+            assert fit.tobytes() == x[r][support].tobytes()
+        w = a[r].T @ (b[r] - a[r] @ x[r])
+        assert np.max(w[x[r] == 0.0], initial=-np.inf) <= DUAL_TOLERANCE
+
+
+def test_backtracking_that_releases_every_coordinate_does_not_crash():
+    # b is about 1e-10 of a's scale, so the solution lies below the
+    # tolerance that pins backtracked coordinates to zero and a step can
+    # release every passive coordinate. The single-problem loop then took
+    # the minimum of an empty slice and raised ValueError; the stacked loop
+    # solves the empty passive set and goes on.
+    a = np.array([
+        [-44068.014026102275, 68534.56709322266], [-135075.68247635767, -223294.5741741132],
+        [107070.14824155312, 26467.143551497345], [-25122.50642507549, 1546.990417589462],
+        [32534.957431738214, -62006.98251796807], [-106153.14069855126, -42466.773946969],
+        [-87689.3638321189, -279331.320372537], [-67768.18487970147, -122788.67040159604],
+    ])
+    b = np.array([
+        6.996312559463949e-06, -6.808967296925279e-06, 1.538180477194833e-05,
+        -4.486197641164396e-06, 1.679739376663398e-05, -6.272426491022982e-07,
+        -8.385698840214908e-06, -6.332133585270009e-06,
+    ])
+    try:
+        x = nnls(a, b)
+    except NumericalFailureError as error:
+        x = error.best_iterate
+    assert x.shape == (2,) and x.min() >= 0.0

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedscan.aperture import ApertureGeometry, OpticalContext, TransmissivityProfile, build_profile
 from codedscan.codes import generate_de_bruijn
@@ -17,11 +19,14 @@ from codedscan.forward import (
     make_gaussian_signal,
     simulate,
 )
+from codedscan import recovery
+from codedscan.nnls import NumericalFailureError
 from codedscan.recovery import (
     FlatSeriesError,
     estimate_levels,
     normalize,
     recover,
+    recover_batch,
     search_position,
     solve_signal,
 )
@@ -226,3 +231,75 @@ def test_normalization_affine_invariance():
     c = normalize(base)
     d = normalize(scaled)
     assert np.abs(c - d).max() < 5.0 / math.sqrt(10_000.0)
+
+
+def as_tuple(result):
+    return result.position, result.signal.tobytes(), result.residual, result.rounds
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 9),
+    max_rounds=st.integers(1, 4),
+    stack_rows=st.integers(1, 4),
+    mu=st.sampled_from([0.219, 0.04, 1e9]),
+)
+def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows, mu):
+    rng = np.random.default_rng(seed)
+    geometry = ApertureGeometry(BIT_UM, BIT_UM, 10.0, generate_de_bruijn(8))
+    profile = build_profile(geometry, OpticalContext(mu), STEP_UM).pad_open(0, 12)
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    d = []
+    for k in range(rows):
+        kind = rng.integers(0, 6)
+        if kind == 0:  # flat: every point alike
+            d.append(np.full(SCAN_POINTS, float(rng.integers(0, 2))))
+        elif kind == 1:  # no non-negative shape fits: zero signal
+            d.append(-rng.random(SCAN_POINTS))
+        else:
+            p_star = int(rng.integers(0, 2480))
+            matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
+            peak = float(rng.choice([10.0, 100.0, 1e4]))
+            d.append(normalize(simulate(matrix, signal, peak, seed=(seed, k))))
+    d = np.array(d)
+    saved, recovery.STACK_ROWS = recovery.STACK_ROWS, stack_rows  # several stacks per call
+    try:
+        batch = recover_batch(profile, d, signal, max_rounds)
+    finally:
+        recovery.STACK_ROWS = saved
+    assert len(batch) == rows
+    for row, result in zip(d, batch):
+        assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal, max_rounds))
+
+
+def test_batch_failure_stays_in_its_row(monkeypatch):
+    profile = opaque_profile()
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    d = np.array([noiseless_series(profile, p, signal) for p in (40, 731, 1234)])
+    real = recovery.nnls
+
+    def fail_middle_row(a, b):
+        x, converged = real(a, b)
+        middle = [k for k, row in enumerate(b) if np.array_equal(row, d[1])]
+        converged[middle] = False
+        return x, converged
+
+    alone = [recover(profile, row, signal) for row in d]
+    monkeypatch.setattr(recovery, "nnls", fail_middle_row)
+    first, middle, last = recover_batch(profile, d, signal)
+    assert isinstance(middle, NumericalFailureError)
+    assert as_tuple(first) == as_tuple(alone[0])
+    assert as_tuple(last) == as_tuple(alone[2])
+    with pytest.raises(NumericalFailureError):
+        recover(profile, d[1], signal)
+
+
+def test_batch_accepts_empty_and_rejects_bad_arguments():
+    profile = opaque_profile()
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    assert recover_batch(profile, [], signal) == []
+    with pytest.raises(ValueError):
+        recover_batch(profile, np.ones(SCAN_POINTS), signal)
+    with pytest.raises(ValueError):
+        recover_batch(profile, np.ones((2, SCAN_POINTS)), signal, max_rounds=0)
