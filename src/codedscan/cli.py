@@ -18,8 +18,8 @@ from .config import ConfigError, load_config
 from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simulate
 from .metrics import patterning_correlations, scan_point_count
 from .nnls import NumericalFailureError
-# ``recover`` stays bound here for callers and tracers that look it up by module.
-from .recovery import STACK_ROWS, FlatSeriesError, normalize, recover, recover_batch  # noqa: F401
+# Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
+from .recovery import FlatSeriesError, normalize, recover, recover_batch  # noqa: F401
 from .reporting import (
     RecoveryRow,
     SeriesFormatError,
@@ -188,14 +188,14 @@ def run_recover_command(args) -> int:
     # mask, and the search needs those alignments to exist.
     margin = max_len + len(probe)
     profile = profile.pad_open(margin, margin)
-    # One task per chunk of equal-length pixels: each recovers as one stack,
-    # and a worker receives the profile once per chunk, not once per pixel.
+    # Each worker gets one chunk of every series length, recovered as one
+    # batch, so the profile is pickled once per chunk, not once per pixel.
     by_length = {}
     for pixel_id, counts in tasks:
         by_length.setdefault(counts.size, []).append((pixel_id, counts))
     work = []
     for group in by_length.values():
-        size = min(STACK_ROWS, -(-len(group) // args.workers))
+        size = -(-len(group) // args.workers)
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
             work.append((profile, probe, cfg.max_rounds, cfg.normalization, chunk))

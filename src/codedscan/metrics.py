@@ -14,7 +14,7 @@ from .aperture import ApertureGeometry, OpticalContext, build_profile
 from .codes import generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
-# ``recover`` stays bound here for callers and tracers that look it up by module.
+# Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
 from .recovery import FlatSeriesError, RecoveryResult, normalize, recover, recover_batch  # noqa: F401
 
 if TYPE_CHECKING:

@@ -7,19 +7,23 @@ loop backtracks along the unconstrained least-squares solution of the
 passive columns until it is feasible. Terminates when no active dual
 exceeds ``DUAL_TOLERANCE``: exactly the KKT condition for this problem.
 
-A stack of T problems runs the method once for all of them: every inner
-step is one masked ``np.linalg.solve`` over the stacked Gram matrices A'A
-and right-hand sides A'b, so the numpy call overhead is paid per step,
-not per problem. When the Gram duals say a problem is done, its point is
-recomputed the way the method itself ends, with ``lstsq`` on its columns
-of A over the passive set, and the method's own tests are applied there:
-a passive entry that is not positive starts one more backtracking step, an
-active dual above the tolerance admits that coordinate, and otherwise that
-``lstsq`` point is the answer. So a problem returns what a single-problem
-run with ``lstsq`` steps returns, bit for bit, unless rounding makes the
-two runs pick different passive sets where the fit is not unique (fewer
-rows than columns) or sits at a degenerate vertex (a zero coordinate
-whose dual is also zero); both answers then pass the same stopping test.
+A stack of T problems runs the method once for all of them, so the numpy
+call overhead is paid per step, not per problem. Each inner step solves
+the normal equations of every row's passive columns in one masked
+``np.linalg.solve`` over the stacked Gram matrices A'A, and takes the
+duals there from A itself, as the single-problem method does. A problem
+takes the method's own ``lstsq`` step instead where its Gram point is not
+stationary on its passive columns to within the tolerance (an
+ill-conditioned or singular passive set) or is not feasible (so the
+backtracking direction is the method's own), and every problem does when
+A has fewer rows than columns (M < N), where the fit is not unique and
+which optimum the method reaches hangs on the rounding of each step. When the
+duals say a problem is done, its point is recomputed the way the method
+ends, with ``lstsq`` on its passive columns of A, and the method's own
+tests are applied there: a passive entry that is not positive starts one
+more backtracking step, an active dual above the tolerance admits that
+coordinate, and otherwise that ``lstsq`` point is the answer, what a
+single-problem run with ``lstsq`` steps returns.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ DUAL_TOLERANCE = 1e-10
 
 
 class NumericalFailureError(RuntimeError):
-    """Solver exceeded its iteration budget (or met a singular system);
-    carries the best iterate found."""
+    """Solver exceeded its iteration budget; carries the best iterate found."""
 
     def __init__(self, message: str, best_iterate: np.ndarray):
         super().__init__(message)
@@ -55,9 +58,9 @@ def nnls(a, b, max_iterations: int | None = None):
     x : (N,) ndarray
         For a single problem.
     (x, converged) : (T, N) ndarray and (T,) bool ndarray
-        For a stack. A problem that exceeds the cap, or meets a singular
-        system, reads ``converged`` False and holds its best iterate in
-        ``x``; the other problems are unaffected.
+        For a stack. A problem that exceeds the cap reads ``converged``
+        False and holds its best iterate in ``x``; the other problems are
+        unaffected.
 
     Raises
     ------
@@ -87,12 +90,13 @@ def nnls(a, b, max_iterations: int | None = None):
 
 
 def _lawson_hanson(a, b, max_iterations):
-    t, _, n = a.shape
+    t, m, n = a.shape
     at = a.transpose(0, 2, 1)
     gram = at @ a
     atb = (at @ b[..., None])[..., 0]
 
     x = np.zeros((t, n))
+    w = atb.copy()  # duals A'(b - A x), here at x = 0
     passive = np.zeros((t, n), dtype=bool)
     iterations = np.zeros(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
@@ -102,6 +106,38 @@ def _lawson_hanson(a, b, max_iterations):
         Returns which rows are still under it."""
         iterations[rows] += 1
         return iterations[rows] <= max_iterations
+
+    def lstsq_step(r):
+        """The single-problem step of row r: its point over the passive
+        columns and the duals there."""
+        cols = np.flatnonzero(passive[r])
+        z = np.zeros(n)
+        if cols.size:
+            z[cols] = np.linalg.lstsq(a[r][:, cols], b[r], rcond=None)[0]
+        return z, a[r].T @ (b[r] - a[r] @ z)
+
+    def passive_points(rows):
+        """Least-squares points over the rows' passive columns, and their duals."""
+        p = passive[rows]
+        if m < n:
+            z, w_z = np.empty((2, rows.size, n))
+            redo = np.ones(rows.size, dtype=bool)
+        else:
+            system, rhs = _passive_system(gram[rows], atb[rows], p)
+            try:
+                z = np.linalg.solve(system, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                z = _solve_each(system, rhs)
+            ar = a[rows]
+            w_z = (ar.transpose(0, 2, 1) @ (b[rows] - (ar @ z[..., None])[..., 0])[..., None])[..., 0]
+            # A Gram point that is not stationary on the passive columns (NaN
+            # for a singular system) or that would start a backtracking step
+            # is replaced by the method's own.
+            redo = ~(np.where(p, np.abs(w_z), 0.0).max(axis=1) <= DUAL_TOLERANCE)
+            redo |= ~(np.where(p, z, np.inf).min(axis=1) > 0.0)
+        for k in np.flatnonzero(redo):
+            z[k], w_z[k] = lstsq_step(rows[k])
+        return z, w_z
 
     def step_toward(rows, z):
         """Step from x toward z, stopping at the first coordinate to hit 0."""
@@ -122,15 +158,11 @@ def _lawson_hanson(a, b, max_iterations):
         columns, then its own tests. Where one fails, the method goes on:
         returns the row if it re-enters the inner loop."""
         p = passive[r]
-        z = np.zeros(n)
-        cols = np.flatnonzero(p)
-        if cols.size:
-            z[cols] = np.linalg.lstsq(a[r][:, cols], b[r], rcond=None)[0]
-            if not z[cols].min() > 0.0:
-                return step_toward(np.array([r]), z[None])
+        z, w[r] = lstsq_step(r)
+        if p.any() and not z[p].min() > 0.0:
+            return step_toward(np.array([r]), z[None])
         x[r] = z
-        w = a[r].T @ (b[r] - a[r] @ z)
-        w_active = np.where(p, -np.inf, w)
+        w_active = np.where(p, -np.inf, w[r])
         j = int(np.argmax(w_active))
         if w_active[j] <= DUAL_TOLERANCE:
             converged[r] = True
@@ -143,11 +175,10 @@ def _lawson_hanson(a, b, max_iterations):
     inner = outer[:0]  # rows about to solve over their passive set
     while outer.size or inner.size:
         if outer.size:
-            w = atb[outer] - (gram[outer] @ x[outer, :, None])[..., 0]
-            w[passive[outer]] = -np.inf
-            j = np.argmax(w, axis=1)
-            done = w[np.arange(outer.size), j] <= DUAL_TOLERANCE
-            # The Gram duals say stop: the row's own finish decides.
+            w_active = np.where(passive[outer], -np.inf, w[outer])
+            j = np.argmax(w_active, axis=1)
+            done = w_active[np.arange(outer.size), j] <= DUAL_TOLERANCE
+            # The duals say stop: the row's own finish decides.
             resumed = [finish(r) for r in outer[done]]
             grow, j = outer[~done], j[~done]
             keep = under_cap(grow)
@@ -156,16 +187,10 @@ def _lawson_hanson(a, b, max_iterations):
             inner = np.concatenate([inner, grow, *resumed])
             if not inner.size:
                 break
-        system, rhs = _passive_system(gram[inner], atb[inner], passive[inner])
-        try:
-            z = np.linalg.solve(system, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            z = _solve_each(system, rhs)
-            regular = ~np.isnan(z).any(axis=1)  # singular rows stop unconverged
-            inner, z = inner[regular], z[regular]
+        z, w_z = passive_points(inner)
         feasible = np.where(passive[inner], z, np.inf).min(axis=1) > 0.0
         outer = inner[feasible]
-        x[outer] = z[feasible]
+        x[outer], w[outer] = z[feasible], w_z[feasible]
         inner = inner[~feasible]
         if inner.size:
             inner = step_toward(inner, z[~feasible])

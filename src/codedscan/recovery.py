@@ -24,7 +24,7 @@ from .nnls import NumericalFailureError, nnls
 
 # Rows per stacked shape solve: bounds the (rows, M, N) stack of coding
 # matrices that one ``nnls`` call holds.
-STACK_ROWS = 128
+STACK_ROWS = 64
 
 
 class FlatSeriesError(ValueError):

@@ -297,8 +297,8 @@ def test_recover_multi_pixel_and_worker_identity(tmp_path, capsys):
 
 
 def test_recover_worker_chunks_give_identical_csv_and_stdout(tmp_path, capsys, monkeypatch):
-    # Two series lengths, a flat pixel, and chunks of at most two pixels:
-    # the workers get several stacks each, in a different order than written.
+    # Two series lengths, a flat pixel, and stacks of at most two pixels:
+    # each worker's chunk spans several stacks, in a different order than written.
     cfg = write_cfg(tmp_path, "[scan]\nnoise_levels = 100\n")
     series = multi_pixel_file(tmp_path, (3, 40, 80, 120, 160, 200, 240), peak=100.0, seed=9)
     pixels = read_pixel_series(series)
@@ -308,7 +308,7 @@ def test_recover_worker_chunks_give_identical_csv_and_stdout(tmp_path, capsys, m
     positions = pixels["080"][0]
     pixels["flat"] = (positions, np.full(positions.size, 7.0))
     write_series_csv(series, pixels)
-    monkeypatch.setattr("codedscan.cli.STACK_ROWS", 2)
+    monkeypatch.setattr("codedscan.recovery.STACK_ROWS", 2)
     outputs = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}.csv"

@@ -208,6 +208,50 @@ def test_stacked_solve_matches_oracle_bit_for_bit(stack):
         assert x[r].tobytes() == lawson_hanson_oracle(a[r].copy(), b[r].copy()).tobytes()
 
 
+# Stacks of coding matrices with fewer scan points than signal cells, as a
+# series shorter than the probe or a one-bit ``--truncate-bits`` scan gives:
+# Hankel slices of a gold (10 keV) or opaque-bar profile, whose repeated
+# values make the fit non-unique.
+SHORT_SCAN_PROFILES = {}
+
+
+@st.composite
+def short_scan_stacks(draw):
+    from codedscan import ApertureGeometry, OpticalContext, build_profile, generate_de_bruijn
+
+    bit_um, mu = draw(st.sampled_from([(5.0, 0.219), (10.0, 0.219), (5.0, 1e9)]))
+    if (bit_um, mu) not in SHORT_SCAN_PROFILES:
+        geometry = ApertureGeometry(bit_um, bit_um, 10.0, generate_de_bruijn(6))
+        SHORT_SCAN_PROFILES[bit_um, mu] = build_profile(geometry, OpticalContext(mu), 1.0).values
+    values = SHORT_SCAN_PROFILES[bit_um, mu]
+    n = 10
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(1, 12))
+    windows = np.lib.stride_tricks.sliding_window_view(values, n)
+    starts = rng.integers(0, values.size - m - n + 1, size=t)
+    a = windows[starts[:, None] + np.arange(m)]
+    shape = np.exp(-0.5 * ((np.arange(n) - 4.5) / 2.0) ** 2)
+    b = a @ (shape / shape.sum()) + draw(st.sampled_from([0.0, 0.01, 0.1])) * rng.standard_normal((t, m))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_scan_stacks())
+def test_short_scan_stack_matches_oracle_bit_for_bit(stack):
+    a, b = stack
+    x, converged = nnls(a, b)
+    for r in range(len(a)):
+        try:
+            expected = lawson_hanson_oracle(a[r].copy(), b[r].copy())
+        except NumericalFailureError as error:
+            assert not converged[r]
+            expected = error.best_iterate
+        else:
+            assert converged[r]
+        assert x[r].tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(problem_stacks(), st.one_of(st.none(), st.integers(0, 12)), st.randoms())
 def test_row_answer_does_not_depend_on_its_stack(stack, cap, shuffle):
@@ -250,16 +294,21 @@ def test_stack_shape_mismatch_rejected():
         nnls(np.ones((2, 3, 2)), np.ones((3, 3)))
 
 
-def test_singular_passive_system_fails_its_row_alone():
-    # Two equal columns at this scale: rounding leaves the copy of a passive
-    # column a dual above the tolerance, so both turn passive and the
-    # stacked solve meets an exactly singular system in that row only.
-    u = np.array([947766.7836116699, 48994.149885756015, 3229208.0366397835, 9907447.18241222])
-    b_bad = np.array([250869.69446178936, 12968.152354121665, 854756.2193854768, 2622451.565427641])
-    a_good = np.array([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5], [0.1, 0.7]])
+def test_singular_passive_system_takes_the_lstsq_step():
+    # Two equal columns: rounding leaves the copy of a passive column a dual
+    # above the tolerance, so both turn passive and the stacked solve meets
+    # an exactly singular system in that row only. That row takes the
+    # lstsq step, as the single-problem method does, and ends on its
+    # minimum-norm split; the other row is unaffected.
+    u = np.array([15239.4, -15246.9, -24662.3, 6168.8])
+    a_bad = np.stack([u, u, [2.55, -1.0, -1.25, 0.59]], axis=1)
+    b_bad = np.array([-840.7, -506.0, -348.1, 532.0])
+    a_good = np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.5, 0.5, 1.0], [0.1, 0.7, 0.2]])
     b_good = np.array([1.0, -0.5, 0.2, 0.3])
-    x, converged = nnls(np.stack([np.stack([u, u], axis=1), a_good]), np.stack([b_bad, b_good]))
-    assert converged.tolist() == [False, True]
+    x, converged = nnls(np.stack([a_bad, a_good]), np.stack([b_bad, b_good]))
+    assert converged.all()
+    assert x[0].tobytes() == lawson_hanson_oracle(a_bad, b_bad).tobytes()
+    assert x[0][0] == x[0][1] > 0.0
     assert x[1].tobytes() == lawson_hanson_oracle(a_good, b_good).tobytes()
 
 
@@ -303,6 +352,60 @@ def test_converged_rows_pass_the_stopping_test(seed, t, m, n, scale, near_duplic
             assert fit.tobytes() == x[r][support].tobytes()
         w = a[r].T @ (b[r] - a[r] @ x[r])
         assert np.max(w[x[r] == 0.0], initial=-np.inf) <= DUAL_TOLERANCE
+
+
+def test_near_duplicate_columns_do_not_cycle():
+    # Columns 0 and 2 agree to about 1e-9. The Gram point over both is a
+    # least-squares point with a negative entry, where the lstsq point (the
+    # minimum-norm split) is feasible; backtracking along the Gram point
+    # released column 2, re-admitted it and cycled to the cap.
+    c0 = [13.573950847658153, -57.243674765932184, -76.06788546712043, -163.21994294226644,
+          -60.54666704876508, -12.603887954225648, 85.00822333740781]
+    c1 = [101.99764725197988, -139.11415982464882, 76.37865270790198, 41.61623958953926,
+          -23.927003493706707, -1.9206333730553131, 43.335319644590385]
+    c2 = [13.573950838566974, -57.243674727593124, -76.06788541617382, -163.21994283294958,
+          -60.54666700821383, -12.60388794578417, 85.00822328047339]
+    b = np.array([121.01320689715311, 1081.6534944592288, -1998.4947311202607,
+                  -1467.4487430535664, -12.330411523798327, 427.67053185519546,
+                  541.8618487814205])
+    a = np.array([c0, c1, c2]).T
+    x = nnls(a, b)
+    assert x.tobytes() == lawson_hanson_oracle(a, b).tobytes()
+    assert x[0] > 0.0 and x[2] > 0.0
+
+
+def test_gram_point_that_is_not_stationary_on_a_takes_the_lstsq_step():
+    # Two columns that agree to about 3e-10 relative: the Gram system over
+    # both is so ill-conditioned that its point leaves passive duals above
+    # the tolerance on A. Accepting it would end on a different split of
+    # the weight between the two columns than the single-problem method's.
+    a = np.array([
+        [1552.1655136384315, 1552.1655140073574], [-1828.375371175335, -1828.3753716099116],
+        [-120.53522397322341, -120.53522400187276], [-1192.1781161752092, -1192.1781164585716],
+        [56.176658696526765, 56.176658709879085],
+    ])
+    b = np.array([-1034.1466681230693, -1178.315385412137, -1376.6500402722409,
+                  -301.26449598887876, 189.99930491668087])
+    assert nnls(a, b).tobytes() == lawson_hanson_oracle(a, b).tobytes()
+
+
+def test_lstsq_point_with_an_active_dual_above_the_tolerance_goes_on():
+    # Columns that agree to about 1e-9 with a right side of order 1e6: the
+    # pass stops on column 0 alone, but at the lstsq point that ends it the
+    # dual of column 1 exceeds the tolerance, so the method admits it.
+    a = np.array([
+        [1.5308233273594032, 1.5308233289625468], [-1.2170273467069168, -1.21702734798144],
+        [1.9843379577263685, 1.984337959804452], [-0.026079069316188027, -0.026079069343499142],
+        [0.09445980025282069, 0.09445980035174303], [-1.6968779137225931, -1.6968779154996363],
+        [-1.5193556570785194, -1.5193556586696535], [0.2750363917607934, 0.2750363920488233],
+        [-0.04227747727677931, -0.04227747732105409], [0.10267358846433378, 0.10267358857185795],
+    ])
+    b = np.array([-80488.51621308095, 1151975.5618093638, -597685.8258844679, -81974.13850124943,
+                  -896539.4733885851, -1693864.2409357943, -1243467.2545682313,
+                  -269742.5065856998, -603035.947383563, -2303773.067032803])
+    x = nnls(a, b)
+    assert x.tobytes() == lawson_hanson_oracle(a, b).tobytes()
+    assert x.min() > 0.0
 
 
 def test_backtracking_that_releases_every_coordinate_does_not_crash():

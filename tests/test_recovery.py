@@ -261,7 +261,11 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows
             p_star = int(rng.integers(0, 2480))
             matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
             peak = float(rng.choice([10.0, 100.0, 1e4]))
-            d.append(normalize(simulate(matrix, signal, peak, seed=(seed, k))))
+            series = simulate(matrix, signal, peak, seed=(seed, k))
+            try:
+                d.append(normalize(series))
+            except FlatSeriesError:  # too few counts for the corrected levels
+                d.append(normalize(series, mode="minmax"))
     d = np.array(d)
     saved, recovery.STACK_ROWS = recovery.STACK_ROWS, stack_rows  # several stacks per call
     try:
@@ -271,6 +275,9 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows
     assert len(batch) == rows
     for row, result in zip(d, batch):
         assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal, max_rounds))
+        # The residual is that of the last position's coding matrix.
+        matrix = build_coding_matrix(profile, result.position, SCAN_POINTS, len(signal))
+        assert result.residual == float(np.sum((matrix @ result.signal - row) ** 2))
 
 
 def test_batch_failure_stays_in_its_row(monkeypatch):
