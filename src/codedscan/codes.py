@@ -30,6 +30,15 @@ class Pattern:
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
+    # By value, so that a pattern can key a memo in every worker process.
+    def __eq__(self, other):
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return self.order == other.order and np.array_equal(self.bits, other.bits)
+
+    def __hash__(self):
+        return hash((self.bits.tobytes(), self.order))
+
     def __len__(self) -> int:
         return int(self.bits.size)
 

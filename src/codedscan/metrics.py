@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .aperture import ApertureGeometry, OpticalContext, build_profile
-from .codes import generate_de_bruijn, window_stats
+from .codes import Pattern, generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
@@ -144,15 +144,16 @@ def _window_starts(pattern, config: ExperimentConfig) -> range:
     return range(0, len(pattern) - config.pattern_order + 1, config.position_stride)
 
 
-# Per sweep kind: the swept parameter's name, its values, and the groups
-# under each value (beam energies in keV, or incidence angles in degrees).
+# Per sweep kind: the swept parameter's name, its values (from the config
+# and the run's pattern), and the groups under each value (beam energies in
+# keV, or incidence angles in degrees).
 _AXES = {
-    "bsr": ("bsr", lambda c: c.bsr_values, lambda c: c.energies_kev),
-    "scan_length": ("scan_bits", lambda c: c.scan_bits_values, lambda c: c.energies_kev),
-    "aspect": ("aspect", lambda c: c.aspect_values, lambda c: c.angles_deg),
+    "bsr": ("bsr", lambda c, pattern: c.bsr_values, lambda c: c.energies_kev),
+    "scan_length": ("scan_bits", lambda c, pattern: c.scan_bits_values, lambda c: c.energies_kev),
+    "aspect": ("aspect", lambda c, pattern: c.aspect_values, lambda c: c.angles_deg),
     "patterning": (
         "subseq_start",
-        lambda c: tuple(map(float, _window_starts(generate_de_bruijn(c.pattern_order), c))),
+        lambda c, pattern: tuple(map(float, _window_starts(pattern, c))),
         lambda c: (c.energy_kev,),
     ),
 }
@@ -201,7 +202,7 @@ def _cells(config: ExperimentConfig, param_name: str, values, groups) -> list:
 
 @lru_cache(maxsize=8)
 def _cell_profile(
-    pattern_order: int,
+    pattern: Pattern,
     bit_size_um: float,
     thickness_um: float,
     mu_per_um: float,
@@ -212,17 +213,14 @@ def _cell_profile(
     """Unpadded profile of a sweep cell's aperture; cells that differ only
     in noise level or scored window share it. ``run_sweep`` empties the memo.
     """
-    geometry = ApertureGeometry(
-        bit_size_um, bit_size_um, thickness_um, generate_de_bruijn(pattern_order)
-    )
+    geometry = ApertureGeometry(bit_size_um, bit_size_um, thickness_um, pattern)
     context = OpticalContext(mu_per_um, angle_deg)
     return build_profile(geometry, context, grid_step_um, oversample)
 
 
-def _run_cell(config: ExperimentConfig, cell: SweepCell) -> CellResult:
-    pattern = generate_de_bruijn(config.pattern_order)
+def _run_cell(config: ExperimentConfig, cell: SweepCell, pattern: Pattern) -> CellResult:
     profile = _cell_profile(
-        config.pattern_order, cell.bit_size_um, cell.thickness_um, cell.mu_per_um,
+        pattern, cell.bit_size_um, cell.thickness_um, cell.mu_per_um,
         cell.incidence_angle_deg, config.grid_step_um, config.oversample,
     )
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
@@ -286,14 +284,17 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     stable.
     """
     _cell_profile.cache_clear()
+    pattern = generate_de_bruijn(config.pattern_order)
     param_name, values, groups = _AXES[config.sweep_kind]
-    param_values = tuple(values(config))
+    param_values = tuple(values(config, pattern))
     cells = _cells(config, param_name, param_values, groups(config))
     if workers <= 1 or len(cells) <= 1:
-        results = tuple(_run_cell(config, cell) for cell in cells)
+        results = tuple(_run_cell(config, cell, pattern) for cell in cells)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(_run_cell, [config] * len(cells), cells))
+            results = tuple(
+                pool.map(_run_cell, [config] * len(cells), cells, [pattern] * len(cells))
+            )
     return SweepResult(
         config.sweep_kind, param_name, param_values, config.seed, config.replicates, results
     )

@@ -8,31 +8,24 @@ passive columns until it is feasible. Terminates when no active dual
 exceeds ``DUAL_TOLERANCE``: exactly the KKT condition for this problem.
 
 A stack of T problems runs the method once for all of them, so the numpy
-call overhead is paid per step, not per problem. Each inner step solves
-the normal equations of every row's passive columns in one masked
-``np.linalg.solve`` over the stacked Gram matrices A'A, and takes the
-duals there from A itself, as the single-problem method does. A problem
-takes the method's own ``lstsq`` step instead where its Gram point is not
-stationary on its passive columns to within the tolerance (an
-ill-conditioned or singular passive set) or is not feasible (so the
-backtracking direction is the method's own), and every problem does when
-A has fewer rows than columns (M < N), where the fit is not unique and
-which optimum the method reaches hangs on the rounding of each step. When the
-duals say a problem is done, its point is recomputed the way the method
-ends, with ``lstsq`` on its passive columns of A, and the method's own
-tests are applied there: a passive entry that is not positive starts one
-more backtracking step, an active dual above the tolerance admits that
-coordinate, and otherwise that ``lstsq`` point is the answer, what a
-single-problem run with ``lstsq`` steps returns.
+call overhead is paid per step, not per problem. Every inner step is the
+single-problem method's own: the least-squares point over the problem's
+passive columns of A, as ``np.linalg.lstsq`` computes it. The steps of all
+problems with the same number of passive columns go to the LAPACK kernel
+that ``np.linalg.lstsq`` runs in one stacked call, so each problem follows
+the path, and returns the answer, of its single-problem run.
 """
 
 from __future__ import annotations
 
 import numpy as np
+# The kernel np.linalg.lstsq runs, so stacked steps equal the single-problem ones bit for bit.
+from numpy.linalg import _umath_linalg
 
 # Stop once no zero coordinate's dual w_i = [A'(b - A x)]_i exceeds this;
 # passive coordinates that backtrack to within it of zero are pinned there.
 DUAL_TOLERANCE = 1e-10
+_EPS = np.finfo(float).eps
 
 
 class NumericalFailureError(RuntimeError):
@@ -91,12 +84,8 @@ def nnls(a, b, max_iterations: int | None = None):
 
 def _lawson_hanson(a, b, max_iterations):
     t, m, n = a.shape
-    at = a.transpose(0, 2, 1)
-    gram = at @ a
-    atb = (at @ b[..., None])[..., 0]
-
     x = np.zeros((t, n))
-    w = atb.copy()  # duals A'(b - A x), here at x = 0
+    w = _duals(a, b, x)
     passive = np.zeros((t, n), dtype=bool)
     iterations = np.zeros(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
@@ -107,37 +96,24 @@ def _lawson_hanson(a, b, max_iterations):
         iterations[rows] += 1
         return iterations[rows] <= max_iterations
 
-    def lstsq_step(r):
-        """The single-problem step of row r: its point over the passive
-        columns and the duals there."""
-        cols = np.flatnonzero(passive[r])
-        z = np.zeros(n)
-        if cols.size:
-            z[cols] = np.linalg.lstsq(a[r][:, cols], b[r], rcond=None)[0]
-        return z, a[r].T @ (b[r] - a[r] @ z)
-
     def passive_points(rows):
-        """Least-squares points over the rows' passive columns, and their duals."""
+        """Least-squares points over the rows' passive columns, one stacked
+        ``lstsq`` per passive-set size; an empty passive set gives 0."""
         p = passive[rows]
-        if m < n:
-            z, w_z = np.empty((2, rows.size, n))
-            redo = np.ones(rows.size, dtype=bool)
-        else:
-            system, rhs = _passive_system(gram[rows], atb[rows], p)
-            try:
-                z = np.linalg.solve(system, rhs)[..., 0]
-            except np.linalg.LinAlgError:
-                z = _solve_each(system, rhs)
-            ar = a[rows]
-            w_z = (ar.transpose(0, 2, 1) @ (b[rows] - (ar @ z[..., None])[..., 0])[..., None])[..., 0]
-            # A Gram point that is not stationary on the passive columns (NaN
-            # for a singular system) or that would start a backtracking step
-            # is replaced by the method's own.
-            redo = ~(np.where(p, np.abs(w_z), 0.0).max(axis=1) <= DUAL_TOLERANCE)
-            redo |= ~(np.where(p, z, np.inf).min(axis=1) > 0.0)
-        for k in np.flatnonzero(redo):
-            z[k], w_z[k] = lstsq_step(rows[k])
-        return z, w_z
+        z = np.zeros((rows.size, n))
+        sizes = p.sum(axis=1)
+        with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            for k in set(sizes.tolist()) - {0}:
+                group = np.flatnonzero(sizes == k)
+                cols = np.nonzero(p[group])[1].reshape(group.size, k)
+                r = rows[group]
+                zk = _umath_linalg.lstsq(
+                    a[r[:, None, None], np.arange(m)[:, None], cols[:, None, :]],
+                    b[r, :, None], _EPS * max(m, k), signature="ddd->ddid",
+                )[0]
+                z[group[:, None], cols] = zk[..., 0]
+        return z
 
     def step_toward(rows, z):
         """Step from x toward z, stopping at the first coordinate to hit 0."""
@@ -153,24 +129,6 @@ def _lawson_hanson(a, b, max_iterations):
         passive[rows] = p & ~released
         return rows[under_cap(rows)]
 
-    def finish(r) -> np.ndarray:
-        """The method's last step, from A itself: lstsq over the passive
-        columns, then its own tests. Where one fails, the method goes on:
-        returns the row if it re-enters the inner loop."""
-        p = passive[r]
-        z, w[r] = lstsq_step(r)
-        if p.any() and not z[p].min() > 0.0:
-            return step_toward(np.array([r]), z[None])
-        x[r] = z
-        w_active = np.where(p, -np.inf, w[r])
-        j = int(np.argmax(w_active))
-        if w_active[j] <= DUAL_TOLERANCE:
-            converged[r] = True
-            return np.empty(0, dtype=int)
-        p[j] = True
-        rows = np.array([r])
-        return rows[under_cap(rows)]
-
     outer = np.arange(t)  # rows about to admit a coordinate or stop
     inner = outer[:0]  # rows about to solve over their passive set
     while outer.size or inner.size:
@@ -178,44 +136,28 @@ def _lawson_hanson(a, b, max_iterations):
             w_active = np.where(passive[outer], -np.inf, w[outer])
             j = np.argmax(w_active, axis=1)
             done = w_active[np.arange(outer.size), j] <= DUAL_TOLERANCE
-            # The duals say stop: the row's own finish decides.
-            resumed = [finish(r) for r in outer[done]]
+            converged[outer[done]] = True
             grow, j = outer[~done], j[~done]
             keep = under_cap(grow)
             grow = grow[keep]
             passive[grow, j[keep]] = True
-            inner = np.concatenate([inner, grow, *resumed])
-            if not inner.size:
-                break
-        z, w_z = passive_points(inner)
+            inner = np.concatenate([inner, grow])
+        z = passive_points(inner)
         feasible = np.where(passive[inner], z, np.inf).min(axis=1) > 0.0
         outer = inner[feasible]
-        x[outer], w[outer] = z[feasible], w_z[feasible]
+        x[outer] = z[feasible]
+        w[outer] = _duals(a[outer], b[outer], x[outer])
         inner = inner[~feasible]
         if inner.size:
             inner = step_toward(inner, z[~feasible])
     return x, converged
 
 
-def _passive_system(gram, atb, passive):
-    """Normal equations over each problem's passive columns, as (T, N, N)
-    systems whose solution is 0 on the active coordinates.
-
-    Active rows and columns of each Gram matrix are replaced by the
-    identity and their right-hand side by 0, so one stacked solve serves
-    passive sets of any size.
-    """
-    both = passive[:, :, None] & passive[:, None, :]
-    system = np.where(both, gram, np.eye(gram.shape[-1]))
-    return system, np.where(passive, atb, 0.0)[..., None]
+def _duals(a, b, x):
+    """A'(b - A x) of each problem in a stack."""
+    r = b - (a @ x[..., None])[..., 0]
+    return (a.transpose(0, 2, 1) @ r[..., None])[..., 0]
 
 
-def _solve_each(system, rhs):
-    """Solve the systems one by one; a singular one gets a row of NaN."""
-    out = np.full(rhs.shape[:2], np.nan)
-    for k in range(system.shape[0]):
-        try:
-            out[k] = np.linalg.solve(system[k], rhs[k])[:, 0]
-        except np.linalg.LinAlgError:
-            pass
-    return out
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")

@@ -287,6 +287,24 @@ def test_sweep_builds_each_distinct_profile_once(monkeypatch):
     assert built == [10.0]
 
 
+def test_sweep_builds_its_pattern_once(monkeypatch):
+    # Every cell of a run scans the same pattern order.
+    import codedscan.metrics as metrics_module
+
+    orders = []
+    real = metrics_module.generate_de_bruijn
+
+    def counting(order):
+        orders.append(order)
+        return real(order)
+
+    monkeypatch.setattr(metrics_module, "generate_de_bruijn", counting)
+    patterning = ExperimentConfig(sweep_kind="patterning", replicates=1, position_stride=64,
+                                  noise_levels=(10.0, 100.0))
+    assert len(run_sweep(patterning).cells) == 8
+    assert orders == [8]
+
+
 def test_noiseless_opaque_sweep_is_perfect():
     # Exact-recovery invariant carried through the whole harness: with
     # opaque bars and no noise both MSPs saturate for BSR >= 1.

@@ -296,10 +296,10 @@ def test_stack_shape_mismatch_rejected():
 
 def test_singular_passive_system_takes_the_lstsq_step():
     # Two equal columns: rounding leaves the copy of a passive column a dual
-    # above the tolerance, so both turn passive and the stacked solve meets
-    # an exactly singular system in that row only. That row takes the
-    # lstsq step, as the single-problem method does, and ends on its
-    # minimum-norm split; the other row is unaffected.
+    # above the tolerance, so both turn passive and that row's step is over
+    # an exactly singular passive set. The lstsq step, as the single-problem
+    # method takes it, ends on its minimum-norm split; the other row is
+    # unaffected.
     u = np.array([15239.4, -15246.9, -24662.3, 6168.8])
     a_bad = np.stack([u, u, [2.55, -1.0, -1.25, 0.59]], axis=1)
     b_bad = np.array([-840.7, -506.0, -348.1, 532.0])
@@ -314,9 +314,10 @@ def test_singular_passive_system_takes_the_lstsq_step():
 
 @pytest.mark.parametrize("trial, start, offset", [(55, 1189, 1189), (142, 1393, 2381), (226, 2474, 2381)])
 def test_gram_pass_that_stops_on_a_non_positive_lstsq_point_goes_on(trial, start, offset):
-    # Noisy scans fitted at a wrong offset: here the Gram-matrix pass stops
-    # on a passive set whose lstsq point has an entry <= 0, so the solve
-    # must backtrack once more, as the single-problem method does.
+    # Noisy scans fitted at a wrong offset: a step through the normal
+    # equations A'A z = A'b would stop here on a passive set whose lstsq
+    # point has an entry <= 0, where the single-problem method backtracks
+    # once more.
     from codedscan import ApertureGeometry, OpticalContext, build_profile, generate_de_bruijn
     from codedscan import build_coding_matrix, make_gaussian_signal, normalize, simulate
 
@@ -335,9 +336,10 @@ def test_gram_pass_that_stops_on_a_non_positive_lstsq_point_goes_on(trial, start
        st.integers(-6, 6), st.booleans())
 def test_converged_rows_pass_the_stopping_test(seed, t, m, n, scale, near_duplicate):
     # Badly scaled, underdetermined or nearly rank-deficient problems, where
-    # Gram-matrix rounding is largest: whatever the pass did, a row reported
-    # converged is the lstsq point over its support with no active dual
-    # above the tolerance.
+    # the rounding of each step decides which optimum the method reaches: a
+    # row reported converged is the lstsq point over its support with no
+    # active dual above the tolerance, and every row is the single-problem
+    # answer.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((t, m, n)) * 10.0**scale
     if near_duplicate and n > 1:
@@ -352,13 +354,46 @@ def test_converged_rows_pass_the_stopping_test(seed, t, m, n, scale, near_duplic
             assert fit.tobytes() == x[r][support].tobytes()
         w = a[r].T @ (b[r] - a[r] @ x[r])
         assert np.max(w[x[r] == 0.0], initial=-np.inf) <= DUAL_TOLERANCE
+    for r in range(t):
+        try:
+            expected = lawson_hanson_oracle(a[r].copy(), b[r].copy())
+        except NumericalFailureError as error:
+            assert not converged[r]
+            expected = error.best_iterate
+        except ValueError:
+            # The oracle released every coordinate and took the minimum of
+            # an empty slice; see the last test in this file.
+            continue
+        else:
+            assert converged[r]
+        assert x[r].tobytes() == expected.tobytes()
+
+
+def test_near_duplicate_columns_split_the_weight_as_the_single_problem_method():
+    # Two columns that agree to about 1e-9, scaled by 10**k: the 29th stack
+    # of a seeded draw of such stacks, row 6 (11 x 2). Steps that round
+    # differently from the method's own lstsq steps ended on another split
+    # of the weight between the two columns, off by about 59.
+    rng = np.random.default_rng(0)
+    for _ in range(29):
+        t, m, n = 16, int(rng.integers(2, 12)), int(rng.integers(2, 8))
+        a = rng.standard_normal((t, m, n)) * 10.0 ** rng.integers(-6, 7)
+        a[:, :, -1] = a[:, :, 0] * (1 + 1e-9 * rng.standard_normal((t, 1)))
+        b = rng.standard_normal((t, m)) * 10.0 ** rng.integers(-6, 7)
+    a, b = a[6], b[6]
+    assert a.shape == (11, 2)
+    expected = lawson_hanson_oracle(a, b)
+    x, converged = nnls(a[None], b[None])
+    assert converged[0]
+    assert x[0].tobytes() == expected.tobytes()
+    assert nnls(a, b).tobytes() == expected.tobytes()
 
 
 def test_near_duplicate_columns_do_not_cycle():
-    # Columns 0 and 2 agree to about 1e-9. The Gram point over both is a
-    # least-squares point with a negative entry, where the lstsq point (the
-    # minimum-norm split) is feasible; backtracking along the Gram point
-    # released column 2, re-admitted it and cycled to the cap.
+    # Columns 0 and 2 agree to about 1e-9. The normal-equations point over
+    # both is a least-squares point with a negative entry, where the lstsq
+    # point (the minimum-norm split) is feasible; backtracking along the
+    # former releases column 2, re-admits it and cycles to the cap.
     c0 = [13.573950847658153, -57.243674765932184, -76.06788546712043, -163.21994294226644,
           -60.54666704876508, -12.603887954225648, 85.00822333740781]
     c1 = [101.99764725197988, -139.11415982464882, 76.37865270790198, 41.61623958953926,
@@ -375,10 +410,11 @@ def test_near_duplicate_columns_do_not_cycle():
 
 
 def test_gram_point_that_is_not_stationary_on_a_takes_the_lstsq_step():
-    # Two columns that agree to about 3e-10 relative: the Gram system over
-    # both is so ill-conditioned that its point leaves passive duals above
-    # the tolerance on A. Accepting it would end on a different split of
-    # the weight between the two columns than the single-problem method's.
+    # Two columns that agree to about 3e-10 relative: the normal equations
+    # A'A over both are so ill-conditioned that their point leaves passive
+    # duals above the tolerance on A. Accepting it would end on a different
+    # split of the weight between the two columns than the single-problem
+    # method's.
     a = np.array([
         [1552.1655136384315, 1552.1655140073574], [-1828.375371175335, -1828.3753716099116],
         [-120.53522397322341, -120.53522400187276], [-1192.1781161752092, -1192.1781164585716],
@@ -390,9 +426,10 @@ def test_gram_point_that_is_not_stationary_on_a_takes_the_lstsq_step():
 
 
 def test_lstsq_point_with_an_active_dual_above_the_tolerance_goes_on():
-    # Columns that agree to about 1e-9 with a right side of order 1e6: the
-    # pass stops on column 0 alone, but at the lstsq point that ends it the
-    # dual of column 1 exceeds the tolerance, so the method admits it.
+    # Columns that agree to about 1e-9 with a right side of order 1e6:
+    # normal-equations steps would stop on column 0 alone, but at its lstsq
+    # point the dual of column 1 exceeds the tolerance, so the method
+    # admits it.
     a = np.array([
         [1.5308233273594032, 1.5308233289625468], [-1.2170273467069168, -1.21702734798144],
         [1.9843379577263685, 1.984337959804452], [-0.026079069316188027, -0.026079069343499142],
