@@ -65,17 +65,13 @@ class ApertureGeometry:
 
 @dataclass(frozen=True)
 class OpticalContext:
-    """Beam-side parameters: energy tag, attenuation, and incidence angle.
-
-    ``energy_kev`` is a label carried through to outputs; the physics only
-    uses ``mu_per_um`` (linear attenuation of the absorber at that energy)
-    and ``incidence_angle_deg`` (angle from the surface normal, in the scan
-    plane).
+    """Beam-side parameters: ``mu_per_um`` (linear attenuation of the
+    absorber at the beam energy) and ``incidence_angle_deg`` (angle from the
+    surface normal, in the scan plane).
     """
 
     mu_per_um: float
     incidence_angle_deg: float = 0.0
-    energy_kev: float | None = None
 
     def __post_init__(self):
         if self.mu_per_um < 0:
@@ -163,8 +159,6 @@ def gold_path_length(geometry: ApertureGeometry, entry_z_um, context: OpticalCon
     the physical mask ends count as open.
     """
     theta = math.radians(context.incidence_angle_deg)
-    if not theta < math.pi / 2:
-        raise ValueError("incidence angle must be < 90 degrees")
     z = np.asarray(entry_z_um, dtype=float)
     intervals = geometry.bar_intervals()
     if theta == 0.0:

@@ -118,11 +118,9 @@ def run_sweep_command(args) -> int:
         print(line)
         failures += cell.failures
     if result.kind == "patterning":
-        for noise, (rho_zeros, rho_flips) in patterning_correlations(result).items():
-            print(
-                f"noise {_noise_text(noise)}: Spearman MSP~zeros {rho_zeros:+.3f}, "
-                f"MSP~flips {rho_flips:+.3f}"
-            )
+        for noise, rhos in patterning_correlations(result).items():
+            zeros, flips = ("undefined" if rho is None else f"{rho:+.3f}" for rho in rhos)
+            print(f"noise {_noise_text(noise)}: Spearman MSP~zeros {zeros}, MSP~flips {flips}")
     if failures:
         print(f"warning: {failures} trials failed numerically and scored as misses")
     print(f"wrote {out}")
@@ -161,13 +159,13 @@ def run_recover_command(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     cfg = load_config(args.config)
+    n_keep = None
+    if args.truncate_bits is not None:
+        n_keep = scan_point_count(args.truncate_bits, cfg.bit_size_um, cfg.grid_step_um)
     series = read_pixel_series(args.series)
     pattern = generate_de_bruijn(cfg.pattern_order)
     profile = build_profile(cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample)
     probe = cfg.probe()
-    n_keep = None
-    if args.truncate_bits is not None:
-        n_keep = scan_point_count(args.truncate_bits, cfg.bit_size_zero_um, cfg.grid_step_um)
     tasks = []
     max_len = 0
     for pixel_id in sorted(series):
@@ -249,6 +247,7 @@ def run_pattern_command(args) -> int:
 
 def run_simulate_command(args) -> int:
     cfg = load_config(args.config)
+    bit = cfg.bit_size_um
     pattern = generate_de_bruijn(cfg.pattern_order)
     geometry = cfg.geometry(pattern)
     profile = build_profile(geometry, cfg.optics(), cfg.grid_step_um, cfg.oversample)
@@ -258,7 +257,7 @@ def run_simulate_command(args) -> int:
         raise ConfigError(f"window must be in [0, {n_windows}), got {args.window}")
     start_um = float(geometry.bit_edges_um()[args.window])
     p_star = profile.index_of(start_um)
-    m = scan_point_count(cfg.scan_bits, cfg.bit_size_zero_um, cfg.grid_step_um)
+    m = scan_point_count(cfg.scan_bits, bit, cfg.grid_step_um)
     n = len(signal)
     profile = profile.extend_open(p_star + m + n - 1)
     matrix = build_coding_matrix(profile, p_star, m, n)

@@ -24,7 +24,7 @@ _VALID_KEYS = {
     "signal": ("width_um", "template"),
     "scan": ("grid_step_um", "scan_bits", "noise_levels", "seed", "oversample",
              "normalization"),
-    "sweep": ("kind", "bsr", "bsr_values", "scan_bits_values", "aspect_values",
+    "sweep": ("kind", "bsr_values", "scan_bits_values", "aspect_values",
               "angles_deg", "energies_kev", "replicates", "position_stride"),
     "criteria": ("epsilon", "position_margin_bits"),
     "recover": ("max_rounds",),
@@ -48,9 +48,9 @@ _TUPLE_FIELDS = (
 class ExperimentConfig:
     """Resolved experiment parameters; a sweep's trials derive from them alone.
 
-    ``bsr``, ``scan_bits``, ``thickness_um``, ``incidence_angle_deg`` and
-    ``energy_kev`` pin the parameters a given sweep does *not* vary; the
-    ``*_values`` tuples are the axes for the sweeps that do. ``template``
+    A sweep cell is this config with the fields its axis sets replaced
+    (the ``*_values`` tuples, ``energies_kev`` and ``angles_deg`` hold the
+    axes); every other field pins what that sweep does *not* vary. ``template``
     selects the solver's probe shape; the simulated truth is always the
     bounded Gaussian. A noise level of ``inf`` means exact intensities. An
     empty ``mu_table`` stands for the bundled gold table, read when the
@@ -74,7 +74,6 @@ class ExperimentConfig:
     oversample: int = 16
     normalization: str = "corrected"
     sweep_kind: str = "bsr"
-    bsr: float = 1.0
     bsr_values: tuple = (0.25, 0.5, 1.0, 2.0)
     scan_bits_values: tuple = (2.0, 4.0, 8.0, 16.0, 24.0)
     aspect_values: tuple = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -100,6 +99,14 @@ class ExperimentConfig:
             raise ValueError("position_stride must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if min(self.bit_size_zero_um, self.bit_size_one_um) < self.grid_step_um:
+            raise ValueError(f"a bit size is below the grid step of {self.grid_step_um:g} um")
+        if self.scan_bits < 1:
+            raise ValueError(f"scan length of {self.scan_bits:g} bits is below one bit")
+        if not 0 <= self.incidence_angle_deg < 90:
+            raise ValueError(f"incidence angle {self.incidence_angle_deg:g} outside [0, 90)")
+        if not self.thickness_um > 0:
+            raise ValueError(f"bar thickness must be positive, got {self.thickness_um:g} um")
         for name in _TUPLE_FIELDS:
             value = tuple(getattr(self, name))
             if not value:
@@ -113,6 +120,16 @@ class ExperimentConfig:
             self.bit_size_zero_um, self.bit_size_one_um, self.thickness_um, pattern
         )
 
+    @property
+    def bit_size_um(self) -> float:
+        """The bit that sweeps, ``simulate`` and ``--truncate-bits`` count travel in."""
+        if self.bit_size_zero_um != self.bit_size_one_um:
+            raise ConfigError(
+                "[aperture] bit_size_zero_um and bit_size_one_um differ; sweeps, simulate "
+                "and --truncate-bits need equal bit sizes"
+            )
+        return self.bit_size_zero_um
+
     def mu_at(self, energy_kev: float) -> float:
         """Absorber attenuation in 1/um: ``mu_per_um`` if set, else the table's."""
         if self.mu_per_um is not None:
@@ -125,9 +142,7 @@ class ExperimentConfig:
         return table[energy_kev]
 
     def optics(self) -> OpticalContext:
-        return OpticalContext(
-            self.mu_at(self.energy_kev), self.incidence_angle_deg, self.energy_kev
-        )
+        return OpticalContext(self.mu_at(self.energy_kev), self.incidence_angle_deg)
 
     def probe(self) -> Signal:
         """The solver's search template, ``signal_width_um`` wide."""
@@ -293,7 +308,6 @@ def load_config(path) -> ExperimentConfig:
         oversample=r.integer("scan", "oversample", minimum=1),
         normalization=r.string("scan", "normalization", choices=NORMALIZATIONS),
         sweep_kind=r.string("sweep", "kind", choices=SWEEP_KINDS),
-        bsr=r.number("sweep", "bsr", positive=True),
         bsr_values=r.numbers("sweep", "bsr_values", positive=True),
         scan_bits_values=r.numbers("sweep", "scan_bits_values", positive=True),
         aspect_values=r.numbers("sweep", "aspect_values", positive=True),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -49,18 +49,18 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One grid cell: fixed physics, one noise level, and its trial block."""
+    """One grid cell: its config, one noise level, and its trial block.
+
+    ``config`` is the run's config with the fields the cell's axis sets
+    replaced; its aperture, optics and scan come from it alone.
+    """
 
     index: int
     param_name: str
     param_value: float
     energy_or_angle: float
     noise_level: float
-    mu_per_um: float
-    incidence_angle_deg: float
-    bit_size_um: float
-    thickness_um: float
-    scan_bits: float
+    config: ExperimentConfig
     window_start: int | None = None  # patterning: score this subsequence only
 
 
@@ -145,56 +145,44 @@ def _window_starts(pattern, config: ExperimentConfig) -> range:
 
 
 # Per sweep kind: the swept parameter's name, its values (from the config
-# and the run's pattern), and the groups under each value (beam energies in
-# keV, or incidence angles in degrees).
+# and the run's pattern), the groups under each value (beam energies in
+# keV, or incidence angles in degrees), and the config fields that one
+# (value, group) cell replaces. A patterning cell keeps the config and
+# scores only the window its value names.
 _AXES = {
-    "bsr": ("bsr", lambda c, pattern: c.bsr_values, lambda c: c.energies_kev),
-    "scan_length": ("scan_bits", lambda c, pattern: c.scan_bits_values, lambda c: c.energies_kev),
-    "aspect": ("aspect", lambda c, pattern: c.aspect_values, lambda c: c.angles_deg),
+    "bsr": (
+        "bsr", lambda c, pattern: c.bsr_values, lambda c: c.energies_kev,
+        lambda c, v, g: dict(bit_size_zero_um=v * c.signal_width_um,
+                             bit_size_one_um=v * c.signal_width_um, energy_kev=g),
+    ),
+    "scan_length": (
+        "scan_bits", lambda c, pattern: c.scan_bits_values, lambda c: c.energies_kev,
+        lambda c, v, g: dict(scan_bits=v, energy_kev=g),
+    ),
+    "aspect": (
+        "aspect", lambda c, pattern: c.aspect_values, lambda c: c.angles_deg,
+        lambda c, v, g: dict(thickness_um=v * c.bit_size_um, incidence_angle_deg=g),
+    ),
     "patterning": (
-        "subseq_start",
-        lambda c, pattern: tuple(map(float, _window_starts(pattern, c))),
-        lambda c: (c.energy_kev,),
+        "subseq_start", lambda c, pattern: tuple(map(float, _window_starts(pattern, c))),
+        lambda c: (c.energy_kev,), lambda c, v, g: {},
     ),
 }
 SWEEP_KINDS = tuple(_AXES)
 
 
-def _cells(config: ExperimentConfig, param_name: str, values, groups) -> list:
-    """Cells in result order: swept value, then group, then noise level.
-
-    The swept value replaces the configured one: the bit size (``bsr``),
-    the scan travel (``scan_bits``), the bar thickness as a multiple of the
-    bit (``aspect``) or the scored window (``subseq_start``). The group
-    replaces the energy, or the incidence angle on the aspect axis.
-    """
-    kind = config.sweep_kind
+def _cells(config: ExperimentConfig, param_name: str, values, groups, replaced) -> list:
+    """Cells in result order: swept value, then group, then noise level."""
     cells = []
     for value in values:
         for group in groups:
-            bsr = value if kind == "bsr" else config.bsr
-            bit = bsr * config.signal_width_um
-            scan_bits = value if kind == "scan_length" else config.scan_bits
-            thickness = value * bit if kind == "aspect" else config.thickness_um
-            energy, angle = (
-                (config.energy_kev, group) if kind == "aspect"
-                else (group, config.incidence_angle_deg)
-            )
-            if bit < config.grid_step_um:
-                raise ValueError(f"BSR {bsr:g} puts the bit below the grid step")
-            if scan_bits < 1:
-                raise ValueError(f"scan length of {scan_bits:g} bits is below one bit")
-            if not 0 <= angle < 90:
-                raise ValueError(f"incidence angle {angle:g} outside [0, 90)")
-            if not thickness > 0:
-                raise ValueError(f"bar thickness must be positive, got {thickness:g} um")
-            mu = config.mu_at(energy)
+            cell_config = replace(config, **replaced(config, value, group))
+            cell_config.optics()  # a missing attenuation entry stops the run before any trial
             for noise in config.noise_levels:
                 cells.append(
                     SweepCell(
-                        len(cells), param_name, float(value), group, noise, mu, angle,
-                        bit, thickness, scan_bits,
-                        window_start=int(value) if kind == "patterning" else None,
+                        len(cells), param_name, float(value), group, noise, cell_config,
+                        window_start=int(value) if config.sweep_kind == "patterning" else None,
                     )
                 )
     return cells
@@ -202,38 +190,31 @@ def _cells(config: ExperimentConfig, param_name: str, values, groups) -> list:
 
 @lru_cache(maxsize=8)
 def _cell_profile(
-    pattern: Pattern,
-    bit_size_um: float,
-    thickness_um: float,
-    mu_per_um: float,
-    angle_deg: float,
-    grid_step_um: float,
-    oversample: int,
+    geometry: ApertureGeometry, optics: OpticalContext, grid_step_um: float, oversample: int
 ):
     """Unpadded profile of a sweep cell's aperture; cells that differ only
     in noise level or scored window share it. ``run_sweep`` empties the memo.
     """
-    geometry = ApertureGeometry(bit_size_um, bit_size_um, thickness_um, pattern)
-    context = OpticalContext(mu_per_um, angle_deg)
-    return build_profile(geometry, context, grid_step_um, oversample)
+    return build_profile(geometry, optics, grid_step_um, oversample)
 
 
-def _run_cell(config: ExperimentConfig, cell: SweepCell, pattern: Pattern) -> CellResult:
+def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
+    config = cell.config
+    bit = config.bit_size_um
     profile = _cell_profile(
-        pattern, cell.bit_size_um, cell.thickness_um, cell.mu_per_um,
-        cell.incidence_angle_deg, config.grid_step_um, config.oversample,
+        config.geometry(pattern), config.optics(), config.grid_step_um, config.oversample
     )
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
     probe = config.probe()
     s_true = truth_signal.unit_sum().values
-    m = scan_point_count(cell.scan_bits, cell.bit_size_um, config.grid_step_um)
+    m = scan_point_count(config.scan_bits, bit, config.grid_step_um)
     n = len(truth_signal)
     if cell.window_start is None:
         starts = _window_starts(pattern, config)
     else:
         starts = (cell.window_start,)
     # Pad the open region past the mask so the deepest start still fits.
-    profile = profile.extend_open(profile.index_of(max(starts) * cell.bit_size_um) + m + n - 1)
+    profile = profile.extend_open(profile.index_of(max(starts) * bit) + m + n - 1)
     criteria = SuccessCriteria(config.epsilon, config.position_margin_bits)
     # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
     # series normalize by plain extrema.
@@ -242,7 +223,7 @@ def _run_cell(config: ExperimentConfig, cell: SweepCell, pattern: Pattern) -> Ce
     p_stars = []
     failures = 0
     for q in starts:
-        p_star = profile.index_of(q * cell.bit_size_um)
+        p_star = profile.index_of(q * bit)
         matrix = build_coding_matrix(profile, p_star, m, n)
         for r in range(config.replicates):
             series = simulate(
@@ -262,7 +243,7 @@ def _run_cell(config: ExperimentConfig, cell: SweepCell, pattern: Pattern) -> Ce
             outcomes.append(TrialOutcome(0, 0))
         else:
             outcomes.append(
-                score(result, (p_star, s_true), criteria, cell.bit_size_um, config.grid_step_um)
+                score(result, (p_star, s_true), criteria, bit, config.grid_step_um)
             )
     position, shape = msp(outcomes)
     k = len(outcomes)
@@ -283,18 +264,17 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     order reproduces the same numbers; merging in cell order keeps output
     stable.
     """
+    config.bit_size_um  # no sweep kind honours unequal [aperture] bit sizes
     _cell_profile.cache_clear()
     pattern = generate_de_bruijn(config.pattern_order)
-    param_name, values, groups = _AXES[config.sweep_kind]
+    param_name, values, groups, replaced = _AXES[config.sweep_kind]
     param_values = tuple(values(config, pattern))
-    cells = _cells(config, param_name, param_values, groups(config))
+    cells = _cells(config, param_name, param_values, groups(config), replaced)
     if workers <= 1 or len(cells) <= 1:
-        results = tuple(_run_cell(config, cell, pattern) for cell in cells)
+        results = tuple(_run_cell(cell, pattern) for cell in cells)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(
-                pool.map(_run_cell, [config] * len(cells), cells, [pattern] * len(cells))
-            )
+            results = tuple(pool.map(_run_cell, cells, [pattern] * len(cells)))
     return SweepResult(
         config.sweep_kind, param_name, param_values, config.seed, config.replicates, results
     )
@@ -303,10 +283,16 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
 def patterning_correlations(result: SweepResult) -> dict:
     """Spearman rank correlation of per-subsequence MSP_position against
     window composition: ``{noise_level: (rho_zeros, rho_flips)}``.
+
+    A correlation is None where it is undefined: where the MSPs, or the
+    composition measure, are the same in every cell.
     """
     if result.kind != "patterning":
         raise ValueError("correlations are defined for patterning sweeps only")
     from scipy.stats import spearmanr  # slow to import; only this function needs it
+
+    def rho(x, y):
+        return float(spearmanr(x, y)[0]) if len(set(x)) > 1 and len(set(y)) > 1 else None
 
     out = {}
     for noise in sorted({c.cell.noise_level for c in result.cells}):
@@ -314,7 +300,8 @@ def patterning_correlations(result: SweepResult) -> dict:
         if any(c.zeros_fraction is None or c.bit_flips is None for c in rows):
             raise ValueError("patterning cells are missing the composition join")
         msps = [c.msp_position for c in rows]
-        rho_zeros = spearmanr(msps, [c.zeros_fraction for c in rows])[0]
-        rho_flips = spearmanr(msps, [c.bit_flips for c in rows])[0]
-        out[noise] = (float(rho_zeros), float(rho_flips))
+        out[noise] = (
+            rho(msps, [c.zeros_fraction for c in rows]),
+            rho(msps, [c.bit_flips for c in rows]),
+        )
     return out

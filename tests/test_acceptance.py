@@ -134,7 +134,8 @@ def test_5_aspect_ratio_peaks_between_half_and_two():
 def test_6_open_fraction_predicts_success_better_than_flips():
     config = ExperimentConfig(
         sweep_kind="patterning",
-        bsr=0.5,
+        bit_size_zero_um=5.0,
+        bit_size_one_um=5.0,
         noise_levels=(10.0,),
         replicates=12,
         seed=SEED,

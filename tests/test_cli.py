@@ -151,9 +151,12 @@ def test_sweep_svg_flag_writes_plots(tmp_path):
 
 def test_patterning_sweep_prints_correlations(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """
+[aperture]
+bit_size_zero_um = 5
+bit_size_one_um = 5
+
 [sweep]
 kind = patterning
-bsr = 0.5
 replicates = 2
 position_stride = 16
 
@@ -167,6 +170,53 @@ seed = 9
     assert "Spearman MSP~zeros" in stdout
     header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
     assert header.endswith("zeros_fraction,bit_flips")
+
+
+def test_constant_msp_correlations_are_reported_undefined(tmp_path, capsys):
+    # Opaque bars without noise find every window, so the MSPs are all
+    # 100% and have no ranks to correlate; scipy would warn and give nan.
+    cfg = write_cfg(tmp_path, OPAQUE + """
+[sweep]
+kind = patterning
+replicates = 1
+position_stride = 64
+""")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--noiseless"]) == 0
+    stdout = capsys.readouterr().out
+    assert "position 100.00%" in stdout and "position 0" not in stdout
+    assert "noise inf: Spearman MSP~zeros undefined, MSP~flips undefined" in stdout
+
+
+UNEQUAL_BITS = "[aperture]\nbit_size_zero_um = 15\nbit_size_one_um = 7.5\n"
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["sweep"], ""),
+    (["sweep"], "[sweep]\nkind = aspect\n"),
+    (["simulate"], ""),
+    (["recover", "SERIES", "--truncate-bits", "4"], ""),
+])
+def test_unequal_bit_sizes_are_exit_2_where_one_bit_is_needed(tmp_path, capsys, argv, extra):
+    cfg = write_cfg(tmp_path, UNEQUAL_BITS + extra)
+    series = str(multi_pixel_file(tmp_path, (10,), peak=1000.0, seed=2))
+    argv = [series if arg == "SERIES" else arg for arg in argv]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[aperture] bit_size_zero_um and bit_size_one_um differ" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_recover_without_truncation_runs_with_unequal_bit_sizes(tmp_path, capsys):
+    # `pattern` honours them too: test_pattern_geometry_metadata_from_config
+    cfg = write_cfg(tmp_path, UNEQUAL_BITS)
+    series = multi_pixel_file(tmp_path, (10,), peak=1000.0, seed=2)
+    out = tmp_path / "rec.csv"
+    assert main(["recover", str(series), "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert recovered_positions(out)["010"][0] == "ok"
 
 
 def test_sweep_rejects_bad_config_with_exit_2(tmp_path, capsys):
@@ -250,7 +300,7 @@ def multi_pixel_file(tmp_path, windows, peak, seed):
     """Noisy synthetic series for several true windows, via the library."""
     pattern = generate_de_bruijn(8)
     geometry = ApertureGeometry(10.0, 10.0, 10.0, pattern)
-    profile = build_profile(geometry, OpticalContext(0.219, 0.0, 10.0), 1.0)
+    profile = build_profile(geometry, OpticalContext(0.219, 0.0), 1.0)
     signal = make_gaussian_signal(10.0, 1.0)
     m, n = 81, 10
     shortfall = profile.index_of(max(windows) * 10.0) + m + n - 1 - len(profile)

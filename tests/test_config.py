@@ -65,7 +65,6 @@ normalization = minmax
 
 [sweep]
 kind = aspect
-bsr = 0.5
 aspect_values = 1, 2
 angles_deg = 0, 16.7
 replicates = 7
@@ -113,6 +112,9 @@ def test_unknown_section_and_key_are_named(tmp_path):
         load_config(write(tmp_path, "[recover]\nnnls_tol = 1e-9\n"))
     with pytest.raises(ConfigError, match=r"\[output\] svg_prefix: unknown key"):
         load_config(write(tmp_path, "[output]\nsvg_prefix = plots/run\n"))
+    # non-bsr sweeps take their bit from [aperture]
+    with pytest.raises(ConfigError, match=r"\[sweep\] bsr: unknown key"):
+        load_config(write(tmp_path, "[sweep]\nbsr = 0.5\n"))
 
 
 def test_type_errors_carry_section_and_key(tmp_path):
@@ -226,6 +228,18 @@ incidence_angle_deg = 2.7
     optics = cfg.optics()
     assert optics.mu_per_um == 0.152  # 20 keV entry of the bundled table
     assert optics.incidence_angle_deg == 2.7
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("incidence_angle_deg", 90.0, r"angle 90 outside \[0, 90\)"),
+    ("bit_size_one_um", 0.5, "below the grid step"),
+    ("scan_bits", 0.5, "below one bit"),
+    ("thickness_um", 0.0, "thickness must be positive"),
+])
+def test_replaced_configs_keep_the_range_checks(field, value, message):
+    # Sweep cells are replaced copies, so the checks hold for each of them.
+    with pytest.raises(ValueError, match=message):
+        replace(ExperimentConfig(), **{field: value})
 
 
 def test_optics_requires_a_known_energy(tmp_path):

@@ -46,8 +46,9 @@ CASES = {
         ["sweep", "--out", OUT],
     ),
     "sweep_patterning": (
-        {"optics": {"energy_kev": "30", "incidence_angle_deg": "20"},
-         "sweep": {"kind": "patterning", "bsr": "0.5", "position_stride": "16"}},
+        {"aperture": {"bit_size_zero_um": "5", "bit_size_one_um": "5"},
+         "optics": {"energy_kev": "30", "incidence_angle_deg": "20"},
+         "sweep": {"kind": "patterning", "position_stride": "16"}},
         ["sweep", "--out", OUT],
     ),
     "sweep_noiseless": (

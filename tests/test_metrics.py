@@ -199,8 +199,12 @@ def test_aspect_rejects_bad_angles_and_values():
         run_sweep(ExperimentConfig(sweep_kind="aspect", aspect_values=(0.0, 1.0)))
 
 
-def test_missing_attenuation_entry_is_an_error():
-    cfg = ExperimentConfig(sweep_kind="bsr", energies_kev=(7.0,), bsr_values=(1.0,))
+def test_missing_attenuation_entry_is_an_error(monkeypatch):
+    # ... and stops the run before any cell, the 10 keV ones included.
+    import codedscan.metrics as metrics_module
+
+    monkeypatch.setattr(metrics_module, "_run_cell", None)  # any call would fail
+    cfg = ExperimentConfig(sweep_kind="bsr", energies_kev=(10.0, 7.0), bsr_values=(1.0,))
     with pytest.raises(ValueError, match="7 keV"):
         run_sweep(cfg)
 
@@ -209,11 +213,11 @@ def test_mu_override_bypasses_table():
     cfg = ExperimentConfig(sweep_kind="bsr", mu_per_um=0.3, energies_kev=(7.0,), bsr_values=(1.0,),
                       noise_levels=(10.0,), replicates=1, position_stride=64)
     res = run_sweep(cfg)
-    assert all(c.cell.mu_per_um == 0.3 for c in res.cells)
+    assert all(c.cell.config.optics().mu_per_um == 0.3 for c in res.cells)
 
 
 def test_sweep_result_rejects_out_of_range_msp():
-    cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, 0.2, 0.0, 10.0, 10.0, 8.0)
+    cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, ExperimentConfig())
     bad = CellResult(cell, 120.0, 0.0, 4, 25.0, 0)
     with pytest.raises(ValueError, match="MSP"):
         SweepResult("bsr", "bsr", (1.0,), 0, 1, (bad,))
@@ -234,7 +238,7 @@ def test_single_cell_msp_matches_manual_recomputation():
 
     pattern = generate_de_bruijn(8)
     geometry = ApertureGeometry(BIT_UM, BIT_UM, 10.0, pattern)
-    context = OpticalContext(0.219, 0.0, 10.0)
+    context = OpticalContext(0.219, 0.0)
     profile = build_profile(geometry, context, STEP_UM)
     signal = make_gaussian_signal(BIT_UM, STEP_UM)
     s_true = signal.unit_sum().values
@@ -350,7 +354,7 @@ def test_monotone_noise_invariant():
 
 def test_worker_count_does_not_change_results():
     cfg = ExperimentConfig(sweep_kind="patterning", seed=5, replicates=2, position_stride=32,
-                      bsr=0.5, noise_levels=(20.0,))
+                      bit_size_zero_um=5.0, bit_size_one_um=5.0, noise_levels=(20.0,))
     assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=3)
 
 
@@ -361,7 +365,7 @@ def test_scan_length_trend_more_bits_help():
     res = run_sweep(cfg)
     by_bits = {c.cell.param_value: c.msp_position for c in res.cells}
     assert by_bits[4.0] < by_bits[8.0] - 20.0
-    assert all(c.cell.scan_bits == c.cell.param_value for c in res.cells)
+    assert all(c.cell.config.scan_bits == c.cell.param_value for c in res.cells)
 
 
 def test_aspect_trend_shear_collapse_at_steep_incidence():
@@ -371,7 +375,7 @@ def test_aspect_trend_shear_collapse_at_steep_incidence():
     by_aspect = {c.cell.param_value: c.msp_position for c in res.cells}
     assert by_aspect[10.0] < by_aspect[1.0] - 20.0
     # thickness follows the aspect axis at fixed 10 um bits
-    assert {c.cell.thickness_um for c in res.cells} == {10.0, 100.0}
+    assert {c.cell.config.thickness_um for c in res.cells} == {10.0, 100.0}
 
 
 def test_patterning_cells_carry_composition_join():
@@ -398,8 +402,8 @@ def test_non_patterning_cells_have_no_join():
 def make_patterning_result(msps, zeros, flips, noise=10.0):
     cells = []
     for i, (m, z, f) in enumerate(zip(msps, zeros, flips)):
-        cell = SweepCell(i, "subseq_start", float(i), 10.0, noise, 0.2, 0.0,
-                         5.0, 10.0, 8.0, window_start=i)
+        cell = SweepCell(i, "subseq_start", float(i), 10.0, noise, ExperimentConfig(),
+                         window_start=i)
         cells.append(CellResult(cell, m, 0.0, 4, 25.0, 0, z, f))
     return SweepResult("patterning", "subseq_start", tuple(range(len(cells))), 0, 4,
                        tuple(cells))
@@ -416,6 +420,15 @@ def test_patterning_correlations_known_rankings():
     corr = patterning_correlations(res)
     assert corr[10.0][0] == pytest.approx(1.0)
     assert corr[10.0][1] == pytest.approx(-1.0)
+
+
+def test_patterning_correlations_are_undefined_for_constant_inputs():
+    # Equal MSPs (or equal compositions) have no ranks: None, not a warning.
+    flat = make_patterning_result([100.0] * 3, [0.1, 0.2, 0.4], [3, 2, 1])
+    assert patterning_correlations(flat) == {10.0: (None, None)}
+    same_flips = make_patterning_result([10.0, 50.0, 90.0], [0.1, 0.2, 0.4], [2, 2, 2])
+    rho_zeros, rho_flips = patterning_correlations(same_flips)[10.0]
+    assert rho_zeros == pytest.approx(1.0) and rho_flips is None
 
 
 def test_patterning_correlations_require_patterning_result():

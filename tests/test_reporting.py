@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from codedscan.config import ExperimentConfig
 from codedscan.metrics import CellResult, SweepCell, SweepResult
 from codedscan.reporting import (
     RecoveryRow,
@@ -22,7 +23,7 @@ from codedscan.reporting import (
 
 def cell(index, value, at, noise, msp_pos, msp_shape=0.0, zeros=None, flips=None,
          name="bsr"):
-    grid_cell = SweepCell(index, name, value, at, noise, 0.219, 0.0, 10.0, 10.0, 8.0,
+    grid_cell = SweepCell(index, name, value, at, noise, ExperimentConfig(),
                           window_start=index if name == "subseq_start" else None)
     return CellResult(grid_cell, msp_pos, msp_shape, 16, 12.5, 0, zeros, flips)
 
