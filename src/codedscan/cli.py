@@ -105,7 +105,7 @@ def run_sweep_command(args) -> int:
     ]
     out = Path(args.out or cfg.out_csv or f"sweep_{cfg.sweep_kind}.csv")
     write_sweep_csv(out, result, items)
-    failures = 0
+    flat = failed_nnls = 0
     for cell in result.cells:
         c = cell.cell
         line = (
@@ -116,13 +116,17 @@ def run_sweep_command(args) -> int:
         if cell.failures:
             line += f", {cell.failures} failed"
         print(line)
-        failures += cell.failures
+        flat += cell.flat
+        failed_nnls += cell.failed_nnls
     if result.kind == "patterning":
         for noise, rhos in patterning_correlations(result).items():
             zeros, flips = ("undefined" if rho is None else f"{rho:+.3f}" for rho in rhos)
             print(f"noise {_noise_text(noise)}: Spearman MSP~zeros {zeros}, MSP~flips {flips}")
-    if failures:
-        print(f"warning: {failures} trials failed numerically and scored as misses")
+    if flat or failed_nnls:
+        print(
+            f"warning: {flat + failed_nnls} trials scored as misses: {flat} flat series, "
+            f"{failed_nnls} unconverged NNLS solves"
+        )
     print(f"wrote {out}")
     if args.svg:
         for path in write_sweep_svgs(out.with_suffix(""), result):

@@ -73,9 +73,15 @@ class CellResult:
     msp_shape: float
     k: int
     stderr: float
-    failures: int
+    flat: int  # trials whose series had no modulation to normalize
+    failed_nnls: int  # trials whose NNLS solve did not converge
     zeros_fraction: float | None = None
     bit_flips: int | None = None
+
+    @property
+    def failures(self) -> int:
+        """Trials scored as misses without a recovery."""
+        return self.flat + self.failed_nnls
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,7 @@ def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
     mode = "minmax" if math.isinf(cell.noise_level) else config.normalization
     normalized = []
     p_stars = []
-    failures = 0
+    flat = failed_nnls = 0
     for q in starts:
         p_star = profile.index_of(q * bit)
         matrix = build_coding_matrix(profile, p_star, m, n)
@@ -232,14 +238,14 @@ def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
             try:
                 normalized.append(normalize(series, mode))
             except FlatSeriesError:
-                failures += 1
+                flat += 1
                 continue
             p_stars.append(p_star)
-    outcomes = [TrialOutcome(0, 0)] * failures
+    outcomes = [TrialOutcome(0, 0)] * flat
     results = recover_batch(profile, normalized, probe, config.max_rounds)
     for p_star, result in zip(p_stars, results):
         if isinstance(result, NumericalFailureError):
-            failures += 1
+            failed_nnls += 1
             outcomes.append(TrialOutcome(0, 0))
         else:
             outcomes.append(
@@ -251,7 +257,7 @@ def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
     if cell.window_start is not None:
         stats = window_stats(pattern, cell.window_start, config.pattern_order)
     return CellResult(
-        cell, position, shape, k, 100.0 * math.sqrt(0.25 / k), failures,
+        cell, position, shape, k, 100.0 * math.sqrt(0.25 / k), flat, failed_nnls,
         None if stats is None else stats.zeros_fraction,
         None if stats is None else stats.bit_flips,
     )

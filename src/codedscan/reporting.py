@@ -6,8 +6,11 @@ import csv
 import io
 import math
 import os
+import re
+import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +125,7 @@ def write_recovery_csv(path, rows, n_signal: int, config_items=()) -> Path:
         else:
             if row.signal.size != n_signal:
                 raise ValueError(f"pixel {row.pixel_id}: signal length {row.signal.size}")
-            cells += [_fmt(v) for v in row.signal]
+            cells += map(repr, row.signal.tolist())  # _fmt's text for finite floats
         cells.append(row.status)
         writer.writerow(cells)
     return atomic_write_text(path, out.getvalue())
@@ -148,60 +151,244 @@ def write_series_csv(path, pixel_series, config_items=()) -> Path:
 def read_pixel_series(path) -> dict:
     """Parse a scan-series file to ``{pixel_id: (positions_um, counts)}``.
 
-    Positions and counts must be finite; positions must be strictly
-    increasing and equidistant per pixel (within ``POSITION_TOLERANCE_UM``);
-    scan indices must count up from zero.
+    The file is UTF-8 CSV. Blank lines, comment lines (the first field
+    starts with ``#``) and header rows are skipped; a quoted field closes
+    on its own line. Pixel ids are stripped of whitespace and keep the
+    order they first appear in. Positions and counts must be finite,
+    counts non-negative; positions must be strictly increasing and
+    equidistant per pixel (within ``POSITION_TOLERANCE_UM``); scan indices
+    must count up from zero per pixel.
+
+    All data lines go through one ``np.loadtxt`` call, and every check runs
+    on its columns. Only a file that fails is read again, line by line, to
+    name its first bad line.
     """
     path = Path(path)
     if not path.is_file():
         raise SeriesFormatError(f"series file not found: {path}")
-    collected: dict = {}
+    try:
+        table, lines = _parse_file(path)
+        # loadtxt joins the lines of a quoted field that does not close
+        if table is None or len(table) != lines.count - len(lines.skipped) or lines.separators:
+            _reject(path)
+        pixel_ids, codes, order = _group(table["pixel_id"])
+        # and reads a comment line whose quotes do not close as data
+        if any(pixel_id.startswith("#") for pixel_id in pixel_ids):
+            _reject(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    _check_rows(path, table, pixel_ids, codes, order, lines.line_of)
+    sizes = np.bincount(codes)
+    positions = table["position_um"][order]
+    counts = table["counts"][order]
+    del table  # before the step checks, which would raise the peak memory
+    pixel_of_row = codes[order]
+    within = pixel_of_row[1:] == pixel_of_row[:-1]
+    steps = np.diff(positions)[within]
+    pixel_of_step = pixel_of_row[1:][within]
+    rising = np.ones(len(pixel_ids), dtype=bool)
+    spread = np.zeros(len(pixel_ids))
+    if steps.size:
+        starts = np.flatnonzero(np.diff(pixel_of_step, prepend=-1))
+        stepped = pixel_of_step[starts]
+        smallest = np.minimum.reduceat(steps, starts)
+        rising[stepped] = smallest > 0
+        spread[stepped] = np.maximum.reduceat(steps, starts) - smallest
+    problems = np.select([sizes < 2, ~rising, spread > POSITION_TOLERANCE_UM], [1, 2, 3])
+    bad = np.flatnonzero(problems)
+    if bad.size:
+        pixel = bad[0]
+        message = {
+            1: "has fewer than 2 samples",
+            2: "positions not increasing",
+            3: f"positions not equidistant (step spread {spread[pixel]:.3g} um)",
+        }[problems[pixel]]
+        raise SeriesFormatError(f"{path}: pixel {pixel_ids[pixel]} {message}")
+    ends = np.cumsum(sizes).tolist()
+    return {
+        pixel_id: (positions[start:end], counts[start:end])
+        for pixel_id, start, end in zip(pixel_ids, [0] + ends[:-1], ends)
+    }
+
+
+# One data line: the pixel id as text, then the three numbers.
+_SERIES_ROW = np.dtype([
+    ("pixel_id", object),
+    ("scan_index", np.int64),
+    ("position_um", np.float64),
+    ("counts", np.float64),
+])
+
+# The lines a series file holds besides data: blank lines, comments and
+# header rows, each name padded or quoted or not. The quoting rules are
+# csv's: a field that starts with '"' is quoted, '""' in it is one quote,
+# and text after its closing quote joins the field. Here every quoted field
+# must close on its line.
+_EOL = r"(?:\r\n?|\n)?"
+_QUOTED_TAIL = r'(?:[^"\r\n]|"")*"(?!")[^,\r\n]*'  # after the opening quote
+_FIELD = rf'(?:"{_QUOTED_TAIL}|[^,"\r\n][^,\r\n]*|)'
+_SKIPPED = re.compile(
+    _EOL
+    + rf'|(?:"\s*#{_QUOTED_TAIL}|\s*#[^,\r\n]*)(?:,{_FIELD})*{_EOL}'
+    + "|" + ",".join(rf'(?:"\s*{name}\s*"|\s*{name})[^\S\r\n]*' for name in SERIES_COLUMNS)
+    + _EOL
+)
+# A block may hold a line that _SKIPPED matches only where a line break is
+# followed by whitespace, '#', '"' or "pixel_id", or where a bare carriage
+# return ends a line. sre searches fast only for a pattern that opens with
+# a literal, so the three are searched apart.
+_BREAK_THEN_SKIPPED = re.compile(r'\n[\s#"]')
+# Python's int() and float() refuse these around a number, numpy strips them.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+class _DataLines:
+    """The data lines of an open series file, in order, for ``np.loadtxt``.
+
+    Iterating leaves out the lines ``_SKIPPED`` matches and keeps their
+    numbers in ``skipped``; ``count`` is the number of lines read, and
+    ``separators`` whether a data line held one of ``_SEPARATORS``. Lines are
+    read in blocks, and only a block that may hold a line to skip is
+    filtered line by line.
+    """
+
+    BLOCK_CHARS = 1 << 16
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.skipped = []
+        self.count = 0
+        self.separators = False
+
+    def __iter__(self):
+        return chain.from_iterable(self._blocks())
+
+    def _blocks(self):
+        while block := self._handle.readlines(self.BLOCK_CHARS):
+            first = self.count + 1
+            self.count += len(block)
+            text = "\n" + "".join(block)
+            if (
+                _BREAK_THEN_SKIPPED.search(text)
+                or "\npixel_id" in text
+                or "\r" in text and text.count("\r") != text.count("\r\n")
+            ):
+                kept = []
+                for number, line in enumerate(block, start=first):
+                    if _SKIPPED.fullmatch(line):
+                        self.skipped.append(number)
+                    else:
+                        kept.append(line)
+                block = kept
+                text = "".join(block)
+            self.separators = self.separators or any(c in text for c in _SEPARATORS)
+            yield block
+
+    def line_of(self, rows):
+        """Line numbers of the data lines at indices ``rows`` (one index or
+        an array of them), once they are read."""
+        skipped = np.asarray(self.skipped)
+        data_before = skipped - np.arange(1, skipped.size + 1)  # per skipped line
+        return rows + 1 + np.searchsorted(data_before, rows, side="right")
+
+
+def _parse(lines, dtype=_SERIES_ROW) -> np.ndarray:
+    # Interned, the ids of one pixel's rows share one string object: with a
+    # string per row they would cost more memory than the numbers.
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                      ndmin=1, converters={0: sys.intern})
+
+
+def _parse_file(path):
+    """``(table, lines)``: every data line of ``path`` parsed in one call,
+    or None for the table where numpy rejects a line."""
     with open(path, encoding="utf-8", newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if [c.strip() for c in row] == list(SERIES_COLUMNS):
-                continue
-            if len(row) != 4:
-                raise SeriesFormatError(f"{path}:{line_no}: expected 4 columns, got {len(row)}")
-            pixel_id = row[0].strip()
-            try:
-                index = int(row[1])
-                position = float(row[2])
-                counts = float(row[3])
-            except ValueError:
-                raise SeriesFormatError(f"{path}:{line_no}: non-numeric row") from None
-            # nan compares false against every check below, so reject it here
-            if not math.isfinite(position):
-                raise SeriesFormatError(f"{path}:{line_no}: non-finite position")
-            if not math.isfinite(counts):
-                raise SeriesFormatError(f"{path}:{line_no}: non-finite counts")
-            if counts < 0:
-                raise SeriesFormatError(f"{path}:{line_no}: negative counts")
-            bucket = collected.setdefault(pixel_id, [])
-            if index != len(bucket):
-                raise SeriesFormatError(
-                    f"{path}:{line_no}: pixel {pixel_id} scan_index {index} out of order"
-                )
-            bucket.append((position, counts))
-    if not collected:
-        raise SeriesFormatError(f"{path}: no data rows")
-    series = {}
-    for pixel_id, rows in collected.items():
-        positions = np.array([p for p, _ in rows])
-        counts = np.array([c for _, c in rows])
-        if positions.size < 2:
-            raise SeriesFormatError(f"{path}: pixel {pixel_id} has fewer than 2 samples")
-        steps = np.diff(positions)
-        if np.any(steps <= 0):
-            raise SeriesFormatError(f"{path}: pixel {pixel_id} positions not increasing")
-        if np.ptp(steps) > POSITION_TOLERANCE_UM:
-            raise SeriesFormatError(
-                f"{path}: pixel {pixel_id} positions not equidistant "
-                f"(step spread {np.ptp(steps):.3g} um)"
-            )
-        series[pixel_id] = (positions, counts)
-    return series
+        lines = _DataLines(handle)
+        data = iter(lines)
+        first = next(data, None)
+        if first is None:  # loadtxt would warn and return nothing
+            raise SeriesFormatError(f"{path}: no data rows")
+        try:
+            return _parse(chain((first,), data)), lines
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            return None, lines
+
+
+def _group(ids):
+    """Stripped pixel ids in first-appearance order, each row's index into
+    them, and the stable order that sorts the rows by pixel."""
+    # A file lists each pixel's rows together, so runs of one id are few.
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    index = {}
+    run_pixels = [index.setdefault(ids[head].strip(), len(index)) for head in heads]
+    codes = np.repeat(run_pixels, np.diff(heads, append=len(ids)))
+    return list(index), codes, np.argsort(codes, kind="stable")
+
+
+def _check_rows(path, table, pixel_ids, codes, order, line_of):
+    """Raise for the first row with a bad number or an out-of-order scan index."""
+    index, positions, counts = (table[name] for name in SERIES_COLUMNS[1:])
+    sizes = np.bincount(codes)
+    rank = np.empty_like(index)  # rows of the same pixel before this one
+    rank[order] = np.arange(codes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    checks = np.stack([~np.isfinite(positions), ~np.isfinite(counts), counts < 0, index != rank])
+    bad = np.flatnonzero(checks.any(axis=0))
+    if bad.size:
+        row = bad[0]
+        message = (
+            "non-finite position",
+            "non-finite counts",
+            "negative counts",
+            f"pixel {pixel_ids[codes[row]]} scan_index {index[row]} out of order",
+        )[np.argmax(checks[:, row])]
+        raise SeriesFormatError(f"{path}:{line_of(row)}: {message}")
+
+
+def _line_problem(line):
+    """What is wrong with one data line parsed alone, or None."""
+    try:
+        _parse([line])
+    except ValueError:
+        fields = _parse([line], dtype=object)
+        return f"expected 4 columns, got {fields.size}" if fields.size != 4 else "non-numeric row"
+    if '"' in line:
+        fields = _parse([line], dtype=object)
+        if any("\n" in field or "\r" in field for field in fields):
+            return "unclosed quote"
+        if fields[0].lstrip().startswith("#"):
+            return "comment line with bad quoting"
+    if any(c in line for c in _SEPARATORS):
+        return "ASCII separator control character"
+    return None
+
+
+def _reject(path):
+    """Raise the message of the first bad line of a file the bulk parse
+    rejected; the rows before that line are checked first."""
+    good = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = _DataLines(handle)
+        for index, line in enumerate(lines):
+            problem = _line_problem(line)
+            if problem is not None:
+                break
+            good.append(line)
+    if good:
+        table = _parse(good)
+        _check_rows(path, table, *_group(table["pixel_id"]), lines.line_of)
+    raise SeriesFormatError(f"{path}:{lines.line_of(index)}: {problem}")
+
+
+def _not_utf8(path) -> SeriesFormatError:
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: one after those that end before it
+        line = len((data[: exc.start] + b"x").splitlines())
+        return SeriesFormatError(f"{path}:{line}: not UTF-8 ({exc.reason})")
 
 
 # ------------------------------------------------------------------ SVG

@@ -439,6 +439,26 @@ def test_recover_non_finite_position_is_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_recover_field_past_the_csv_field_limit_is_exit_2(tmp_path, capsys):
+    # csv.reader refuses fields over 131,072 characters with a _csv.Error
+    cfg = write_cfg(tmp_path, OPAQUE)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,0,0.0," + "9" * 140_000 + "\n0,1,1.0,5\n")
+    assert main(["recover", str(bad), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:1: non-finite counts" in err
+    assert "Traceback" not in err
+
+
+def test_recover_undecodable_byte_names_file_and_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OPAQUE)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# scan\r\n0,0,0.0,5\r\n0,1,\xff1.0,6\r\n")
+    assert main(["recover", str(bad), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:3: not UTF-8 (invalid start byte)\n"
+
+
 def test_recover_step_mismatch_is_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scan]\ngrid_step_um = 0.5\n")
     series = multi_pixel_file(tmp_path, (10,), peak=1000.0, seed=2)

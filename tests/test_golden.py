@@ -24,6 +24,10 @@ from codedscan.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SERIES = "two_pixels.csv"  # input of the recover cases, simulated at 10 keV
+# The same scans with interleaved pixels, comments, repeated and padded
+# headers, blank lines, CRLF endings, a quoted id holding a comma, and
+# padded, signed, quoted and exponent numbers.
+LAYOUT_SERIES = "layout_pixels.csv"
 OUT = "out.csv"
 
 BASE = {
@@ -58,6 +62,7 @@ CASES = {
     ),
     "recover": ({}, ["recover", SERIES, "--out", OUT]),
     "recover_truncated": ({}, ["recover", SERIES, "--out", OUT, "--truncate-bits", "4"]),
+    "recover_layout": ({}, ["recover", LAYOUT_SERIES, "--out", OUT]),
     "simulate_file": ({}, ["simulate", "37", "--out", OUT]),
     "simulate_stdout": ({}, ["simulate", "180", "--noiseless"]),
 }
@@ -76,7 +81,8 @@ def run_case(name: str, workdir: Path) -> dict:
     """Run one case in ``workdir``; returns {golden file name: bytes}."""
     sections, argv = CASES[name]
     (workdir / "exp.cfg").write_text(config_text(sections), encoding="utf-8")
-    shutil.copy(GOLDEN / SERIES, workdir / SERIES)
+    for series in (SERIES, LAYOUT_SERIES):
+        shutil.copy(GOLDEN / series, workdir / series)
     stdout = io.StringIO()
     here = os.getcwd()
     os.chdir(workdir)

@@ -218,7 +218,7 @@ def test_mu_override_bypasses_table():
 
 def test_sweep_result_rejects_out_of_range_msp():
     cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, ExperimentConfig())
-    bad = CellResult(cell, 120.0, 0.0, 4, 25.0, 0)
+    bad = CellResult(cell, 120.0, 0.0, 4, 25.0, 0, 0)
     with pytest.raises(ValueError, match="MSP"):
         SweepResult("bsr", "bsr", (1.0,), 0, 1, (bad,))
 
@@ -323,6 +323,28 @@ def test_noiseless_opaque_sweep_is_perfect():
         assert c.failures == 0
 
 
+def test_flat_series_and_nnls_failures_are_counted_apart(monkeypatch):
+    import codedscan.metrics as metrics_module
+    from codedscan.nnls import NumericalFailureError
+
+    # The golden scan_length case: 4-bit scans at noise 100 give one flat series.
+    cfg = ExperimentConfig(sweep_kind="scan_length", seed=7, replicates=2, position_stride=32,
+                           scan_bits_values=(4.0,), energies_kev=(10.0,),
+                           noise_levels=(10.0, 100.0))
+    cell = run_sweep(cfg).cells[1]
+    assert (cell.flat, cell.failed_nnls, cell.failures) == (1, 0, 1)
+    real = metrics_module.recover_batch
+
+    def first_fails(profile, normalized, *args):
+        results = real(profile, normalized, *args)
+        return [NumericalFailureError("no convergence", None)] + results[1:]
+
+    monkeypatch.setattr(metrics_module, "recover_batch", first_fails)
+    cell = run_sweep(cfg).cells[1]
+    assert (cell.flat, cell.failed_nnls, cell.failures) == (1, 1, 2)
+    assert cell.msp_position < 100.0
+
+
 def test_cell_layout_and_stderr():
     cfg = ExperimentConfig(sweep_kind="bsr", seed=3, replicates=2, position_stride=32,
                       bsr_values=(0.5, 1.0), energies_kev=(5.0, 10.0),
@@ -404,7 +426,7 @@ def make_patterning_result(msps, zeros, flips, noise=10.0):
     for i, (m, z, f) in enumerate(zip(msps, zeros, flips)):
         cell = SweepCell(i, "subseq_start", float(i), 10.0, noise, ExperimentConfig(),
                          window_start=i)
-        cells.append(CellResult(cell, m, 0.0, 4, 25.0, 0, z, f))
+        cells.append(CellResult(cell, m, 0.0, 4, 25.0, 0, 0, z, f))
     return SweepResult("patterning", "subseq_start", tuple(range(len(cells))), 0, 4,
                        tuple(cells))
 
@@ -442,7 +464,7 @@ def test_patterning_correlations_reject_missing_join():
     res = make_patterning_result([10.0, 20.0], [0.1, 0.2], [1, 2])
     broken = SweepResult(
         "patterning", "subseq_start", (0, 1), 0, 4,
-        tuple(CellResult(c.cell, c.msp_position, 0.0, c.k, c.stderr, 0) for c in res.cells),
+        tuple(CellResult(c.cell, c.msp_position, 0.0, c.k, c.stderr, 0, 0) for c in res.cells),
     )
     with pytest.raises(ValueError, match="join"):
         patterning_correlations(broken)

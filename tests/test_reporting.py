@@ -1,14 +1,24 @@
 """CSV/SVG emission, atomicity, and scan-series file parsing."""
 
+import contextlib
+import csv
+import io
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from codedscan.cli import main
 from codedscan.config import ExperimentConfig
 from codedscan.metrics import CellResult, SweepCell, SweepResult
 from codedscan.reporting import (
+    POSITION_TOLERANCE_UM,
+    SERIES_COLUMNS,
     RecoveryRow,
     SeriesFormatError,
     atomic_write_text,
@@ -25,7 +35,7 @@ def cell(index, value, at, noise, msp_pos, msp_shape=0.0, zeros=None, flips=None
          name="bsr"):
     grid_cell = SweepCell(index, name, value, at, noise, ExperimentConfig(),
                           window_start=index if name == "subseq_start" else None)
-    return CellResult(grid_cell, msp_pos, msp_shape, 16, 12.5, 0, zeros, flips)
+    return CellResult(grid_cell, msp_pos, msp_shape, 16, 12.5, 0, 0, zeros, flips)
 
 
 def bsr_result():
@@ -44,6 +54,68 @@ def patterning_result():
         cell(1, 1.0, 10.0, 10.0, 75.0, zeros=0.875, flips=1, name="subseq_start"),
     )
     return SweepResult("patterning", "subseq_start", (0.0, 1.0), 4, 2, cells)
+
+
+# The row-by-row reader that the bulk reader replaced, kept verbatim: on
+# every input outside the named differences below, ``read_pixel_series``
+# must return what it returns, bit for bit, or raise its message.
+def read_pixel_series_oracle(path) -> dict:
+    """Parse a scan-series file to ``{pixel_id: (positions_um, counts)}``.
+
+    Positions and counts must be finite; positions must be strictly
+    increasing and equidistant per pixel (within ``POSITION_TOLERANCE_UM``);
+    scan indices must count up from zero.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise SeriesFormatError(f"series file not found: {path}")
+    collected: dict = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if [c.strip() for c in row] == list(SERIES_COLUMNS):
+                continue
+            if len(row) != 4:
+                raise SeriesFormatError(f"{path}:{line_no}: expected 4 columns, got {len(row)}")
+            pixel_id = row[0].strip()
+            try:
+                index = int(row[1])
+                position = float(row[2])
+                counts = float(row[3])
+            except ValueError:
+                raise SeriesFormatError(f"{path}:{line_no}: non-numeric row") from None
+            # nan compares false against every check below, so reject it here
+            if not math.isfinite(position):
+                raise SeriesFormatError(f"{path}:{line_no}: non-finite position")
+            if not math.isfinite(counts):
+                raise SeriesFormatError(f"{path}:{line_no}: non-finite counts")
+            if counts < 0:
+                raise SeriesFormatError(f"{path}:{line_no}: negative counts")
+            bucket = collected.setdefault(pixel_id, [])
+            if index != len(bucket):
+                raise SeriesFormatError(
+                    f"{path}:{line_no}: pixel {pixel_id} scan_index {index} out of order"
+                )
+            bucket.append((position, counts))
+    if not collected:
+        raise SeriesFormatError(f"{path}: no data rows")
+    series = {}
+    for pixel_id, rows in collected.items():
+        positions = np.array([p for p, _ in rows])
+        counts = np.array([c for _, c in rows])
+        if positions.size < 2:
+            raise SeriesFormatError(f"{path}: pixel {pixel_id} has fewer than 2 samples")
+        steps = np.diff(positions)
+        if np.any(steps <= 0):
+            raise SeriesFormatError(f"{path}: pixel {pixel_id} positions not increasing")
+        if np.ptp(steps) > POSITION_TOLERANCE_UM:
+            raise SeriesFormatError(
+                f"{path}: pixel {pixel_id} positions not equidistant "
+                f"(step spread {np.ptp(steps):.3g} um)"
+            )
+        series[pixel_id] = (positions, counts)
+    return series
 
 
 # ------------------------------------------------------------- atomic I/O
@@ -183,6 +255,265 @@ def test_series_reader_rejects_non_finite_values(tmp_path, row, match):
     path.write_text(f"0,0,0.0,5\n{row}\n0,2,2.0,7\n")
     with pytest.raises(SeriesFormatError, match=f"bad.csv:2: {match}"):
         read_pixel_series(path)
+
+
+def test_layout_golden_input_reads_like_the_plain_file():
+    golden = Path(__file__).parent / "golden"
+    layout = read_pixel_series(golden / "layout_pixels.csv")
+    plain = read_pixel_series(golden / "two_pixels.csv")
+    assert list(layout) == ["a, left", "b"]
+    for (p, c), (p_plain, c_plain) in zip(layout.values(), plain.values()):
+        assert p.tobytes() == p_plain.tobytes() and c.tobytes() == c_plain.tobytes()
+
+
+def test_series_reader_names_the_line_after_skipped_lines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# c\r\npixel_id,scan_index,position_um,counts\r\n\r\n"
+                    "a,0,0.0,5\r\n# d\r\na,1,1.0,-6\r\n")
+    with pytest.raises(SeriesFormatError, match=r"bad.csv:6: negative counts$"):
+        read_pixel_series(path)
+
+
+# ---------------------------------------- bulk reader against the oracle
+
+# Whitespace that Python's strip, int and float and numpy's parsers all take.
+PADS = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", " \t"])
+EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+# An id that starts with "#" makes its row a comment: comment_lines covers that.
+PIXEL_IDS = st.text(alphabet='ab1 ,"#x', max_size=5).map(str.strip).filter(
+    lambda pixel_id: not pixel_id.startswith("#"))
+COMMENT_TEXT = st.text(alphabet="ab ,#\t'\x1c", max_size=8)
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def maybe_quoted(draw, text):
+    """``text`` padded, or quoted with padding inside and after the quotes."""
+    if draw(st.booleans()):
+        return quoted(draw(PADS) + text + draw(PADS)) + draw(PADS)
+    return draw(PADS) + text + draw(PADS)
+
+
+@st.composite
+def id_fields(draw, pixel_id):
+    if "," in pixel_id or pixel_id.startswith('"') or draw(st.booleans()):
+        return quoted(draw(PADS) + pixel_id + draw(PADS)) + draw(PADS)
+    return draw(PADS) + pixel_id + draw(PADS)
+
+
+@st.composite
+def int_fields(draw, value):
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(value))
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    return maybe_quoted(draw, sign + digits)
+
+
+@st.composite
+def float_fields(draw, value):
+    # "g" rounds to 6 digits, so it can break equidistance
+    text = draw(st.sampled_from([repr(value), repr(value), f"{value:.17e}", f"{value:.17G}",
+                                 f"{value:g}"]))
+    if text.startswith("0."):
+        text = draw(st.sampled_from([text, text[1:]]))
+    if not text.startswith("-"):
+        text = draw(st.sampled_from(["", "+"])) + text
+    return maybe_quoted(draw, text)
+
+
+@st.composite
+def header_lines(draw):
+    return ",".join(maybe_quoted(draw, name) for name in SERIES_COLUMNS)
+
+
+@st.composite
+def comment_lines(draw):
+    first = draw(PADS) + "#" + draw(COMMENT_TEXT)
+    if draw(st.booleans()):
+        first = quoted(first)
+    rest = draw(st.lists(st.one_of(COMMENT_TEXT, COMMENT_TEXT.map(quoted)), max_size=2))
+    return ",".join([first] + rest)
+
+
+# Ways a data row can break; the reader must name each one as the oracle does.
+BREAKS = (
+    "missing column", "extra column", "word", "float index", "empty field",
+    "nan position", "inf position", "nan counts", "-inf counts", "negative counts",
+    "index skips", "index repeats", "step jitter", "step back", "blank-looking line",
+)
+
+
+@st.composite
+def series_files(draw):
+    """Scan-series text in the layouts the format allows: interleaved pixels,
+    comments anywhere, repeated and padded headers, blank lines, mixed line
+    endings, quoted ids with commas, padded, signed and exponent numbers.
+    Most files are valid; the rest break in one of ``BREAKS`` or hold no data.
+    """
+    ids = draw(st.lists(PIXEL_IDS, min_size=1, max_size=3, unique=True))
+    sizes = [draw(st.sampled_from([1, 2, 2, 3, 4, 5])) for _ in ids]
+    pixel_order = draw(st.permutations([k for k, n in enumerate(sizes) for _ in range(n)]))
+    starts = [draw(st.sampled_from([0.0, 370.0, -2.5, 1e3, 0.1])) for _ in ids]
+    steps = [draw(st.sampled_from([1.0, 0.5, 2.0, 0.1, 3e-7])) for _ in ids]
+    rows, seen = [], [0] * len(ids)
+    for k in pixel_order:
+        j = seen[k]
+        seen[k] += 1
+        counts = draw(st.one_of(st.integers(0, 10**6).map(float),
+                                st.floats(0.0, 1e9, allow_nan=False)))
+        rows.append([ids[k], j, starts[k] + j * steps[k], counts])
+    broken = draw(st.sampled_from((None,) * len(BREAKS) + BREAKS))
+    fields = [[draw(id_fields(pixel_id)), draw(int_fields(index)), draw(float_fields(position)),
+               draw(float_fields(counts))] for pixel_id, index, position, counts in rows]
+    r = draw(st.integers(0, len(rows) - 1))
+    pixel_id, index, position, counts = rows[r]
+    if broken == "missing column":
+        del fields[r][draw(st.integers(0, 3))]
+    elif broken == "extra column":
+        fields[r].insert(draw(st.integers(0, 4)), draw(float_fields(1.0)))
+    elif broken == "word":
+        fields[r][draw(st.integers(1, 3))] = draw(st.sampled_from(["x", "1.0.0", "0x10", "--1"]))
+    elif broken == "float index":
+        fields[r][1] = draw(st.sampled_from([f"{index}.0", f"{index}e0"]))
+    elif broken == "empty field":
+        fields[r][draw(st.integers(1, 3))] = draw(PADS)
+    elif broken in ("nan position", "inf position"):
+        fields[r][2] = draw(st.sampled_from(["nan", "NaN", "-nan"] if "nan" in broken
+                                            else ["inf", "-Infinity", "+inf", "1e999"]))
+    elif broken in ("nan counts", "-inf counts"):
+        fields[r][3] = "nan" if broken == "nan counts" else "-inf"
+    elif broken == "negative counts":
+        fields[r][3] = draw(float_fields(-draw(st.floats(1e-300, 1e6))))
+    elif broken == "index skips":
+        fields[r][1] = draw(int_fields(index + draw(st.integers(1, 3))))
+    elif broken == "index repeats":
+        fields[r][1] = draw(int_fields(index - 1))
+    elif broken == "step jitter":
+        fields[r][2] = draw(float_fields(position + draw(st.sampled_from([0.5, 1e-5, -0.25]))))
+    elif broken == "step back":
+        fields[r][2] = draw(float_fields(position - 10 * steps[ids.index(pixel_id)]))
+    lines = [",".join(row) for row in fields]
+    if broken == "blank-looking line":
+        lines.insert(r, draw(st.sampled_from([" ", "\t", "\xa0", '""', ",,,", "\x0c"])))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        lines = []  # no data rows
+    extras = draw(st.lists(st.one_of(comment_lines(), header_lines(), st.just("")), max_size=6))
+    for extra in extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    text = "".join(line + draw(EOLS) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def outcome(reader, path):
+    """What a reader makes of ``path``: ids, dtypes and bits, or the message."""
+    try:
+        series = reader(path)
+    except SeriesFormatError as exc:
+        return str(exc)
+    return [(pixel_id, p.dtype.str, p.tobytes(), c.dtype.str, c.tobytes())
+            for pixel_id, (p, c) in series.items()]
+
+
+def read_with_both(text, check):
+    """Call ``check(path, new outcome, oracle outcome)`` on ``text`` written out."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        check(path, outcome(read_pixel_series, path), outcome(read_pixel_series_oracle, path))
+
+
+def same(path, new, old):
+    assert new == old
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_files())
+def test_bulk_reader_matches_the_row_by_row_oracle(text):
+    read_with_both(text, same)
+
+
+# Inputs where the bulk reader deliberately differs from the oracle. Each
+# is rejected (``recover`` exits 2) where the oracle read it, or named
+# with another message.
+VALID = ["a,0,10.0,50\n", "a,1,11.0,60\n"]
+
+
+def edit_field(row, column, edit):
+    fields = VALID[row].rstrip("\n").split(",")
+    fields[column] = edit(fields[column])
+    return "".join(VALID[:row] + [",".join(fields) + "\n"] + VALID[row + 1:])
+
+
+# "1_0": int() and float() take digit-group underscores, numpy does not.
+UNDERSCORED_NUMBERS = st.builds(
+    lambda row, column: edit_field(row, column, lambda f: f"0_{f}" if column == 1
+                                   else f"{f[0]}_{f[1:]}"),
+    st.integers(0, 1), st.integers(1, 3),
+)
+# Digits of other scripts: int() and float() read them, numpy does not.
+UNICODE_DIGITS = st.builds(
+    lambda row, column, digits: edit_field(
+        row, column, lambda f: f.translate(str.maketrans("0123456789", digits))),
+    st.integers(0, 1), st.integers(1, 3),
+    st.sampled_from(["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९"]),
+)
+# A scan index past int64: the oracle calls it out of order, numpy cannot read it.
+HUGE_SCAN_INDEX = st.integers(2**63, 10**30).map(
+    lambda index: edit_field(1, 1, lambda f: str(index)))
+# ASCII separator controls: numpy strips them around a number, int() and
+# float() refuse them, and str.strip takes them off an id.
+SEPARATOR_CONTROLS = st.builds(
+    lambda row, column, control, before: edit_field(
+        row, column, lambda f: control + f if before else f + control),
+    st.integers(0, 1), st.integers(0, 3), st.sampled_from("\x1c\x1d\x1e\x1f"), st.booleans(),
+)
+# A quoted field that holds a line break, in a data row or a comment: csv
+# joins the lines, the bulk reader does not.
+LINE_BREAK_IN_QUOTES = st.sampled_from([
+    '"a\nb",0,10.0,50\n"a\nb",1,11.0,60\n',
+    'a,0,10.0,"50\n"\na,1,11.0,60\n',
+    '# note,"open\na,0,10.0,50\na,1,11.0,60\n"\n',
+    'a,0,10.0,50\na,1,11.0,60\n#,"x',
+])
+# A header name or a comment's '#' split by quotes, which csv joins back.
+QUOTE_SPLIT_NAMES = st.sampled_from([
+    '"pixel_"id,scan_index,position_um,counts\n' + "".join(VALID),
+    '""#x,1\n' + "".join(VALID),
+    '""#x,0,10.0,50\n""#x,1,11.0,60\n' + "".join(VALID),
+    '" "#x\n' + "".join(VALID),
+])
+DIFFERENCES = {
+    "underscored numbers": UNDERSCORED_NUMBERS,
+    "unicode digits": UNICODE_DIGITS,
+    "huge scan index": HUGE_SCAN_INDEX,
+    "separator controls": SEPARATOR_CONTROLS,
+    "line break in quotes": LINE_BREAK_IN_QUOTES,
+    "quote-split names": QUOTE_SPLIT_NAMES,
+}
+
+
+def rejected_with_exit_2(path, new, old):
+    assert isinstance(new, str), "the bulk reader must reject it"
+    assert new != old
+    config = path.with_name("exp.cfg")
+    config.write_text("[scan]\nseed = 1\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["recover", str(path), "--config", str(config)]) == 2
+    assert err.getvalue() == f"error: {new}\n"
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENCES))
+def test_named_differences_are_rejected_with_exit_2(name):
+    @settings(max_examples=25, deadline=None)
+    @given(DIFFERENCES[name])
+    def check(text):
+        read_with_both(text, rejected_with_exit_2)
+
+    check()
 
 
 # -------------------------------------------------------------------- SVG
