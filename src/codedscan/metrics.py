@@ -204,33 +204,59 @@ def _cell_profile(
     return build_profile(geometry, optics, grid_step_um, oversample)
 
 
-def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
-    config = cell.config
+def _run_cells(cells: list, pattern: Pattern) -> list:
+    """``CellResult`` of each of ``cells``, which share one config.
+
+    Cells that also pad the profile to one length (all of them, but for the
+    deepest patterning windows) are recovered in one ``recover_batch`` call;
+    its row i is ``recover`` of row i alone, so grouping leaves every result
+    as it would be for the cell by itself.
+    """
+    config = cells[0].config
     bit = config.bit_size_um
     profile = _cell_profile(
         config.geometry(pattern), config.optics(), config.grid_step_um, config.oversample
     )
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
-    probe = config.probe()
     s_true = truth_signal.unit_sum().values
     m = scan_point_count(config.scan_bits, bit, config.grid_step_um)
     n = len(truth_signal)
-    if cell.window_start is None:
-        starts = _window_starts(pattern, config)
-    else:
-        starts = (cell.window_start,)
-    # Pad the open region past the mask so the deepest start still fits.
-    profile = profile.extend_open(profile.index_of(max(starts) * bit) + m + n - 1)
-    criteria = SuccessCriteria(config.epsilon, config.position_margin_bits)
+    groups = {}  # padded profile length -> (padded profile, [(cell, its starts)])
+    for cell in cells:
+        if cell.window_start is None:
+            starts = _window_starts(pattern, config)
+        else:
+            starts = (cell.window_start,)
+        # Pad the open region past the mask so the deepest start still fits.
+        padded = profile.extend_open(profile.index_of(max(starts) * bit) + m + n - 1)
+        groups.setdefault(len(padded), (padded, []))[1].append((cell, starts))
+    results = {}
+    for padded, members in groups.values():
+        trials = [
+            _simulate_cell(cell, starts, padded, truth_signal, m) for cell, starts in members
+        ]
+        rows = [row for normalized, _, _ in trials for row in normalized]
+        recovered = iter(recover_batch(padded, rows, config.probe(), config.max_rounds))
+        for (cell, _), (normalized, p_stars, flat) in zip(members, trials):
+            results[cell.index] = _score_cell(
+                cell, pattern, s_true, p_stars, flat, [next(recovered) for _ in normalized]
+            )
+    return [results[cell.index] for cell in cells]
+
+
+def _simulate_cell(cell: SweepCell, starts, profile, truth_signal, m: int) -> tuple:
+    """``(normalized, p_stars, flat)``: the cell's normalized series with the
+    true offset of each, and the number of flat series left out."""
+    config = cell.config
     # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
     # series normalize by plain extrema.
     mode = "minmax" if math.isinf(cell.noise_level) else config.normalization
     normalized = []
     p_stars = []
-    flat = failed_nnls = 0
+    flat = 0
     for q in starts:
-        p_star = profile.index_of(q * bit)
-        matrix = build_coding_matrix(profile, p_star, m, n)
+        p_star = profile.index_of(q * config.bit_size_um)
+        matrix = build_coding_matrix(profile, p_star, m, len(truth_signal))
         for r in range(config.replicates):
             series = simulate(
                 matrix, truth_signal, cell.noise_level, (config.seed, cell.index, q, r)
@@ -241,15 +267,24 @@ def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
                 flat += 1
                 continue
             p_stars.append(p_star)
+    return normalized, p_stars, flat
+
+
+def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, flat: int, recovered):
+    """One cell's ``CellResult``: its recoveries, a result or a
+    ``NumericalFailureError`` per series, scored against ``s_true`` at the
+    true offsets ``p_stars``, with ``flat`` more trials scored as misses."""
+    config = cell.config
+    criteria = SuccessCriteria(config.epsilon, config.position_margin_bits)
     outcomes = [TrialOutcome(0, 0)] * flat
-    results = recover_batch(profile, normalized, probe, config.max_rounds)
-    for p_star, result in zip(p_stars, results):
+    failed_nnls = 0
+    for p_star, result in zip(p_stars, recovered):
         if isinstance(result, NumericalFailureError):
             failed_nnls += 1
             outcomes.append(TrialOutcome(0, 0))
         else:
             outcomes.append(
-                score(result, (p_star, s_true), criteria, bit, config.grid_step_um)
+                score(result, (p_star, s_true), criteria, config.bit_size_um, config.grid_step_um)
             )
     position, shape = msp(outcomes)
     k = len(outcomes)
@@ -264,11 +299,14 @@ def _run_cell(cell: SweepCell, pattern: Pattern) -> CellResult:
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
-    """MSP grid of the configured sweep kind, one cell per worker task.
+    """MSP grid of the configured sweep kind.
 
-    Trials are keyed by (seed, cell, window, replicate), so any execution
-    order reproduces the same numbers; merging in cell order keeps output
-    stable.
+    Cells that share a config (they differ only in noise level or scored
+    window) form one task, run by ``_run_cells``; with ``workers`` > 1 a
+    task is a contiguous slice of such cells, at most ``ceil(cells /
+    workers)`` of them. Trials are keyed by (seed, cell, window,
+    replicate), so any split or execution order reproduces the same
+    numbers; merging in cell order keeps output stable.
     """
     config.bit_size_um  # no sweep kind honours unequal [aperture] bit sizes
     _cell_profile.cache_clear()
@@ -276,13 +314,24 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     param_name, values, groups, replaced = _AXES[config.sweep_kind]
     param_values = tuple(values(config, pattern))
     cells = _cells(config, param_name, param_values, groups(config), replaced)
-    if workers <= 1 or len(cells) <= 1:
-        results = tuple(_run_cell(cell, pattern) for cell in cells)
+    by_config = {}
+    for cell in cells:
+        by_config.setdefault(cell.config, []).append(cell)
+    size = -(-len(cells) // max(workers, 1))
+    tasks = [
+        group[start : start + size]
+        for group in by_config.values()
+        for start in range(0, len(group), size)
+    ]
+    if workers <= 1 or len(tasks) <= 1:
+        done = [_run_cells(task, pattern) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(_run_cell, cells, [pattern] * len(cells)))
+            done = list(pool.map(_run_cells, tasks, [pattern] * len(tasks)))
+    results = sorted((r for task in done for r in task), key=lambda r: r.cell.index)
     return SweepResult(
-        config.sweep_kind, param_name, param_values, config.seed, config.replicates, results
+        config.sweep_kind, param_name, param_values, config.seed, config.replicates,
+        tuple(results),
     )
 
 

@@ -261,9 +261,9 @@ class _DataLines:
         self.separators = False
 
     def __iter__(self):
-        return chain.from_iterable(self._blocks())
+        return chain.from_iterable(self.blocks())
 
-    def _blocks(self):
+    def blocks(self):
         while block := self._handle.readlines(self.BLOCK_CHARS):
             first = self.count + 1
             self.count += len(block)
@@ -366,17 +366,43 @@ def _line_problem(line):
 
 def _reject(path):
     """Raise the message of the first bad line of a file the bulk parse
-    rejected; the rows before that line are checked first."""
-    good = []
+    rejected; the rows before that line are checked first.
+
+    Each block of data lines is parsed in one call. Only the first block
+    that fails is checked line by line, and so is every block that holds
+    a quote or one of ``_SEPARATORS``: numpy may read those without error
+    where ``_line_problem`` names the line.
+    """
+    tables = []
+    index = 0  # data lines before the current block
+    problem = None
     with open(path, encoding="utf-8", newline="") as handle:
         lines = _DataLines(handle)
-        for index, line in enumerate(lines):
-            problem = _line_problem(line)
+        for block in lines.blocks():
+            if not block:
+                continue
+            text = "".join(block)
+            table = None
+            if '"' not in text and not any(c in text for c in _SEPARATORS):
+                try:
+                    table = _parse(block)
+                except ValueError:
+                    pass
+            if table is None:
+                for bad, line in enumerate(block):
+                    problem = _line_problem(line)
+                    if problem is not None:
+                        break
+                good = block[:bad] if problem is not None else block
+                table = _parse(good) if good else None
+            if table is not None:
+                tables.append(table)
             if problem is not None:
+                index += bad
                 break
-            good.append(line)
-    if good:
-        table = _parse(good)
+            index += len(block)
+    if tables:
+        table = np.concatenate(tables)
         _check_rows(path, table, *_group(table["pixel_id"]), lines.line_of)
     raise SeriesFormatError(f"{path}:{lines.line_of(index)}: {problem}")
 

@@ -203,7 +203,7 @@ def test_missing_attenuation_entry_is_an_error(monkeypatch):
     # ... and stops the run before any cell, the 10 keV ones included.
     import codedscan.metrics as metrics_module
 
-    monkeypatch.setattr(metrics_module, "_run_cell", None)  # any call would fail
+    monkeypatch.setattr(metrics_module, "_run_cells", None)  # any call would fail
     cfg = ExperimentConfig(sweep_kind="bsr", energies_kev=(10.0, 7.0), bsr_values=(1.0,))
     with pytest.raises(ValueError, match="7 keV"):
         run_sweep(cfg)
@@ -334,10 +334,13 @@ def test_flat_series_and_nnls_failures_are_counted_apart(monkeypatch):
     cell = run_sweep(cfg).cells[1]
     assert (cell.flat, cell.failed_nnls, cell.failures) == (1, 0, 1)
     real = metrics_module.recover_batch
+    cell_1_rows = cell.k - cell.flat  # the last rows of the batch both cells share
 
     def first_fails(profile, normalized, *args):
         results = real(profile, normalized, *args)
-        return [NumericalFailureError("no convergence", None)] + results[1:]
+        first = len(normalized) - cell_1_rows
+        return results[:first] + [NumericalFailureError("no convergence", None)] \
+            + results[first + 1:]
 
     monkeypatch.setattr(metrics_module, "recover_batch", first_fails)
     cell = run_sweep(cfg).cells[1]
@@ -375,9 +378,63 @@ def test_monotone_noise_invariant():
 
 
 def test_worker_count_does_not_change_results():
-    cfg = ExperimentConfig(sweep_kind="patterning", seed=5, replicates=2, position_stride=32,
-                      bit_size_zero_um=5.0, bit_size_one_um=5.0, noise_levels=(20.0,))
-    assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=3)
+    # Window 248 pads the profile: 16 cells in one group, 2 in another. Two
+    # and three workers slice the 18 cells 9 + 9 and 6 + 6 + 6.
+    cfg = ExperimentConfig(sweep_kind="patterning", seed=5, replicates=2, position_stride=31,
+                           bit_size_zero_um=5.0, bit_size_one_um=5.0,
+                           noise_levels=(20.0, 100.0))
+    serial = run_sweep(cfg, workers=1)
+    assert len(serial.cells) == 18
+    for workers in (2, 3):
+        assert run_sweep(cfg, workers=workers) == serial
+
+
+def count_recover_batch_calls(monkeypatch):
+    """(profile length, rows) of each ``recover_batch`` call a sweep makes."""
+    import codedscan.metrics as metrics_module
+
+    calls = []
+    real = metrics_module.recover_batch
+
+    def counting(profile, rows, *args):
+        calls.append((len(profile), len(rows)))
+        return real(profile, rows, *args)
+
+    monkeypatch.setattr(metrics_module, "recover_batch", counting)
+    return calls
+
+
+def test_quick_patterning_grid_recovers_once_per_group(monkeypatch):
+    # The 126 cells (63 windows x 2 noise levels) share one config; only the
+    # last window, 248, pads the 2,564-cell profile, so its 2 cells form the
+    # second group.
+    calls = count_recover_batch_calls(monkeypatch)
+    cfg = ExperimentConfig(sweep_kind="patterning", energy_kev=30.0, incidence_angle_deg=20.0,
+                           replicates=5, position_stride=4)
+    cells = run_sweep(cfg).cells
+    assert len(cells) == 126
+    assert [length for length, _ in calls] == [2564, 2574]
+    assert calls[1][1] == sum(c.k - c.flat for c in cells[-2:])
+    assert sum(rows for _, rows in calls) == sum(c.k - c.flat for c in cells)
+
+
+@pytest.mark.parametrize("cfg, groups", [
+    (ExperimentConfig(sweep_kind="patterning", seed=4, replicates=2, position_stride=31,
+                      noise_levels=(20.0, 100.0)), 2),
+    (ExperimentConfig(sweep_kind="bsr", seed=4, replicates=1, position_stride=16,
+                      bsr_values=(0.5, 1.0), energies_kev=(10.0,),
+                      noise_levels=(10.0, 100.0)), 2),
+])
+def test_grouped_cells_equal_each_cell_recovered_alone(monkeypatch, cfg, groups):
+    # The patterning run's last window pads the profile; each bsr group
+    # holds one bsr value's two noise levels.
+    import codedscan.metrics as metrics_module
+
+    calls = count_recover_batch_calls(monkeypatch)
+    grouped = run_sweep(cfg).cells
+    assert len(calls) == groups < len(grouped)
+    pattern = generate_de_bruijn(cfg.pattern_order)
+    assert grouped == tuple(metrics_module._run_cells([c.cell], pattern)[0] for c in grouped)
 
 
 def test_scan_length_trend_more_bits_help():

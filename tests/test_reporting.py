@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codedscan import reporting
 from codedscan.cli import main
 from codedscan.config import ExperimentConfig
 from codedscan.metrics import CellResult, SweepCell, SweepResult
@@ -514,6 +515,73 @@ def test_named_differences_are_rejected_with_exit_2(name):
         read_with_both(text, rejected_with_exit_2)
 
     check()
+
+
+# ------------------------------------------------- rejection block by block
+
+
+def long_series(pixels=40, samples=75):
+    return "pixel_id,scan_index,position_um,counts\n" + "".join(
+        f"p{k},{j},{j}.0,{k + j}\n" for k in range(pixels) for j in range(samples))
+
+
+def with_line(text, number, line):
+    """``text`` with its 1-based line ``number`` replaced by ``line``."""
+    lines = text.splitlines(keepends=True)
+    lines[number - 1] = line + "\n"
+    return "".join(lines)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of about 60 lines, so a short file spans many of them."""
+    monkeypatch.setattr(reporting._DataLines, "BLOCK_CHARS", 1 << 10)
+
+
+def test_rejection_parses_whole_blocks(tmp_path, small_blocks, monkeypatch):
+    # A bad last line costs one parse per block, plus the line-by-line
+    # check of the block that holds it: not one parse per line.
+    path = tmp_path / "bad.csv"
+    path.write_text(long_series() + "p0,75,75.0,1,2\n")
+    with open(path, encoding="utf-8", newline="") as handle:
+        blocks = list(reporting._DataLines(handle).blocks())
+    calls = []
+    real = reporting._parse
+
+    def counting(lines, *args, **kwargs):
+        calls.append(1)
+        return real(lines, *args, **kwargs)
+
+    monkeypatch.setattr(reporting, "_parse", counting)
+    with pytest.raises(SeriesFormatError, match=r"bad.csv:3002: expected 4 columns, got 5$"):
+        read_pixel_series(path)
+    assert len(blocks) > 10
+    # the bulk parse, one per block, one per line of the last block (the bad
+    # line twice, to count its columns) and one for that block's good lines
+    assert len(calls) == 1 + len(blocks) + len(blocks[-1]) + 2
+    assert len(calls) < 3002 / 10
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the bad line sits mid-file, with valid blocks after it
+    ([(1500, "p19,74,74.0")], "1500: expected 4 columns, got 3"),
+    # a bad number in an earlier block is named before the bad line
+    ([(200, "p2,48,48.0,-1"), (2500, "p33,23,x,1")], "200: negative counts"),
+    # blocks with a quote are checked line by line and pass
+    ([(100, '"p1",23,23.0,24'), (2000, "p26,48")], "2000: expected 4 columns, got 2"),
+    ([(900, "p11,73,73.0,\x1c84")], "900: ASCII separator control character"),
+    ([(700, 'p9,23,23.0,"32'), (701, "p9,24,24.0,33")], "700: unclosed quote"),
+    ([(800, '""#x,0,10.0,50')], "800: comment line with bad quoting"),
+])
+def test_rejection_names_the_line_across_blocks(tmp_path, monkeypatch, edits, message):
+    text = long_series()
+    for number, line in edits:
+        text = with_line(text, number, line)
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    one_block = outcome(read_pixel_series, path)
+    monkeypatch.setattr(reporting._DataLines, "BLOCK_CHARS", 1 << 10)
+    assert outcome(read_pixel_series, path) == one_block == f"{path}:{message}"
 
 
 # -------------------------------------------------------------------- SVG
