@@ -21,6 +21,7 @@ from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
 from .recovery import FlatSeriesError, normalize, recover, recover_batch  # noqa: F401
 from .reporting import (
+    POSITION_TOLERANCE_UM,
     RecoveryRow,
     SeriesFormatError,
     read_pixel_series,
@@ -113,8 +114,10 @@ def run_sweep_command(args) -> int:
             f"noise={_noise_text(c.noise_level)}: position {cell.msp_position:.2f}% "
             f"shape {cell.msp_shape:.2f}% (k={cell.k}, se {cell.stderr:.2f})"
         )
-        if cell.failures:
-            line += f", {cell.failures} failed"
+        if cell.flat:
+            line += f", {cell.flat} flat"
+        if cell.failed_nnls:
+            line += f", {cell.failed_nnls} unconverged"
         print(line)
         flat += cell.flat
         failed_nnls += cell.failed_nnls
@@ -175,7 +178,7 @@ def run_recover_command(args) -> int:
     for pixel_id in sorted(series):
         positions, counts = series[pixel_id]
         step = float(positions[1] - positions[0])
-        if abs(step - cfg.grid_step_um) > 1e-6:
+        if abs(step - cfg.grid_step_um) > POSITION_TOLERANCE_UM:
             raise ConfigError(
                 f"pixel {pixel_id}: scan step {step:g} um does not match "
                 f"grid_step_um {cfg.grid_step_um:g}"

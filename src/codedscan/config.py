@@ -18,30 +18,57 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; messages carry [section] key context."""
 
 
-_VALID_KEYS = {
-    "aperture": ("pattern_order", "bit_size_zero_um", "bit_size_one_um", "thickness_um"),
-    "optics": ("mu_per_um", "energy_kev", "mu_table", "incidence_angle_deg"),
-    "signal": ("width_um", "template"),
-    "scan": ("grid_step_um", "scan_bits", "noise_levels", "seed", "oversample",
-             "normalization"),
-    "sweep": ("kind", "bsr_values", "scan_bits_values", "aspect_values",
-              "angles_deg", "energies_kev", "replicates", "position_stride"),
-    "criteria": ("epsilon", "position_margin_bits"),
-    "recover": ("max_rounds",),
-    "output": ("csv",),
-}
-
-
 TEMPLATES = ("gaussian", "boxcar")
 NORMALIZATIONS = ("corrected", "minmax")
-_TUPLE_FIELDS = (
-    "noise_levels",
-    "bsr_values",
-    "scan_bits_values",
-    "aspect_values",
-    "angles_deg",
-    "energies_kev",
-)
+
+
+def _at_least(minimum):
+    return f"must be >= {minimum:g}", lambda value: value >= minimum
+
+
+def _one_of(choices):
+    return f"expected one of {', '.join(choices)}", lambda value: value in choices
+
+
+_POSITIVE = ("must be positive", lambda value: value > 0)
+_ANGLE = (_at_least(0), ("must be < 90", lambda value: value < 90))
+
+# Per [section] key, in ExperimentConfig field order: the field it sets, how
+# its text parses (int, float, text, floats: a comma-separated list,
+# floats_inf: one where inf means noiseless, or path: a load_mu_table file
+# relative to the config) and the field's bound, (words, test) checks that
+# the value, or each value of a list, must pass in order. None passes where
+# it is the default.
+_KEYS = {
+    ("aperture", "pattern_order"): ("pattern_order", "int", (_at_least(1),)),
+    ("aperture", "bit_size_zero_um"): ("bit_size_zero_um", "float", (_POSITIVE,)),
+    ("aperture", "bit_size_one_um"): ("bit_size_one_um", "float", (_POSITIVE,)),
+    ("aperture", "thickness_um"): ("thickness_um", "float", (_POSITIVE,)),
+    ("optics", "mu_per_um"): ("mu_per_um", "float", (_at_least(0),)),
+    ("optics", "energy_kev"): ("energy_kev", "float", (_POSITIVE,)),
+    ("optics", "mu_table"): ("mu_table", "path", ()),
+    ("optics", "incidence_angle_deg"): ("incidence_angle_deg", "float", _ANGLE),
+    ("signal", "width_um"): ("signal_width_um", "float", (_POSITIVE,)),
+    ("signal", "template"): ("template", "text", (_one_of(TEMPLATES),)),
+    ("scan", "grid_step_um"): ("grid_step_um", "float", (_POSITIVE,)),
+    ("scan", "scan_bits"): ("scan_bits", "float", (_at_least(1),)),
+    ("scan", "noise_levels"): ("noise_levels", "floats_inf", (_POSITIVE,)),
+    ("scan", "seed"): ("seed", "int", (_at_least(0),)),
+    ("scan", "oversample"): ("oversample", "int", (_at_least(1),)),
+    ("scan", "normalization"): ("normalization", "text", (_one_of(NORMALIZATIONS),)),
+    ("sweep", "kind"): ("sweep_kind", "text", (_one_of(SWEEP_KINDS),)),
+    ("sweep", "bsr_values"): ("bsr_values", "floats", (_POSITIVE,)),
+    ("sweep", "scan_bits_values"): ("scan_bits_values", "floats", (_POSITIVE, _at_least(1))),
+    ("sweep", "aspect_values"): ("aspect_values", "floats", (_POSITIVE,)),
+    ("sweep", "angles_deg"): ("angles_deg", "floats", _ANGLE),
+    ("sweep", "energies_kev"): ("energies_kev", "floats", (_POSITIVE,)),
+    ("sweep", "replicates"): ("replicates", "int", (_at_least(1),)),
+    ("sweep", "position_stride"): ("position_stride", "int", (_at_least(1),)),
+    ("criteria", "epsilon"): ("epsilon", "float", (_POSITIVE,)),
+    ("criteria", "position_margin_bits"): ("position_margin_bits", "float", (_at_least(0),)),
+    ("recover", "max_rounds"): ("max_rounds", "int", (_at_least(1),)),
+    ("output", "csv"): ("out_csv", "text", ()),
+}
 
 
 @dataclass(frozen=True)
@@ -87,33 +114,15 @@ class ExperimentConfig:
     out_csv: str | None = None
 
     def __post_init__(self):
-        if self.sweep_kind not in SWEEP_KINDS:
-            raise ValueError(f"sweep_kind must be one of {SWEEP_KINDS}, got {self.sweep_kind!r}")
-        if self.template not in TEMPLATES:
-            raise ValueError(f"unknown template {self.template!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.position_stride < 1:
-            raise ValueError("position_stride must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if min(self.bit_size_zero_um, self.bit_size_one_um) < self.grid_step_um:
-            raise ValueError(f"a bit size is below the grid step of {self.grid_step_um:g} um")
-        if self.scan_bits < 1:
-            raise ValueError(f"scan length of {self.scan_bits:g} bits is below one bit")
-        if not 0 <= self.incidence_angle_deg < 90:
-            raise ValueError(f"incidence angle {self.incidence_angle_deg:g} outside [0, 90)")
-        if not self.thickness_um > 0:
-            raise ValueError(f"bar thickness must be positive, got {self.thickness_um:g} um")
-        for name in _TUPLE_FIELDS:
-            value = tuple(getattr(self, name))
-            if not value:
-                raise ValueError(f"{name} must not be empty")
-            object.__setattr__(self, name, value)
         table = self.mu_table or load_mu_table(default_mu_table_path())
         object.__setattr__(self, "mu_table", tuple((float(e), float(m)) for e, m in table))
+        for (section, key), (name, parse, bound) in _KEYS.items():
+            if parse in ("floats", "floats_inf"):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            if getattr(self, name) is not None or getattr(ExperimentConfig, name) is not None:
+                _check(getattr(self, name), bound, f"[{section}] {key}")
+        if min(self.bit_size_zero_um, self.bit_size_one_um) < self.grid_step_um:
+            raise ConfigError(f"a bit size is below the grid step of {self.grid_step_um:g} um")
 
     def geometry(self, pattern: Pattern) -> ApertureGeometry:
         return ApertureGeometry(
@@ -174,12 +183,13 @@ def load_mu_table(path) -> tuple:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except configparser.Error as exc:
+        if not parser.has_section("attenuation"):
+            raise ConfigError(f"attenuation table {path}: missing [attenuation] section")
+        items = parser.items("attenuation")
+    except configparser.Error as exc:  # a malformed file or a bad '%' interpolation
         raise ConfigError(f"attenuation table {path}: {exc}") from exc
-    if not parser.has_section("attenuation"):
-        raise ConfigError(f"attenuation table {path}: missing [attenuation] section")
     entries = []
-    for key, raw in parser.items("attenuation"):
+    for key, raw in items:
         try:
             energy, mu = float(key), float(raw)
         except ValueError:
@@ -194,131 +204,62 @@ def load_mu_table(path) -> tuple:
     return tuple(sorted(entries))
 
 
-class _Reader:
-    """Typed accessors over one parsed file with [section] key diagnostics.
+def _check(value, bound, where: str):
+    """Raise a ConfigError, prefixed ``where``, if ``value`` breaks ``bound``."""
+    if value == ():
+        raise ConfigError(f"{where}: empty list")
+    for words, holds in bound:
+        if isinstance(value, tuple):
+            if not all(map(holds, value)):
+                raise ConfigError(f"{where}: all values {words}")
+        elif not holds(value):
+            shown = f"{value:g}" if isinstance(value, float) else repr(value)
+            raise ConfigError(f"{where}: {words}, got {shown}")
 
-    Each returns None for a key the file does not set.
-    """
 
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-
-    def _raw(self, section, key):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        return None
-
-    def string(self, section, key, choices=None):
-        raw = self._raw(section, key)
-        if raw is not None and choices is not None and raw not in choices:
-            raise ConfigError(
-                f"[{section}] {key}: expected one of {', '.join(choices)}, got {raw!r}"
-            )
-        return raw
-
-    def number(self, section, key, minimum=None, positive=False):
-        raw = self._raw(section, key)
-        if raw is None:
-            return None
+def _parse(text, parse):
+    """The value ``text`` spells as a ``parse`` key; ValueError says why not."""
+    if parse == "text":
+        return text
+    number, kind = (int, "an integer") if parse == "int" else (float, "a number")
+    listed = parse in ("floats", "floats_inf")
+    parts = [p for p in map(str.strip, text.split(",")) if p] if listed else [text]
+    values = []
+    for part in parts:
         try:
-            value = float(raw)
+            values.append(number(part))
         except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
-        self._check_range(section, key, value, minimum, positive)
-        return value
-
-    def integer(self, section, key, minimum=None):
-        raw = self._raw(section, key)
-        if raw is None:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"[{section}] {key}: must be >= {minimum}, got {value}")
-        return value
-
-    def numbers(self, section, key, positive=False, allow_inf=False):
-        raw = self._raw(section, key)
-        if raw is None:
-            return None
-        parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-        if not parts:
-            raise ConfigError(f"[{section}] {key}: empty list")
-        values = []
-        for part in parts:
-            try:
-                values.append(float(part))
-            except ValueError:
-                raise ConfigError(f"[{section}] {key}: not a number: {part!r}") from None
-            if math.isnan(values[-1]) or (math.isinf(values[-1]) and not allow_inf):
-                raise ConfigError(f"[{section}] {key}: must be finite, got {part!r}")
-        if positive and any(v <= 0 for v in values):
-            raise ConfigError(f"[{section}] {key}: all values must be positive")
-        return tuple(values)
-
-    @staticmethod
-    def _check_range(section, key, value, minimum, positive):
-        if positive and not value > 0:
-            raise ConfigError(f"[{section}] {key}: must be positive, got {value:g}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"[{section}] {key}: must be >= {minimum:g}, got {value:g}")
+            raise ValueError(f"not {kind}: {part!r}") from None
+        if math.isnan(values[-1]) or (math.isinf(values[-1]) and parse != "floats_inf"):
+            raise ValueError(f"must be finite, got {part!r}")
+    return tuple(values) if listed else values[0]
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment file; unknown keys are errors."""
+    """Parse an experiment file; unknown keys are errors, left-out keys keep
+    the ExperimentConfig defaults."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    given = {}
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except configparser.Error as exc:
+        for section in parser.sections():
+            if not any(section == known for known, _ in _KEYS):
+                raise ConfigError(f"[{section}]: unknown section")
+            for key, text in parser.items(section):
+                if (section, key) not in _KEYS:
+                    raise ConfigError(f"[{section}] {key}: unknown key")
+                name, parse, _ = _KEYS[section, key]
+                if parse == "path":
+                    given[name] = load_mu_table(path.parent / text.strip())
+                    continue
+                try:
+                    given[name] = _parse(text.strip(), parse)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
+    except configparser.Error as exc:  # a malformed file or a bad '%' interpolation
         raise ConfigError(f"{path}: {exc}") from exc
-
-    for section in parser.sections():
-        if section not in _VALID_KEYS:
-            raise ConfigError(f"[{section}]: unknown section")
-        for key, _ in parser.items(section):
-            if key not in _VALID_KEYS[section]:
-                raise ConfigError(f"[{section}] {key}: unknown key")
-
-    r = _Reader(parser)
-    mu_table_path = r.string("optics", "mu_table")
-    given = dict(
-        pattern_order=r.integer("aperture", "pattern_order", minimum=1),
-        bit_size_zero_um=r.number("aperture", "bit_size_zero_um", positive=True),
-        bit_size_one_um=r.number("aperture", "bit_size_one_um", positive=True),
-        thickness_um=r.number("aperture", "thickness_um", positive=True),
-        mu_per_um=r.number("optics", "mu_per_um", minimum=0.0),
-        energy_kev=r.number("optics", "energy_kev", positive=True),
-        mu_table=None if mu_table_path is None else load_mu_table(path.parent / mu_table_path),
-        incidence_angle_deg=r.number("optics", "incidence_angle_deg", minimum=0.0),
-        signal_width_um=r.number("signal", "width_um", positive=True),
-        template=r.string("signal", "template", choices=TEMPLATES),
-        grid_step_um=r.number("scan", "grid_step_um", positive=True),
-        scan_bits=r.number("scan", "scan_bits", minimum=1.0),
-        # inf is the documented spelling of noiseless (exact intensities)
-        noise_levels=r.numbers("scan", "noise_levels", positive=True, allow_inf=True),
-        seed=r.integer("scan", "seed", minimum=0),
-        oversample=r.integer("scan", "oversample", minimum=1),
-        normalization=r.string("scan", "normalization", choices=NORMALIZATIONS),
-        sweep_kind=r.string("sweep", "kind", choices=SWEEP_KINDS),
-        bsr_values=r.numbers("sweep", "bsr_values", positive=True),
-        scan_bits_values=r.numbers("sweep", "scan_bits_values", positive=True),
-        aspect_values=r.numbers("sweep", "aspect_values", positive=True),
-        angles_deg=r.numbers("sweep", "angles_deg"),
-        energies_kev=r.numbers("sweep", "energies_kev", positive=True),
-        replicates=r.integer("sweep", "replicates", minimum=1),
-        position_stride=r.integer("sweep", "position_stride", minimum=1),
-        epsilon=r.number("criteria", "epsilon", positive=True),
-        position_margin_bits=r.number("criteria", "position_margin_bits", minimum=0.0),
-        max_rounds=r.integer("recover", "max_rounds", minimum=1),
-        out_csv=r.string("output", "csv"),
-    )
-    # Keys the file leaves out keep the ExperimentConfig defaults.
-    return ExperimentConfig(**{key: value for key, value in given.items() if value is not None})
+    return ExperimentConfig(**given)

@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .aperture import ApertureGeometry, OpticalContext, build_profile
+from .aperture import build_profile
 from .codes import Pattern, generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
@@ -194,16 +193,6 @@ def _cells(config: ExperimentConfig, param_name: str, values, groups, replaced) 
     return cells
 
 
-@lru_cache(maxsize=8)
-def _cell_profile(
-    geometry: ApertureGeometry, optics: OpticalContext, grid_step_um: float, oversample: int
-):
-    """Unpadded profile of a sweep cell's aperture; cells that differ only
-    in noise level or scored window share it. ``run_sweep`` empties the memo.
-    """
-    return build_profile(geometry, optics, grid_step_um, oversample)
-
-
 def _run_cells(cells: list, pattern: Pattern) -> list:
     """``CellResult`` of each of ``cells``, which share one config.
 
@@ -214,7 +203,7 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
     """
     config = cells[0].config
     bit = config.bit_size_um
-    profile = _cell_profile(
+    profile = build_profile(
         config.geometry(pattern), config.optics(), config.grid_step_um, config.oversample
     )
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
@@ -309,7 +298,6 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     numbers; merging in cell order keeps output stable.
     """
     config.bit_size_um  # no sweep kind honours unequal [aperture] bit sizes
-    _cell_profile.cache_clear()
     pattern = generate_de_bruijn(config.pattern_order)
     param_name, values, groups, replaced = _AXES[config.sweep_kind]
     param_values = tuple(values(config, pattern))

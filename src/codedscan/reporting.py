@@ -368,10 +368,10 @@ def _reject(path):
     """Raise the message of the first bad line of a file the bulk parse
     rejected; the rows before that line are checked first.
 
-    Each block of data lines is parsed in one call. Only the first block
-    that fails is checked line by line, and so is every block that holds
-    a quote or one of ``_SEPARATORS``: numpy may read those without error
-    where ``_line_problem`` names the line.
+    Each block of data lines is parsed in one call. A block is checked line
+    by line only where ``read_pixel_series`` would reject its table: the
+    call fails, it joins lines (an unclosed quote), an id holds a line
+    break or starts with ``#``, or the block holds one of ``_SEPARATORS``.
     """
     tables = []
     index = 0  # data lines before the current block
@@ -382,13 +382,17 @@ def _reject(path):
             if not block:
                 continue
             text = "".join(block)
-            table = None
-            if '"' not in text and not any(c in text for c in _SEPARATORS):
-                try:
-                    table = _parse(block)
-                except ValueError:
-                    pass
-            if table is None:
+            try:
+                table = _parse(block)
+            except ValueError:
+                table = None
+            if (
+                table is None
+                or len(table) < len(block)
+                or any(c in text for c in _SEPARATORS)
+                or any("\n" in i or "\r" in i or i.lstrip().startswith("#")
+                       for i in set(table["pixel_id"]))
+            ):
                 for bad, line in enumerate(block):
                     problem = _line_problem(line)
                     if problem is not None:

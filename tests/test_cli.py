@@ -219,6 +219,40 @@ def test_recover_without_truncation_runs_with_unequal_bit_sizes(tmp_path, capsys
     assert recovered_positions(out)["010"][0] == "ok"
 
 
+def test_sweep_cell_lines_count_flat_and_unconverged_trials(tmp_path, capsys, monkeypatch):
+    import codedscan.metrics as metrics_module
+    from codedscan.nnls import NumericalFailureError
+
+    real = metrics_module.recover_batch
+
+    def last_fails(profile, normalized, *args):
+        results = real(profile, normalized, *args)
+        return results[:-1] + [NumericalFailureError("no convergence", None)]
+
+    monkeypatch.setattr(metrics_module, "recover_batch", last_fails)
+    # The golden scan_length case: each 4-bit cell has one flat series, and
+    # the last row of their shared batch belongs to the noise-100 cell.
+    cfg = write_cfg(tmp_path, """
+[scan]
+seed = 7
+noise_levels = 10, 100
+
+[sweep]
+kind = scan_length
+scan_bits_values = 4
+energies_kev = 10
+replicates = 2
+position_stride = 32
+""")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("(k=16, se 12.50), 1 flat")
+    assert lines[1].endswith("(k=16, se 12.50), 1 flat, 1 unconverged")
+    assert lines[2] == (
+        "warning: 3 trials scored as misses: 2 flat series, 1 unconverged NNLS solves"
+    )
+
+
 def test_sweep_rejects_bad_config_with_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[sweep]\nkind = resolution\n")
     assert main(["sweep", "--config", str(cfg)]) == 2

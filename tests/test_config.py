@@ -1,11 +1,20 @@
 """Experiment-file parsing, validation diagnostics, and defaults."""
 
+import contextlib
+import io
 import math
-from dataclasses import replace
+import re
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from codedscan.cli import main
 from codedscan.config import (
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     default_mu_table_path,
@@ -126,6 +135,14 @@ def test_type_errors_carry_section_and_key(tmp_path):
         load_config(write(tmp_path, "[scan]\nnoise_levels = 10, soft\n"))
 
 
+def test_bad_interpolation_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="exp.cfg: '%' must be followed by"):
+        load_config(write(tmp_path, "[output]\ncsv = run%.csv\n"))
+    write(tmp_path, "[attenuation]\n10 = 0.2%\n", name="mu.cfg")
+    with pytest.raises(ConfigError, match="attenuation table .*mu.cfg: '%' must be followed by"):
+        load_config(write(tmp_path, "[optics]\nmu_table = mu.cfg\n"))
+
+
 def test_choice_and_range_validation(tmp_path):
     with pytest.raises(ConfigError, match=r"\[sweep\] kind"):
         load_config(write(tmp_path, "[sweep]\nkind = resolution\n"))
@@ -231,15 +248,51 @@ incidence_angle_deg = 2.7
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("incidence_angle_deg", 90.0, r"angle 90 outside \[0, 90\)"),
+    ("incidence_angle_deg", 90.0, "[optics] incidence_angle_deg: must be < 90, got 90"),
     ("bit_size_one_um", 0.5, "below the grid step"),
-    ("scan_bits", 0.5, "below one bit"),
-    ("thickness_um", 0.0, "thickness must be positive"),
+    ("scan_bits", 0.5, "[scan] scan_bits: must be >= 1, got 0.5"),
+    ("thickness_um", 0.0, "[aperture] thickness_um: must be positive, got 0"),
 ])
 def test_replaced_configs_keep_the_range_checks(field, value, message):
     # Sweep cells are replaced copies, so the checks hold for each of them.
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         replace(ExperimentConfig(), **{field: value})
+
+
+def test_every_field_has_one_key():
+    assert [name for name, _, _ in _KEYS.values()] == [f.name for f in fields(ExperimentConfig)]
+
+
+@st.composite
+def out_of_bounds_keys(draw):
+    """``(section, key, text)``: one bounded key set to values that break its bound."""
+    section, key = draw(st.sampled_from(sorted(where for where, entry in _KEYS.items()
+                                               if entry[2])))
+    _, parse, bound = _KEYS[section, key]
+    if parse == "text":
+        values = [draw(st.from_regex(r"[a-z_]{1,12}", fullmatch=True))]
+    else:
+        number = (st.integers(-10**9, 10**9) if parse == "int"
+                  else st.floats(allow_nan=False, allow_infinity=False))
+        listed = parse.startswith("floats")
+        values = draw(st.lists(number, min_size=0 if listed else 1, max_size=4 if listed else 1))
+    assume(not values or any(not holds(v) for _, holds in bound for v in values))
+    return section, key, ", ".join(map(str, values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(out_of_bounds_keys())
+def test_a_value_out_of_bounds_exits_2_naming_its_key(case):
+    section, key, text = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "exp.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        # main turns ValueError and OSError into exit codes; anything else
+        # would escape here as a traceback
+        with contextlib.redirect_stderr(err):
+            assert main(["pattern", "--config", str(path)]) == 2
+    assert err.getvalue().startswith(f"error: [{section}] {key}: ")
 
 
 def test_optics_requires_a_known_energy(tmp_path):

@@ -187,8 +187,8 @@ def test_bsr_below_grid_step_rejected():
 
 
 def test_scan_length_below_one_bit_rejected():
-    cfg = ExperimentConfig(sweep_kind="scan_length", scan_bits_values=(0.5, 8.0))
-    with pytest.raises(ValueError, match="one bit"):
+    with pytest.raises(ValueError, match=r"\[sweep\] scan_bits_values: all values must be >= 1"):
+        cfg = ExperimentConfig(sweep_kind="scan_length", scan_bits_values=(0.5, 8.0))
         run_sweep(cfg)
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -540,11 +541,8 @@ def small_blocks(monkeypatch):
 
 def test_rejection_parses_whole_blocks(tmp_path, small_blocks, monkeypatch):
     # A bad last line costs one parse per block, plus the line-by-line
-    # check of the block that holds it: not one parse per line.
-    path = tmp_path / "bad.csv"
-    path.write_text(long_series() + "p0,75,75.0,1,2\n")
-    with open(path, encoding="utf-8", newline="") as handle:
-        blocks = list(reporting._DataLines(handle).blocks())
+    # check of the block that holds it: not one parse per line. Quoted ids
+    # cost no more.
     calls = []
     real = reporting._parse
 
@@ -552,14 +550,26 @@ def test_rejection_parses_whole_blocks(tmp_path, small_blocks, monkeypatch):
         calls.append(1)
         return real(lines, *args, **kwargs)
 
-    monkeypatch.setattr(reporting, "_parse", counting)
-    with pytest.raises(SeriesFormatError, match=r"bad.csv:3002: expected 4 columns, got 5$"):
-        read_pixel_series(path)
-    assert len(blocks) > 10
-    # the bulk parse, one per block, one per line of the last block (the bad
-    # line twice, to count its columns) and one for that block's good lines
-    assert len(calls) == 1 + len(blocks) + len(blocks[-1]) + 2
-    assert len(calls) < 3002 / 10
+    text = long_series() + "p0,75,75.0,1,2\n"
+    quoted = re.sub(r"^(p\d+),", r'"\1",', text, flags=re.MULTILINE)
+    for content, per_line in ((text, 1), (quoted, 2)):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with open(path, encoding="utf-8", newline="") as handle:
+            blocks = list(reporting._DataLines(handle).blocks())
+        calls.clear()
+        monkeypatch.setattr(reporting, "_parse", counting)
+        with pytest.raises(SeriesFormatError, match=r"bad.csv:3002: expected 4 columns, got 5$"):
+            read_pixel_series(path)
+        monkeypatch.setattr(reporting, "_parse", real)
+        assert len(blocks) > 10
+        # the bulk parse, one per block, then in the last block `per_line`
+        # per good line (a quoted line is parsed again for its fields), two
+        # for the bad line (the second counts its columns) and one for the
+        # block's good lines
+        assert len(calls) == 1 + len(blocks) + per_line * (len(blocks[-1]) - 1) + 3
+        assert len(calls) < 3002 / 10
+    assert quoted.count('"p0",') == 76
 
 
 @pytest.mark.parametrize("edits, message", [
