@@ -19,7 +19,7 @@ from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simu
 from .metrics import patterning_correlations, scan_point_count
 from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
-from .recovery import FlatSeriesError, normalize, recover, recover_batch  # noqa: F401
+from .recovery import normalize, recover, recover_batch  # noqa: F401
 from .reporting import (
     POSITION_TOLERANCE_UM,
     RecoveryRow,
@@ -140,25 +140,20 @@ def run_sweep_command(args) -> int:
 def _recover_pixels(task) -> list:
     """Recovery rows of equal-length pixels, in the order given."""
     profile, probe, max_rounds, mode, pixels = task
-    rows = [None] * len(pixels)
-    normalized = []
-    for k, (pixel_id, counts) in enumerate(pixels):
-        try:
-            normalized.append(normalize(ScanSeries(counts), mode))
-        except FlatSeriesError:
-            rows[k] = RecoveryRow(pixel_id, None, None, 0, None, "flat")
+    normalized, flat = normalize(ScanSeries(np.array([counts for _, counts in pixels])), mode)
     results = iter(recover_batch(profile, normalized, probe, max_rounds))
-    for k, (pixel_id, _) in enumerate(pixels):
-        if rows[k] is not None:
-            continue
-        result = next(results)
-        if isinstance(result, NumericalFailureError):
-            rows[k] = RecoveryRow(pixel_id, None, None, 0, None, "failed")
+    rows = []
+    for (pixel_id, _), is_flat in zip(pixels, flat):
+        result = None if is_flat else next(results)
+        if result is None:
+            rows.append(RecoveryRow(pixel_id, None, None, 0, None, "flat"))
+        elif isinstance(result, NumericalFailureError):
+            rows.append(RecoveryRow(pixel_id, None, None, 0, None, "failed"))
         else:
-            rows[k] = RecoveryRow(
+            rows.append(RecoveryRow(
                 pixel_id, float(profile.position_of(result.position)), result.residual,
                 result.rounds, result.signal, "ok",
-            )
+            ))
     return rows
 
 

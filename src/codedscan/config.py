@@ -174,12 +174,19 @@ def default_mu_table_path() -> Path:
     return Path(str(resources.files("codedscan").joinpath("data/au_mu_table.cfg")))
 
 
+def _ini_parser() -> configparser.ConfigParser:
+    """An INI parser without a default section. No section header is empty,
+    so ``[DEFAULT]`` reads as a section like any other: its keys are not
+    copied into every section."""
+    return configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
+
+
 def load_mu_table(path) -> tuple:
     """Read an energy -> attenuation table: [attenuation] section, keV = 1/um."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"attenuation table not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = _ini_parser()
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -241,7 +248,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = _ini_parser()
     given = {}
     try:
         with open(path, encoding="utf-8") as handle:

@@ -45,21 +45,22 @@ class Signal:
 
 @dataclass(frozen=True)
 class ScanSeries:
-    """Measured counts, one per scan step."""
+    """Measured counts, one per scan step; a (T, M) stack holds T series."""
 
     raw: np.ndarray
 
     def __post_init__(self):
         raw = np.ascontiguousarray(self.raw, dtype=float)
-        if raw.ndim != 1 or raw.size == 0:
-            raise ValueError("series must be a non-empty vector")
+        if raw.ndim not in (1, 2) or raw.size == 0:
+            raise ValueError("series must be a non-empty vector or stack of vectors")
         if raw.min() < 0:
             raise ValueError("counts must be >= 0")
         raw.flags.writeable = False
         object.__setattr__(self, "raw", raw)
 
     def __len__(self) -> int:
-        return int(self.raw.size)
+        """Scan points per series."""
+        return int(self.raw.shape[-1])
 
 
 def bounded_gaussian(z, width_um: float):
@@ -117,9 +118,10 @@ def trial_rng(*entropy: int) -> np.random.Generator:
 
     Streams for distinct entropy tuples are independent, so trials may run
     in any order on any number of workers and still reproduce bit-for-bit.
+    Philox keys itself with ``SeedSequence(entropy).generate_state(2,
+    uint64)``.
     """
-    key = np.random.SeedSequence([int(e) for e in entropy]).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox([int(e) for e in entropy]))
 
 
 def simulate(
@@ -137,21 +139,37 @@ def simulate(
     intensities. ``seed`` is an int or tuple of ints keying the per-trial
     counter-based stream; an ``np.random.Generator`` is also accepted
     directly.
+
+    A (W, M, N) stack of matrices takes a sequence of T trial keys, T a
+    multiple of W, and returns the (T, M) stack of series: the keys split
+    evenly over the matrices in order, and row t, drawn from matrix
+    t // (T / W) with key t, equals ``simulate`` of that matrix and key.
     """
     total = float(signal.values.sum())
     if total <= 0:
         raise ValueError("signal is identically zero: nothing to detect")
     intensity = matrix @ signal.values
-    if math.isinf(peak_counts):
+    exact = math.isinf(peak_counts)
+    if not exact:
+        if peak_counts <= 0:
+            raise ValueError("peak_counts must be positive (or inf for raw intensities)")
+        intensity = intensity * (peak_counts / total)
+    exact = exact or noiseless
+    if intensity.ndim == 1:
+        return ScanSeries(intensity if exact else _draw(intensity, seed))
+    keys = list(seed)
+    if not keys or len(keys) % len(intensity):
+        raise ValueError(f"{len(keys)} trial keys do not split over {len(intensity)} matrices")
+    intensity = np.repeat(intensity, len(keys) // len(intensity), axis=0)
+    if exact:
         return ScanSeries(intensity)
-    if peak_counts <= 0:
-        raise ValueError("peak_counts must be positive (or inf for raw intensities)")
-    intensity = intensity * (peak_counts / total)
-    if noiseless:
-        return ScanSeries(intensity)
+    return ScanSeries(np.array([_draw(row, key) for row, key in zip(intensity, keys)]))
+
+
+def _draw(intensity: np.ndarray, seed) -> np.ndarray:
+    """Poisson counts around ``intensity`` from the stream ``seed`` keys."""
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
         rng = trial_rng(*(seed if isinstance(seed, (tuple, list)) else (seed,)))
-    counts = rng.poisson(intensity).astype(float)
-    return ScanSeries(counts)
+    return rng.poisson(intensity).astype(float)

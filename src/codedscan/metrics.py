@@ -14,7 +14,7 @@ from .codes import Pattern, generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
-from .recovery import FlatSeriesError, RecoveryResult, normalize, recover, recover_batch  # noqa: F401
+from .recovery import RecoveryResult, normalize, recover, recover_batch  # noqa: F401
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -224,7 +224,7 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
         trials = [
             _simulate_cell(cell, starts, padded, truth_signal, m) for cell, starts in members
         ]
-        rows = [row for normalized, _, _ in trials for row in normalized]
+        rows = np.concatenate([normalized for normalized, _, _ in trials])
         recovered = iter(recover_batch(padded, rows, config.probe(), config.max_rounds))
         for (cell, _), (normalized, p_stars, flat) in zip(members, trials):
             results[cell.index] = _score_cell(
@@ -235,28 +235,21 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
 
 def _simulate_cell(cell: SweepCell, starts, profile, truth_signal, m: int) -> tuple:
     """``(normalized, p_stars, flat)``: the cell's normalized series with the
-    true offset of each, and the number of flat series left out."""
+    true offset of each, and the number of flat series left out.
+
+    Each window's intensity is computed once; replicate r of window q is
+    drawn from its own stream, keyed (seed, cell, q, r).
+    """
     config = cell.config
     # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
     # series normalize by plain extrema.
     mode = "minmax" if math.isinf(cell.noise_level) else config.normalization
-    normalized = []
-    p_stars = []
-    flat = 0
-    for q in starts:
-        p_star = profile.index_of(q * config.bit_size_um)
-        matrix = build_coding_matrix(profile, p_star, m, len(truth_signal))
-        for r in range(config.replicates):
-            series = simulate(
-                matrix, truth_signal, cell.noise_level, (config.seed, cell.index, q, r)
-            )
-            try:
-                normalized.append(normalize(series, mode))
-            except FlatSeriesError:
-                flat += 1
-                continue
-            p_stars.append(p_star)
-    return normalized, p_stars, flat
+    offsets = np.array([profile.index_of(q * config.bit_size_um) for q in starts])
+    matrices = build_coding_matrix(profile, offsets, m, len(truth_signal))
+    keys = [(config.seed, cell.index, q, r) for q in starts for r in range(config.replicates)]
+    normalized, flat = normalize(simulate(matrices, truth_signal, cell.noise_level, keys), mode)
+    p_stars = np.repeat(offsets, config.replicates)[~flat].tolist()
+    return normalized, p_stars, int(flat.sum())
 
 
 def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, flat: int, recovered):

@@ -61,8 +61,9 @@ def nnls(a, b, max_iterations: int | None = None):
         If a single problem does not converge; the exception carries the
         best iterate.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    # Contiguous inputs, so the products over A round the same for any layout.
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
     single = a.ndim == 2
     if single:
         b = b.reshape(-1)
@@ -84,6 +85,7 @@ def nnls(a, b, max_iterations: int | None = None):
 
 def _lawson_hanson(a, b, max_iterations):
     t, m, n = a.shape
+    a_t = a.transpose(0, 2, 1)
     x = np.zeros((t, n))
     w = _duals(a, b, x)
     passive = np.zeros((t, n), dtype=bool)
@@ -108,8 +110,10 @@ def _lawson_hanson(a, b, max_iterations):
                 group = np.flatnonzero(sizes == k)
                 cols = np.nonzero(p[group])[1].reshape(group.size, k)
                 r = rows[group]
+                # Rows of A' gather in one fancy index; their transpose is
+                # the Fortran-ordered (M, k) matrix that LAPACK is handed.
                 zk = _umath_linalg.lstsq(
-                    a[r[:, None, None], np.arange(m)[:, None], cols[:, None, :]],
+                    a_t[r[:, None], cols].transpose(0, 2, 1),
                     b[r, :, None], _EPS * max(m, k), signature="ddd->ddid",
                 )[0]
                 z[group[:, None], cols] = zk[..., 0]

@@ -54,28 +54,41 @@ def estimate_levels(series: ScanSeries, mode: str = "corrected") -> Normalizatio
     undershoots its mean by about two standard deviations, the maximum
     overshoots): mu0 = d_min + 2*sqrt(d_min), mu1 = d_max - 2*sqrt(d_max).
     ``minmax`` uses the plain extrema, appropriate for noiseless series.
+    A (T, M) stack gets the (T,) levels of its rows.
     """
     if mode not in ("corrected", "minmax"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    d_min = float(series.raw.min())
-    d_max = float(series.raw.max())
+    d_min = series.raw.min(axis=-1)
+    d_max = series.raw.max(axis=-1)
     if mode == "corrected":
-        return NormalizationEstimate(
-            mu0=d_min + 2.0 * math.sqrt(d_min), mu1=d_max - 2.0 * math.sqrt(d_max)
-        )
+        with np.errstate(invalid="ignore"):  # inf counts give a nan level, as floats do
+            return NormalizationEstimate(
+                mu0=d_min + 2.0 * np.sqrt(d_min), mu1=d_max - 2.0 * np.sqrt(d_max)
+            )
     return NormalizationEstimate(mu0=d_min, mu1=d_max)
 
 
-def normalize(series: ScanSeries, mode: str = "corrected") -> np.ndarray:
-    """Normalized counts d' = (d - mu0)/(mu1 - mu0)."""
+def normalize(series: ScanSeries, mode: str = "corrected"):
+    """Normalized counts d' = (d - mu0)/(mu1 - mu0).
+
+    One series gives its normalized counts, or raises ``FlatSeriesError``
+    if it has no modulation (open level <= blocked level). A (T, M) stack
+    gives ``(normalized, flat)``: the (T,) bool mask ``flat`` of such
+    rows, and the normalized counts of the other rows, in order. Each row
+    equals its normalization alone.
+    """
     if len(series) < 2:
         raise ValueError("need at least 2 scan points to normalize")
     levels = estimate_levels(series, mode)
-    if not levels.mu1 > levels.mu0:
+    raw, mu0, mu1 = np.atleast_2d(series.raw), np.atleast_1d(levels.mu0), np.atleast_1d(levels.mu1)
+    flat = ~(mu1 > mu0)
+    if series.raw.ndim == 1 and flat[0]:
         raise FlatSeriesError(
             f"no modulation: open level {levels.mu1:g} <= blocked level {levels.mu0:g}"
         )
-    return (series.raw - levels.mu0) / (levels.mu1 - levels.mu0)
+    keep = ~flat
+    normalized = (raw[keep] - mu0[keep, None]) / (mu1 - mu0)[keep, None]
+    return normalized[0] if series.raw.ndim == 1 else (normalized, flat)
 
 
 def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
@@ -210,11 +223,15 @@ def _recover_stack(profile, d, terms, n, max_rounds) -> list:
                 )
         moving = [i for k, i in enumerate(moving) if converged[k] and x[k].sum() > 0.0]
 
-    results = []
-    for i in range(count):
-        if i in failures:
-            results.append(failures[i])
-            continue
-        residual = float(np.sum((matrices[i] @ signals[i] - d[i]) ** 2))
-        results.append(RecoveryResult(positions[i], signals[i], residual, rounds[i]))
-    return results
+    # Every residual in one stacked product and one row sum.
+    solved = [i for i in range(count) if i not in failures]
+    residuals = {}
+    if solved:
+        stack = np.stack([matrices[i] for i in solved])
+        fits = (stack @ np.stack([signals[i] for i in solved])[..., None])[..., 0]
+        residuals = dict(zip(solved, ((fits - d[solved]) ** 2).sum(axis=1).tolist()))
+    return [
+        failures[i] if i in failures
+        else RecoveryResult(positions[i], signals[i], residuals[i], rounds[i])
+        for i in range(count)
+    ]

@@ -126,6 +126,26 @@ def test_unknown_section_and_key_are_named(tmp_path):
         load_config(write(tmp_path, "[sweep]\nbsr = 0.5\n"))
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 5\n[scan]\nseed = 1\n",  # configparser would read the seed into [scan]
+    "[DEFAULT]\nseed = 5\n",  # ... and ignore it here
+    "[DEFAULT]\nseed = 5\n[aperture]\nthickness_um = 3\n",  # ... and blame [aperture] here
+])
+def test_default_section_is_an_unknown_section(tmp_path, text):
+    with pytest.raises(ConfigError, match=r"^\[DEFAULT\]: unknown section$"):
+        load_config(write(tmp_path, text))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["pattern", "--config", str(tmp_path / "exp.cfg")]) == 2
+    assert err.getvalue() == "error: [DEFAULT]: unknown section\n"
+
+
+def test_readme_config_example_loads_to_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert load_config(write(tmp_path, block)) == ExperimentConfig()
+
+
 def test_type_errors_carry_section_and_key(tmp_path):
     with pytest.raises(ConfigError, match=r"\[scan\] grid_step_um: not a number"):
         load_config(write(tmp_path, "[scan]\ngrid_step_um = fast\n"))
@@ -183,6 +203,12 @@ def test_custom_mu_table_resolved_relative_to_config(tmp_path):
     cfg = load_config(write(tmp_path, "[optics]\nmu_table = mu.cfg\nenergy_kev = 8\n"))
     assert cfg.mu_table == ((4.0, 1.25), (8.0, 0.5))  # sorted by energy
     assert cfg.optics().mu_per_um == 0.5
+
+
+def test_mu_table_default_section_adds_no_entry(tmp_path):
+    # configparser would copy 50 = 0.1 into [attenuation]
+    table = write(tmp_path, "[DEFAULT]\n50 = 0.1\n[attenuation]\n10 = 0.2\n", name="mu.cfg")
+    assert load_mu_table(table) == ((10.0, 0.2),)
 
 
 def test_mu_table_validation(tmp_path):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedscan.aperture import TransmissivityProfile
 from codedscan.forward import (
@@ -163,6 +165,19 @@ def test_poisson_sampler_statistics(mean):
     se_var = math.sqrt((mean + 2.0 * mean**2) / n)
     assert draws.mean() == pytest.approx(mean, abs=5 * se_mean)
     assert draws.var(ddof=1) == pytest.approx(mean, abs=5 * se_var)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                          st.integers(2**64, 2**130)), min_size=1, max_size=5))
+def test_trial_rng_is_philox_keyed_by_the_seed_sequence_of_its_entropy(entropy):
+    # Entries of 2**32 and more expand to several 32-bit words of entropy.
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key))
+    got = trial_rng(*entropy)
+    assert got.random(8).tobytes() == expected.random(8).tobytes()
+    means = [0.5, 50.0, 5000.0]
+    assert got.poisson(means).tolist() == expected.poisson(means).tolist()
 
 
 def test_signal_and_series_validation():

@@ -273,6 +273,27 @@ def test_row_answer_does_not_depend_on_its_stack(stack, cap, shuffle):
             assert alone.tobytes() == x[r].tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(problem_stacks(), st.sampled_from(["transposed", "fortran", "strided"]))
+def test_input_layout_does_not_change_the_bits(stack, layout):
+    a, b = stack
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if layout == "transposed":  # each matrix Fortran-ordered, b a column view
+        a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+        b = np.ascontiguousarray(b.T).T
+    elif layout == "fortran":  # the whole stack Fortran-ordered
+        a, b = np.asfortranarray(a), np.asfortranarray(b)
+    else:  # every other entry of a larger buffer
+        a = np.repeat(a, 2, axis=-1)[..., ::2]
+        b = np.repeat(b, 2, axis=-1)[..., ::2]
+    if min(a.shape[1:]) > 1:  # a row or column is C-contiguous in any order
+        assert not a.flags.c_contiguous
+    x, converged = nnls(a, b)
+    x_copy, converged_copy = nnls(a.copy(order="C"), b.copy(order="C"))
+    assert converged.tolist() == converged_copy.tolist()
+    assert x.tobytes() == x_copy.tobytes()
+
+
 def test_capped_row_fails_alone():
     # On the identity every positive entry of b costs one active-set change.
     n = 5

@@ -93,6 +93,71 @@ def test_normalize_flat_series_rejected():
         estimate_levels(ScanSeries(np.array([1.0, 2.0])), mode="median")
 
 
+@st.composite
+def simulated_cells(draw):
+    """A cell's trials: W windows of a profile, R replicates each, keyed
+    (seed, 7, w, r). A zero profile makes every series flat at any noise
+    level, a constant one at noise inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([2, 3, 17, 81]))
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["random", "bars", "constant", "zeros"]))
+    size = m + n + 30
+    values = {
+        "random": rng.random(size),
+        "bars": np.repeat(rng.integers(0, 2, size // 5 + 1), 5)[:size] * 0.9 + 0.1,
+        "constant": np.full(size, 0.7),
+        "zeros": np.zeros(size),
+    }[kind]
+    offsets = rng.integers(0, size - m - n + 2, size=draw(st.integers(1, 5)))
+    replicates = draw(st.integers(1, 4))
+    keys = [(draw(st.integers(0, 2**40)), 7, w, r)
+            for w in range(offsets.size) for r in range(replicates)]
+    signal = make_gaussian_signal(float(n), 1.0)
+    noise = draw(st.sampled_from([10.0, 100.0, math.inf]))
+    mode = draw(st.sampled_from(["corrected", "minmax"]))
+    return values, offsets, m, signal, noise, mode, keys
+
+
+@settings(max_examples=80, deadline=None)
+@given(simulated_cells())
+def test_stacked_simulate_and_normalize_equal_the_per_trial_ones(cell):
+    values, offsets, m, signal, noise, mode, keys = cell
+    stack = simulate(build_coding_matrix(values, offsets, m, len(signal)), signal, noise, keys)
+    normalized, flat = normalize(stack, mode)
+    replicates = len(keys) // offsets.size
+    rows, flags = [], []
+    for t, key in enumerate(keys):
+        matrix = build_coding_matrix(values, int(offsets[t // replicates]), m, len(signal))
+        series = simulate(matrix, signal, noise, key)
+        assert stack.raw[t].tobytes() == series.raw.tobytes()
+        try:
+            rows.append(normalize(series, mode))
+        except FlatSeriesError:
+            flags.append(True)
+        else:
+            flags.append(False)
+    assert flat.tolist() == flags
+    assert normalized.shape == (len(rows), m)
+    assert normalized.tobytes() == b"".join(row.tobytes() for row in rows)
+
+
+def test_stacked_series_keep_the_series_checks():
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        ScanSeries(np.array([[1.0, 2.0], [3.0, -1.0]]))
+    with pytest.raises(ValueError, match="non-empty"):
+        ScanSeries(np.zeros((0, 4)))
+    with pytest.raises(ValueError, match="non-empty"):
+        ScanSeries(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="at least 2 scan points"):
+        normalize(ScanSeries(np.array([[1.0], [5.0]])))
+    normalized, flat = normalize(ScanSeries(np.full((1, 4), 3.0)))  # a stack of one never raises
+    assert flat.tolist() == [True] and normalized.shape == (0, 4)
+    matrices = build_coding_matrix(np.ones(20), np.array([0, 3]), 5, 4)
+    with pytest.raises(ValueError, match="3 trial keys do not split over 2 matrices"):
+        simulate(matrices, make_gaussian_signal(4.0, 1.0), 10.0, [(1,), (2,), (3,)])
+
+
 def test_search_exact_at_truth():
     profile = opaque_profile()
     template = make_gaussian_signal(10.0, STEP_UM)
