@@ -33,7 +33,6 @@ from .metrics import (
 from .nnls import NumericalFailureError, nnls
 from .recovery import (
     FlatSeriesError,
-    NormalizationEstimate,
     RecoveryResult,
     normalize,
     recover,
@@ -49,7 +48,6 @@ __all__ = [
     "CellResult",
     "ExperimentConfig",
     "FlatSeriesError",
-    "NormalizationEstimate",
     "NumericalFailureError",
     "OpticalContext",
     "Pattern",

@@ -139,8 +139,8 @@ def run_sweep_command(args) -> int:
 
 def _recover_pixels(task) -> list:
     """Recovery rows of equal-length pixels, in the order given."""
-    profile, probe, max_rounds, mode, pixels = task
-    normalized, flat = normalize(ScanSeries(np.array([counts for _, counts in pixels])), mode)
+    profile, probe, max_rounds, pixels = task
+    normalized, flat = normalize(ScanSeries(np.array([counts for _, counts in pixels])))
     results = iter(recover_batch(profile, normalized, probe, max_rounds))
     rows = []
     for (pixel_id, _), is_flat in zip(pixels, flat):
@@ -198,7 +198,7 @@ def run_recover_command(args) -> int:
         size = -(-len(group) // args.workers)
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            work.append((profile, probe, cfg.max_rounds, cfg.normalization, chunk))
+            work.append((profile, probe, cfg.max_rounds, chunk))
     if args.workers == 1 or len(work) == 1:
         chunks = [_recover_pixels(item) for item in work]
     else:

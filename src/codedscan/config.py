@@ -19,7 +19,6 @@ class ConfigError(ValueError):
 
 
 TEMPLATES = ("gaussian", "boxcar")
-NORMALIZATIONS = ("corrected", "minmax")
 
 
 def _at_least(minimum):
@@ -55,7 +54,6 @@ _KEYS = {
     ("scan", "noise_levels"): ("noise_levels", "floats_inf", (_POSITIVE,)),
     ("scan", "seed"): ("seed", "int", (_at_least(0),)),
     ("scan", "oversample"): ("oversample", "int", (_at_least(1),)),
-    ("scan", "normalization"): ("normalization", "text", (_one_of(NORMALIZATIONS),)),
     ("sweep", "kind"): ("sweep_kind", "text", (_one_of(SWEEP_KINDS),)),
     ("sweep", "bsr_values"): ("bsr_values", "floats", (_POSITIVE,)),
     ("sweep", "scan_bits_values"): ("scan_bits_values", "floats", (_POSITIVE, _at_least(1))),
@@ -99,7 +97,6 @@ class ExperimentConfig:
     noise_levels: tuple = (10.0, 100.0)
     seed: int = 0
     oversample: int = 16
-    normalization: str = "corrected"
     sweep_kind: str = "bsr"
     bsr_values: tuple = (0.25, 0.5, 1.0, 2.0)
     scan_bits_values: tuple = (2.0, 4.0, 8.0, 16.0, 24.0)

@@ -72,7 +72,7 @@ class CellResult:
     msp_shape: float
     k: int
     stderr: float
-    flat: int  # trials whose series had no modulation to normalize
+    flat: int  # trials whose series counted nothing (all zero)
     failed_nnls: int  # trials whose NNLS solve did not converge
     zeros_fraction: float | None = None
     bit_flips: int | None = None
@@ -234,20 +234,17 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
 
 
 def _simulate_cell(cell: SweepCell, starts, profile, truth_signal, m: int) -> tuple:
-    """``(normalized, p_stars, flat)``: the cell's normalized series with the
-    true offset of each, and the number of flat series left out.
+    """``(normalized, p_stars, flat)``: the cell's unit-peak series with the
+    true offset of each, and the number of flat (all-zero) series left out.
 
     Each window's intensity is computed once; replicate r of window q is
     drawn from its own stream, keyed (seed, cell, q, r).
     """
     config = cell.config
-    # The +-2*sqrt(mean) level corrections assume Poisson spread; exact
-    # series normalize by plain extrema.
-    mode = "minmax" if math.isinf(cell.noise_level) else config.normalization
     offsets = np.array([profile.index_of(q * config.bit_size_um) for q in starts])
     matrices = build_coding_matrix(profile, offsets, m, len(truth_signal))
     keys = [(config.seed, cell.index, q, r) for q in starts for r in range(config.replicates)]
-    normalized, flat = normalize(simulate(matrices, truth_signal, cell.noise_level, keys), mode)
+    normalized, flat = normalize(simulate(matrices, truth_signal, cell.noise_level, keys))
     p_stars = np.repeat(offsets, config.replicates)[~flat].tolist()
     return normalized, p_stars, int(flat.sum())
 

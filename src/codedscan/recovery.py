@@ -1,19 +1,20 @@
 """Recover beam position and shape from a scan series.
 
-The pipeline: estimate fully-blocked/fully-open count levels from the
-series extrema, rescale counts into transmissivity units, locate the scan
-offset by exhaustive template matching against every feasible profile
-window, then solve a non-negative least-squares problem for the beam
-shape at that offset, optionally alternating the two steps.
+The pipeline: scale each series to unit peak, locate the scan offset by
+exhaustive template matching against every feasible profile window, then
+solve a non-negative least-squares problem for the beam shape at that
+offset, optionally alternating the two steps.
 
-Normalized counts express the fully-open level as 1, so the implied beam
-shape integrates (sums) to 1; ``recover`` rescales its search template
-accordingly and returns the shape in those unit-sum units.
+Counts are fitted as they are, up to one scale: the search scores each
+offset by the best non-negative multiple of its template window, so the
+template's scale does not matter, and the shape solve fits the unit-peak
+counts directly. A fully open alignment reads the shape's sum, which
+``recover`` returns apart from the shape, as ``scale`` and a unit-sum
+``signal``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,66 +29,39 @@ STACK_ROWS = 64
 
 
 class FlatSeriesError(ValueError):
-    """Series carries no usable modulation (open level <= blocked level)."""
-
-
-@dataclass(frozen=True)
-class NormalizationEstimate:
-    """Estimated mean counts at fully-blocked (mu0) and fully-open (mu1) bits."""
-
-    mu0: float
-    mu1: float
+    """Series carries no counts to fit (every count is zero)."""
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
+    """One series' fit: the beam's unit-sum ``signal`` at offset ``position``,
+    its sum ``scale`` in unit-peak counts, and the residual
+    ||A_p (scale * signal) - d||^2 against the unit-peak counts d."""
+
     position: int
     signal: np.ndarray
+    scale: float
     residual: float
     rounds: int
 
 
-def estimate_levels(series: ScanSeries, mode: str = "corrected") -> NormalizationEstimate:
-    """Blocked/open count levels from the series extrema.
+def normalize(series: ScanSeries):
+    """Unit-peak counts: each series divided by its largest count.
 
-    ``corrected`` de-biases Poisson extremes (the minimum of many draws
-    undershoots its mean by about two standard deviations, the maximum
-    overshoots): mu0 = d_min + 2*sqrt(d_min), mu1 = d_max - 2*sqrt(d_max).
-    ``minmax`` uses the plain extrema, appropriate for noiseless series.
-    A (T, M) stack gets the (T,) levels of its rows.
-    """
-    if mode not in ("corrected", "minmax"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    d_min = series.raw.min(axis=-1)
-    d_max = series.raw.max(axis=-1)
-    if mode == "corrected":
-        with np.errstate(invalid="ignore"):  # inf counts give a nan level, as floats do
-            return NormalizationEstimate(
-                mu0=d_min + 2.0 * np.sqrt(d_min), mu1=d_max - 2.0 * np.sqrt(d_max)
-            )
-    return NormalizationEstimate(mu0=d_min, mu1=d_max)
-
-
-def normalize(series: ScanSeries, mode: str = "corrected"):
-    """Normalized counts d' = (d - mu0)/(mu1 - mu0).
-
-    One series gives its normalized counts, or raises ``FlatSeriesError``
-    if it has no modulation (open level <= blocked level). A (T, M) stack
-    gives ``(normalized, flat)``: the (T,) bool mask ``flat`` of such
-    rows, and the normalized counts of the other rows, in order. Each row
-    equals its normalization alone.
+    One series gives its unit-peak counts, or raises ``FlatSeriesError``
+    if every count is zero. A (T, M) stack gives ``(normalized, flat)``:
+    the (T,) bool mask ``flat`` of all-zero rows, and the unit-peak counts
+    of the other rows, in order. Each row equals its normalization alone.
     """
     if len(series) < 2:
         raise ValueError("need at least 2 scan points to normalize")
-    levels = estimate_levels(series, mode)
-    raw, mu0, mu1 = np.atleast_2d(series.raw), np.atleast_1d(levels.mu0), np.atleast_1d(levels.mu1)
-    flat = ~(mu1 > mu0)
+    raw = np.atleast_2d(series.raw)
+    peak = raw.max(axis=1)
+    flat = ~(peak > 0)
     if series.raw.ndim == 1 and flat[0]:
-        raise FlatSeriesError(
-            f"no modulation: open level {levels.mu1:g} <= blocked level {levels.mu0:g}"
-        )
+        raise FlatSeriesError("no counts: every count is zero")
     keep = ~flat
-    normalized = (raw[keep] - mu0[keep, None]) / (mu1 - mu0)[keep, None]
+    normalized = raw[keep] / peak[keep, None]
     return normalized[0] if series.raw.ndim == 1 else (normalized, flat)
 
 
@@ -105,9 +79,15 @@ def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
 
 
 def _best_offset(window_dots: np.ndarray, sliding_sq: np.ndarray, d: np.ndarray) -> int:
-    cross = np.correlate(window_dots, d, mode="valid")  # sum_m r[p+m] d_m
-    objective = sliding_sq - 2.0 * cross + float(d @ d)
-    return int(np.argmin(objective))
+    """Offset p maximizing cross_p^2 / sq_p over cross_p > 0, where cross_p =
+    sum_m r[p+m] d_m and sq_p = sum_m r[p+m]^2: the one whose best
+    non-negative multiple c * r[p:p+M] leaves the least residual,
+    ||d||^2 - cross_p^2 / sq_p. An offset with cross_p <= 0 (c = 0, or an
+    opaque window) gains nothing; with no gain anywhere, p is 0."""
+    cross = np.correlate(window_dots, d, mode="valid")
+    gain = np.zeros_like(cross)
+    np.divide(cross**2, sliding_sq, out=gain, where=(cross > 0.0) & (sliding_sq > 0.0))
+    return int(np.argmax(gain))
 
 
 def search_position(
@@ -115,12 +95,12 @@ def search_position(
     d: np.ndarray,
     template: np.ndarray,
 ) -> int:
-    """Offset minimizing ||A_p * template - d'||^2 over all feasible p.
+    """Offset minimizing min_{c>=0} ||c * A_p template - d||^2 over all feasible p.
 
-    Evaluated for every offset at once through sliding correlations (the
-    residual at p needs only the window sums r[p+m] = sum_n a[p+m+n] t_n),
-    so the exhaustive search is O(L*M) rather than O(L*M*N). Ties break
-    toward the smallest offset.
+    The template's scale does not matter. Evaluated for every offset at
+    once through sliding correlations (the fit at p needs only the window
+    sums r[p+m] = sum_n a[p+m+n] t_n), so the exhaustive search is
+    O(L*M) rather than O(L*M*N). Ties break toward the smallest offset.
     """
     terms = _template_terms(profile.values, np.asarray(template, dtype=float), d.size)
     return _best_offset(*terms, d)
@@ -132,7 +112,7 @@ def solve_signal(
     p: int,
     n_signal: int,
 ) -> np.ndarray:
-    """Non-negative beam shape at offset p: argmin_{s>=0} ||A_p s - d'||^2."""
+    """Non-negative beam shape at offset p: argmin_{s>=0} ||A_p s - d||^2."""
     matrix = build_coding_matrix(profile, p, d.size, n_signal)
     return nnls(matrix, d)
 
@@ -145,14 +125,15 @@ def recover(
 ) -> RecoveryResult:
     """Alternate position search and shape solve until the position settles.
 
-    ``d`` holds normalized counts, as ``normalize`` returns them. Round 1
-    searches with the supplied template (rescaled to unit sum to match
-    normalized-count units) and solves for the shape there; further
-    rounds re-search with the recovered shape as the template and re-solve,
-    stopping as soon as the position repeats or ``max_rounds`` is reached.
-    The residual never increases between rounds: each half-step minimizes
-    the same objective in one block of variables. Raises
-    ``NumericalFailureError`` if a shape solve does not converge.
+    ``d`` holds unit-peak counts, as ``normalize`` returns them. Round 1
+    searches with the supplied template and solves for the shape s >= 0
+    there; further rounds re-search with the recovered shape as the
+    template and re-solve, stopping as soon as the position repeats or
+    ``max_rounds`` is reached. The residual never increases between
+    rounds: each half-step minimizes the same objective in one block of
+    variables. The result holds s / sum(s) and sum(s), or a zero signal
+    and scale where s is zero. Raises ``NumericalFailureError`` if a
+    shape solve does not converge.
     """
     (result,) = recover_batch(profile, np.asarray(d)[None], template, max_rounds)
     if isinstance(result, NumericalFailureError):
@@ -166,7 +147,7 @@ def recover_batch(
     template: Signal,
     max_rounds: int = 3,
 ) -> list:
-    """``recover`` for every row of ``d``, a (T, M) stack of normalized series.
+    """``recover`` for every row of ``d``, a (T, M) stack of unit-peak series.
 
     Returns one entry per row: its ``RecoveryResult``, or the
     ``NumericalFailureError`` that its own shape solve ended in. Row i is
@@ -182,7 +163,7 @@ def recover_batch(
     d = np.asarray(d, dtype=float)
     if d.ndim != 2:
         raise ValueError(f"expected a (T, M) stack of series, got shape {d.shape}")
-    terms = _template_terms(profile.values, template.unit_sum().values, d.shape[1])
+    terms = _template_terms(profile.values, template.values, d.shape[1])
     results = []
     for start in range(0, len(d), STACK_ROWS):
         chunk = d[start : start + STACK_ROWS]
@@ -223,15 +204,19 @@ def _recover_stack(profile, d, terms, n, max_rounds) -> list:
                 )
         moving = [i for k, i in enumerate(moving) if converged[k] and x[k].sum() > 0.0]
 
-    # Every residual in one stacked product and one row sum.
+    # Split each shape into its sum and unit-sum shape (a zero shape stays
+    # zero), and take every residual of scale * shape in one stacked
+    # product and one row sum.
     solved = [i for i in range(count) if i not in failures]
-    residuals = {}
-    if solved:
-        stack = np.stack([matrices[i] for i in solved])
-        fits = (stack @ np.stack([signals[i] for i in solved])[..., None])[..., 0]
-        residuals = dict(zip(solved, ((fits - d[solved]) ** 2).sum(axis=1).tolist()))
-    return [
-        failures[i] if i in failures
-        else RecoveryResult(positions[i], signals[i], residuals[i], rounds[i])
-        for i in range(count)
-    ]
+    if not solved:
+        return [failures[i] for i in range(count)]
+    shapes = np.stack([signals[i] for i in solved])
+    scales = shapes.sum(axis=1)
+    shapes /= np.where(scales > 0.0, scales, 1.0)[:, None]
+    fits = (np.stack([matrices[i] for i in solved]) @ (scales[:, None] * shapes)[..., None])[..., 0]
+    residuals = ((fits - d[solved]) ** 2).sum(axis=1)
+    results = dict(zip(solved, (
+        RecoveryResult(positions[i], shapes[k], float(scales[k]), float(residuals[k]), rounds[i])
+        for k, i in enumerate(solved)
+    )))
+    return [failures[i] if i in failures else results[i] for i in range(count)]

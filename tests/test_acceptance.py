@@ -11,16 +11,19 @@ import sys
 from collections import Counter
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedscan import (
     ExperimentConfig,
+    build_profile,
     generate_de_bruijn,
     patterning_correlations,
     run_sweep,
 )
-from codedscan.forward import Signal, simulate
+from codedscan.forward import ScanSeries, Signal, build_coding_matrix, simulate
 from codedscan.nnls import nnls
-from codedscan.recovery import estimate_levels, normalize, ScanSeries
+from codedscan.recovery import normalize, recover
 from test_nnls import kkt_residuals
 
 SEED = 20260815
@@ -43,24 +46,35 @@ def test_1_every_cyclic_word_appears_exactly_once():
 
 
 def test_2_noiseless_recovery_is_exact_at_every_window():
-    config = ExperimentConfig(
-        sweep_kind="bsr",
-        bsr_values=(1.0,),
-        energies_kev=(10.0,),
-        mu_per_um=1e9,  # fully opaque bars
-        noise_levels=(math.inf,),
-        replicates=1,
-        position_stride=1,
-        seed=SEED,
-        epsilon=1e-6,
-        position_margin_bits=0.0,
-    )
-    cell = run_sweep(config).cells[0]
-    assert cell.k == 249
-    assert cell.failures == 0
-    assert cell.msp_position == 100.0
-    assert cell.msp_shape == 100.0  # exact index + relative error < 1e-6
-    print("criterion 2: PASS — noiseless runs hit the exact index with < 1e-6 signal error, all 249 windows")
+    # Opaque bars, then the bundled gold table's semi-transparent bars at
+    # 10 and 30 keV (floors e^-(mu t) of about 0.11 and 0.59), at normal
+    # and tilted incidence, with bits half and once the beam width.
+    cases = [dict(mu_per_um=1e9, bsr_values=(1.0,), energies_kev=(10.0,))]
+    cases += [dict(bsr_values=(0.5, 1.0), energies_kev=(10.0, 30.0), incidence_angle_deg=angle)
+              for angle in (0.0, 20.0)]
+    cells = []
+    for case in cases:
+        config = ExperimentConfig(
+            sweep_kind="bsr",
+            noise_levels=(math.inf,),
+            replicates=1,
+            position_stride=1,
+            seed=SEED,
+            epsilon=1e-6,
+            position_margin_bits=0.0,
+            **case,
+        )
+        for cell in run_sweep(config).cells:
+            where = (config.mu_per_um, config.incidence_angle_deg, cell.cell.param_value,
+                     cell.cell.energy_or_angle)
+            assert cell.k == 249, where
+            assert cell.failures == 0, where
+            assert cell.msp_position == 100.0, where
+            assert cell.msp_shape == 100.0, where  # exact index + relative error < 1e-6
+            cells.append(where)
+    assert len(cells) == 9
+    print("criterion 2: PASS — noiseless runs hit the exact index with < 1e-6 signal error, "
+          "all 249 windows, opaque bars and gold at 10/30 keV, 0/20 deg, bsr 0.5/1")
 
 
 def test_3_position_success_rises_with_bit_to_signal_ratio():
@@ -167,14 +181,29 @@ def test_7_nnls_meets_kkt_and_beats_projected_least_squares():
     print("criterion 7: PASS — 200 random instances, KKT <= 1e-8, never worse than clipped LS")
 
 
-def test_8_level_estimates_from_extrema_are_exact():
-    series = ScanSeries(np.array([100.0, 250.0, 4000.0, 10000.0]))
-    levels = estimate_levels(series, "corrected")
-    assert levels.mu0 == 120.0
-    assert levels.mu1 == 9800.0
-    normalized = normalize(series, "corrected")
-    assert np.array_equal(normalized, (series.raw - 120.0) / 9680.0)
-    print("criterion 8: PASS — extrema 100/10000 give levels 120/9800 exactly")
+@settings(max_examples=40, deadline=None)
+@given(
+    window=st.integers(0, 248),
+    energy=st.sampled_from([10.0, 30.0]),
+    peak=st.sampled_from([3.0, 10.0, 100.0, math.inf]),
+    key=st.integers(0, 2**32 - 1),
+    j=st.integers(-8, 8),
+)
+def test_8_fit_is_invariant_to_count_scale(window, energy, peak, key, j):
+    config = ExperimentConfig(energy_kev=energy)
+    profile = build_profile(config.geometry(generate_de_bruijn(8)), config.optics(), 1.0)
+    profile = profile.pad_open(0, 12)
+    probe = config.probe()
+    matrix = build_coding_matrix(profile, profile.index_of(10.0 * window), 81, len(probe))
+    series = simulate(matrix, probe, peak, (key,))
+    base = recover(profile, normalize(series), probe)
+    scaled = recover(profile, normalize(ScanSeries(series.raw * 2.0**j)), probe)
+    assert (scaled.position, scaled.signal.tobytes(), scaled.scale, scaled.residual) == \
+        (base.position, base.signal.tobytes(), base.scale, base.residual)
+    # Only a series that counted nothing is flat.
+    assert normalize(ScanSeries(series.raw[None]))[1].tolist() == [False]
+    assert normalize(ScanSeries(np.zeros((1, 81))))[1].tolist() == [True]
+    print("criterion 8: PASS — counts scaled by 2^j give a bit-identical fit")
 
 
 def test_9_poisson_sampler_moments_match_theory():

@@ -25,7 +25,6 @@ mu_per_um = 1e9
 
 [scan]
 noise_levels = 100
-normalization = minmax
 seed = 6
 """
 
@@ -230,9 +229,13 @@ def test_sweep_cell_lines_count_flat_and_unconverged_trials(tmp_path, capsys, mo
         return results[:-1] + [NumericalFailureError("no convergence", None)]
 
     monkeypatch.setattr(metrics_module, "recover_batch", last_fails)
-    # The golden scan_length case: each 4-bit cell has one flat series, and
-    # the last row of their shared batch belongs to the noise-100 cell.
+    # Opaque bars: both 4-bit scans of window 230, which see only its five
+    # bars (bits 230-234 are all ones), count nothing in each cell, and the
+    # last row of the cells' shared batch belongs to the noise-100 cell.
     cfg = write_cfg(tmp_path, """
+[optics]
+mu_per_um = 1e9
+
 [scan]
 seed = 7
 noise_levels = 10, 100
@@ -242,14 +245,14 @@ kind = scan_length
 scan_bits_values = 4
 energies_kev = 10
 replicates = 2
-position_stride = 32
+position_stride = 46
 """)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].endswith("(k=16, se 12.50), 1 flat")
-    assert lines[1].endswith("(k=16, se 12.50), 1 flat, 1 unconverged")
+    assert lines[0].endswith("(k=12, se 14.43), 2 flat")
+    assert lines[1].endswith("(k=12, se 14.43), 2 flat, 1 unconverged")
     assert lines[2] == (
-        "warning: 3 trials scored as misses: 2 flat series, 1 unconverged NNLS solves"
+        "warning: 5 trials scored as misses: 4 flat series, 1 unconverged NNLS solves"
     )
 
 
@@ -390,7 +393,7 @@ def test_recover_worker_chunks_give_identical_csv_and_stdout(tmp_path, capsys, m
         positions, counts = pixels[pixel_id]
         pixels[pixel_id] = (positions[:41], counts[:41])
     positions = pixels["080"][0]
-    pixels["flat"] = (positions, np.full(positions.size, 7.0))
+    pixels["flat"] = (positions, np.zeros(positions.size))
     write_series_csv(series, pixels)
     monkeypatch.setattr("codedscan.recovery.STACK_ROWS", 2)
     outputs = []
@@ -435,7 +438,7 @@ def test_recover_flat_pixel_reported_and_skipped(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[scan]\nnoise_levels = 1000\n")
     series = multi_pixel_file(tmp_path, (40,), peak=1000.0, seed=5)
     text = series.read_text()
-    flat = "\n".join(f"zzz,{i},{float(i)!r},7.0" for i in range(81))
+    flat = "\n".join(f"zzz,{i},{float(i)!r},0" for i in range(81))
     series.write_text(text + flat + "\n")
     out = tmp_path / "rec.csv"
     assert main(["recover", str(series), "--config", str(cfg), "--out", str(out)]) == 0

@@ -37,7 +37,6 @@ def test_empty_file_resolves_to_defaults(tmp_path):
     assert cfg.noise_levels == (10.0, 100.0)
     assert cfg.sweep_kind == "bsr"
     assert cfg.replicates == 30
-    assert cfg.normalization == "corrected"
     assert cfg.out_csv is None
 
 
@@ -70,7 +69,6 @@ scan_bits = 10
 noise_levels = 20, 200   # peak photon counts
 seed = 42
 oversample = 8
-normalization = minmax
 
 [sweep]
 kind = aspect
@@ -95,7 +93,6 @@ csv = results.csv
     assert cfg.incidence_angle_deg == 16.7
     assert cfg.template == "boxcar"
     assert cfg.noise_levels == (20.0, 200.0)
-    assert cfg.normalization == "minmax"
     assert cfg.sweep_kind == "aspect"
     assert cfg.aspect_values == (1.0, 2.0)
     assert cfg.angles_deg == (0.0, 16.7)
@@ -121,6 +118,9 @@ def test_unknown_section_and_key_are_named(tmp_path):
         load_config(write(tmp_path, "[recover]\nnnls_tol = 1e-9\n"))
     with pytest.raises(ConfigError, match=r"\[output\] svg_prefix: unknown key"):
         load_config(write(tmp_path, "[output]\nsvg_prefix = plots/run\n"))
+    # every series is fitted as unit-peak counts
+    with pytest.raises(ConfigError, match=r"\[scan\] normalization: unknown key"):
+        load_config(write(tmp_path, "[scan]\nnormalization = minmax\n"))
     # non-bsr sweeps take their bit from [aperture]
     with pytest.raises(ConfigError, match=r"\[sweep\] bsr: unknown key"):
         load_config(write(tmp_path, "[sweep]\nbsr = 0.5\n"))
@@ -168,8 +168,6 @@ def test_choice_and_range_validation(tmp_path):
         load_config(write(tmp_path, "[sweep]\nkind = resolution\n"))
     with pytest.raises(ConfigError, match=r"\[signal\] template"):
         load_config(write(tmp_path, "[signal]\ntemplate = sinc\n"))
-    with pytest.raises(ConfigError, match=r"\[scan\] normalization"):
-        load_config(write(tmp_path, "[scan]\nnormalization = none\n"))
     with pytest.raises(ConfigError, match=r"\[signal\] width_um: must be positive"):
         load_config(write(tmp_path, "[signal]\nwidth_um = -3\n"))
     with pytest.raises(ConfigError, match=r"\[sweep\] replicates: must be >= 1"):

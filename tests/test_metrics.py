@@ -35,7 +35,7 @@ STEP_UM = 1.0
 
 def result_at(position, signal):
     return RecoveryResult(position=position, signal=np.asarray(signal, dtype=float),
-                          residual=0.0, rounds=1)
+                          scale=1.0, residual=0.0, rounds=1)
 
 
 def unit_gaussian():
@@ -162,8 +162,6 @@ def test_config_validation():
         ExperimentConfig(sweep_kind="frequency")
     with pytest.raises(ValueError, match="template"):
         ExperimentConfig(sweep_kind="bsr", template="sinc")
-    with pytest.raises(ValueError, match="normalization"):
-        ExperimentConfig(sweep_kind="bsr", normalization="zscore")
     with pytest.raises(ValueError, match="replicates"):
         ExperimentConfig(sweep_kind="bsr", replicates=0)
     with pytest.raises(ValueError, match="stride"):
@@ -253,7 +251,7 @@ def test_single_cell_msp_matches_manual_recomputation():
         matrix = build_coding_matrix(profile, p_star, m, n)
         for r in range(reps):
             series = simulate(matrix, signal, 30.0, (seed, 0, q, r))
-            got = recover(profile, normalize(series, "corrected"), signal)
+            got = recover(profile, normalize(series), signal)
             out = score(got, (p_star, s_true), SuccessCriteria(), BIT_UM, STEP_UM)
             hits_p += out.position_success
             hits_s += out.signal_success
@@ -327,12 +325,13 @@ def test_flat_series_and_nnls_failures_are_counted_apart(monkeypatch):
     import codedscan.metrics as metrics_module
     from codedscan.nnls import NumericalFailureError
 
-    # The golden scan_length case: 4-bit scans at noise 100 give one flat series.
-    cfg = ExperimentConfig(sweep_kind="scan_length", seed=7, replicates=2, position_stride=32,
-                           scan_bits_values=(4.0,), energies_kev=(10.0,),
+    # Opaque bars: the 4-bit scans of window 230 see only its five bars
+    # (bits 230-234 are all ones), so both count nothing at any noise level.
+    cfg = ExperimentConfig(sweep_kind="scan_length", mu_per_um=1e9, seed=7, replicates=2,
+                           position_stride=46, scan_bits_values=(4.0,), energies_kev=(10.0,),
                            noise_levels=(10.0, 100.0))
     cell = run_sweep(cfg).cells[1]
-    assert (cell.flat, cell.failed_nnls, cell.failures) == (1, 0, 1)
+    assert (cell.flat, cell.failed_nnls, cell.failures) == (2, 0, 2)
     real = metrics_module.recover_batch
     cell_1_rows = cell.k - cell.flat  # the last rows of the batch both cells share
 
@@ -344,7 +343,7 @@ def test_flat_series_and_nnls_failures_are_counted_apart(monkeypatch):
 
     monkeypatch.setattr(metrics_module, "recover_batch", first_fails)
     cell = run_sweep(cfg).cells[1]
-    assert (cell.flat, cell.failed_nnls, cell.failures) == (1, 1, 2)
+    assert (cell.flat, cell.failed_nnls, cell.failures) == (2, 1, 3)
     assert cell.msp_position < 100.0
 
 

@@ -340,12 +340,15 @@ def test_gram_pass_that_stops_on_a_non_positive_lstsq_point_goes_on(trial, start
     # point has an entry <= 0, where the single-problem method backtracks
     # once more.
     from codedscan import ApertureGeometry, OpticalContext, build_profile, generate_de_bruijn
-    from codedscan import build_coding_matrix, make_gaussian_signal, normalize, simulate
+    from codedscan import build_coding_matrix, make_gaussian_signal, simulate
 
     geometry = ApertureGeometry(10.0, 10.0, 10.0, generate_de_bruijn(8))
     profile = build_profile(geometry, OpticalContext(0.219), 1.0).pad_open(0, 12)
     truth = build_coding_matrix(profile, start, 81, 10)
-    d = normalize(simulate(truth, make_gaussian_signal(10.0, 1.0), 10.0, seed=(5, trial)))
+    raw = simulate(truth, make_gaussian_signal(10.0, 1.0), 10.0, seed=(5, trial)).raw
+    # Counts rescaled by Poisson-corrected extrema levels, as these cases were found.
+    low, high = raw.min() + 2.0 * np.sqrt(raw.min()), raw.max() - 2.0 * np.sqrt(raw.max())
+    d = (raw - low) / (high - low)
     a = build_coding_matrix(profile, offset, 81, 10)
     x, converged = nnls(a[None], d[None])
     assert converged[0]

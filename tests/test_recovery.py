@@ -1,4 +1,4 @@
-"""Normalization, position search, shape solve, and the alternating loop."""
+"""Unit-peak normalization, position search, shape solve, and the alternating loop."""
 
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from codedscan import recovery
 from codedscan.nnls import NumericalFailureError
 from codedscan.recovery import (
     FlatSeriesError,
-    estimate_levels,
     normalize,
     recover,
     recover_batch,
@@ -43,7 +42,7 @@ def opaque_profile(pad_cells: int = 12) -> TransmissivityProfile:
 
 
 def synthetic_normalized(profile, p_star, template: Signal) -> np.ndarray:
-    """Normalized counts exactly A_p* times the unit-sum template."""
+    """Counts exactly A_p* times the unit-sum template."""
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(template))
     return matrix @ template.unit_sum().values
 
@@ -51,53 +50,37 @@ def synthetic_normalized(profile, p_star, template: Signal) -> np.ndarray:
 def noiseless_series(profile, p_star, signal: Signal, peak=100.0) -> np.ndarray:
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
     raw = simulate(matrix, signal, peak_counts=peak, seed=0, noiseless=True)
-    return normalize(raw, mode="minmax")
-
-
-def test_estimate_levels_frozen_values():
-    series = ScanSeries(np.array([100.0, 5000.0, 10000.0]))
-    levels = estimate_levels(series)
-    assert levels.mu0 == 120.0
-    assert levels.mu1 == 9800.0
+    return normalize(raw)
 
 
 def test_normalize_maps_extremes():
+    # The largest count maps to 1 and the rest keep their ratio to it.
     series = ScanSeries(np.array([100.0, 9800.0, 10000.0]))
     normalized = normalize(series)
-    assert normalized[1] == pytest.approx(1.0)  # raw 9800 = mu1 maps to 1 exactly
-    assert normalized[0] == pytest.approx((100.0 - 120.0) / 9680.0)
+    assert normalized.tolist() == [0.01, 0.98, 1.0]
 
 
 def test_normalize_zero_minimum():
     series = ScanSeries(np.array([0.0, 10.0, 40.0]))
-    assert estimate_levels(series).mu0 == 0.0
     normalized = normalize(series)
     assert normalized[0] == 0.0
 
 
-def test_normalize_minmax_mode():
-    series = ScanSeries(np.array([2.0, 6.0, 10.0]))
-    normalized = normalize(series, mode="minmax")
-    np.testing.assert_allclose(normalized, [0.0, 0.5, 1.0])
-
-
 def test_normalize_flat_series_rejected():
     with pytest.raises(FlatSeriesError):
-        normalize(ScanSeries(np.full(10, 7.0)))
-    # corrected estimators can cross even on non-constant but weak series
-    with pytest.raises(FlatSeriesError):
-        normalize(ScanSeries(np.array([99.0, 100.0, 101.0])))
+        normalize(ScanSeries(np.zeros(10)))
+    # A constant or weak series that counted anything is fitted, not flat.
+    assert normalize(ScanSeries(np.full(10, 7.0))).tolist() == [1.0] * 10
+    assert normalize(ScanSeries(np.array([0.0, 0.0, 1.0]))).tolist() == [0.0, 0.0, 1.0]
     with pytest.raises(ValueError):
         normalize(ScanSeries(np.array([1.0])))
-    with pytest.raises(ValueError):
-        estimate_levels(ScanSeries(np.array([1.0, 2.0])), mode="median")
 
 
 @st.composite
 def simulated_cells(draw):
     """A cell's trials: W windows of a profile, R replicates each, keyed
-    (seed, 7, w, r). A zero profile makes every series flat at any noise
-    level, a constant one at noise inf."""
+    (seed, 7, w, r). A zero profile makes every series flat (all zero) at
+    any noise level."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.sampled_from([2, 3, 17, 81]))
     n = draw(st.integers(1, 10))
@@ -115,16 +98,15 @@ def simulated_cells(draw):
             for w in range(offsets.size) for r in range(replicates)]
     signal = make_gaussian_signal(float(n), 1.0)
     noise = draw(st.sampled_from([10.0, 100.0, math.inf]))
-    mode = draw(st.sampled_from(["corrected", "minmax"]))
-    return values, offsets, m, signal, noise, mode, keys
+    return values, offsets, m, signal, noise, keys
 
 
 @settings(max_examples=80, deadline=None)
 @given(simulated_cells())
 def test_stacked_simulate_and_normalize_equal_the_per_trial_ones(cell):
-    values, offsets, m, signal, noise, mode, keys = cell
+    values, offsets, m, signal, noise, keys = cell
     stack = simulate(build_coding_matrix(values, offsets, m, len(signal)), signal, noise, keys)
-    normalized, flat = normalize(stack, mode)
+    normalized, flat = normalize(stack)
     replicates = len(keys) // offsets.size
     rows, flags = [], []
     for t, key in enumerate(keys):
@@ -132,7 +114,7 @@ def test_stacked_simulate_and_normalize_equal_the_per_trial_ones(cell):
         series = simulate(matrix, signal, noise, key)
         assert stack.raw[t].tobytes() == series.raw.tobytes()
         try:
-            rows.append(normalize(series, mode))
+            rows.append(normalize(series))
         except FlatSeriesError:
             flags.append(True)
         else:
@@ -151,7 +133,7 @@ def test_stacked_series_keep_the_series_checks():
         ScanSeries(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="at least 2 scan points"):
         normalize(ScanSeries(np.array([[1.0], [5.0]])))
-    normalized, flat = normalize(ScanSeries(np.full((1, 4), 3.0)))  # a stack of one never raises
+    normalized, flat = normalize(ScanSeries(np.zeros((1, 4))))  # a stack of one never raises
     assert flat.tolist() == [True] and normalized.shape == (0, 4)
     matrices = build_coding_matrix(np.ones(20), np.array([0, 3]), 5, 4)
     with pytest.raises(ValueError, match="3 trial keys do not split over 2 matrices"):
@@ -234,11 +216,11 @@ def test_recover_single_round_is_two_step():
     noisy = normalize(simulate(matrix, signal, 10.0, seed=(1, 2)))
     one = recover(profile, noisy, signal, max_rounds=1)
     assert one.rounds == 1
-    expected_p = search_position(profile, noisy, signal.unit_sum().values)
+    expected_p = search_position(profile, noisy, signal.values)
     assert one.position == expected_p
-    np.testing.assert_array_equal(
-        one.signal, solve_signal(profile, noisy, expected_p, len(signal))
-    )
+    shape = solve_signal(profile, noisy, expected_p, len(signal))
+    assert one.scale == shape.sum()
+    np.testing.assert_array_equal(one.signal, shape / shape.sum())
 
 
 def test_recover_residual_never_increases_with_rounds():
@@ -273,11 +255,27 @@ def test_recover_zero_shape_stops_alternation():
     profile = opaque_profile()
     template = make_gaussian_signal(10.0, STEP_UM)
     result = recover(profile, -np.ones(SCAN_POINTS), template)
-    assert result.rounds == 1
+    assert (result.position, result.rounds, result.scale) == (0, 1, 0.0)
     np.testing.assert_array_equal(result.signal, 0.0)
+    assert result.residual == SCAN_POINTS
 
 
-def test_normalization_affine_invariance():
+def test_recover_all_zero_counts_fit_a_zero_shape():
+    # No offset gains anything from an all-zero series (nor from an opaque
+    # window), so the search keeps offset 0; the zero shape gives a zero
+    # unit-sum signal and scale, not NaN.
+    profile = TransmissivityProfile(np.concatenate([np.zeros(120), np.ones(40)]), STEP_UM)
+    template = make_gaussian_signal(10.0, STEP_UM)
+    for d in (np.zeros(SCAN_POINTS), np.ones(SCAN_POINTS)):
+        result = recover(profile, d, template)
+        values = [result.scale, result.residual, *result.signal]
+        assert not np.isnan(values).any()
+    zero = recover(profile, np.zeros(SCAN_POINTS), template)
+    assert (zero.position, zero.scale, zero.residual) == (0, 0.0, 0.0)
+    np.testing.assert_array_equal(zero.signal, 0.0)
+
+
+def test_normalization_scale_invariance():
     profile = opaque_profile()
     signal = make_gaussian_signal(10.0, STEP_UM)
     p_star = 620
@@ -285,21 +283,18 @@ def test_normalization_affine_invariance():
     base = simulate(matrix, signal, peak_counts=10_000.0, seed=0, noiseless=True)
     scaled = ScanSeries(base.raw * 7.0)
 
-    # plain extrema: normalization is exactly scale-free, argmin unchanged
-    a = normalize(base, mode="minmax")
-    b = normalize(scaled, mode="minmax")
-    np.testing.assert_allclose(a, b, atol=1e-12)
-    t = signal.unit_sum().values
-    assert search_position(profile, a, t) == search_position(profile, b, t)
-
-    # corrected estimators: scaling perturbs d' only at the 1/sqrt(counts) scale
-    c = normalize(base)
-    d = normalize(scaled)
-    assert np.abs(c - d).max() < 5.0 / math.sqrt(10_000.0)
+    # Unit-peak counts are scale-free up to rounding, and so is the search,
+    # whatever the template's scale.
+    a = normalize(base)
+    b = normalize(scaled)
+    np.testing.assert_allclose(a, b, atol=1e-15)
+    for t in (signal.values, signal.unit_sum().values, 3.0 * signal.values):
+        assert search_position(profile, a, t) == search_position(profile, b, t) == p_star
 
 
 def as_tuple(result):
-    return result.position, result.signal.tobytes(), result.residual, result.rounds
+    return (result.position, result.signal.tobytes(), result.scale, result.residual,
+            result.rounds)
 
 
 @settings(max_examples=25, deadline=None)
@@ -318,7 +313,7 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows
     d = []
     for k in range(rows):
         kind = rng.integers(0, 6)
-        if kind == 0:  # flat: every point alike
+        if kind == 0:  # every point alike: all zero (no fit, zero shape) or all open
             d.append(np.full(SCAN_POINTS, float(rng.integers(0, 2))))
         elif kind == 1:  # no non-negative shape fits: zero signal
             d.append(-rng.random(SCAN_POINTS))
@@ -329,8 +324,8 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows
             series = simulate(matrix, signal, peak, seed=(seed, k))
             try:
                 d.append(normalize(series))
-            except FlatSeriesError:  # too few counts for the corrected levels
-                d.append(normalize(series, mode="minmax"))
+            except FlatSeriesError:  # all zero: recover it as it is
+                d.append(series.raw)
     d = np.array(d)
     saved, recovery.STACK_ROWS = recovery.STACK_ROWS, stack_rows  # several stacks per call
     try:
@@ -340,9 +335,11 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows
     assert len(batch) == rows
     for row, result in zip(d, batch):
         assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal, max_rounds))
-        # The residual is that of the last position's coding matrix.
+        # The residual is that of scale * signal at the last position's coding matrix.
         matrix = build_coding_matrix(profile, result.position, SCAN_POINTS, len(signal))
-        assert result.residual == float(np.sum((matrix @ result.signal - row) ** 2))
+        fit = matrix @ (result.scale * result.signal)
+        assert result.residual == float(np.sum((fit - row) ** 2))
+        assert result.signal.sum() == pytest.approx(1.0 if result.scale else 0.0)
 
 
 def test_batch_failure_stays_in_its_row(monkeypatch):
