@@ -8,9 +8,9 @@ offset, optionally alternating the two steps.
 Counts are fitted as they are, up to one scale: the search scores each
 offset by the best non-negative multiple of its template window, so the
 template's scale does not matter, and the shape solve fits the unit-peak
-counts directly. A fully open alignment reads the shape's sum, which
-``recover`` returns apart from the shape, as ``scale`` and a unit-sum
-``signal``.
+counts directly. ``recover`` returns the fitted shape s as its unit-sum
+``signal`` s / sum(s) and its ``scale`` sum(s), the unit-peak count that
+a fully open alignment would read.
 """
 
 from __future__ import annotations
@@ -204,19 +204,18 @@ def _recover_stack(profile, d, terms, n, max_rounds) -> list:
                 )
         moving = [i for k, i in enumerate(moving) if converged[k] and x[k].sum() > 0.0]
 
-    # Split each shape into its sum and unit-sum shape (a zero shape stays
-    # zero), and take every residual of scale * shape in one stacked
-    # product and one row sum.
+    # Each shape as its sum and its unit-sum shape, and every residual of
+    # scale * signal in one stacked product and one row sum.
     solved = [i for i in range(count) if i not in failures]
-    if not solved:
-        return [failures[i] for i in range(count)]
-    shapes = np.stack([signals[i] for i in solved])
-    scales = shapes.sum(axis=1)
-    shapes /= np.where(scales > 0.0, scales, 1.0)[:, None]
-    fits = (np.stack([matrices[i] for i in solved]) @ (scales[:, None] * shapes)[..., None])[..., 0]
-    residuals = ((fits - d[solved]) ** 2).sum(axis=1)
-    results = dict(zip(solved, (
-        RecoveryResult(positions[i], shapes[k], float(scales[k]), float(residuals[k]), rounds[i])
-        for k, i in enumerate(solved)
-    )))
-    return [failures[i] if i in failures else results[i] for i in range(count)]
+    results = dict(failures)
+    if solved:
+        shapes = np.stack([signals[i] for i in solved])
+        scales = shapes.sum(axis=1)
+        shapes /= np.where(scales > 0.0, scales, 1.0)[:, None]  # a zero shape stays zero
+        fits = np.stack([matrices[i] for i in solved]) @ (scales[:, None] * shapes)[..., None]
+        residuals = ((fits[..., 0] - d[solved]) ** 2).sum(axis=1)
+        for k, i in enumerate(solved):
+            results[i] = RecoveryResult(
+                positions[i], shapes[k], float(scales[k]), float(residuals[k]), rounds[i]
+            )
+    return [results[i] for i in range(count)]
