@@ -258,20 +258,11 @@ def test_recover_zero_shape_stops_alternation():
     assert (result.position, result.rounds, result.scale) == (0, 1, 0.0)
     np.testing.assert_array_equal(result.signal, 0.0)
     assert result.residual == SCAN_POINTS
-
-
-def test_recover_all_zero_counts_fit_a_zero_shape():
-    # No offset gains anything from an all-zero series (nor from an opaque
-    # window), so the search keeps offset 0; the zero shape gives a zero
-    # unit-sum signal and scale, not NaN.
-    profile = TransmissivityProfile(np.concatenate([np.zeros(120), np.ones(40)]), STEP_UM)
-    template = make_gaussian_signal(10.0, STEP_UM)
-    for d in (np.zeros(SCAN_POINTS), np.ones(SCAN_POINTS)):
-        result = recover(profile, d, template)
-        values = [result.scale, result.residual, *result.signal]
-        assert not np.isnan(values).any()
-    zero = recover(profile, np.zeros(SCAN_POINTS), template)
-    assert (zero.position, zero.scale, zero.residual) == (0, 0.0, 0.0)
+    # All-zero counts gain nothing at any offset, opaque (sq = 0) windows
+    # included: offset 0, and a zero signal and scale rather than NaN.
+    dark = TransmissivityProfile(np.concatenate([np.zeros(120), np.ones(40)]), STEP_UM)
+    zero = recover(dark, np.zeros(SCAN_POINTS), template)
+    assert (zero.position, zero.rounds, zero.scale, zero.residual) == (0, 1, 0.0, 0.0)
     np.testing.assert_array_equal(zero.signal, 0.0)
 
 
