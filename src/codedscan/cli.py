@@ -139,20 +139,20 @@ def run_sweep_command(args) -> int:
 
 def _recover_pixels(task) -> list:
     """Recovery rows of equal-length pixels, in the order given."""
-    profile, probe, max_rounds, pixels = task
+    profile, probe, pixels = task
     normalized, flat = normalize(ScanSeries(np.array([counts for _, counts in pixels])))
-    results = iter(recover_batch(profile, normalized, probe, max_rounds))
+    results = iter(recover_batch(profile, normalized, probe))
     rows = []
     for (pixel_id, _), is_flat in zip(pixels, flat):
         result = None if is_flat else next(results)
         if result is None:
-            rows.append(RecoveryRow(pixel_id, None, None, 0, None, "flat"))
+            rows.append(RecoveryRow(pixel_id, None, None, None, "flat"))
         elif isinstance(result, NumericalFailureError):
-            rows.append(RecoveryRow(pixel_id, None, None, 0, None, "failed"))
+            rows.append(RecoveryRow(pixel_id, None, None, None, "failed"))
         else:
             rows.append(RecoveryRow(
                 pixel_id, float(profile.position_of(result.position)), result.residual,
-                result.rounds, result.signal, "ok",
+                result.signal, "ok",
             ))
     return rows
 
@@ -198,7 +198,7 @@ def run_recover_command(args) -> int:
         size = -(-len(group) // args.workers)
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            work.append((profile, probe, cfg.max_rounds, chunk))
+            work.append((profile, probe, chunk))
     if args.workers == 1 or len(work) == 1:
         chunks = [_recover_pixels(item) for item in work]
     else:
@@ -214,8 +214,7 @@ def run_recover_command(args) -> int:
     for row in rows:
         if row.status == "ok":
             print(
-                f"pixel {row.pixel_id}: p_hat {row.p_hat_um:.3f} um, residual "
-                f"{row.residual:.3e}, rounds {row.rounds}"
+                f"pixel {row.pixel_id}: p_hat {row.p_hat_um:.3f} um, residual {row.residual:.3e}"
             )
         else:
             print(f"pixel {row.pixel_id}: {row.status}")

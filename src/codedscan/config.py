@@ -64,9 +64,11 @@ _KEYS = {
     ("sweep", "position_stride"): ("position_stride", "int", (_at_least(1),)),
     ("criteria", "epsilon"): ("epsilon", "float", (_POSITIVE,)),
     ("criteria", "position_margin_bits"): ("position_margin_bits", "float", (_at_least(0),)),
-    ("recover", "max_rounds"): ("max_rounds", "int", (_at_least(1),)),
     ("output", "csv"): ("out_csv", "text", ()),
 }
+# Sections a file may hold. [recover] has no key left; an old file's key
+# there is named as an unknown key, not its section as an unknown section.
+_SECTIONS = {section for section, _ in _KEYS} | {"recover"}
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,6 @@ class ExperimentConfig:
     position_stride: int = 1
     epsilon: float = 0.02
     position_margin_bits: float = 1.0
-    max_rounds: int = 3
     out_csv: str | None = None
 
     def __post_init__(self):
@@ -251,7 +252,7 @@ def load_config(path) -> ExperimentConfig:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
         for section in parser.sections():
-            if not any(section == known for known, _ in _KEYS):
+            if section not in _SECTIONS:
                 raise ConfigError(f"[{section}]: unknown section")
             for key, text in parser.items(section):
                 if (section, key) not in _KEYS:

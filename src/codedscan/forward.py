@@ -27,6 +27,8 @@ class Signal:
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("signal must be a non-empty vector")
+        if not np.isfinite(values).all():
+            raise ValueError("signal values must be finite")
         if values.min() < 0:
             raise ValueError("signal values are intensities and must be >= 0")
         values.flags.writeable = False
@@ -53,6 +55,8 @@ class ScanSeries:
         raw = np.ascontiguousarray(self.raw, dtype=float)
         if raw.ndim not in (1, 2) or raw.size == 0:
             raise ValueError("series must be a non-empty vector or stack of vectors")
+        if not np.isfinite(raw).all():
+            raise ValueError("counts must be finite")
         if raw.min() < 0:
             raise ValueError("counts must be >= 0")
         raw.flags.writeable = False

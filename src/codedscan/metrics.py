@@ -225,7 +225,7 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
             _simulate_cell(cell, starts, padded, truth_signal, m) for cell, starts in members
         ]
         rows = np.concatenate([normalized for normalized, _, _ in trials])
-        recovered = iter(recover_batch(padded, rows, config.probe(), config.max_rounds))
+        recovered = iter(recover_batch(padded, rows, config.probe()))
         for (cell, _), (normalized, p_stars, flat) in zip(members, trials):
             results[cell.index] = _score_cell(
                 cell, pattern, s_true, p_stars, flat, [next(recovered) for _ in normalized]

@@ -3,7 +3,7 @@
 The pipeline: scale each series to unit peak, locate the scan offset by
 exhaustive template matching against every feasible profile window, then
 solve a non-negative least-squares problem for the beam shape at that
-offset, optionally alternating the two steps.
+offset. Each series gets one search and one solve.
 
 Counts are fitted as they are, up to one scale: the search scores each
 offset by the best non-negative multiple of its template window, so the
@@ -42,7 +42,6 @@ class RecoveryResult:
     signal: np.ndarray
     scale: float
     residual: float
-    rounds: int
 
 
 def normalize(series: ScanSeries):
@@ -121,43 +120,30 @@ def recover(
     profile: TransmissivityProfile,
     d: np.ndarray,
     template: Signal,
-    max_rounds: int = 3,
 ) -> RecoveryResult:
-    """Alternate position search and shape solve until the position settles.
+    """Search the position with the template, then solve the shape there.
 
-    ``d`` holds unit-peak counts, as ``normalize`` returns them. Round 1
-    searches with the supplied template and solves for the shape s >= 0
-    there; further rounds re-search with the recovered shape as the
-    template and re-solve, stopping as soon as the position repeats or
-    ``max_rounds`` is reached. The residual never increases between
-    rounds: each half-step minimizes the same objective in one block of
-    variables. The result holds s / sum(s) and sum(s), or a zero signal
-    and scale where s is zero. Raises ``NumericalFailureError`` if a
-    shape solve does not converge.
+    ``d`` holds unit-peak counts, as ``normalize`` returns them. The
+    position is ``search_position(profile, d, template.values)`` and the
+    shape is ``solve_signal`` s >= 0 at that offset. The result holds
+    s / sum(s) and sum(s), or a zero signal and scale where s is zero.
+    Raises ``NumericalFailureError`` if the shape solve does not converge.
     """
-    (result,) = recover_batch(profile, np.asarray(d)[None], template, max_rounds)
+    (result,) = recover_batch(profile, np.asarray(d)[None], template)
     if isinstance(result, NumericalFailureError):
         raise result
     return result
 
 
-def recover_batch(
-    profile: TransmissivityProfile,
-    d,
-    template: Signal,
-    max_rounds: int = 3,
-) -> list:
+def recover_batch(profile: TransmissivityProfile, d, template: Signal) -> list:
     """``recover`` for every row of ``d``, a (T, M) stack of unit-peak series.
 
     Returns one entry per row: its ``RecoveryResult``, or the
     ``NumericalFailureError`` that its own shape solve ended in. Row i is
-    ``recover(profile, d[i], template, max_rounds)`` bit for bit. The
-    round-1 template terms are computed once; each round solves all rows
-    whose position moved in one stacked ``nnls`` call, ``STACK_ROWS`` rows
-    at a time.
+    ``recover(profile, d[i], template)`` bit for bit. The template terms
+    are computed once; the shapes are solved in one stacked ``nnls`` call
+    per ``STACK_ROWS`` rows.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
     if len(d) == 0:
         return []
     d = np.asarray(d, dtype=float)
@@ -167,55 +153,26 @@ def recover_batch(
     results = []
     for start in range(0, len(d), STACK_ROWS):
         chunk = d[start : start + STACK_ROWS]
-        results += _recover_stack(profile, chunk, terms, len(template), max_rounds)
+        results += _recover_stack(profile, chunk, terms, len(template))
     return results
 
 
-def _recover_stack(profile, d, terms, n, max_rounds) -> list:
-    """``recover_batch`` on at most ``STACK_ROWS`` rows, given the round-1 terms."""
-    count, m = d.shape
+def _recover_stack(profile, d, terms, n) -> list:
+    """``recover_batch`` on at most ``STACK_ROWS`` rows, given the template terms."""
     positions = [_best_offset(*terms, row) for row in d]
-    signals = [None] * count
-    matrices = [None] * count  # each row's coding matrix at its last solve
-    failures = {}
-    rounds = [1] * count
-    moving = list(range(count))
-    for round_index in range(max_rounds):
-        if round_index:
-            # Re-search with each recovered shape; a row stops once it repeats.
-            moved = []
-            for i in moving:
-                again = search_position(profile, d[i], signals[i])
-                if again != positions[i]:
-                    positions[i] = again
-                    rounds[i] += 1
-                    moved.append(i)
-            moving = moved
-        if not moving:
-            break
-        stack = build_coding_matrix(profile, np.array([positions[i] for i in moving]), m, n)
-        x, converged = nnls(stack, d[moving])
-        for k, i in enumerate(moving):
-            if converged[k]:
-                signals[i], matrices[i] = x[k], stack[k]
-            else:
-                failures[i] = NumericalFailureError(
-                    f"no convergence for the shape at offset {positions[i]}", x[k]
-                )
-        moving = [i for k, i in enumerate(moving) if converged[k] and x[k].sum() > 0.0]
-
+    stack = build_coding_matrix(profile, np.array(positions), d.shape[1], n)
+    x, converged = nnls(stack, d)
     # Each shape as its sum and its unit-sum shape, and every residual of
     # scale * signal in one stacked product and one row sum.
-    solved = [i for i in range(count) if i not in failures]
-    results = dict(failures)
-    if solved:
-        shapes = np.stack([signals[i] for i in solved])
-        scales = shapes.sum(axis=1)
-        shapes /= np.where(scales > 0.0, scales, 1.0)[:, None]  # a zero shape stays zero
-        fits = np.stack([matrices[i] for i in solved]) @ (scales[:, None] * shapes)[..., None]
-        residuals = ((fits[..., 0] - d[solved]) ** 2).sum(axis=1)
-        for k, i in enumerate(solved):
-            results[i] = RecoveryResult(
-                positions[i], shapes[k], float(scales[k]), float(residuals[k]), rounds[i]
-            )
-    return [results[i] for i in range(count)]
+    scales = x.sum(axis=1)
+    shapes = x / np.where(scales > 0.0, scales, 1.0)[:, None]  # a zero shape stays zero
+    fits = stack @ (scales[:, None] * shapes)[..., None]
+    residuals = ((fits[..., 0] - d) ** 2).sum(axis=1)
+    return [
+        RecoveryResult(p, shape, float(scale), float(residual))
+        if ok
+        else NumericalFailureError(f"no convergence for the shape at offset {p}", iterate)
+        for p, shape, scale, residual, ok, iterate in zip(
+            positions, shapes, scales, residuals, converged, x
+        )
+    ]

@@ -43,7 +43,6 @@ class RecoveryRow:
     pixel_id: str
     p_hat_um: float | None
     residual: float | None
-    rounds: int
     signal: np.ndarray | None
     status: str  # ok | flat | failed
 
@@ -109,17 +108,17 @@ def write_sweep_csv(path, result: SweepResult, config_items=()) -> Path:
 
 
 def write_recovery_csv(path, rows, n_signal: int, config_items=()) -> Path:
-    """Per-pixel recoveries: pixel_id, p_hat_um, residual, rounds, s_0.., status."""
+    """Per-pixel recoveries: pixel_id, p_hat_um, residual, s_0.., status."""
     out = io.StringIO()
     out.write(_comment_block("recovery results", config_items))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
-        ["pixel_id", "p_hat_um", "residual", "rounds"]
+        ["pixel_id", "p_hat_um", "residual"]
         + [f"s_{i}" for i in range(n_signal)]
         + ["status"]
     )
     for row in rows:
-        cells = [row.pixel_id, _fmt(row.p_hat_um), _fmt(row.residual), _fmt(row.rounds)]
+        cells = [row.pixel_id, _fmt(row.p_hat_um), _fmt(row.residual)]
         if row.signal is None:
             cells += [""] * n_signal
         else:

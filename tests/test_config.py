@@ -81,9 +81,6 @@ position_stride = 3
 epsilon = 0.05
 position_margin_bits = 2
 
-[recover]
-max_rounds = 5
-
 [output]
 csv = results.csv
 """))
@@ -98,7 +95,6 @@ csv = results.csv
     assert cfg.angles_deg == (0.0, 16.7)
     assert cfg.replicates == 7
     assert cfg.epsilon == 0.05
-    assert cfg.max_rounds == 5
     assert cfg.out_csv == "results.csv"
 
 
@@ -121,6 +117,13 @@ def test_unknown_section_and_key_are_named(tmp_path):
     # every series is fitted as unit-peak counts
     with pytest.raises(ConfigError, match=r"\[scan\] normalization: unknown key"):
         load_config(write(tmp_path, "[scan]\nnormalization = minmax\n"))
+    # every series gets one position search and one shape solve
+    with pytest.raises(ConfigError, match=r"^\[recover\] max_rounds: unknown key$"):
+        load_config(write(tmp_path, "[recover]\nmax_rounds = 3\n"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["pattern", "--config", str(tmp_path / "exp.cfg")]) == 2
+    assert err.getvalue() == "error: [recover] max_rounds: unknown key\n"
     # non-bsr sweeps take their bit from [aperture]
     with pytest.raises(ConfigError, match=r"\[sweep\] bsr: unknown key"):
         load_config(write(tmp_path, "[sweep]\nbsr = 0.5\n"))

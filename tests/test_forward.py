@@ -191,6 +191,17 @@ def test_signal_and_series_validation():
     np.testing.assert_allclose(unit.values, [0.25, 0.75])
 
 
+@pytest.mark.parametrize("stack", [False, True], ids=["vector", "stack"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_rejected(bad, stack):
+    values = np.array([1.0, 2.0, bad])
+    with pytest.raises(ValueError, match="counts must be finite"):
+        ScanSeries(np.array([[3.0, 4.0, 5.0], values]) if stack else values)
+    if not stack:  # a signal is one vector
+        with pytest.raises(ValueError, match="signal values must be finite"):
+            Signal(values)
+
+
 def test_coding_matrix_stack_holds_each_offsets_matrix():
     values = np.random.default_rng(3).random(50)
     offsets = np.array([7, 0, 31, 7])

@@ -35,7 +35,7 @@ STEP_UM = 1.0
 
 def result_at(position, signal):
     return RecoveryResult(position=position, signal=np.asarray(signal, dtype=float),
-                          scale=1.0, residual=0.0, rounds=1)
+                          scale=1.0, residual=0.0)
 
 
 def unit_gaussian():

@@ -1,4 +1,4 @@
-"""Unit-peak normalization, position search, shape solve, and the alternating loop."""
+"""Unit-peak normalization, position search, shape solve, and recovery: one of each."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from codedscan.forward import (
 from codedscan import recovery
 from codedscan.nnls import NumericalFailureError
 from codedscan.recovery import (
+    STACK_ROWS,
     FlatSeriesError,
     normalize,
     recover,
@@ -208,36 +209,6 @@ def test_recover_noiseless_exactness(p_star):
     assert result.residual < 1e-12
 
 
-def test_recover_single_round_is_two_step():
-    profile = opaque_profile()
-    signal = make_gaussian_signal(10.0, STEP_UM)
-    p_star = 1234
-    matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
-    noisy = normalize(simulate(matrix, signal, 10.0, seed=(1, 2)))
-    one = recover(profile, noisy, signal, max_rounds=1)
-    assert one.rounds == 1
-    expected_p = search_position(profile, noisy, signal.values)
-    assert one.position == expected_p
-    shape = solve_signal(profile, noisy, expected_p, len(signal))
-    assert one.scale == shape.sum()
-    np.testing.assert_array_equal(one.signal, shape / shape.sum())
-
-
-def test_recover_residual_never_increases_with_rounds():
-    profile = opaque_profile()
-    signal = make_gaussian_signal(10.0, STEP_UM)
-    rng_seeds = [(7, k) for k in range(12)]
-    for seed in rng_seeds:
-        matrix = build_coding_matrix(profile, 731, SCAN_POINTS, len(signal))
-        noisy = normalize(simulate(matrix, signal, 10.0, seed=seed))
-        res = [
-            recover(profile, noisy, signal, max_rounds=r).residual
-            for r in (1, 2, 3)
-        ]
-        assert res[1] <= res[0] + 1e-12
-        assert res[2] <= res[1] + 1e-12
-
-
 def test_recover_residual_dominates_template_fit():
     profile = opaque_profile()
     signal = make_gaussian_signal(10.0, STEP_UM)
@@ -251,18 +222,18 @@ def test_recover_residual_dominates_template_fit():
     assert result.residual <= template_fit + 1e-12
 
 
-def test_recover_zero_shape_stops_alternation():
+def test_recover_zero_shape_gives_zero_signal_and_scale():
     profile = opaque_profile()
     template = make_gaussian_signal(10.0, STEP_UM)
     result = recover(profile, -np.ones(SCAN_POINTS), template)
-    assert (result.position, result.rounds, result.scale) == (0, 1, 0.0)
+    assert (result.position, result.scale) == (0, 0.0)
     np.testing.assert_array_equal(result.signal, 0.0)
     assert result.residual == SCAN_POINTS
     # All-zero counts gain nothing at any offset, opaque (sq = 0) windows
     # included: offset 0, and a zero signal and scale rather than NaN.
     dark = TransmissivityProfile(np.concatenate([np.zeros(120), np.ones(40)]), STEP_UM)
     zero = recover(dark, np.zeros(SCAN_POINTS), template)
-    assert (zero.position, zero.rounds, zero.scale, zero.residual) == (0, 1, 0.0, 0.0)
+    assert (zero.position, zero.scale, zero.residual) == (0, 0.0, 0.0)
     np.testing.assert_array_equal(zero.signal, 0.0)
 
 
@@ -284,19 +255,13 @@ def test_normalization_scale_invariance():
 
 
 def as_tuple(result):
-    return (result.position, result.signal.tobytes(), result.scale, result.residual,
-            result.rounds)
+    return (result.position, result.signal.tobytes(), result.scale, result.residual)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(1, 9),
-    max_rounds=st.integers(1, 4),
-    stack_rows=st.integers(1, 4),
-    mu=st.sampled_from([0.219, 0.04, 1e9]),
-)
-def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows, mu):
+def random_rows(seed, rows, mu):
+    """A profile of gold-like bars (1/um attenuation ``mu``), the Gaussian
+    template and ``rows`` series: noisy unit-peak scans at random offsets,
+    constant rows and rows that no non-negative shape fits."""
     rng = np.random.default_rng(seed)
     geometry = ApertureGeometry(BIT_UM, BIT_UM, 10.0, generate_de_bruijn(8))
     profile = build_profile(geometry, OpticalContext(mu), STEP_UM).pad_open(0, 12)
@@ -317,20 +282,57 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, max_rounds, stack_rows
                 d.append(normalize(series))
             except FlatSeriesError:  # all zero: recover it as it is
                 d.append(series.raw)
-    d = np.array(d)
+    return profile, signal, np.array(d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 9),
+    stack_rows=st.integers(1, 4),
+    mu=st.sampled_from([0.219, 0.04, 1e9]),
+)
+def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
+    profile, signal, d = random_rows(seed, rows, mu)
     saved, recovery.STACK_ROWS = recovery.STACK_ROWS, stack_rows  # several stacks per call
     try:
-        batch = recover_batch(profile, d, signal, max_rounds)
+        batch = recover_batch(profile, d, signal)
     finally:
         recovery.STACK_ROWS = saved
     assert len(batch) == rows
     for row, result in zip(d, batch):
-        assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal, max_rounds))
-        # The residual is that of scale * signal at the last position's coding matrix.
-        matrix = build_coding_matrix(profile, result.position, SCAN_POINTS, len(signal))
+        assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.sampled_from([-1, 0, 1, STACK_ROWS + 1]),
+    mu=st.sampled_from([0.219, 0.04, 1e9]),
+)
+def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
+    # Stacks of STACK_ROWS - 1 to 2 * STACK_ROWS + 1 rows: one full stack,
+    # one short, and full stacks followed by a short one.
+    profile, signal, d = random_rows(seed, STACK_ROWS + extra, mu)
+    batch = recover_batch(profile, d, signal)
+    assert len(batch) == len(d)
+    for row, result in zip(d, batch):
+        position = search_position(profile, row, signal.values)
+        try:
+            shape = solve_signal(profile, row, position, len(signal))
+        except NumericalFailureError as failure:
+            assert isinstance(result, NumericalFailureError)
+            assert result.best_iterate.tobytes() == failure.best_iterate.tobytes()
+            continue
+        scale = shape.sum()
+        assert result.position == position
+        assert result.scale == scale
+        np.testing.assert_array_equal(result.signal, shape / scale if scale > 0 else shape)
+        # The residual is that of scale * signal at the searched offset.
+        matrix = build_coding_matrix(profile, position, SCAN_POINTS, len(signal))
         fit = matrix @ (result.scale * result.signal)
         assert result.residual == float(np.sum((fit - row) ** 2))
-        assert result.signal.sum() == pytest.approx(1.0 if result.scale else 0.0)
+        assert result.signal.sum() == pytest.approx(1.0 if scale else 0.0)
 
 
 def test_batch_failure_stays_in_its_row(monkeypatch):
@@ -361,5 +363,3 @@ def test_batch_accepts_empty_and_rejects_bad_arguments():
     assert recover_batch(profile, [], signal) == []
     with pytest.raises(ValueError):
         recover_batch(profile, np.ones(SCAN_POINTS), signal)
-    with pytest.raises(ValueError):
-        recover_batch(profile, np.ones((2, SCAN_POINTS)), signal, max_rounds=0)

@@ -183,18 +183,26 @@ def test_patterning_csv_adds_join_columns(tmp_path):
 
 def test_recovery_csv_rows(tmp_path):
     rows = [
-        RecoveryRow("3", 370.0, 1.5e-12, 2, np.array([0.25, 0.5, 0.25]), "ok"),
-        RecoveryRow("7", None, None, 0, None, "flat"),
+        RecoveryRow("3", 370.0, 1.5e-12, np.array([0.25, 0.5, 0.25]), "ok"),
+        RecoveryRow("7", None, None, None, "flat"),
     ]
     path = write_recovery_csv(tmp_path / "rec.csv", rows, 3, [("seed", "1")])
     lines = path.read_text().splitlines()
-    assert lines[2] == "pixel_id,p_hat_um,residual,rounds,s_0,s_1,s_2,status"
-    assert lines[3] == "3,370.0,1.5e-12,2,0.25,0.5,0.25,ok"
-    assert lines[4] == "7,,,0,,,,flat"
+    assert lines[2] == "pixel_id,p_hat_um,residual,s_0,s_1,s_2,status"
+    assert lines[3] == "3,370.0,1.5e-12,0.25,0.5,0.25,ok"
+    assert lines[4] == "7,,,,,,flat"
+
+
+def test_readme_recovery_columns_match_the_csv_header(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (documented,) = re.findall(r"the output's columns are\s+`([^`]+)`", readme)
+    path = write_recovery_csv(tmp_path / "rec.csv", [], 3, [("seed", "1")])
+    (header,) = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert documented.replace("s_0,…,s_{N-1}", "s_0,s_1,s_2") == header
 
 
 def test_recovery_csv_rejects_wrong_signal_length(tmp_path):
-    rows = [RecoveryRow("0", 1.0, 0.0, 1, np.array([1.0, 2.0]), "ok")]
+    rows = [RecoveryRow("0", 1.0, 0.0, np.array([1.0, 2.0]), "ok")]
     with pytest.raises(ValueError, match="signal length"):
         write_recovery_csv(tmp_path / "rec.csv", rows, 3)
 
