@@ -163,7 +163,11 @@ def run_recover_command(args) -> int:
     cfg = load_config(args.config)
     n_keep = None
     if args.truncate_bits is not None:
-        n_keep = scan_point_count(args.truncate_bits, cfg.bit_size_um, cfg.grid_step_um)
+        bit = cfg.bit_size_um  # unequal bit sizes fail here, with their own message
+        try:
+            n_keep = scan_point_count(args.truncate_bits, bit, cfg.grid_step_um)
+        except ValueError as exc:
+            raise ConfigError(f"--truncate-bits: {exc}") from None
     series = read_pixel_series(args.series)
     pattern = generate_de_bruijn(cfg.pattern_order)
     profile = build_profile(cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample)

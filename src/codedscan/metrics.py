@@ -140,8 +140,8 @@ def msp(outcomes) -> tuple:
 
 def scan_point_count(scan_bits: float, bit_size_um: float, grid_step_um: float) -> int:
     """Scan points for a travel of ``scan_bits`` bits, both endpoints sampled."""
-    if scan_bits < 1:
-        raise ValueError("scan length must be at least one bit")
+    if not (math.isfinite(scan_bits) and scan_bits >= 1):
+        raise ValueError(f"scan length must be a finite number of bits, at least one, got {scan_bits:g}")
     return int(round(scan_bits * bit_size_um / grid_step_um)) + 1
 
 

@@ -511,6 +511,18 @@ def test_recover_overzealous_truncation_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bits", ["inf", "-inf", "nan"])
+def test_recover_non_finite_truncation_is_exit_2(tmp_path, capsys, bits):
+    cfg = write_cfg(tmp_path, OPAQUE)
+    series = multi_pixel_file(tmp_path, (10,), peak=1000.0, seed=2)
+    # "=" keeps argparse from reading "-inf" as an option.
+    assert main(["recover", str(series), "--config", str(cfg), f"--truncate-bits={bits}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --truncate-bits: scan length must be a finite number of bits, "
+        f"at least one, got {bits}\n"
+    )
+
+
 # ---------------------------------------------------------------- pattern
 
 

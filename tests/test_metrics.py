@@ -152,6 +152,9 @@ def test_scan_point_count_rounds_to_grid():
 def test_scan_point_count_rejects_sub_bit_travel():
     with pytest.raises(ValueError):
         scan_point_count(0.5, 10.0, 1.0)
+    for bits in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite number of bits"):
+            scan_point_count(bits, 10.0, 1.0)
 
 
 # ---------------------------------------------------- ExperimentConfig

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -363,3 +364,91 @@ def test_batch_accepts_empty_and_rejects_bad_arguments():
     assert recover_batch(profile, [], signal) == []
     with pytest.raises(ValueError):
         recover_batch(profile, np.ones(SCAN_POINTS), signal)
+
+
+def test_batch_rejects_a_stack_without_scan_points():
+    profile = opaque_profile()
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    with pytest.raises(ValueError, match=r"got shape \(3, 0\)"):
+        recover_batch(profile, np.zeros((3, 0)), signal)
+
+
+@st.composite
+def tie_prone_stacks(draw):
+    """A profile, a template and a stack of rows made to tie, or to leave the
+    screen's error bound: long open and opaque runs (sq = 0), periodic
+    profiles (exact ties), mirrored profiles with a symmetric template and
+    palindromic rows (ties in exact arithmetic that round apart), and rows
+    that are all zero, negative, non-finite or scaled by 1e-300 to 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([*range(1, 13), 81]))
+    n = draw(st.integers(1, 10))
+    size = 2 * (m + n + draw(st.integers(0, 60)))
+    kind = draw(st.sampled_from(["random", "runs", "periodic", "mirrored"]))
+    if kind == "random":
+        values = rng.random(size)
+    elif kind == "runs":
+        levels = rng.choice([0.0, 1.0, 0.25], size)
+        values = np.repeat(levels, rng.integers(1, 3 * m + 2, size))[:size]
+    elif kind == "periodic":
+        values = np.resize(rng.random(rng.integers(1, 8)), size)
+    else:
+        half = rng.random(size // 2)
+        values = np.concatenate([half, half[::-1]])
+    template = rng.random(n) * 10.0 ** rng.integers(-20, 21)
+    if kind == "mirrored":
+        template = template + template[::-1]
+    rows = draw(st.sampled_from([1, 2, STACK_ROWS - 1, STACK_ROWS, STACK_ROWS + 1]))
+    d = rng.random((rows, m))
+    d += d[:, ::-1]  # palindromic
+    shuffled = rng.random(rows) < (0.2 if kind == "mirrored" else 0.6)
+    d[shuffled] = rng.random((shuffled.sum(), m))
+    special = rng.integers(0, 12, rows)
+    d[special == 0] = 0.0
+    d[special == 1] *= -1.0
+    d[special == 2, rng.integers(0, m)] = rng.choice([np.nan, np.inf, -1.0])
+    scaled = special == 3
+    d[scaled] *= 10.0 ** rng.integers(-300, 301, (scaled.sum(), 1))
+    return TransmissivityProfile(values, STEP_UM), Signal(template), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_prone_stacks())
+def test_batch_positions_equal_the_one_row_search_on_ties(stack):
+    profile, signal, d = stack
+    positions = []
+    screen = recovery._best_offsets
+
+    def keep(*args):
+        positions.extend(screen(*args))
+        return positions[-len(args[-1]) :]
+
+    # Overflow and NaN are inputs here, not faults, in the search and the solve.
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        patch.setattr(recovery, "_best_offsets", keep)
+        recover_batch(profile, d, signal)
+        expected = [search_position(profile, row, signal.values) for row in d]
+    assert positions == expected
+
+
+@pytest.mark.parametrize("m", [1, 11, 81, 241])
+@pytest.mark.parametrize("t", [1, 16, 64])
+def test_screen_products_stay_within_the_one_thread_bound(monkeypatch, m, t):
+    rng = np.random.default_rng(m * t)
+    window_dots, sliding_sq = recovery._template_terms(rng.random(2600 + m), np.ones(10), m)
+    d = rng.random((t, m))
+    products = []
+    matmul = np.matmul
+
+    def record(a, b, **kwargs):
+        products.append((*a.shape, b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", record)
+    positions = recovery._best_offsets(window_dots, sliding_sq, 1.0 / sliding_sq, d)
+    monkeypatch.undo()
+    assert positions == [recovery._best_offset(window_dots, sliding_sq, row) for row in d]
+    assert all(rows * inner * cols <= recovery.SCREEN_MADDS for rows, inner, cols in products)
+    # A stack of one is searched alone; any other screens every offset once.
+    assert sum(cols for _, _, cols in products) == (sliding_sq.size if t > 1 else 0)
