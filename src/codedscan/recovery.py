@@ -169,8 +169,9 @@ def _best_offsets(window_dots, sliding_sq, inv_sq, d) -> list:
         elif single[i]:
             positions.append(int(first[i] * block + args[first[i], i]))
         else:
-            lo, hi = first[i] * block, min((last[i] + 1) * block, p_count)
-            positions.append(lo + _best_offset(window_dots[lo : hi + m - 1], sliding_sq[lo:hi], row))
+            lo, hi = int(first[i]) * block, min(int(last[i] + 1) * block, p_count)
+            offset = _best_offset(window_dots[lo : hi + m - 1], sliding_sq[lo:hi], row)
+            positions.append(lo + offset)
     return positions
 
 

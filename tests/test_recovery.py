@@ -430,6 +430,7 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
         recover_batch(profile, d, signal)
         expected = [search_position(profile, row, signal.values) for row in d]
     assert positions == expected
+    assert all(type(p) is int for p in positions)
 
 
 @pytest.mark.parametrize("m", [1, 11, 81, 241])
