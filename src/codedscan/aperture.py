@@ -127,8 +127,6 @@ class TransmissivityProfile:
 
 def _coverage_function(intervals: np.ndarray):
     """Cumulative bar coverage C(z) = measure of bars within (-inf, z]."""
-    if intervals.size == 0:
-        return lambda z: np.zeros_like(np.asarray(z, dtype=float))
     bounds = intervals.reshape(-1)  # [s0, e0, s1, e1, ...], sorted
     lengths = intervals[:, 1] - intervals[:, 0]
     # cum[j] = coverage strictly before bounds[j]
@@ -162,13 +160,10 @@ def gold_path_length(geometry: ApertureGeometry, entry_z_um, context: OpticalCon
     z = np.asarray(entry_z_um, dtype=float)
     intervals = geometry.bar_intervals()
     if theta == 0.0:
-        if intervals.size == 0:
-            path = np.zeros_like(z)
-        else:
-            bounds = intervals.reshape(-1)
-            j = np.searchsorted(bounds, z, side="right") - 1
-            inside = (j >= 0) & (j % 2 == 0)
-            path = np.where(inside, geometry.thickness_um, 0.0)
+        bounds = intervals.reshape(-1)
+        j = np.searchsorted(bounds, z, side="right") - 1
+        inside = (j >= 0) & (j % 2 == 0)
+        path = np.where(inside, geometry.thickness_um, 0.0)
     else:
         coverage = _coverage_function(intervals)
         sweep = geometry.thickness_um * math.tan(theta)

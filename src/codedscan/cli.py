@@ -82,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _noise_text(level: float) -> str:
-    return "inf" if math.isinf(level) else f"{level:g}"
-
-
 def run_sweep_command(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
@@ -111,7 +107,7 @@ def run_sweep_command(args) -> int:
         c = cell.cell
         line = (
             f"{c.param_name}={c.param_value:g} [{c.energy_or_angle:g}] "
-            f"noise={_noise_text(c.noise_level)}: position {cell.msp_position:.2f}% "
+            f"noise={c.noise_level:g}: position {cell.msp_position:.2f}% "
             f"shape {cell.msp_shape:.2f}% (k={cell.k}, se {cell.stderr:.2f})"
         )
         if cell.flat:
@@ -124,7 +120,7 @@ def run_sweep_command(args) -> int:
     if result.kind == "patterning":
         for noise, rhos in patterning_correlations(result).items():
             zeros, flips = ("undefined" if rho is None else f"{rho:+.3f}" for rho in rhos)
-            print(f"noise {_noise_text(noise)}: Spearman MSP~zeros {zeros}, MSP~flips {flips}")
+            print(f"noise {noise:g}: Spearman MSP~zeros {zeros}, MSP~flips {flips}")
     if flat or failed_nnls:
         print(
             f"warning: {flat + failed_nnls} trials scored as misses: {flat} flat series, "

@@ -141,8 +141,7 @@ def simulate(
     the expected count at a fully open alignment (sum of the rescaled
     signal); ``math.inf`` skips rescaling and noise, returning raw
     intensities. ``seed`` is an int or tuple of ints keying the per-trial
-    counter-based stream; an ``np.random.Generator`` is also accepted
-    directly.
+    counter-based stream.
 
     A (W, M, N) stack of matrices takes a sequence of T trial keys, T a
     multiple of W, and returns the (T, M) stack of series: the keys split
@@ -172,8 +171,5 @@ def simulate(
 
 def _draw(intensity: np.ndarray, seed) -> np.ndarray:
     """Poisson counts around ``intensity`` from the stream ``seed`` keys."""
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = trial_rng(*(seed if isinstance(seed, (tuple, list)) else (seed,)))
+    rng = trial_rng(*(seed if isinstance(seed, (tuple, list)) else (seed,)))
     return rng.poisson(intensity).astype(float)

@@ -239,6 +239,9 @@ def recover_batch(profile: TransmissivityProfile, d, template: Signal) -> list:
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[1] == 0:
         raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {d.shape}")
+    finite = np.isfinite(d).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))}: counts must be finite")
     window_dots, sliding_sq = _template_terms(profile.values, template.values, d.shape[1])
     inv_sq = np.zeros_like(sliding_sq)
     np.divide(1.0, sliding_sq, out=inv_sq, where=sliding_sq > 0.0)

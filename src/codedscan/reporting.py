@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +50,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    value = float(value)
-    if math.isinf(value):
-        return "inf"
-    return repr(value)
+    return repr(float(value))
 
 
 def atomic_write_text(path, text: str) -> Path:
@@ -158,25 +153,40 @@ def read_pixel_series(path) -> dict:
     equidistant per pixel (within ``POSITION_TOLERANCE_UM``); scan indices
     must count up from zero per pixel.
 
-    All data lines go through one ``np.loadtxt`` call, and every check runs
-    on its columns. Only a file that fails is read again, line by line, to
-    name its first bad line.
+    Each block of data lines goes through one ``np.loadtxt`` call, and every
+    check runs on the columns. Only a block whose table cannot be trusted
+    is read again, line by line, to name its first bad line.
     """
     path = Path(path)
     if not path.is_file():
         raise SeriesFormatError(f"series file not found: {path}")
+    tables = []
+    problem = None
+    rows = 0  # data lines before the current block
     try:
-        table, lines = _parse_file(path)
-        # loadtxt joins the lines of a quoted field that does not close
-        if table is None or len(table) != lines.count - len(lines.skipped) or lines.separators:
-            _reject(path)
-        pixel_ids, codes, order = _group(table["pixel_id"])
-        # and reads a comment line whose quotes do not close as data
-        if any(pixel_id.startswith("#") for pixel_id in pixel_ids):
-            _reject(path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = _DataLines(handle)
+            for block in lines.blocks():
+                if not block:
+                    continue
+                table, good, problem = _parse_block(block)
+                if good:
+                    tables.append(table)
+                rows += good
+                if problem is not None:
+                    break
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    _check_rows(path, table, pixel_ids, codes, order, lines.line_of)
+    if not tables and problem is None:
+        raise SeriesFormatError(f"{path}: no data rows")
+    if tables:
+        # column by column, so that each column is contiguous
+        table = {name: np.concatenate([t[name] for t in tables]) for name in SERIES_COLUMNS}
+        del tables
+        pixel_ids, codes, order = _group(table["pixel_id"])
+        _check_rows(path, table, pixel_ids, codes, order, lines.line_of)
+    if problem is not None:
+        raise SeriesFormatError(f"{path}:{lines.line_of(rows)}: {problem}")
     sizes = np.bincount(codes)
     positions = table["position_um"][order]
     counts = table["counts"][order]
@@ -242,12 +252,10 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 class _DataLines:
-    """The data lines of an open series file, in order, for ``np.loadtxt``.
+    """The data lines of an open series file, in blocks, for ``np.loadtxt``.
 
-    Iterating leaves out the lines ``_SKIPPED`` matches and keeps their
-    numbers in ``skipped``; ``count`` is the number of lines read, and
-    ``separators`` whether a data line held one of ``_SEPARATORS``. Lines are
-    read in blocks, and only a block that may hold a line to skip is
+    ``blocks`` leaves out the lines ``_SKIPPED`` matches and keeps their
+    numbers in ``skipped``. Only a block that may hold a line to skip is
     filtered line by line.
     """
 
@@ -256,16 +264,11 @@ class _DataLines:
     def __init__(self, handle):
         self._handle = handle
         self.skipped = []
-        self.count = 0
-        self.separators = False
-
-    def __iter__(self):
-        return chain.from_iterable(self.blocks())
 
     def blocks(self):
+        count = 0  # lines read
         while block := self._handle.readlines(self.BLOCK_CHARS):
-            first = self.count + 1
-            self.count += len(block)
+            first, count = count + 1, count + len(block)
             text = "\n" + "".join(block)
             if (
                 _BREAK_THEN_SKIPPED.search(text)
@@ -279,8 +282,6 @@ class _DataLines:
                     else:
                         kept.append(line)
                 block = kept
-                text = "".join(block)
-            self.separators = self.separators or any(c in text for c in _SEPARATORS)
             yield block
 
     def line_of(self, rows):
@@ -296,23 +297,6 @@ def _parse(lines, dtype=_SERIES_ROW) -> np.ndarray:
     # string per row they would cost more memory than the numbers.
     return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                       ndmin=1, converters={0: sys.intern})
-
-
-def _parse_file(path):
-    """``(table, lines)``: every data line of ``path`` parsed in one call,
-    or None for the table where numpy rejects a line."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        lines = _DataLines(handle)
-        data = iter(lines)
-        first = next(data, None)
-        if first is None:  # loadtxt would warn and return nothing
-            raise SeriesFormatError(f"{path}: no data rows")
-        try:
-            return _parse(chain((first,), data)), lines
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            return None, lines
 
 
 def _group(ids):
@@ -363,51 +347,34 @@ def _line_problem(line):
     return None
 
 
-def _reject(path):
-    """Raise the message of the first bad line of a file the bulk parse
-    rejected; the rows before that line are checked first.
+def _parse_block(block):
+    """``(table, good, problem)`` for a block of data lines: the table of its
+    first ``good`` lines, which come before its first bad line, and what is
+    wrong with that line, or None if no line is bad.
 
-    Each block of data lines is parsed in one call. A block is checked line
-    by line only where ``read_pixel_series`` would reject its table: the
-    call fails, it joins lines (an unclosed quote), an id holds a line
-    break or starts with ``#``, or the block holds one of ``_SEPARATORS``.
+    The block is checked line by line only where its table cannot be
+    trusted: the call fails, it joins lines (an unclosed quote), an id holds
+    a line break or starts with ``#``, or the block holds one of
+    ``_SEPARATORS``.
     """
-    tables = []
-    index = 0  # data lines before the current block
-    problem = None
-    with open(path, encoding="utf-8", newline="") as handle:
-        lines = _DataLines(handle)
-        for block in lines.blocks():
-            if not block:
-                continue
-            text = "".join(block)
-            try:
-                table = _parse(block)
-            except ValueError:
-                table = None
-            if (
-                table is None
-                or len(table) < len(block)
-                or any(c in text for c in _SEPARATORS)
-                or any("\n" in i or "\r" in i or i.lstrip().startswith("#")
-                       for i in set(table["pixel_id"]))
-            ):
-                for bad, line in enumerate(block):
-                    problem = _line_problem(line)
-                    if problem is not None:
-                        break
-                good = block[:bad] if problem is not None else block
-                table = _parse(good) if good else None
-            if table is not None:
-                tables.append(table)
-            if problem is not None:
-                index += bad
-                break
-            index += len(block)
-    if tables:
-        table = np.concatenate(tables)
-        _check_rows(path, table, *_group(table["pixel_id"]), lines.line_of)
-    raise SeriesFormatError(f"{path}:{lines.line_of(index)}: {problem}")
+    try:
+        table = _parse(block)
+    except ValueError:
+        table = None
+    text = "".join(block)
+    if not (
+        table is None
+        or len(table) < len(block)
+        or any(c in text for c in _SEPARATORS)
+        or any("\n" in i or "\r" in i or i.lstrip().startswith("#")
+               for i in set(table["pixel_id"]))
+    ):
+        return table, len(block), None
+    for good, line in enumerate(block):
+        problem = _line_problem(line)
+        if problem is not None:
+            return (_parse(block[:good]) if good else None), good, problem
+    return _parse(block), len(block), None
 
 
 def _not_utf8(path) -> SeriesFormatError:
@@ -516,7 +483,6 @@ def write_sweep_svgs(prefix, result: SweepResult) -> list:
     prefix = Path(prefix)
     written = []
     for noise in sorted({c.cell.noise_level for c in result.cells}):
-        tag = "inf" if math.isinf(noise) else f"{noise:g}"
-        path = prefix.with_name(f"{prefix.name}_noise{tag}.svg")
+        path = prefix.with_name(f"{prefix.name}_noise{noise:g}.svg")
         written.append(atomic_write_text(path, sweep_svg_text(result, noise)))
     return written

@@ -82,6 +82,16 @@ def test_path_beyond_mask_is_open():
     assert gold_path_length(geom, 1000.0, ctx) == 0.0
 
 
+@pytest.mark.parametrize("theta", [0.0, 20.0])
+def test_pattern_without_bars_is_open(theta):
+    geom = simple_geometry("0000", bit_um=10.0)
+    ctx = OpticalContext(mu_per_um=0.2, incidence_angle_deg=theta)
+    z = np.linspace(-5.0, 45.0, 11)
+    np.testing.assert_array_equal(gold_path_length(geom, z, ctx), 0.0)
+    assert gold_path_length(geom, 15.0, ctx) == 0.0
+    np.testing.assert_array_equal(build_profile(geom, ctx, grid_step_um=1.0).values, 1.0)
+
+
 def test_path_vectorized_matches_scalars():
     geom = ApertureGeometry(10.0, 10.0, 10.0, generate_de_bruijn(4))
     ctx = OpticalContext(mu_per_um=0.2, incidence_angle_deg=25.0)

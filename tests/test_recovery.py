@@ -366,6 +366,11 @@ def test_batch_accepts_empty_and_rejects_bad_arguments():
         recover_batch(profile, np.ones(SCAN_POINTS), signal)
     with pytest.raises(ValueError, match=r"got shape \(3, 0\)"):  # no scan points
         recover_batch(profile, np.zeros((3, 0)), signal)
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.ones((3, SCAN_POINTS))
+        d[1, 4] = bad
+        with pytest.raises(ValueError, match=r"^row 1: counts must be finite$"):
+            recover_batch(profile, d, signal)
 
 
 @st.composite
@@ -421,8 +426,18 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     # Overflow and NaN are inputs here, not faults, in the search and the solve.
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        patch.setattr(recovery, "_best_offsets", keep)
-        recover_batch(profile, d, signal)
+        if np.isfinite(d).all():
+            patch.setattr(recovery, "_best_offsets", keep)
+            recover_batch(profile, d, signal)
+        else:  # recover_batch rejects the stack; its search still takes it
+            with pytest.raises(ValueError, match="counts must be finite"):
+                recover_batch(profile, d, signal)
+            window_dots, sliding_sq = recovery._template_terms(profile.values, signal.values,
+                                                               d.shape[1])
+            inv_sq = np.zeros_like(sliding_sq)
+            np.divide(1.0, sliding_sq, out=inv_sq, where=sliding_sq > 0.0)
+            for start in range(0, len(d), STACK_ROWS):
+                keep(window_dots, sliding_sq, inv_sq, d[start : start + STACK_ROWS])
         expected = [search_position(profile, row, signal.values) for row in d]
     assert positions == expected
     assert all(type(p) is int for p in positions)
