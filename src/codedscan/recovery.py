@@ -232,7 +232,7 @@ def recover_batch(profile: TransmissivityProfile, d, template: Signal) -> list:
     ``recover(profile, d[i], template)`` bit for bit. The template terms
     and 1/sq are computed once. Per ``STACK_ROWS`` rows, the positions come
     from one screened search (``_best_offsets``), and the shapes from one
-    stacked ``nnls`` call.
+    stacked ``nnls`` call. A row with a non-finite count raises ValueError.
     """
     if len(d) == 0:
         return []
