@@ -20,7 +20,6 @@ from .forward import (
 )
 from .metrics import (
     CellResult,
-    SuccessCriteria,
     SweepCell,
     SweepResult,
     TrialOutcome,
@@ -55,7 +54,6 @@ __all__ = [
     "ScanSeries",
     "Signal",
     "SubsequenceStats",
-    "SuccessCriteria",
     "SweepCell",
     "SweepResult",
     "TransmissivityProfile",

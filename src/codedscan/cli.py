@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,9 +13,9 @@ import numpy as np
 from . import metrics
 from .aperture import build_profile
 from .codes import all_window_stats, generate_de_bruijn
-from .config import ConfigError, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simulate
-from .metrics import patterning_correlations, scan_point_count
+from .metrics import patterning_correlations, run_slices, scan_point_count
 from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
 from .recovery import normalize, recover, recover_batch  # noqa: F401
@@ -133,9 +132,8 @@ def run_sweep_command(args) -> int:
     return 0
 
 
-def _recover_pixels(task) -> list:
-    """Recovery rows of equal-length pixels, in the order given."""
-    profile, probe, pixels = task
+def _recover_pixels(pixels, profile, probe) -> list:
+    """Recovery rows of equal-length ``(pixel_id, counts)`` pixels, in the order given."""
     normalized, flat = normalize(ScanSeries(np.array([counts for _, counts in pixels])))
     results = iter(recover_batch(profile, normalized, probe))
     rows = []
@@ -168,8 +166,9 @@ def run_recover_command(args) -> int:
     pattern = generate_de_bruijn(cfg.pattern_order)
     profile = build_profile(cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample)
     probe = cfg.probe()
-    tasks = []
-    max_len = 0
+    # Pixels of one series length are recovered as one batch per slice, so
+    # the profile is pickled once per slice, not once per pixel.
+    by_length = {}
     for pixel_id in sorted(series):
         positions, counts = series[pixel_id]
         step = float(positions[1] - positions[0])
@@ -178,34 +177,14 @@ def run_recover_command(args) -> int:
                 f"pixel {pixel_id}: scan step {step:g} um does not match "
                 f"grid_step_um {cfg.grid_step_um:g}"
             )
-        if n_keep is not None:
-            counts = counts[:n_keep]
-            if counts.size < 2:
-                raise ConfigError("--truncate-bits leaves fewer than 2 samples")
-        max_len = max(max_len, counts.size)
-        tasks.append((pixel_id, counts))
+        counts = counts[:n_keep]
+        by_length.setdefault(counts.size, []).append((pixel_id, counts))
     # Open padding on both flanks: scans may start before or run past the
     # mask, and the search needs those alignments to exist.
-    margin = max_len + len(probe)
+    margin = max(by_length) + len(probe)
     profile = profile.pad_open(margin, margin)
-    # Each worker gets one chunk of every series length, recovered as one
-    # batch, so the profile is pickled once per chunk, not once per pixel.
-    by_length = {}
-    for pixel_id, counts in tasks:
-        by_length.setdefault(counts.size, []).append((pixel_id, counts))
-    work = []
-    for group in by_length.values():
-        size = -(-len(group) // args.workers)
-        for start in range(0, len(group), size):
-            chunk = group[start : start + size]
-            work.append((profile, probe, chunk))
-    if args.workers == 1 or len(work) == 1:
-        chunks = [_recover_pixels(item) for item in work]
-    else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunks = list(pool.map(_recover_pixels, work))
-    order = {pixel_id: k for k, (pixel_id, _) in enumerate(tasks)}
-    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: order[r.pixel_id])
+    rows = run_slices(_recover_pixels, list(by_length.values()), args.workers, profile, probe)
+    rows.sort(key=lambda r: r.pixel_id)
     items = list(cfg.echo_items())
     if args.truncate_bits is not None:
         items.append(("truncate_bits", f"{args.truncate_bits:g}"))
@@ -229,7 +208,7 @@ def run_pattern_command(args) -> int:
     cfg = load_config(args.config) if args.config else None
     order = args.order
     if order is None:
-        order = cfg.pattern_order if cfg else 8
+        order = (cfg or ExperimentConfig).pattern_order
     pattern = generate_de_bruijn(order)
     print(pattern.to_string())
     if cfg is not None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .aperture import ApertureGeometry, OpticalContext
+from .aperture import DEFAULT_OVERSAMPLE, ApertureGeometry, OpticalContext
 from .codes import Pattern
 from .forward import Signal, make_boxcar_signal, make_gaussian_signal
 from .metrics import SWEEP_KINDS
@@ -98,7 +98,7 @@ class ExperimentConfig:
     scan_bits: float = 8.0
     noise_levels: tuple = (10.0, 100.0)
     seed: int = 0
-    oversample: int = 16
+    oversample: int = DEFAULT_OVERSAMPLE
     sweep_kind: str = "bsr"
     bsr_values: tuple = (0.25, 0.5, 1.0, 2.0)
     scan_bits_values: tuple = (2.0, 4.0, 8.0, 16.0, 24.0)

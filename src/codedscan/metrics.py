@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -18,20 +17,6 @@ from .recovery import RecoveryResult, normalize, recover, recover_batch  # noqa:
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class SuccessCriteria:
-    """Tolerances deciding whether one trial counts as a success."""
-
-    epsilon: float = 0.02  # relative L2 bound on the recovered shape
-    position_margin_bits: float = 1.0
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if self.position_margin_bits < 0:
-            raise ValueError("position_margin_bits must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,8 +73,6 @@ class SweepResult:
     kind: str
     param_name: str
     param_values: tuple
-    seed: int
-    replicates: int
     cells: tuple
 
     def __post_init__(self):
@@ -98,17 +81,12 @@ class SweepResult:
                 raise ValueError("MSP outside [0, 100]")
 
 
-def score(
-    result: RecoveryResult,
-    truth: tuple,
-    criteria: SuccessCriteria,
-    bit_size_um: float,
-    grid_step_um: float,
-) -> TrialOutcome:
-    """Grade one recovery against ground truth.
+def score(result: RecoveryResult, truth: tuple, config: ExperimentConfig) -> TrialOutcome:
+    """Grade one recovery against ground truth by ``config``'s [criteria].
 
-    ``truth`` is ``(p_star, s_true)`` with ``p_star`` in grid offsets and
-    ``s_true`` on the recovered signal's grid, in unit-sum gauge. Shape
+    ``truth`` is ``(p_star, s_true)`` with ``p_star`` in offsets of the
+    config's grid and ``s_true`` on the recovered signal's grid, in unit-sum
+    gauge. The position margin counts in the config's one bit size. Shape
     success requires position success first: the relative error of a shape
     fitted at the wrong depth is not meaningful.
     """
@@ -121,10 +99,10 @@ def score(
     denom = float(np.linalg.norm(s_true))
     if denom == 0.0:
         raise ValueError("true signal has zero norm")
-    offset_um = abs(result.position - p_star) * grid_step_um
-    position_success = int(offset_um <= criteria.position_margin_bits * bit_size_um)
+    offset_um = abs(result.position - p_star) * config.grid_step_um
+    position_success = int(offset_um <= config.position_margin_bits * config.bit_size_um)
     relative = float(np.linalg.norm(result.signal - s_true)) / denom
-    signal_success = int(position_success == 1 and relative < criteria.epsilon)
+    signal_success = int(position_success == 1 and relative < config.epsilon)
     return TrialOutcome(position_success, signal_success)
 
 
@@ -254,7 +232,6 @@ def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, flat: int, r
     ``NumericalFailureError`` per series, scored against ``s_true`` at the
     true offsets ``p_stars``, with ``flat`` more trials scored as misses."""
     config = cell.config
-    criteria = SuccessCriteria(config.epsilon, config.position_margin_bits)
     outcomes = [TrialOutcome(0, 0)] * flat
     failed_nnls = 0
     for p_star, result in zip(p_stars, recovered):
@@ -262,9 +239,7 @@ def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, flat: int, r
             failed_nnls += 1
             outcomes.append(TrialOutcome(0, 0))
         else:
-            outcomes.append(
-                score(result, (p_star, s_true), criteria, config.bit_size_um, config.grid_step_um)
-            )
+            outcomes.append(score(result, (p_star, s_true), config))
     position, shape = msp(outcomes)
     k = len(outcomes)
     stats = None
@@ -277,40 +252,48 @@ def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, flat: int, r
     )
 
 
+def run_slices(fn, groups, workers: int, *shared) -> list:
+    """``fn(slice, *shared)`` over contiguous slices of each of ``groups``,
+    its results joined in slice order.
+
+    A slice holds at most ``ceil(items / workers)`` items, counted over all
+    groups. The slices run here with one worker or one slice, else in a
+    pool of ``workers`` processes.
+    """
+    size = -(-sum(map(len, groups)) // max(workers, 1))
+    slices = [
+        group[start : start + size] for group in groups for start in range(0, len(group), size)
+    ]
+    if workers <= 1 or len(slices) <= 1:
+        done = [fn(part, *shared) for part in slices]
+    else:
+        # Imported here: it loads multiprocessing, which only a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(fn, slices, *([arg] * len(slices) for arg in shared)))
+    return [item for part in done for item in part]
+
+
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     """MSP grid of the configured sweep kind.
 
     Cells that share a config (they differ only in noise level or scored
-    window) form one task, run by ``_run_cells``; with ``workers`` > 1 a
-    task is a contiguous slice of such cells, at most ``ceil(cells /
-    workers)`` of them. Trials are keyed by (seed, cell, window,
-    replicate), so any split or execution order reproduces the same
-    numbers; merging in cell order keeps output stable.
+    window) form one group, run slice by slice by ``_run_cells`` through
+    ``run_slices``. Trials are keyed by (seed, cell, window, replicate),
+    so any split or execution order reproduces the same numbers; merging
+    in cell order keeps output stable.
     """
     config.bit_size_um  # no sweep kind honours unequal [aperture] bit sizes
     pattern = generate_de_bruijn(config.pattern_order)
     param_name, values, groups, replaced = _AXES[config.sweep_kind]
     param_values = tuple(values(config, pattern))
-    cells = _cells(config, param_name, param_values, groups(config), replaced)
     by_config = {}
-    for cell in cells:
+    for cell in _cells(config, param_name, param_values, groups(config), replaced):
         by_config.setdefault(cell.config, []).append(cell)
-    size = -(-len(cells) // max(workers, 1))
-    tasks = [
-        group[start : start + size]
-        for group in by_config.values()
-        for start in range(0, len(group), size)
-    ]
-    if workers <= 1 or len(tasks) <= 1:
-        done = [_run_cells(task, pattern) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_cells, tasks, [pattern] * len(tasks)))
-    results = sorted((r for task in done for r in task), key=lambda r: r.cell.index)
-    return SweepResult(
-        config.sweep_kind, param_name, param_values, config.seed, config.replicates,
-        tuple(results),
-    )
+    results = run_slices(_run_cells, list(by_config.values()), workers, pattern)
+    results.sort(key=lambda r: r.cell.index)
+    return SweepResult(config.sweep_kind, param_name, param_values, tuple(results))
 
 
 def patterning_correlations(result: SweepResult) -> dict:

@@ -293,6 +293,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # Only a run with --workers > 1 needs a process pool and multiprocessing.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, codedscan.cli, codedscan.config; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_unknown_subcommand_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])

@@ -1,6 +1,7 @@
 """Scoring, MSP aggregation, and sweep-harness behaviour."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from codedscan import (
     CellResult,
     RecoveryResult,
     ExperimentConfig,
-    SuccessCriteria,
     SweepCell,
     SweepResult,
     TrialOutcome,
@@ -31,6 +31,8 @@ from codedscan.aperture import ApertureGeometry, OpticalContext
 
 BIT_UM = 10.0
 STEP_UM = 1.0
+# Default [criteria]: epsilon 0.02, a one-bit position margin.
+CONFIG = ExperimentConfig(bit_size_zero_um=BIT_UM, bit_size_one_um=BIT_UM, grid_step_um=STEP_UM)
 
 
 def result_at(position, signal):
@@ -47,59 +49,59 @@ def unit_gaussian():
 
 def test_score_exact_recovery_is_double_success():
     s = unit_gaussian()
-    out = score(result_at(40, s), (40, s), SuccessCriteria(), BIT_UM, STEP_UM)
+    out = score(result_at(40, s), (40, s), CONFIG)
     assert (out.position_success, out.signal_success) == (1, 1)
 
 
 def test_score_two_bits_off_fails_position():
     s = unit_gaussian()
-    out = score(result_at(60, s), (40, s), SuccessCriteria(), BIT_UM, STEP_UM)
+    out = score(result_at(60, s), (40, s), CONFIG)
     assert out.position_success == 0
 
 
 def test_score_margin_is_inclusive():
     s = unit_gaussian()
     # exactly one bit off: |50-40| * 1.0 um == 1.0 * 10.0 um
-    out = score(result_at(50, s), (40, s), SuccessCriteria(), BIT_UM, STEP_UM)
+    out = score(result_at(50, s), (40, s), CONFIG)
     assert out.position_success == 1
 
 
 def test_score_five_percent_shape_error_fails_shape_only():
     s = unit_gaussian()
     noisy = s * 1.05
-    out = score(result_at(40, noisy), (40, s), SuccessCriteria(epsilon=0.02), BIT_UM, STEP_UM)
+    out = score(result_at(40, noisy), (40, s), replace(CONFIG, epsilon=0.02))
     assert (out.position_success, out.signal_success) == (1, 0)
 
 
 def test_score_shape_success_requires_position_success():
     s = unit_gaussian()
-    out = score(result_at(80, s), (40, s), SuccessCriteria(), BIT_UM, STEP_UM)
+    out = score(result_at(80, s), (40, s), CONFIG)
     assert (out.position_success, out.signal_success) == (0, 0)
 
 
 def test_score_loose_epsilon_admits_shape_error():
     s = unit_gaussian()
-    out = score(result_at(40, s * 1.05), (40, s), SuccessCriteria(epsilon=0.10), BIT_UM, STEP_UM)
+    out = score(result_at(40, s * 1.05), (40, s), replace(CONFIG, epsilon=0.10))
     assert out.signal_success == 1
 
 
 def test_score_rejects_mismatched_lengths():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="length"):
-        score(result_at(40, s[:-1]), (40, s), SuccessCriteria(), BIT_UM, STEP_UM)
+        score(result_at(40, s[:-1]), (40, s), CONFIG)
 
 
 def test_score_rejects_zero_truth():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="zero norm"):
-        score(result_at(40, s), (40, np.zeros_like(s)), SuccessCriteria(), BIT_UM, STEP_UM)
+        score(result_at(40, s), (40, np.zeros_like(s)), CONFIG)
 
 
 def test_criteria_validation():
     with pytest.raises(ValueError):
-        SuccessCriteria(epsilon=0.0)
+        replace(CONFIG, epsilon=0.0)
     with pytest.raises(ValueError):
-        SuccessCriteria(position_margin_bits=-1.0)
+        replace(CONFIG, position_margin_bits=-1.0)
 
 
 def test_trial_outcome_must_be_binary():
@@ -221,7 +223,7 @@ def test_sweep_result_rejects_out_of_range_msp():
     cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, ExperimentConfig())
     bad = CellResult(cell, 120.0, 0.0, 4, 25.0, 0, 0)
     with pytest.raises(ValueError, match="MSP"):
-        SweepResult("bsr", "bsr", (1.0,), 0, 1, (bad,))
+        SweepResult("bsr", "bsr", (1.0,), (bad,))
 
 
 # ------------------------------------------------- harness against oracle
@@ -255,7 +257,7 @@ def test_single_cell_msp_matches_manual_recomputation():
         for r in range(reps):
             series = simulate(matrix, signal, 30.0, (seed, 0, q, r))
             got = recover(profile, normalize(series), signal)
-            out = score(got, (p_star, s_true), SuccessCriteria(), BIT_UM, STEP_UM)
+            out = score(got, (p_star, s_true), CONFIG)
             hits_p += out.position_success
             hits_s += out.signal_success
             total += 1
@@ -486,8 +488,7 @@ def make_patterning_result(msps, zeros, flips, noise=10.0):
         cell = SweepCell(i, "subseq_start", float(i), 10.0, noise, ExperimentConfig(),
                          window_start=i)
         cells.append(CellResult(cell, m, 0.0, 4, 25.0, 0, 0, z, f))
-    return SweepResult("patterning", "subseq_start", tuple(range(len(cells))), 0, 4,
-                       tuple(cells))
+    return SweepResult("patterning", "subseq_start", tuple(range(len(cells))), tuple(cells))
 
 
 def test_patterning_correlations_known_rankings():
@@ -522,7 +523,7 @@ def test_patterning_correlations_require_patterning_result():
 def test_patterning_correlations_reject_missing_join():
     res = make_patterning_result([10.0, 20.0], [0.1, 0.2], [1, 2])
     broken = SweepResult(
-        "patterning", "subseq_start", (0, 1), 0, 4,
+        "patterning", "subseq_start", (0, 1),
         tuple(CellResult(c.cell, c.msp_position, 0.0, c.k, c.stderr, 0, 0) for c in res.cells),
     )
     with pytest.raises(ValueError, match="join"):
