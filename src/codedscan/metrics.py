@@ -258,7 +258,7 @@ def run_slices(fn, groups, workers: int, *shared) -> list:
 
     A slice holds at most ``ceil(items / workers)`` items, counted over all
     groups. The slices run here with one worker or one slice, else in a
-    pool of ``workers`` processes.
+    pool of one process per slice, at most ``workers``.
     """
     size = -(-sum(map(len, groups)) // max(workers, 1))
     slices = [
@@ -270,7 +270,7 @@ def run_slices(fn, groups, workers: int, *shared) -> list:
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(slices))) as pool:
             done = list(pool.map(fn, slices, *([arg] * len(slices) for arg in shared)))
     return [item for part in done for item in part]
 

@@ -10,12 +10,13 @@ every offset of every row, and only a row whose best offsets tie to within
 the products' rounding error is searched again exactly on the span of its
 near-ties. The positions are those of the one-row search, bit for bit.
 
-Counts are fitted as they are, up to one scale: the search scores each
-offset by the best non-negative multiple of its template window, so the
-template's scale does not matter, and the shape solve fits the unit-peak
-counts directly. ``recover`` returns the fitted shape s as its unit-sum
-``signal`` s / sum(s) and its ``scale`` sum(s), the unit-peak count that
-a fully open alignment would read.
+Counts are fitted as they are, up to one scale: the search scores offset
+p by d . r_p / ||r_p|| for its template window r_p, which ranks offsets as
+the best non-negative multiple of the window does, so the template's scale
+does not matter; exact ties break toward the smallest offset. The shape
+solve fits the unit-peak counts directly. ``recover`` returns the fitted
+shape s as its unit-sum ``signal`` s / sum(s) and its ``scale`` sum(s),
+the unit-peak count that a fully open alignment would read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ STACK_ROWS = 64
 # most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 of them
 # on the calling thread; a stack's larger products ran slower on two threads.
 SCREEN_MADDS = 65_536 * 4
-# Screened gains held at once per stack: a (rows, offsets) block of doubles.
+# Screened scores held at once per stack: a (rows, offsets) block of doubles.
 SCREEN_BLOCK = 32_768
 
 
@@ -78,7 +79,8 @@ def normalize(series: ScanSeries):
 
 
 def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
-    """Window dots r[j] = sum_n a[j+n] t_n and, per offset p, sum_m r[p+m]^2."""
+    """Window dots r[j] = sum_n a[j+n] t_n and, per offset p, the inverse norm
+    1 / ||r_p|| of its window r_p = r[p:p+M], 0 where sum_m r[p+m]^2 is 0."""
     last = a.size - m - t.size + 1  # largest feasible offset
     if last < 0:
         raise ValueError(
@@ -87,68 +89,72 @@ def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
         )
     window_dots = np.correlate(a, t, mode="valid")
     cum = np.concatenate([[0.0], np.cumsum(window_dots**2)])
-    return window_dots, cum[m:] - cum[:-m]
+    sq = cum[m:] - cum[:-m]
+    inv_norm = np.zeros_like(sq)
+    np.divide(1.0, np.sqrt(sq), out=inv_norm, where=sq > 0.0)
+    return window_dots, inv_norm
 
 
-def _best_offset(window_dots: np.ndarray, sliding_sq: np.ndarray, d: np.ndarray) -> int:
-    """Offset p maximizing cross_p^2 / sq_p over cross_p > 0, where cross_p =
-    sum_m r[p+m] d_m and sq_p = sum_m r[p+m]^2: the one whose best
-    non-negative multiple c * r[p:p+M] leaves the least residual,
-    ||d||^2 - cross_p^2 / sq_p. An offset with cross_p <= 0 (c = 0, or an
-    opaque window) gains nothing; with no gain anywhere, p is 0."""
+def _best_offset(window_dots: np.ndarray, inv_norm: np.ndarray, d: np.ndarray) -> int:
+    """Offset p maximizing the score cross_p * inv_norm_p = d . r_p / ||r_p||
+    over cross_p > 0, where cross_p = sum_m r[p+m] d_m: the one whose best
+    non-negative multiple c * r_p leaves the least residual,
+    ||d||^2 - (cross_p / ||r_p||)^2. An offset with cross_p <= 0 (c = 0, or
+    an opaque window) scores 0; with no positive score anywhere, p is 0."""
     cross = np.correlate(window_dots, d, mode="valid")
-    gain = np.zeros_like(cross)
-    np.divide(cross**2, sliding_sq, out=gain, where=(cross > 0.0) & (sliding_sq > 0.0))
-    return int(np.argmax(gain))
+    score = np.zeros_like(cross)
+    np.multiply(cross, inv_norm, out=score, where=cross > 0.0)
+    return int(np.argmax(score))
 
 
-def _best_offsets(window_dots, sliding_sq, inv_sq, d) -> list:
+def _best_offsets(window_dots, inv_norm, d) -> list:
     """``_best_offset`` of every row of the (T, M) stack d, bit for bit.
 
-    ``inv_sq`` is 1/sq, 0 where sq is 0. A screen computes cross for all
-    rows in matrix products of at most ``SCREEN_MADDS`` multiply-adds over
-    a sliding view of the window dots, and keeps for each block of offsets
-    each row's largest gain cross^2 / sq and the next largest.
+    A screen computes cross for all rows in matrix products of at most
+    ``SCREEN_MADDS`` multiply-adds over a sliding view of the window dots,
+    scales it by the same ``inv_norm`` as the one-row search, and keeps for
+    each block of offsets each row's largest score and the next largest.
 
-    With r >= 0 (a profile in [0, 1] against a ``Signal``) and d >= 0, a
-    sum of M products is within gamma_M * cross of its exact value in any
-    order (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
-    So the one-row search's offset is among the near-ties: the offsets
-    whose screened gain is at least G * (1 - delta), for the row's largest
-    screened gain G and delta = 16 (M + 2) eps. A row with one near-tie
-    has found its offset. Any other row runs ``_best_offset`` on the
-    blocks that hold its near-ties, which keeps ties on the smallest offset.
+    So the two searches differ only in their cross sums. With r >= 0 (a
+    profile in [0, 1] against a ``Signal``) and d >= 0, a sum of M products
+    is within gamma_M * cross of its exact value in any order when no
+    product underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), and the score adds one rounding. So the one-row
+    search's offset is among the near-ties: the offsets whose screened score
+    is at least S * (1 - delta), for the row's largest screened score S and
+    delta = 16 (M + 2) eps. A row with one near-tie has found its offset.
+    Any other row runs ``_best_offset`` on the blocks that hold its
+    near-ties, which keeps ties on the smallest offset.
 
     ``_best_offset`` searches a whole row that has a negative or non-finite
-    entry, or whose G lies outside [tiny / delta, max / (2 max(sq, 1))],
-    where underflow or overflow would break the relative bound. It searches
-    every row of a stack of one (the screen costs more there), of a stack
-    whose rows alone exceed ``SCREEN_MADDS``, or of a profile with a
-    positive sq outside [8 eps, 1 / (2 tiny)].
+    entry, or whose S lies outside [tiny / delta * max(inv_norm, 1),
+    max / 2 * min(inv_norm > 0, 1)]. Inside, every near-tie's cross and
+    score is at least tiny / (2 delta), so underflow costs them no relative
+    digit, and no cross where inv_norm > 0 exceeds max / 2 or overflows. It
+    searches every row of a stack of one (the screen costs more there) or
+    of a stack whose rows alone exceed ``SCREEN_MADDS``.
     """
     t, m = d.shape
-    p_count = sliding_sq.size
-    positive = sliding_sq[sliding_sq > 0.0]
-    sq_max = positive.max(initial=0.0)
-    sq_ok = 8 * float_info.epsilon <= positive.min(initial=1.0) and sq_max <= 0.5 / float_info.min
-    if t == 1 or t * m > SCREEN_MADDS or not sq_ok:
-        return [_best_offset(window_dots, sliding_sq, row) for row in d]
+    p_count = inv_norm.size
+    if t == 1 or t * m > SCREEN_MADDS:
+        return [_best_offset(window_dots, inv_norm, row) for row in d]
     delta = 16 * (m + 2) * float_info.epsilon
+    least = float_info.min / delta * max(inv_norm.max(), 1.0)
+    most = float_info.max / 2.0 * min(inv_norm[inv_norm > 0.0].min(initial=1.0), 1.0)
     product = SCREEN_MADDS // (t * m)  # offsets per matrix product
     block = max(product, SCREEN_BLOCK // t // product * product)  # offsets per block
     windows = np.lib.stride_tricks.sliding_window_view(window_dots, m)
     rows = np.arange(t)
-    gains = np.empty((t, block))
+    scores = np.empty((t, block))
     blocks = range(0, p_count, block)
     tops, seconds = np.empty((2, len(blocks), t))
     args = np.empty((len(blocks), t), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that fall back below
         for k, start in enumerate(blocks):
-            g = gains[:, : min(block, p_count - start)]
+            g = scores[:, : min(block, p_count - start)]
             for j in range(0, g.shape[1], product):
                 np.matmul(d, windows[start + j : start + j + product].T, out=g[:, j : j + product])
-            g *= g
-            g *= inv_sq[start : start + g.shape[1]]
+            g *= inv_norm[start : start + g.shape[1]]
             args[k] = g.argmax(axis=1)
             tops[k] = g[rows, args[k]]
             g[rows, args[k]] = -1.0
@@ -159,18 +165,16 @@ def _best_offsets(window_dots, sliding_sq, inv_sq, d) -> list:
     single = held.sum(axis=0) + (seconds >= near).sum(axis=0) == 1
     first = held.argmax(axis=0)
     last = len(blocks) - 1 - held[::-1].argmax(axis=0)
-    screened = ((d >= 0.0) & (d <= float_info.max)).all(axis=1) & (
-        (float_info.min / delta <= top) & (top <= float_info.max / (2.0 * max(sq_max, 1.0)))
-    )
+    screened = ((d >= 0.0) & (d <= float_info.max)).all(axis=1) & (least <= top) & (top <= most)
     positions = []
     for i, row in enumerate(d):
         if not screened[i]:
-            positions.append(_best_offset(window_dots, sliding_sq, row))
+            positions.append(_best_offset(window_dots, inv_norm, row))
         elif single[i]:
             positions.append(int(first[i] * block + args[first[i], i]))
         else:
             lo, hi = int(first[i]) * block, min(int(last[i] + 1) * block, p_count)
-            offset = _best_offset(window_dots[lo : hi + m - 1], sliding_sq[lo:hi], row)
+            offset = _best_offset(window_dots[lo : hi + m - 1], inv_norm[lo:hi], row)
             positions.append(lo + offset)
     return positions
 
@@ -230,7 +234,7 @@ def recover_batch(profile: TransmissivityProfile, d, template: Signal) -> list:
     Returns one entry per row: its ``RecoveryResult``, or the
     ``NumericalFailureError`` that its own shape solve ended in. Row i is
     ``recover(profile, d[i], template)`` bit for bit. The template terms
-    and 1/sq are computed once. Per ``STACK_ROWS`` rows, the positions come
+    are computed once. Per ``STACK_ROWS`` rows, the positions come
     from one screened search (``_best_offsets``), and the shapes from one
     stacked ``nnls`` call. A row with a non-finite count raises ValueError.
     """
@@ -242,14 +246,10 @@ def recover_batch(profile: TransmissivityProfile, d, template: Signal) -> list:
     finite = np.isfinite(d).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))}: counts must be finite")
-    window_dots, sliding_sq = _template_terms(profile.values, template.values, d.shape[1])
-    inv_sq = np.zeros_like(sliding_sq)
-    np.divide(1.0, sliding_sq, out=inv_sq, where=sliding_sq > 0.0)
-    terms = (window_dots, sliding_sq, inv_sq)
+    terms = _template_terms(profile.values, template.values, d.shape[1])
     results = []
     for start in range(0, len(d), STACK_ROWS):
-        chunk = d[start : start + STACK_ROWS]
-        results += _recover_stack(profile, chunk, terms, len(template))
+        results += _recover_stack(profile, d[start : start + STACK_ROWS], terms, len(template))
     return results
 
 

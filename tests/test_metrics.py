@@ -393,6 +393,32 @@ def test_worker_count_does_not_change_results():
         assert run_sweep(cfg, workers=workers) == serial
 
 
+def test_pool_holds_one_process_per_slice_at_most(monkeypatch):
+    import concurrent.futures
+
+    from codedscan.metrics import run_slices
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # Four workers, two one-item slices: two processes, results unchanged.
+    assert run_slices(lambda part: [10 * x for x in part], [[1], [2]], 4) == [10, 20]
+    assert sizes == [2]
+
+
 def count_recover_batch_calls(monkeypatch):
     """(profile length, rows) of each ``recover_batch`` call a sweep makes."""
     import codedscan.metrics as metrics_module

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedscan.aperture import ApertureGeometry, OpticalContext, TransmissivityProfile, build_profile
@@ -255,6 +255,53 @@ def test_normalization_scale_invariance():
         assert search_position(profile, a, t) == search_position(profile, b, t) == p_star
 
 
+@st.composite
+def searches(draw):
+    """A profile with opaque and open cells, a template, unit-peak counts d >= 0
+    with some zeros, and the range of k for which every non-zero entry of
+    2^k d, its every product with the window dots, every cross sum and every
+    score stays normal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([*range(1, 13), 81]))
+    n = draw(st.integers(1, 10))
+    values = rng.random(2 * (m + n) + draw(st.integers(0, 60)))
+    values[rng.random(values.size) < 0.2] = rng.choice([0.0, 1.0])
+    values[rng.integers(0, values.size)] = 1.0  # some window dot is positive
+    template = rng.random(n) + 0.01
+    d = rng.random(m)
+    d[rng.random(m) < 0.2] = 0.0
+    d[rng.integers(0, m)] = 1.0
+    window_dots, inv_norm = recovery._template_terms(values, template, m)
+    positive = inv_norm[inv_norm > 0.0]
+    least = d[d > 0].min() * min(window_dots[window_dots > 0].min(), 1.0) * min(positive.min(), 1.0)
+    most = m * window_dots.max() * max(positive.max(), 1.0)
+    k_range = (math.ceil(math.log2(np.finfo(float).tiny / least)) + 1,
+               math.floor(math.log2(np.finfo(float).max / 4 / most)))
+    return TransmissivityProfile(values, STEP_UM), template, d, k_range
+
+
+@settings(max_examples=200, deadline=None)
+@given(searches(), st.integers(-900, 900))
+def test_search_is_invariant_to_a_power_of_two_count_scale(search, k):
+    # Scaling d by 2^k scales every product, cross sum and score exactly
+    # while they stay normal, so no offset's rank can change.
+    profile, template, d, (k_min, k_max) = search
+    k = min(max(k, k_min), k_max)
+    assert search_position(profile, np.ldexp(d, k), template) == search_position(
+        profile, d, template
+    )
+
+
+@pytest.mark.parametrize("d", [[1e300, 2e300], [1.2e-297, 2.4e-297]])
+def test_search_ranks_rows_near_the_float_range_ends_as_their_unit_peak_row(d):
+    # The cross sums, about 1e307 and 1e-290, are normal; their squares
+    # would leave the float range.
+    profile = TransmissivityProfile(np.array([0, 0, 0, 0.25, 1, 1]), 1.0)
+    template = np.array([4.7e6])
+    assert search_position(profile, np.array([0.5, 1.0]), template) == 3
+    assert search_position(profile, np.array(d), template) == 3
+
+
 def as_tuple(result):
     return (result.position, result.signal.tobytes(), result.scale, result.residual)
 
@@ -412,8 +459,19 @@ def tie_prone_stacks(draw):
     return TransmissivityProfile(values, STEP_UM), Signal(template), d
 
 
+def extreme_scale_stack(template_scale, row_scale):
+    """A profile with no period, a flat template of ``template_scale`` and
+    two rows: one of unit scale, which the screen places alone, and one of
+    ``row_scale``, whose cross sums underflow or overflow there."""
+    profile = TransmissivityProfile(np.arange(60) * 0.618 % 1.0, STEP_UM)
+    row = np.array([0.2, 1.0, 0.6, 1.0, 0.2])
+    return profile, Signal(np.full(3, template_scale)), np.array([row, row_scale * row])
+
+
 @settings(max_examples=150, deadline=None)
 @given(tie_prone_stacks())
+@example(extreme_scale_stack(1e-20, 1e-300))
+@example(extreme_scale_stack(1e20, 1e300))
 def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     profile, signal, d = stack
     positions = []
@@ -432,12 +490,9 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
         else:  # recover_batch rejects the stack; its search still takes it
             with pytest.raises(ValueError, match="counts must be finite"):
                 recover_batch(profile, d, signal)
-            window_dots, sliding_sq = recovery._template_terms(profile.values, signal.values,
-                                                               d.shape[1])
-            inv_sq = np.zeros_like(sliding_sq)
-            np.divide(1.0, sliding_sq, out=inv_sq, where=sliding_sq > 0.0)
+            terms = recovery._template_terms(profile.values, signal.values, d.shape[1])
             for start in range(0, len(d), STACK_ROWS):
-                keep(window_dots, sliding_sq, inv_sq, d[start : start + STACK_ROWS])
+                keep(*terms, d[start : start + STACK_ROWS])
         expected = [search_position(profile, row, signal.values) for row in d]
     assert positions == expected
     assert all(type(p) is int for p in positions)
@@ -447,7 +502,7 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
 @pytest.mark.parametrize("t", [1, 16, 64])
 def test_screen_products_stay_within_the_one_thread_bound(monkeypatch, m, t):
     rng = np.random.default_rng(m * t)
-    window_dots, sliding_sq = recovery._template_terms(rng.random(2600 + m), np.ones(10), m)
+    window_dots, inv_norm = recovery._template_terms(rng.random(2600 + m), np.ones(10), m)
     d = rng.random((t, m))
     products = []
     matmul = np.matmul
@@ -457,9 +512,9 @@ def test_screen_products_stay_within_the_one_thread_bound(monkeypatch, m, t):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", record)
-    positions = recovery._best_offsets(window_dots, sliding_sq, 1.0 / sliding_sq, d)
+    positions = recovery._best_offsets(window_dots, inv_norm, d)
     monkeypatch.undo()
-    assert positions == [recovery._best_offset(window_dots, sliding_sq, row) for row in d]
+    assert positions == [recovery._best_offset(window_dots, inv_norm, row) for row in d]
     assert all(rows * inner * cols <= recovery.SCREEN_MADDS for rows, inner, cols in products)
     # A stack of one is searched alone; any other screens every offset once.
-    assert sum(cols for _, _, cols in products) == (sliding_sq.size if t > 1 else 0)
+    assert sum(cols for _, _, cols in products) == (inv_norm.size if t > 1 else 0)
