@@ -90,9 +90,7 @@ def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
     window_dots = np.correlate(a, t, mode="valid")
     cum = np.concatenate([[0.0], np.cumsum(window_dots**2)])
     sq = cum[m:] - cum[:-m]
-    inv_norm = np.zeros_like(sq)
-    np.divide(1.0, np.sqrt(sq), out=inv_norm, where=sq > 0.0)
-    return window_dots, inv_norm
+    return window_dots, np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0.0)
 
 
 def _best_offset(window_dots: np.ndarray, inv_norm: np.ndarray, d: np.ndarray) -> int:
