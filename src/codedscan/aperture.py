@@ -89,7 +89,7 @@ class TransmissivityProfile:
     origin_um: float = 0.0
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")  # a private copy
         if values.ndim != 1 or values.size == 0:
             raise ValueError("profile values must be a non-empty vector")
         if values.min() < 0 or values.max() > 1 + 1e-12:

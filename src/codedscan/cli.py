@@ -14,11 +14,10 @@ from . import metrics
 from .aperture import build_profile
 from .codes import all_window_stats, generate_de_bruijn
 from .config import ConfigError, ExperimentConfig, load_config
-from .forward import ScanSeries, build_coding_matrix, make_gaussian_signal, simulate
+from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .metrics import patterning_correlations, run_slices, scan_point_count
-from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
-from .recovery import normalize, recover, recover_batch  # noqa: F401
+from .recovery import FlatSeriesError, RecoveryResult, recover, recover_batch  # noqa: F401
 from .reporting import (
     POSITION_TOLERANCE_UM,
     RecoveryRow,
@@ -134,20 +133,17 @@ def run_sweep_command(args) -> int:
 
 def _recover_pixels(pixels, profile, probe) -> list:
     """Recovery rows of equal-length ``(pixel_id, counts)`` pixels, in the order given."""
-    normalized, flat = normalize(ScanSeries(np.array([counts for _, counts in pixels])))
-    results = iter(recover_batch(profile, normalized, probe))
+    results = recover_batch(profile, np.array([counts for _, counts in pixels]), probe)
     rows = []
-    for (pixel_id, _), is_flat in zip(pixels, flat):
-        result = None if is_flat else next(results)
-        if result is None:
-            rows.append(RecoveryRow(pixel_id, None, None, None, "flat"))
-        elif isinstance(result, NumericalFailureError):
-            rows.append(RecoveryRow(pixel_id, None, None, None, "failed"))
-        else:
+    for (pixel_id, _), result in zip(pixels, results):
+        if isinstance(result, RecoveryResult):
             rows.append(RecoveryRow(
                 pixel_id, float(profile.position_of(result.position)), result.residual,
                 result.signal, "ok",
             ))
+        else:
+            status = "flat" if isinstance(result, FlatSeriesError) else "failed"
+            rows.append(RecoveryRow(pixel_id, None, None, None, status))
     return rows
 
 

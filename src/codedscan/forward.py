@@ -24,7 +24,7 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")  # a private copy
         if values.ndim != 1 or values.size == 0:
             raise ValueError("signal must be a non-empty vector")
         if not np.isfinite(values).all():
@@ -52,7 +52,7 @@ class ScanSeries:
     raw: np.ndarray
 
     def __post_init__(self):
-        raw = np.ascontiguousarray(self.raw, dtype=float)
+        raw = np.array(self.raw, dtype=float, order="C")  # a private copy
         if raw.ndim not in (1, 2) or raw.size == 0:
             raise ValueError("series must be a non-empty vector or stack of vectors")
         if not np.isfinite(raw).all():

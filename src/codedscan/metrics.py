@@ -13,7 +13,7 @@ from .codes import Pattern, generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
-from .recovery import RecoveryResult, normalize, recover, recover_batch  # noqa: F401
+from .recovery import FlatSeriesError, RecoveryResult, recover, recover_batch  # noqa: F401
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -202,18 +202,18 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
         trials = [
             _simulate_cell(cell, starts, padded, truth_signal, m) for cell, starts in members
         ]
-        rows = np.concatenate([normalized for normalized, _, _ in trials])
+        rows = np.concatenate([counts for counts, _ in trials])
         recovered = iter(recover_batch(padded, rows, config.probe()))
-        for (cell, _), (normalized, p_stars, flat) in zip(members, trials):
+        for (cell, _), (_, p_stars) in zip(members, trials):
             results[cell.index] = _score_cell(
-                cell, pattern, s_true, p_stars, flat, [next(recovered) for _ in normalized]
+                cell, pattern, s_true, p_stars, [next(recovered) for _ in p_stars]
             )
     return [results[cell.index] for cell in cells]
 
 
 def _simulate_cell(cell: SweepCell, starts, profile, truth_signal, m: int) -> tuple:
-    """``(normalized, p_stars, flat)``: the cell's unit-peak series with the
-    true offset of each, and the number of flat (all-zero) series left out.
+    """``(counts, p_stars)``: the cell's series as counted, with the true
+    offset of each.
 
     Each window's intensity is computed once; replicate r of window q is
     drawn from its own stream, keyed (seed, cell, q, r).
@@ -222,24 +222,23 @@ def _simulate_cell(cell: SweepCell, starts, profile, truth_signal, m: int) -> tu
     offsets = np.array([profile.index_of(q * config.bit_size_um) for q in starts])
     matrices = build_coding_matrix(profile, offsets, m, len(truth_signal))
     keys = [(config.seed, cell.index, q, r) for q in starts for r in range(config.replicates)]
-    normalized, flat = normalize(simulate(matrices, truth_signal, cell.noise_level, keys))
-    p_stars = np.repeat(offsets, config.replicates)[~flat].tolist()
-    return normalized, p_stars, int(flat.sum())
+    counts = simulate(matrices, truth_signal, cell.noise_level, keys).raw
+    return counts, np.repeat(offsets, config.replicates).tolist()
 
 
-def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, flat: int, recovered):
-    """One cell's ``CellResult``: its recoveries, a result or a
-    ``NumericalFailureError`` per series, scored against ``s_true`` at the
-    true offsets ``p_stars``, with ``flat`` more trials scored as misses."""
+def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, recovered):
+    """One cell's ``CellResult``: its recoveries, one ``recover_batch``
+    entry per series, scored against ``s_true`` at the true offsets
+    ``p_stars``. A flat series or a failed solve is scored as a miss."""
     config = cell.config
-    outcomes = [TrialOutcome(0, 0)] * flat
-    failed_nnls = 0
-    for p_star, result in zip(p_stars, recovered):
-        if isinstance(result, NumericalFailureError):
-            failed_nnls += 1
-            outcomes.append(TrialOutcome(0, 0))
-        else:
-            outcomes.append(score(result, (p_star, s_true), config))
+    outcomes = [
+        score(result, (p_star, s_true), config)
+        if isinstance(result, RecoveryResult)
+        else TrialOutcome(0, 0)
+        for p_star, result in zip(p_stars, recovered)
+    ]
+    flat = sum(isinstance(result, FlatSeriesError) for result in recovered)
+    failed_nnls = sum(isinstance(result, NumericalFailureError) for result in recovered)
     position, shape = msp(outcomes)
     k = len(outcomes)
     stats = None
@@ -305,10 +304,15 @@ def patterning_correlations(result: SweepResult) -> dict:
     """
     if result.kind != "patterning":
         raise ValueError("correlations are defined for patterning sweeps only")
-    from scipy.stats import spearmanr  # slow to import; only this function needs it
+
+    def ranks(x):  # 1..n, each tie sharing the mean of its ranks, as scipy's spearmanr ranks
+        _, inverse, ties = np.unique(x, return_inverse=True, return_counts=True)
+        return (np.cumsum(ties) - (ties - 1) / 2.0)[inverse]
 
     def rho(x, y):
-        return float(spearmanr(x, y)[0]) if len(set(x)) > 1 and len(set(y)) > 1 else None
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            return None
+        return float(np.corrcoef(np.column_stack([ranks(x), ranks(y)]), rowvar=False)[1, 0])
 
     out = {}
     for noise in sorted({c.cell.noise_level for c in result.cells}):

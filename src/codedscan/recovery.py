@@ -66,8 +66,6 @@ def normalize(series: ScanSeries):
     the (T,) bool mask ``flat`` of all-zero rows, and the unit-peak counts
     of the other rows, in order. Each row equals its normalization alone.
     """
-    if len(series) < 2:
-        raise ValueError("need at least 2 scan points to normalize")
     raw = np.atleast_2d(series.raw)
     peak = raw.max(axis=1)
     flat = ~(peak > 0)
@@ -207,48 +205,49 @@ def solve_signal(
     return nnls(matrix, d)
 
 
-def recover(
-    profile: TransmissivityProfile,
-    d: np.ndarray,
-    template: Signal,
-) -> RecoveryResult:
+def recover(profile: TransmissivityProfile, counts, template: Signal) -> RecoveryResult:
     """Search the position with the template, then solve the shape there.
 
-    ``d`` holds unit-peak counts, as ``normalize`` returns them. The
-    position is ``search_position(profile, d, template.values)`` and the
-    shape is ``solve_signal`` s >= 0 at that offset. The result holds
-    s / sum(s) and sum(s), or a zero signal and scale where s is zero.
-    Raises ``NumericalFailureError`` if the shape solve does not converge.
+    ``counts`` is one series as measured; the fit is that of its unit-peak
+    counts d (``normalize``). The position is ``search_position(profile, d,
+    template.values)`` and the shape is ``solve_signal`` s >= 0 there. The
+    result holds s / sum(s) and sum(s), or a zero signal and scale where s
+    is zero. Raises ``FlatSeriesError`` if every count is zero and
+    ``NumericalFailureError`` if the shape solve does not converge.
     """
-    (result,) = recover_batch(profile, np.asarray(d)[None], template)
-    if isinstance(result, NumericalFailureError):
+    (result,) = recover_batch(profile, np.asarray(counts)[None], template)
+    if isinstance(result, Exception):
         raise result
     return result
 
 
-def recover_batch(profile: TransmissivityProfile, d, template: Signal) -> list:
-    """``recover`` for every row of ``d``, a (T, M) stack of unit-peak series.
+def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> list:
+    """``recover`` for every row of ``counts``, a (T, M) stack of series as measured.
 
-    Returns one entry per row: its ``RecoveryResult``, or the
-    ``NumericalFailureError`` that its own shape solve ended in. Row i is
-    ``recover(profile, d[i], template)`` bit for bit. The template terms
-    are computed once. Per ``STACK_ROWS`` rows, the positions come
-    from one screened search (``_best_offsets``), and the shapes from one
-    stacked ``nnls`` call. A row with a non-finite count raises ValueError.
+    Returns one entry per row: its ``RecoveryResult``, a ``FlatSeriesError``
+    if it has no positive count, or the ``NumericalFailureError`` that its
+    own shape solve ended in. Row i is ``recover(profile, counts[i],
+    template)`` bit for bit. The rows are scaled to unit peak and the flat
+    ones left out; the template terms are computed once. Per ``STACK_ROWS``
+    of the other rows, the positions come from one screened search
+    (``_best_offsets``), and the shapes from one stacked ``nnls`` call. A
+    row with a non-finite or negative count raises ValueError.
     """
-    if len(d) == 0:
+    if len(counts) == 0:
         return []
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[1] == 0:
-        raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {d.shape}")
-    finite = np.isfinite(d).all(axis=1)
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[1] == 0:
+        raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {counts.shape}")
+    finite = np.isfinite(counts).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))}: counts must be finite")
+    d, flat = normalize(ScanSeries(counts))
     terms = _template_terms(profile.values, template.values, d.shape[1])
-    results = []
+    fitted = []
     for start in range(0, len(d), STACK_ROWS):
-        results += _recover_stack(profile, d[start : start + STACK_ROWS], terms, len(template))
-    return results
+        fitted += _recover_stack(profile, d[start : start + STACK_ROWS], terms, len(template))
+    fitted = iter(fitted)
+    return [FlatSeriesError("no counts: every count is zero") if f else next(fitted) for f in flat]
 
 
 def _recover_stack(profile, d, terms, n) -> list:

@@ -173,7 +173,7 @@ seed = 9
 
 def test_constant_msp_correlations_are_reported_undefined(tmp_path, capsys):
     # Opaque bars without noise find every window, so the MSPs are all
-    # 100% and have no ranks to correlate; scipy would warn and give nan.
+    # 100% and have no ranks to correlate; their correlation would be nan.
     cfg = write_cfg(tmp_path, OPAQUE + """
 [sweep]
 kind = patterning
@@ -221,17 +221,20 @@ def test_recover_without_truncation_runs_with_unequal_bit_sizes(tmp_path, capsys
 def test_sweep_cell_lines_count_flat_and_unconverged_trials(tmp_path, capsys, monkeypatch):
     import codedscan.metrics as metrics_module
     from codedscan.nnls import NumericalFailureError
+    from codedscan.recovery import RecoveryResult
 
     real = metrics_module.recover_batch
 
-    def last_fails(profile, normalized, *args):
-        results = real(profile, normalized, *args)
-        return results[:-1] + [NumericalFailureError("no convergence", None)]
+    def last_fit_fails(profile, counts, *args):
+        results = real(profile, counts, *args)
+        last = max(i for i, result in enumerate(results) if isinstance(result, RecoveryResult))
+        results[last] = NumericalFailureError("no convergence", None)
+        return results
 
-    monkeypatch.setattr(metrics_module, "recover_batch", last_fails)
+    monkeypatch.setattr(metrics_module, "recover_batch", last_fit_fails)
     # Opaque bars: both 4-bit scans of window 230, which see only its five
     # bars (bits 230-234 are all ones), count nothing in each cell, and the
-    # last row of the cells' shared batch belongs to the noise-100 cell.
+    # last fitted row of the cells' shared batch belongs to the noise-100 cell.
     cfg = write_cfg(tmp_path, """
 [optics]
 mu_per_um = 1e9
@@ -281,8 +284,7 @@ def test_workers_must_be_positive(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import and only the patterning
-    # correlations need it.
+    # scipy.stats takes most of a second to import, and no command needs it.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -291,6 +293,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_patterning_sweep_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: the Spearman correlations too.
+    cfg = write_cfg(tmp_path, """
+[aperture]
+bit_size_zero_um = 5
+bit_size_one_um = 5
+
+[sweep]
+kind = patterning
+replicates = 2
+position_stride = 32
+
+[scan]
+noise_levels = 3
+seed = 9
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys; sys.modules['scipy'] = None; from codedscan.cli import main; "
+             f"sys.exit(main(['sweep', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path / 'grid.csv')!r}]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "noise 3: Spearman MSP~zeros -0.707, MSP~flips +0.282" in done.stdout
 
 
 def test_cli_import_leaves_process_pools_unloaded():

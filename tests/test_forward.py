@@ -202,6 +202,18 @@ def test_non_finite_values_rejected(bad, stack):
             Signal(values)
 
 
+@pytest.mark.parametrize("make, field", [
+    (ScanSeries, "raw"), (Signal, "values"),
+    (lambda values: TransmissivityProfile(values, 1.0), "values"),
+], ids=["ScanSeries", "Signal", "TransmissivityProfile"])
+def test_frozen_values_are_a_private_copy(make, field):
+    values = np.array([0.25, 0.5, 1.0])
+    frozen = getattr(make(values), field)
+    assert not frozen.flags.writeable
+    values[0] = 0.75  # the caller's array stays its own, and writable
+    assert frozen.tolist() == [0.25, 0.5, 1.0]
+
+
 def test_coding_matrix_stack_holds_each_offsets_matrix():
     values = np.random.default_rng(3).random(50)
     offsets = np.array([7, 0, 31, 7])

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedscan import (
     CellResult,
@@ -338,11 +340,11 @@ def test_flat_series_and_nnls_failures_are_counted_apart(monkeypatch):
     cell = run_sweep(cfg).cells[1]
     assert (cell.flat, cell.failed_nnls, cell.failures) == (2, 0, 2)
     real = metrics_module.recover_batch
-    cell_1_rows = cell.k - cell.flat  # the last rows of the batch both cells share
+    cell_1_rows = cell.k  # the last rows of the batch both cells share, flat ones included
 
-    def first_fails(profile, normalized, *args):
-        results = real(profile, normalized, *args)
-        first = len(normalized) - cell_1_rows
+    def first_fails(profile, counts, *args):
+        results = real(profile, counts, *args)
+        first = len(counts) - cell_1_rows
         return results[:first] + [NumericalFailureError("no convergence", None)] \
             + results[first + 1:]
 
@@ -444,8 +446,8 @@ def test_quick_patterning_grid_recovers_once_per_group(monkeypatch):
     cells = run_sweep(cfg).cells
     assert len(cells) == 126
     assert [length for length, _ in calls] == [2564, 2574]
-    assert calls[1][1] == sum(c.k - c.flat for c in cells[-2:])
-    assert sum(rows for _, rows in calls) == sum(c.k - c.flat for c in cells)
+    assert calls[1][1] == sum(c.k for c in cells[-2:])
+    assert sum(rows for _, rows in calls) == sum(c.k for c in cells)
 
 
 @pytest.mark.parametrize("cfg, groups", [
@@ -528,6 +530,24 @@ def test_patterning_correlations_known_rankings():
     corr = patterning_correlations(res)
     assert corr[10.0][0] == pytest.approx(1.0)
     assert corr[10.0][1] == pytest.approx(-1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.1, 0.25, 1 / 3, 0.5])),
+                min_size=2, max_size=40))
+def test_patterning_correlations_are_scipy_spearman_on_ties(pairs):
+    # Ties share their mean rank, as in scipy.stats.spearmanr, bit for bit.
+    from scipy.stats import spearmanr
+
+    msps = [25.0 * m for m, _ in pairs]
+    zeros = [z for _, z in pairs]
+    flips = [m * m % 3 for m, _ in pairs]
+    rho_zeros, rho_flips = patterning_correlations(make_patterning_result(msps, zeros, flips))[10.0]
+    for rho, composition in ((rho_zeros, zeros), (rho_flips, flips)):
+        if len(set(msps)) > 1 and len(set(composition)) > 1:
+            assert rho == float(spearmanr(msps, composition)[0])
+        else:
+            assert rho is None
 
 
 def test_patterning_correlations_are_undefined_for_constant_inputs():

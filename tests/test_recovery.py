@@ -74,8 +74,8 @@ def test_normalize_flat_series_rejected():
     # A constant or weak series that counted anything is fitted, not flat.
     assert normalize(ScanSeries(np.full(10, 7.0))).tolist() == [1.0] * 10
     assert normalize(ScanSeries(np.array([0.0, 0.0, 1.0]))).tolist() == [0.0, 0.0, 1.0]
-    with pytest.raises(ValueError):
-        normalize(ScanSeries(np.array([1.0])))
+    # Unit peak is defined for one scan point.
+    assert normalize(ScanSeries(np.array([4.0]))).tolist() == [1.0]
 
 
 @st.composite
@@ -133,8 +133,8 @@ def test_stacked_series_keep_the_series_checks():
         ScanSeries(np.zeros((0, 4)))
     with pytest.raises(ValueError, match="non-empty"):
         ScanSeries(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="at least 2 scan points"):
-        normalize(ScanSeries(np.array([[1.0], [5.0]])))
+    normalized, flat = normalize(ScanSeries(np.array([[1.0], [0.0], [5.0]])))
+    assert flat.tolist() == [False, True, False] and normalized.tolist() == [[1.0], [1.0]]
     normalized, flat = normalize(ScanSeries(np.zeros((1, 4))))  # a stack of one never raises
     assert flat.tolist() == [True] and normalized.shape == (0, 4)
     matrices = build_coding_matrix(np.ones(20), np.array([0, 3]), 5, 4)
@@ -224,18 +224,20 @@ def test_recover_residual_dominates_template_fit():
 
 
 def test_recover_zero_shape_gives_zero_signal_and_scale():
-    profile = opaque_profile()
+    # Counts that every window is opaque to gain nothing at any offset:
+    # offset 0, and a zero signal and scale rather than NaN.
     template = make_gaussian_signal(10.0, STEP_UM)
-    result = recover(profile, -np.ones(SCAN_POINTS), template)
+    dark = TransmissivityProfile(np.zeros(SCAN_POINTS + 40), STEP_UM)
+    result = recover(dark, np.ones(SCAN_POINTS), template)
     assert (result.position, result.scale) == (0, 0.0)
     np.testing.assert_array_equal(result.signal, 0.0)
     assert result.residual == SCAN_POINTS
-    # All-zero counts gain nothing at any offset, opaque (sq = 0) windows
-    # included: offset 0, and a zero signal and scale rather than NaN.
-    dark = TransmissivityProfile(np.concatenate([np.zeros(120), np.ones(40)]), STEP_UM)
-    zero = recover(dark, np.zeros(SCAN_POINTS), template)
-    assert (zero.position, zero.scale, zero.residual) == (0, 0.0, 0.0)
-    np.testing.assert_array_equal(zero.signal, 0.0)
+    # Counts of nothing have nothing to fit; negative counts were not counted.
+    profile = opaque_profile()
+    with pytest.raises(FlatSeriesError):
+        recover(profile, np.zeros(SCAN_POINTS), template)
+    with pytest.raises(ValueError, match="counts must be >= 0"):
+        recover(profile, -np.ones(SCAN_POINTS), template)
 
 
 def test_normalization_scale_invariance():
@@ -306,10 +308,22 @@ def as_tuple(result):
     return (result.position, result.signal.tobytes(), result.scale, result.residual)
 
 
+@pytest.mark.parametrize("counts", [[1e300, 2e300], [1.2e-297, 2.4e-297]])
+def test_recover_rows_near_the_float_range_ends_as_their_unit_peak_row(counts):
+    # Their residuals and NNLS dual would overflow or underflow if fitted as they are.
+    profile = TransmissivityProfile(np.array([0, 0, 0, 0.25, 1, 1]), 1.0)
+    template = Signal(np.array([4.7e6]))
+    unit_peak = recover(profile, np.array([0.5, 1.0]), template)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert as_tuple(recover(profile, np.array(counts), template)) == as_tuple(unit_peak)
+    assert unit_peak.position == 3 and unit_peak.scale > 0.0
+
+
 def random_rows(seed, rows, mu):
     """A profile of gold-like bars (1/um attenuation ``mu``), the Gaussian
-    template and ``rows`` series: noisy unit-peak scans at random offsets,
-    constant rows and rows that no non-negative shape fits."""
+    template and ``rows`` series as counted: noisy scans at random offsets,
+    all-zero (flat) and constant rows, and uniform noise at any scale."""
     rng = np.random.default_rng(seed)
     geometry = ApertureGeometry(BIT_UM, BIT_UM, 10.0, generate_de_bruijn(8))
     profile = build_profile(geometry, OpticalContext(mu), STEP_UM).pad_open(0, 12)
@@ -317,19 +331,15 @@ def random_rows(seed, rows, mu):
     d = []
     for k in range(rows):
         kind = rng.integers(0, 6)
-        if kind == 0:  # every point alike: all zero (no fit, zero shape) or all open
+        if kind == 0:  # every point alike: all zero (flat) or all open
             d.append(np.full(SCAN_POINTS, float(rng.integers(0, 2))))
-        elif kind == 1:  # no non-negative shape fits: zero signal
-            d.append(-rng.random(SCAN_POINTS))
+        elif kind == 1:  # no template window fits: uniform noise
+            d.append(rng.random(SCAN_POINTS) * 10.0 ** rng.integers(-3, 4))
         else:
             p_star = int(rng.integers(0, 2480))
             matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
             peak = float(rng.choice([10.0, 100.0, 1e4]))
-            series = simulate(matrix, signal, peak, seed=(seed, k))
-            try:
-                d.append(normalize(series))
-            except FlatSeriesError:  # all zero: recover it as it is
-                d.append(series.raw)
+            d.append(simulate(matrix, signal, peak, seed=(seed, k)).raw)  # may be flat
     return profile, signal, np.array(d)
 
 
@@ -349,7 +359,12 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
         recovery.STACK_ROWS = saved
     assert len(batch) == rows
     for row, result in zip(d, batch):
-        assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal))
+        if row.any():
+            assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal))
+        else:
+            assert isinstance(result, FlatSeriesError)
+            with pytest.raises(FlatSeriesError):
+                recover(profile, row.copy(), signal)
 
 
 @settings(max_examples=12, deadline=None)
@@ -364,7 +379,11 @@ def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
     profile, signal, d = random_rows(seed, STACK_ROWS + extra, mu)
     batch = recover_batch(profile, d, signal)
     assert len(batch) == len(d)
-    for row, result in zip(d, batch):
+    for counts, result in zip(d, batch):
+        if not counts.any():
+            assert isinstance(result, FlatSeriesError)
+            continue
+        row = normalize(ScanSeries(counts))  # the unit-peak counts that are fitted
         position = search_position(profile, row, signal.values)
         try:
             shape = solve_signal(profile, row, position, len(signal))
@@ -381,6 +400,34 @@ def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
         fit = matrix @ (result.scale * result.signal)
         assert result.residual == float(np.sum((fit - row) ** 2))
         assert result.signal.sum() == pytest.approx(1.0 if scale else 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    flat=st.lists(st.booleans(), min_size=1, max_size=9),
+    k=st.lists(st.integers(-960, 1000), min_size=9, max_size=9),
+    mu=st.sampled_from([0.219, 0.04, 1e9]),
+)
+def test_batch_scales_rows_to_unit_peak_and_flags_flat_rows(seed, flat, k, mu):
+    # Row i is the unit-peak row times 2^k[i], or all zero. Every non-zero
+    # unit-peak entry here is at least 2^-53, so each scaled one stays
+    # normal and dividing by the row's peak 2^k[i] gives it back exactly.
+    profile, signal, d = random_rows(seed, len(flat), mu)
+    unit = np.zeros_like(d)
+    unit[d.any(axis=1)] = normalize(ScanSeries(d))[0]
+    unit[flat] = 0.0
+    batch = recover_batch(profile, np.ldexp(unit, np.array(k[: len(flat)])[:, None]), signal)
+    for row, result in zip(unit, batch):
+        if not row.any():
+            assert isinstance(result, FlatSeriesError)
+            continue
+        try:
+            alone = recover(profile, row, signal)
+        except NumericalFailureError:
+            assert isinstance(result, NumericalFailureError)
+        else:
+            assert as_tuple(result) == as_tuple(alone)
 
 
 def test_batch_failure_stays_in_its_row(monkeypatch):
@@ -474,26 +521,28 @@ def extreme_scale_stack(template_scale, row_scale):
 @example(extreme_scale_stack(1e20, 1e300))
 def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     profile, signal, d = stack
-    positions = []
+    received, positions = [], []
     screen = recovery._best_offsets
 
     def keep(*args):
+        received.extend(args[-1])
         positions.extend(screen(*args))
         return positions[-len(args[-1]) :]
 
     # Overflow and NaN are inputs here, not faults, in the search and the solve.
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if np.isfinite(d).all():
+        if np.isfinite(d).all() and (d >= 0.0).all():
             patch.setattr(recovery, "_best_offsets", keep)
-            recover_batch(profile, d, signal)
+            recover_batch(profile, d, signal)  # searches the unit-peak rows that are not flat
         else:  # recover_batch rejects the stack; its search still takes it
-            with pytest.raises(ValueError, match="counts must be finite"):
+            with pytest.raises(ValueError, match="counts must be"):
                 recover_batch(profile, d, signal)
-            terms = recovery._template_terms(profile.values, signal.values, d.shape[1])
-            for start in range(0, len(d), STACK_ROWS):
-                keep(*terms, d[start : start + STACK_ROWS])
-        expected = [search_position(profile, row, signal.values) for row in d]
+        # The search also takes every stack as it is, rows near 1e-300 and 1e300 included.
+        terms = recovery._template_terms(profile.values, signal.values, d.shape[1])
+        for start in range(0, len(d), STACK_ROWS):
+            keep(*terms, d[start : start + STACK_ROWS])
+        expected = [search_position(profile, row, signal.values) for row in received]
     assert positions == expected
     assert all(type(p) is int for p in positions)
 
