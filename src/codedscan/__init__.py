@@ -22,8 +22,6 @@ from .metrics import (
     CellResult,
     SweepCell,
     SweepResult,
-    TrialOutcome,
-    msp,
     patterning_correlations,
     run_sweep,
     scan_point_count,
@@ -57,14 +55,12 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "TransmissivityProfile",
-    "TrialOutcome",
     "build_coding_matrix",
     "build_profile",
     "generate_de_bruijn",
     "gold_path_length",
     "make_boxcar_signal",
     "make_gaussian_signal",
-    "msp",
     "nnls",
     "normalize",
     "patterning_correlations",

@@ -223,6 +223,7 @@ def run_pattern_command(args) -> int:
 
 def run_simulate_command(args) -> int:
     cfg = load_config(args.config)
+    seed = replace(cfg, seed=cfg.seed if args.seed is None else args.seed).seed
     bit = cfg.bit_size_um
     pattern = generate_de_bruijn(cfg.pattern_order)
     geometry = cfg.geometry(pattern)
@@ -237,7 +238,6 @@ def run_simulate_command(args) -> int:
     n = len(signal)
     profile = profile.extend_open(p_star + m + n - 1)
     matrix = build_coding_matrix(profile, p_star, m, n)
-    seed = cfg.seed if args.seed is None else args.seed
     peak = cfg.noise_levels[0]
     series = simulate(matrix, signal, peak, (seed, args.window), noiseless=args.noiseless)
     positions = profile.position_of(p_star + np.arange(m))

@@ -30,7 +30,8 @@ class Pattern:
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
-    # By value, so that a pattern can key a memo in every worker process.
+    # By value: equal bits and order are one pattern in any process. The
+    # dataclass methods would compare the bit arrays elementwise and could not hash them.
     def __eq__(self, other):
         if not isinstance(other, Pattern):
             return NotImplemented

@@ -1,4 +1,4 @@
-"""Trial scoring, MSP aggregation, and the design-parameter sweep harness."""
+"""Cell scoring and the design-parameter sweep harness."""
 
 from __future__ import annotations
 
@@ -17,18 +17,6 @@ from .recovery import FlatSeriesError, RecoveryResult, recover, recover_batch  #
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Binary success indicators for one recovery trial."""
-
-    position_success: int
-    signal_success: int
-
-    def __post_init__(self):
-        if self.position_success not in (0, 1) or self.signal_success not in (0, 1):
-            raise ValueError("success indicators must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -81,38 +69,37 @@ class SweepResult:
                 raise ValueError("MSP outside [0, 100]")
 
 
-def score(result: RecoveryResult, truth: tuple, config: ExperimentConfig) -> TrialOutcome:
-    """Grade one recovery against ground truth by ``config``'s [criteria].
+def score(recovered, truth: tuple, config: ExperimentConfig) -> tuple:
+    """Grade a cell's recoveries against ground truth by ``config``'s [criteria].
 
-    ``truth`` is ``(p_star, s_true)`` with ``p_star`` in offsets of the
-    config's grid and ``s_true`` on the recovered signal's grid, in unit-sum
-    gauge. The position margin counts in the config's one bit size. Shape
-    success requires position success first: the relative error of a shape
-    fitted at the wrong depth is not meaningful.
+    ``recovered`` holds one ``recover_batch`` entry per trial, and ``truth``
+    is ``(p_stars, s_true)``: each trial's true offset on the config's grid,
+    and the true signal on the recovered signals' grid, in unit-sum gauge.
+    Returns ``(position, shape)``, one bool per entry; an entry that is not
+    a ``RecoveryResult`` (a flat series or a failed solve) fails both. The
+    position margin counts in the config's one bit size. Shape success
+    requires position success first: the relative error of a shape fitted at
+    the wrong depth is not meaningful.
     """
-    p_star, s_true = truth
+    p_stars, s_true = truth
+    if len(p_stars) != len(recovered):
+        raise ValueError(f"{len(recovered)} recoveries but {len(p_stars)} true offsets")
     s_true = np.asarray(s_true, dtype=float)
-    if result.signal.size != s_true.size:
-        raise ValueError(
-            f"signal length mismatch: recovered {result.signal.size}, true {s_true.size}"
-        )
     denom = float(np.linalg.norm(s_true))
     if denom == 0.0:
         raise ValueError("true signal has zero norm")
-    offset_um = abs(result.position - p_star) * config.grid_step_um
-    position_success = int(offset_um <= config.position_margin_bits * config.bit_size_um)
-    relative = float(np.linalg.norm(result.signal - s_true)) / denom
-    signal_success = int(position_success == 1 and relative < config.epsilon)
-    return TrialOutcome(position_success, signal_success)
-
-
-def msp(outcomes) -> tuple:
-    """Mean Success Percentage (position, shape) over a trial collection."""
-    seq = list(outcomes)
-    if not seq:
-        raise ValueError("msp needs at least one outcome")
-    position = 100.0 * sum(o.position_success for o in seq) / len(seq)
-    shape = 100.0 * sum(o.signal_success for o in seq) / len(seq)
+    margin_um = config.position_margin_bits * config.bit_size_um
+    position, shape = np.zeros((2, len(recovered)), dtype=bool)
+    for i, (p_star, result) in enumerate(zip(p_stars, recovered)):
+        if not isinstance(result, RecoveryResult):
+            continue
+        if result.signal.size != s_true.size:
+            raise ValueError(
+                f"signal length mismatch: recovered {result.signal.size}, true {s_true.size}"
+            )
+        position[i] = abs(result.position - p_star) * config.grid_step_um <= margin_um
+        relative = float(np.linalg.norm(result.signal - s_true)) / denom
+        shape[i] = position[i] and relative < config.epsilon
     return position, shape
 
 
@@ -231,21 +218,16 @@ def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, recovered):
     entry per series, scored against ``s_true`` at the true offsets
     ``p_stars``. A flat series or a failed solve is scored as a miss."""
     config = cell.config
-    outcomes = [
-        score(result, (p_star, s_true), config)
-        if isinstance(result, RecoveryResult)
-        else TrialOutcome(0, 0)
-        for p_star, result in zip(p_stars, recovered)
-    ]
+    position, shape = score(recovered, (p_stars, s_true), config)
     flat = sum(isinstance(result, FlatSeriesError) for result in recovered)
     failed_nnls = sum(isinstance(result, NumericalFailureError) for result in recovered)
-    position, shape = msp(outcomes)
-    k = len(outcomes)
+    k = len(recovered)
     stats = None
     if cell.window_start is not None:
         stats = window_stats(pattern, cell.window_start, config.pattern_order)
     return CellResult(
-        cell, position, shape, k, 100.0 * math.sqrt(0.25 / k), flat, failed_nnls,
+        cell, 100.0 * int(position.sum()) / k, 100.0 * int(shape.sum()) / k, k,
+        100.0 * math.sqrt(0.25 / k), flat, failed_nnls,
         None if stats is None else stats.zeros_fraction,
         None if stats is None else stats.bit_flips,
     )

@@ -376,6 +376,15 @@ def test_simulate_rejects_out_of_range_window(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_simulate_negative_seed_is_the_config_bound(tmp_path, capsys):
+    # --seed is checked as [scan] seed is, as sweep checks it.
+    cfg = write_cfg(tmp_path, OPAQUE)
+    assert main(["simulate", "3", "--config", str(cfg), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "[scan] seed: must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def multi_pixel_file(tmp_path, windows, peak, seed):
     """Noisy synthetic series for several true windows, via the library."""
     pattern = generate_de_bruijn(8)

@@ -1,25 +1,25 @@
-"""Scoring, MSP aggregation, and sweep-harness behaviour."""
+"""Cell scoring, MSP aggregation, and sweep-harness behaviour."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedscan import (
     CellResult,
-    RecoveryResult,
     ExperimentConfig,
+    FlatSeriesError,
+    NumericalFailureError,
+    RecoveryResult,
     SweepCell,
     SweepResult,
-    TrialOutcome,
     build_coding_matrix,
     build_profile,
     generate_de_bruijn,
     make_gaussian_signal,
-    msp,
     normalize,
     patterning_correlations,
     recover,
@@ -51,52 +51,135 @@ def unit_gaussian():
 
 def test_score_exact_recovery_is_double_success():
     s = unit_gaussian()
-    out = score(result_at(40, s), (40, s), CONFIG)
-    assert (out.position_success, out.signal_success) == (1, 1)
+    position, shape = score([result_at(40, s)], ([40], s), CONFIG)
+    assert (position.tolist(), shape.tolist()) == ([True], [True])
 
 
 def test_score_two_bits_off_fails_position():
     s = unit_gaussian()
-    out = score(result_at(60, s), (40, s), CONFIG)
-    assert out.position_success == 0
+    position, _ = score([result_at(60, s)], ([40], s), CONFIG)
+    assert position.tolist() == [False]
 
 
 def test_score_margin_is_inclusive():
     s = unit_gaussian()
     # exactly one bit off: |50-40| * 1.0 um == 1.0 * 10.0 um
-    out = score(result_at(50, s), (40, s), CONFIG)
-    assert out.position_success == 1
+    position, _ = score([result_at(50, s)], ([40], s), CONFIG)
+    assert position.tolist() == [True]
 
 
 def test_score_five_percent_shape_error_fails_shape_only():
     s = unit_gaussian()
     noisy = s * 1.05
-    out = score(result_at(40, noisy), (40, s), replace(CONFIG, epsilon=0.02))
-    assert (out.position_success, out.signal_success) == (1, 0)
+    position, shape = score([result_at(40, noisy)], ([40], s), replace(CONFIG, epsilon=0.02))
+    assert (position.tolist(), shape.tolist()) == ([True], [False])
 
 
 def test_score_shape_success_requires_position_success():
     s = unit_gaussian()
-    out = score(result_at(80, s), (40, s), CONFIG)
-    assert (out.position_success, out.signal_success) == (0, 0)
+    position, shape = score([result_at(80, s)], ([40], s), CONFIG)
+    assert (position.tolist(), shape.tolist()) == ([False], [False])
 
 
 def test_score_loose_epsilon_admits_shape_error():
     s = unit_gaussian()
-    out = score(result_at(40, s * 1.05), (40, s), replace(CONFIG, epsilon=0.10))
-    assert out.signal_success == 1
+    _, shape = score([result_at(40, s * 1.05)], ([40], s), replace(CONFIG, epsilon=0.10))
+    assert shape.tolist() == [True]
 
 
 def test_score_rejects_mismatched_lengths():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="length"):
-        score(result_at(40, s[:-1]), (40, s), CONFIG)
+        score([result_at(40, s[:-1])], ([40], s), CONFIG)
 
 
 def test_score_rejects_zero_truth():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="zero norm"):
-        score(result_at(40, s), (40, np.zeros_like(s)), CONFIG)
+        score([result_at(40, s)], ([40], np.zeros_like(s)), CONFIG)
+
+
+def test_score_reads_flat_and_unconverged_entries_as_misses():
+    s = unit_gaussian()
+    entries = [result_at(40, s), FlatSeriesError("flat"), result_at(41, s * 1.05),
+               NumericalFailureError("no convergence", None)]
+    position, shape = score(entries, ([40] * 4, s), CONFIG)
+    assert position.tolist() == [True, False, True, False]
+    assert shape.tolist() == [True, False, False, False]
+
+
+def test_score_rejects_a_true_offset_per_entry_mismatch():
+    # zip would drop the unmatched trials, and the cell's MSP with them.
+    s = unit_gaussian()
+    with pytest.raises(ValueError, match="2 recoveries but 3 true offsets"):
+        score([result_at(40, s)] * 2, ([40] * 3, s), CONFIG)
+    with pytest.raises(ValueError, match="2 recoveries but 1 true offsets"):
+        score([result_at(40, s)] * 2, ([40], s), CONFIG)
+
+
+def reference_grade(result, truth, config):
+    """(position, shape) success of one trial, as 0/1, by the per-trial
+    grading ``score`` applied before it took a cell's entries."""
+    if not isinstance(result, RecoveryResult):
+        return 0, 0
+    p_star, s_true = truth
+    s_true = np.asarray(s_true, dtype=float)
+    if result.signal.size != s_true.size:
+        raise ValueError("signal length mismatch")
+    denom = float(np.linalg.norm(s_true))
+    if denom == 0.0:
+        raise ValueError("true signal has zero norm")
+    offset_um = abs(result.position - p_star) * config.grid_step_um
+    position_success = int(offset_um <= config.position_margin_bits * config.bit_size_um)
+    relative = float(np.linalg.norm(result.signal - s_true)) / denom
+    return position_success, int(position_success == 1 and relative < config.epsilon)
+
+
+# One trial: its kind, its offset from the truth in grid steps (the margin
+# is 10 steps of 1 um at 10 um bits, so +-10 sits on it and +-11 one step
+# past), and the factor of its shape error: within a few ulps of +-1, so the
+# relative error sits at epsilon, or anywhere in [-2, 2].
+TRIAL = st.tuples(
+    st.sampled_from(["fit", "fit", "fit", "flat", "failed"]),
+    st.sampled_from([-11, -10, -9, 0, 9, 10, 11]),
+    st.one_of(
+        st.sampled_from([-1.0, 1.0]),
+        st.builds(lambda one, ulps: one + ulps * np.spacing(1.0),
+                  st.sampled_from([-1.0, 1.0]), st.integers(-4, 4)),
+        st.floats(-2.0, 2.0),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(trials=[("fit", 10, 1.0), ("fit", 11, 1.0), ("flat", 0, 1.0)], one_hot=True,
+         epsilon=0.02, margin_bits=1.0)
+@given(trials=st.lists(TRIAL, min_size=1, max_size=12),
+       one_hot=st.booleans(),
+       epsilon=st.sampled_from([0.02, 0.1, 0.3]),
+       margin_bits=st.sampled_from([0.5, 1.0, 1.1]))
+def test_score_matches_the_per_trial_reference(trials, one_hot, epsilon, margin_bits):
+    # A Gaussian shape is the truth scaled by 1 + epsilon * factor. A one-hot
+    # truth (unit norm) gets epsilon * factor added in an empty cell, so its
+    # relative error is that product exactly, and can be epsilon itself.
+    s = np.eye(10)[4] if one_hot else unit_gaussian()
+    config = replace(CONFIG, epsilon=epsilon, position_margin_bits=margin_bits)
+    p_star = 40
+    entries = []
+    for kind, delta, factor in trials:
+        if kind == "flat":
+            entries.append(FlatSeriesError("flat"))
+        elif kind == "failed":
+            entries.append(NumericalFailureError("no convergence", None))
+        elif one_hot:
+            entries.append(result_at(p_star + delta, s + np.eye(10)[0] * abs(epsilon * factor)))
+        else:
+            entries.append(result_at(p_star + delta, s * (1.0 + epsilon * factor)))
+    position, shape = score(entries, ([p_star] * len(entries), s), config)
+    expected = [reference_grade(entry, (p_star, s), config) for entry in entries]
+    assert position.dtype == shape.dtype == bool
+    assert list(zip(position.tolist(), shape.tolist())) == [
+        (bool(p), bool(q)) for p, q in expected]
 
 
 def test_criteria_validation():
@@ -106,38 +189,25 @@ def test_criteria_validation():
         replace(CONFIG, position_margin_bits=-1.0)
 
 
-def test_trial_outcome_must_be_binary():
-    with pytest.raises(ValueError):
-        TrialOutcome(2, 0)
-    with pytest.raises(ValueError):
-        TrialOutcome(0, -1)
+# ------------------------------------------------------ cell MSP
 
 
-# ------------------------------------------------------------------ msp
+@pytest.mark.parametrize("grades, msps", [
+    ([(1, 1)] * 8, (100.0, 100.0)),
+    ([(1, 0), (0, 0)] * 5, (50.0, 0.0)),
+    ([(1, 1), (1, 0), (0, 0), (1, 0)], (75.0, 25.0)),
+], ids=["all", "half", "components_independent"])
+def test_cell_msp_counts_each_component(grades, msps):
+    # A trial hits position at offset 40 and misses at 80 (four bits off);
+    # it hits shape with the true signal and misses at 5% scale error.
+    from codedscan.metrics import _score_cell
 
-
-def test_msp_all_successes():
-    outs = [TrialOutcome(1, 1) for _ in range(8)]
-    assert msp(outs) == (100.0, 100.0)
-
-
-def test_msp_half_successes():
-    outs = [TrialOutcome(1, 0), TrialOutcome(0, 0)] * 5
-    assert msp(outs) == (50.0, 0.0)
-
-
-def test_msp_components_independent():
-    outs = [TrialOutcome(1, 1), TrialOutcome(1, 0), TrialOutcome(0, 0), TrialOutcome(1, 0)]
-    assert msp(outs) == (75.0, 25.0)
-
-
-def test_msp_rejects_empty():
-    with pytest.raises(ValueError):
-        msp([])
-
-
-def test_msp_accepts_generator():
-    assert msp(TrialOutcome(1, 1) for _ in range(3)) == (100.0, 100.0)
+    s = unit_gaussian()
+    entries = [result_at(40 if p else 80, s if q else s * 1.05) for p, q in grades]
+    cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, CONFIG)
+    result = _score_cell(cell, generate_de_bruijn(8), s, [40] * len(entries), entries)
+    assert (result.msp_position, result.msp_shape) == msps
+    assert (result.k, result.flat, result.failed_nnls) == (len(entries), 0, 0)
 
 
 # ----------------------------------------------------- scan_point_count
@@ -252,17 +322,16 @@ def test_single_cell_msp_matches_manual_recomputation():
     shortfall = profile.index_of(max(starts) * BIT_UM) + m + n - 1 - len(profile)
     if shortfall > 0:
         profile = profile.pad_open(0, shortfall)
-    hits_p = hits_s = total = 0
+    p_stars, recovered = [], []
     for q in starts:
         p_star = profile.index_of(q * BIT_UM)
         matrix = build_coding_matrix(profile, p_star, m, n)
         for r in range(reps):
             series = simulate(matrix, signal, 30.0, (seed, 0, q, r))
-            got = recover(profile, normalize(series), signal)
-            out = score(got, (p_star, s_true), CONFIG)
-            hits_p += out.position_success
-            hits_s += out.signal_success
-            total += 1
+            recovered.append(recover(profile, normalize(series), signal))
+            p_stars.append(p_star)
+    position, shape = score(recovered, (p_stars, s_true), CONFIG)
+    hits_p, hits_s, total = int(position.sum()), int(shape.sum()), len(recovered)
     assert cell.k == total
     assert cell.msp_position == pytest.approx(100.0 * hits_p / total, abs=1e-12)
     assert cell.msp_shape == pytest.approx(100.0 * hits_s / total, abs=1e-12)
