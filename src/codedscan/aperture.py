@@ -38,8 +38,8 @@ class ApertureGeometry:
 
     def __post_init__(self):
         for name in ("bit_size_zero_um", "bit_size_one_um", "thickness_um"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def bit_edges_um(self) -> np.ndarray:
         """Start of every bit and the end of the last, from 0: len(pattern) + 1 values."""

@@ -166,7 +166,7 @@ def simulate(
     intensity = np.repeat(intensity, len(keys) // len(intensity), axis=0)
     if exact:
         return ScanSeries(intensity)
-    return ScanSeries(np.array([_draw(row, key) for row, key in zip(intensity, keys)]))
+    return ScanSeries([_draw(row, key) for row, key in zip(intensity, keys)])  # stacked once, by ScanSeries
 
 
 def _draw(intensity: np.ndarray, seed) -> np.ndarray:

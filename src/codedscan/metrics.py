@@ -107,7 +107,10 @@ def scan_point_count(scan_bits: float, bit_size_um: float, grid_step_um: float) 
     """Scan points for a travel of ``scan_bits`` bits, both endpoints sampled."""
     if not (math.isfinite(scan_bits) and scan_bits >= 1):
         raise ValueError(f"scan length must be a finite number of bits, at least one, got {scan_bits:g}")
-    return int(round(scan_bits * bit_size_um / grid_step_um)) + 1
+    steps = scan_bits * bit_size_um / grid_step_um
+    if not math.isfinite(steps):
+        raise ValueError(f"scan length of {scan_bits:g} bits is not a finite number of points")
+    return int(round(steps)) + 1
 
 
 def _window_starts(pattern, config: ExperimentConfig) -> range:

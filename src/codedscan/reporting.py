@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -145,17 +144,18 @@ def write_series_csv(path, pixel_series, config_items=()) -> Path:
 def read_pixel_series(path) -> dict:
     """Parse a scan-series file to ``{pixel_id: (positions_um, counts)}``.
 
-    The file is UTF-8 CSV. Blank lines, comment lines (the first field
-    starts with ``#``) and header rows are skipped; a quoted field closes
-    on its own line. Pixel ids are stripped of whitespace and keep the
-    order they first appear in. Positions and counts must be finite,
-    counts non-negative; positions must be strictly increasing and
-    equidistant per pixel (within ``POSITION_TOLERANCE_UM``); scan indices
-    must count up from zero per pixel.
+    The file is UTF-8 CSV. The lines that ``csv`` reads alone as blank,
+    comment (the first field starts with ``#``) or header rows are
+    skipped; a quoted field closes on its own line. Pixel ids are stripped
+    of whitespace and keep the order they first appear in. Positions and
+    counts must be finite, counts non-negative; positions must be strictly
+    increasing and equidistant per pixel (within ``POSITION_TOLERANCE_UM``);
+    scan indices must count up from zero per pixel.
 
-    Each block of data lines goes through one ``np.loadtxt`` call, and every
+    Each block of lines goes through one ``np.loadtxt`` call, and every
     check runs on the columns. Only a block whose table cannot be trusted
-    is read again, line by line, to name its first bad line.
+    is read again: without the lines to skip, and then, if still
+    untrusted, line by line to name its first bad line.
     """
     path = Path(path)
     if not path.is_file():
@@ -166,15 +166,10 @@ def read_pixel_series(path) -> dict:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             lines = _DataLines(handle)
-            for block in lines.blocks():
-                if not block:
-                    continue
-                table, good, problem = _parse_block(block)
+            for table, good, problem in lines.tables():
                 if good:
                     tables.append(table)
                 rows += good
-                if problem is not None:
-                    break
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if not tables and problem is None:
@@ -228,35 +223,14 @@ _SERIES_ROW = np.dtype([
     ("counts", np.float64),
 ])
 
-# The lines a series file holds besides data: blank lines, comments and
-# header rows, each name padded or quoted or not. The quoting rules are
-# csv's: a field that starts with '"' is quoted, '""' in it is one quote,
-# and text after its closing quote joins the field. Here every quoted field
-# must close on its line.
-_EOL = r"(?:\r\n?|\n)?"
-_QUOTED_TAIL = r'(?:[^"\r\n]|"")*"(?!")[^,\r\n]*'  # after the opening quote
-_FIELD = rf'(?:"{_QUOTED_TAIL}|[^,"\r\n][^,\r\n]*|)'
-_SKIPPED = re.compile(
-    _EOL
-    + rf'|(?:"\s*#{_QUOTED_TAIL}|\s*#[^,\r\n]*)(?:,{_FIELD})*{_EOL}'
-    + "|" + ",".join(rf'(?:"\s*{name}\s*"|\s*{name})[^\S\r\n]*' for name in SERIES_COLUMNS)
-    + _EOL
-)
-# A block may hold a line that _SKIPPED matches only where a line break is
-# followed by whitespace, '#', '"' or "pixel_id", or where a bare carriage
-# return ends a line. sre searches fast only for a pattern that opens with
-# a literal, so the three are searched apart.
-_BREAK_THEN_SKIPPED = re.compile(r'\n[\s#"]')
 # Python's int() and float() refuse these around a number, numpy strips them.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 class _DataLines:
-    """The data lines of an open series file, in blocks, for ``np.loadtxt``.
+    """The data lines of an open series file, read in blocks with ``np.loadtxt``.
 
-    ``blocks`` leaves out the lines ``_SKIPPED`` matches and keeps their
-    numbers in ``skipped``. Only a block that may hold a line to skip is
-    filtered line by line.
+    ``tables`` keeps the numbers of the lines it skips in ``skipped``.
     """
 
     BLOCK_CHARS = 1 << 16
@@ -265,24 +239,35 @@ class _DataLines:
         self._handle = handle
         self.skipped = []
 
-    def blocks(self):
+    def tables(self):
+        """``(table, good, problem)`` per block, up to the first bad line: the
+        table of the block's first ``good`` data lines, which come before its
+        first bad line, and what is wrong with that line, or None if no line
+        is bad."""
         count = 0  # lines read
         while block := self._handle.readlines(self.BLOCK_CHARS):
             first, count = count + 1, count + len(block)
-            text = "\n" + "".join(block)
-            if (
-                _BREAK_THEN_SKIPPED.search(text)
-                or "\npixel_id" in text
-                or "\r" in text and text.count("\r") != text.count("\r\n")
-            ):
+            table = _trusted(block)
+            if table is None:
                 kept = []
                 for number, line in enumerate(block, start=first):
-                    if _SKIPPED.fullmatch(line):
+                    if _skipped(line):
                         self.skipped.append(number)
                     else:
                         kept.append(line)
-                block = kept
-            yield block
+                if not kept:
+                    continue
+                if len(kept) < len(block):
+                    block = kept
+                    table = _trusted(block)
+            if table is None:
+                for good, line in enumerate(block):
+                    problem = _line_problem(line)
+                    if problem is not None:
+                        yield (_parse(block[:good]) if good else None), good, problem
+                        return
+                table = _parse(block)
+            yield table, len(block), None
 
     def line_of(self, rows):
         """Line numbers of the data lines at indices ``rows`` (one index or
@@ -347,34 +332,43 @@ def _line_problem(line):
     return None
 
 
-def _parse_block(block):
-    """``(table, good, problem)`` for a block of data lines: the table of its
-    first ``good`` lines, which come before its first bad line, and what is
-    wrong with that line, or None if no line is bad.
-
-    The block is checked line by line only where its table cannot be
-    trusted: the call fails, it joins lines (an unclosed quote), an id holds
-    a line break or starts with ``#``, or the block holds one of
-    ``_SEPARATORS``.
+def _trusted(lines):
+    """The table of ``lines``, or None where it cannot be trusted: no line
+    holds data, the lines hold one of ``_SEPARATORS``, the call fails, it
+    joins lines (an unclosed quote) or skips one (a blank line), or an id
+    holds a line break or starts with ``#``.
     """
+    text = "".join(lines)
+    if not text.strip("\r\n") or any(c in text for c in _SEPARATORS):
+        return None  # on lines that are all blank, loadtxt would warn
     try:
-        table = _parse(block)
+        table = _parse(lines)
     except ValueError:
-        table = None
-    text = "".join(block)
-    if not (
-        table is None
-        or len(table) < len(block)
-        or any(c in text for c in _SEPARATORS)
-        or any("\n" in i or "\r" in i or i.lstrip().startswith("#")
-               for i in set(table["pixel_id"]))
+        return None
+    if len(table) < len(lines) or any(
+        "\n" in i or "\r" in i or i.lstrip().startswith("#") for i in set(table["pixel_id"])
     ):
-        return table, len(block), None
-    for good, line in enumerate(block):
-        problem = _line_problem(line)
-        if problem is not None:
-            return (_parse(block[:good]) if good else None), good, problem
-    return _parse(block), len(block), None
+        return None
+    return table
+
+
+def _skipped(line):
+    """Whether ``line`` is one to skip: csv reads it alone, every quote
+    closed on the line, as a blank, comment or header row."""
+    # Every line csv skips passes this screen, which is much faster than csv.
+    text = line.replace('"', "").lstrip()
+    if text and not text.startswith(("#", SERIES_COLUMNS[0])):
+        return False
+    if not line.endswith(("\n", "\r")):
+        line += "\n"  # the last line: a quote it leaves open takes the "\n"
+    try:
+        (row,) = csv.reader([line])
+    except csv.Error:  # a field past csv's size limit
+        return False
+    if row and row[-1].endswith(("\n", "\r")):
+        return False  # a quote left open
+    return not row or row[0].lstrip().startswith("#") or tuple(
+        field.strip() for field in row) == SERIES_COLUMNS
 
 
 def _not_utf8(path) -> SeriesFormatError:

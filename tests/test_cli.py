@@ -109,6 +109,25 @@ def test_non_finite_config_number_is_exit_2(tmp_path, capsys, command, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("simulate", "[scan]\nscan_bits = 1e308\n", "scan length of 1e+308 bits is not a finite"),
+    ("sweep", "[scan]\nscan_bits = 1e308\n[sweep]\nkind = patterning\n",
+     "scan length of 1e+308 bits is not a finite"),
+    ("sweep", "[sweep]\nkind = scan_length\nscan_bits_values = 1e308\n",
+     "scan length of 1e+308 bits is not a finite"),
+    ("sweep", "[sweep]\nkind = bsr\nbsr_values = 1e308\n",
+     "bit_size_zero_um must be finite and strictly positive"),
+    ("sweep", "[sweep]\nkind = aspect\naspect_values = 1e308\nangles_deg = 20\n",
+     "thickness_um must be finite and strictly positive"),
+], ids=["simulate", "patterning", "scan_length", "bsr", "aspect"])
+def test_size_that_overflows_to_inf_is_exit_2(tmp_path, capsys, command, text, message):
+    # each size is finite in the config and overflows to inf where it is used
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
 def test_sweep_noiseless_saturates_above_unit_bsr(tmp_path):
     cfg = write_cfg(tmp_path, OPAQUE + """
 [sweep]
@@ -537,6 +556,10 @@ def test_recover_field_past_the_csv_field_limit_is_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{bad}:1: non-finite counts" in err
     assert "Traceback" not in err
+    # csv cannot read such a comment, so it is not skipped but named
+    bad.write_text("# " + "x" * 140_000 + "\n0,0,0.0,5\n0,1,1.0,6\n")
+    assert main(["recover", str(bad), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: expected 4 columns, got 1\n"
 
 
 def test_recover_undecodable_byte_names_file_and_line(tmp_path, capsys):
@@ -563,16 +586,18 @@ def test_recover_overzealous_truncation_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("bits", ["inf", "-inf", "nan"])
-def test_recover_non_finite_truncation_is_exit_2(tmp_path, capsys, bits):
+@pytest.mark.parametrize("bits, message", [
+    ("inf", "must be a finite number of bits, at least one, got inf"),
+    ("-inf", "must be a finite number of bits, at least one, got -inf"),
+    ("nan", "must be a finite number of bits, at least one, got nan"),
+    ("1e308", "of 1e+308 bits is not a finite number of points"),  # inf points
+], ids=["inf", "-inf", "nan", "1e308"])
+def test_recover_non_finite_truncation_is_exit_2(tmp_path, capsys, bits, message):
     cfg = write_cfg(tmp_path, OPAQUE)
     series = multi_pixel_file(tmp_path, (10,), peak=1000.0, seed=2)
     # "=" keeps argparse from reading "-inf" as an option.
     assert main(["recover", str(series), "--config", str(cfg), f"--truncate-bits={bits}"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --truncate-bits: scan length must be a finite number of bits, "
-        f"at least one, got {bits}\n"
-    )
+    assert capsys.readouterr().err == f"error: --truncate-bits: scan length {message}\n"
 
 
 # ---------------------------------------------------------------- pattern

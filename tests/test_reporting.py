@@ -250,6 +250,8 @@ def test_series_reader_rejections(tmp_path):
     attempt("0,0,0.0,5\n", "fewer than 2")
     attempt("0,0,1.0,5\n0,1,0.5,6\n0,2,0.0,7\n", "not increasing")
     attempt("0,0,0.0,5\n0,1,1.0,6\n0,2,2.5,7\n", "not equidistant")
+    # a quote left open on the last line, which lacks a line end
+    attempt('a,0,10.0,50\na,1,11.0,60\n#x,0,10.0,"50', r"bad.csv:3: comment line with bad quoting$")
     with pytest.raises(SeriesFormatError, match="not found"):
         read_pixel_series(tmp_path / "ghost.csv")
 
@@ -501,13 +503,7 @@ LINE_BREAK_IN_QUOTES = st.sampled_from([
     'a,0,10.0,"50\n"\na,1,11.0,60\n',
     '# note,"open\na,0,10.0,50\na,1,11.0,60\n"\n',
     'a,0,10.0,50\na,1,11.0,60\n#,"x',
-])
-# A header name or a comment's '#' split by quotes, which csv joins back.
-QUOTE_SPLIT_NAMES = st.sampled_from([
-    '"pixel_"id,scan_index,position_um,counts\n' + "".join(VALID),
-    '""#x,1\n' + "".join(VALID),
-    '""#x,0,10.0,50\n""#x,1,11.0,60\n' + "".join(VALID),
-    '" "#x\n' + "".join(VALID),
+    'a,0,10.0,50\na,1,11.0,60\n#x,0,10.0,"50',
 ])
 DIFFERENCES = {
     "underscored numbers": UNDERSCORED_NUMBERS,
@@ -515,7 +511,6 @@ DIFFERENCES = {
     "huge scan index": HUGE_SCAN_INDEX,
     "separator controls": SEPARATOR_CONTROLS,
     "line break in quotes": LINE_BREAK_IN_QUOTES,
-    "quote-split names": QUOTE_SPLIT_NAMES,
 }
 
 
@@ -540,6 +535,22 @@ def test_named_differences_are_rejected_with_exit_2(name):
     check()
 
 
+# A header name or a comment's '#' split by quotes, which csv joins back:
+# skipped, as the oracle skips them.
+QUOTE_SPLIT_NAMES = st.sampled_from([
+    '"pixel_"id,scan_index,position_um,counts\n' + "".join(VALID),
+    '""#x,1\n' + "".join(VALID),
+    '""#x,0,10.0,50\n""#x,1,11.0,60\n' + "".join(VALID),
+    '" "#x\n' + "".join(VALID),
+])
+
+
+@settings(max_examples=25, deadline=None)
+@given(QUOTE_SPLIT_NAMES)
+def test_quote_split_names_read_as_the_oracle_reads_them(text):
+    read_with_both(text, same)
+
+
 # ------------------------------------------------- rejection block by block
 
 
@@ -561,36 +572,79 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(reporting._DataLines, "BLOCK_CHARS", 1 << 10)
 
 
-def test_rejection_parses_whole_blocks(tmp_path, small_blocks, monkeypatch):
-    # A bad last line costs one parse per block, plus the line-by-line
-    # check of the block that holds it: not one parse per line. Quoted ids
-    # cost no more.
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """One entry per call to ``reporting._parse``."""
     calls = []
     real = reporting._parse
 
-    def counting(lines, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return real(lines, *args, **kwargs)
+        return real(*args, **kwargs)
 
+    monkeypatch.setattr(reporting, "_parse", counting)
+    return calls
+
+
+def blocks_of(path):
+    """The blocks of lines ``read_pixel_series`` reads ``path`` in."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(iter(lambda: handle.readlines(reporting._DataLines.BLOCK_CHARS), []))
+
+
+def test_rejection_parses_whole_blocks(tmp_path, small_blocks, parse_calls):
+    # A bad last line costs one parse per block, plus the line-by-line
+    # check of the block that holds it: not one parse per line. Quoted ids
+    # cost no more.
     text = long_series() + "p0,75,75.0,1,2\n"
     quoted = re.sub(r"^(p\d+),", r'"\1",', text, flags=re.MULTILINE)
     for content, per_line in ((text, 1), (quoted, 2)):
         path = tmp_path / "bad.csv"
         path.write_text(content)
-        with open(path, encoding="utf-8", newline="") as handle:
-            blocks = list(reporting._DataLines(handle).blocks())
-        calls.clear()
-        monkeypatch.setattr(reporting, "_parse", counting)
+        blocks = blocks_of(path)
+        parse_calls.clear()
         with pytest.raises(SeriesFormatError, match=r"bad.csv:3002: expected 4 columns, got 5$"):
             read_pixel_series(path)
-        monkeypatch.setattr(reporting, "_parse", real)
         assert len(blocks) > 10
-        # one per block, then in the last block `per_line` per good line (a
-        # quoted line is parsed again for its fields), two for the bad line
-        # (the second counts its columns) and one for the block's good lines
-        assert len(calls) == len(blocks) + per_line * (len(blocks[-1]) - 1) + 3
-        assert len(calls) < 3002 / 10
+        # one per block, one more for the header's block (parsed again
+        # without its header), then in the last block `per_line` per good
+        # line (a quoted line is parsed again for its fields), two for the
+        # bad line (the second counts its columns) and one for the block's
+        # good lines
+        assert len(parse_calls) == len(blocks) + 1 + per_line * (len(blocks[-1]) - 1) + 3
+        assert len(parse_calls) < 3002 / 10
     assert quoted.count('"p0",') == 76
+
+
+def test_comment_in_every_block_costs_two_parses_per_block(tmp_path, small_blocks,
+                                                          parse_calls, monkeypatch):
+    # A block with a comment is parsed once to find its table untrusted and
+    # once without the comment; no line of it is checked alone, and csv
+    # reads only the lines it skips.
+    lines = long_series().splitlines(keepends=True)
+    text = "".join(line + "# note\n" * (number % 20 == 0) for number, line in enumerate(lines))
+    path = tmp_path / "notes.csv"
+    path.write_text(text)
+    blocks = blocks_of(path)
+    assert len(blocks) > 10 and all("# note\n" in block for block in blocks)
+
+    def no_line_checks(line):
+        raise AssertionError(f"line checked alone: {line!r}")
+
+    read_by_csv = []
+    real = csv.reader
+
+    def reading(rows):
+        read_by_csv.extend(rows)
+        return real(rows)
+
+    monkeypatch.setattr(reporting, "_line_problem", no_line_checks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reporting.csv, "reader", reading)
+        new = outcome(read_pixel_series, path)
+    assert new == outcome(read_pixel_series_oracle, path)
+    assert 0 < len(parse_calls) <= 2 * len(blocks)
+    assert set(read_by_csv) == {lines[0], "# note\n"}
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -602,7 +656,8 @@ def test_rejection_parses_whole_blocks(tmp_path, small_blocks, monkeypatch):
     ([(100, '"p1",23,23.0,24'), (2000, "p26,48")], "2000: expected 4 columns, got 2"),
     ([(900, "p11,73,73.0,\x1c84")], "900: ASCII separator control character"),
     ([(700, 'p9,23,23.0,"32'), (701, "p9,24,24.0,33")], "700: unclosed quote"),
-    ([(800, '""#x,0,10.0,50')], "800: comment line with bad quoting"),
+    # a comment, its '#' after a quoted empty string, as csv reads it
+    ([(800, '""#x,0,10.0,50')], "801: pixel p10 scan_index 49 out of order"),
 ])
 def test_rejection_names_the_line_across_blocks(tmp_path, monkeypatch, edits, message):
     text = long_series()
