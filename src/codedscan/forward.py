@@ -141,12 +141,15 @@ def simulate(
     the expected count at a fully open alignment (sum of the rescaled
     signal); ``math.inf`` skips rescaling and noise, returning raw
     intensities. ``seed`` is an int or tuple of ints keying the per-trial
-    counter-based stream.
+    counter-based stream: the counts are ``trial_rng(*seed).poisson(I)``.
 
     A (W, M, N) stack of matrices takes a sequence of T trial keys, T a
     multiple of W, and returns the (T, M) stack of series: the keys split
     evenly over the matrices in order, and row t, drawn from matrix
     t // (T / W) with key t, equals ``simulate`` of that matrix and key.
+    The stack is drawn in one pass: the Philox keys of all rows are mixed
+    at once (``_philox_keys``), and one Philox, reset to each row's key,
+    draws every row.
     """
     total = float(signal.values.sum())
     if total <= 0:
@@ -158,18 +161,92 @@ def simulate(
             raise ValueError("peak_counts must be positive (or inf for raw intensities)")
         intensity = intensity * (peak_counts / total)
     exact = exact or noiseless
-    if intensity.ndim == 1:
-        return ScanSeries(intensity if exact else _draw(intensity, seed))
-    keys = list(seed)
+    stacked = intensity.ndim == 2
+    if not stacked:  # a stack of one
+        intensity, seed = intensity[None], [seed]
+    keys = [key if isinstance(key, (tuple, list)) else (key,) for key in seed]
     if not keys or len(keys) % len(intensity):
         raise ValueError(f"{len(keys)} trial keys do not split over {len(intensity)} matrices")
-    intensity = np.repeat(intensity, len(keys) // len(intensity), axis=0)
+    per_matrix = len(keys) // len(intensity)
     if exact:
-        return ScanSeries(intensity)
-    return ScanSeries([_draw(row, key) for row, key in zip(intensity, keys)])  # stacked once, by ScanSeries
+        counts = np.repeat(intensity, per_matrix, axis=0)
+    else:
+        philox_keys = _philox_keys(keys)
+        bitgen = np.random.Philox(key=philox_keys[0])
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state  # a fresh stream: counter 0, empty buffer
+        counts = np.empty((len(keys), intensity.shape[1]))
+        for t, key in enumerate(philox_keys):
+            state["state"]["key"] = key
+            bitgen.state = state
+            counts[t] = rng.poisson(intensity[t // per_matrix])
+    return ScanSeries(counts if stacked else counts[0])
 
 
-def _draw(intensity: np.ndarray, seed) -> np.ndarray:
-    """Poisson counts around ``intensity`` from the stream ``seed`` keys."""
-    rng = trial_rng(*(seed if isinstance(seed, (tuple, list)) else (seed,)))
-    return rng.poisson(intensity).astype(float)
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _philox_keys(keys) -> np.ndarray:
+    """(T, 2) uint64 Philox key of each trial key, as ``trial_rng`` keys
+    its stream: ``SeedSequence(key).generate_state(2, np.uint64)``.
+
+    Each key becomes its uint32 entropy words, each entry least
+    significant word first, at least one word per entry. Keys with the
+    same number of words are mixed together in uint32 array operations.
+    """
+    by_length = {}  # words per key -> (rows, their words in one list)
+    for t, key in enumerate(keys):
+        words = []
+        for entry in key:
+            entry = int(entry)
+            if entry < 0:
+                raise ValueError(f"trial key {tuple(key)} holds a negative entry")
+            words.append(entry & _MASK32)
+            while entry := entry >> 32:
+                words.append(entry & _MASK32)
+        rows, flat = by_length.setdefault(len(words), ([], []))
+        rows.append(t)
+        flat += words
+    state = np.empty((len(keys), _POOL_SIZE), dtype=np.uint32)
+    for length, (rows, flat) in by_length.items():
+        state[rows] = _seed_state(np.array(flat, dtype=np.uint32).reshape(len(rows), length))
+    # generate_state reads its uint32 words as little-endian uint64 pairs
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence`` of each row of the (R, L) uint32 ``entropy``: the
+    four uint32 words of ``generate_state(2, np.uint64)``, as (R, 4)."""
+
+    def hasher(const, mult):
+        def hashmix(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const
+            return value ^ value >> 16
+
+        return hashmix
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    rows, length = entropy.shape
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):  # words past the pool mix into every pool word
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = hasher(_INIT_B, _MULT_B)
+    return np.stack([hashmix(word) for word in pool], axis=1)

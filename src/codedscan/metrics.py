@@ -165,8 +165,10 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
     """``CellResult`` of each of ``cells``, which share one config.
 
     Cells that also pad the profile to one length (all of them, but for the
-    deepest patterning windows) are recovered in one ``recover_batch`` call;
-    its row i is ``recover`` of row i alone, so grouping leaves every result
+    deepest patterning windows) form a group. A group is drawn with one
+    ``simulate`` call per noise level and recovered in one ``recover_batch``
+    call on its rows in cell order; row i is ``recover`` of row i alone,
+    and every row keeps its own trial key, so grouping leaves every result
     as it would be for the cell by itself.
     """
     config = cells[0].config
@@ -189,31 +191,47 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
         groups.setdefault(len(padded), (padded, []))[1].append((cell, starts))
     results = {}
     for padded, members in groups.values():
-        trials = [
-            _simulate_cell(cell, starts, padded, truth_signal, m) for cell, starts in members
-        ]
-        rows = np.concatenate([counts for counts, _ in trials])
+        rows, p_stars = _simulate_group(members, padded, truth_signal, m)
         recovered = iter(recover_batch(padded, rows, config.probe()))
-        for (cell, _), (_, p_stars) in zip(members, trials):
+        for (cell, _), cell_p_stars in zip(members, p_stars):
             results[cell.index] = _score_cell(
-                cell, pattern, s_true, p_stars, [next(recovered) for _ in p_stars]
+                cell, pattern, s_true, cell_p_stars, [next(recovered) for _ in cell_p_stars]
             )
     return [results[cell.index] for cell in cells]
 
 
-def _simulate_cell(cell: SweepCell, starts, profile, truth_signal, m: int) -> tuple:
-    """``(counts, p_stars)``: the cell's series as counted, with the true
-    offset of each.
+def _simulate_group(members, profile, truth_signal, m: int) -> tuple:
+    """``(counts, p_stars)`` of a group's ``(cell, starts)`` members: their
+    series as counted, stacked in member order, and each member's list of
+    true offsets, one per series.
 
-    Each window's intensity is computed once; replicate r of window q is
-    drawn from its own stream, keyed (seed, cell, q, r).
+    Each window's intensity is computed once, and the windows of all
+    members at one noise level are drawn by one ``simulate`` call;
+    replicate r of window q is drawn from its own stream, keyed (seed,
+    cell, q, r). Every member has as many windows as the others (all of
+    the config's, or the one it scores), so the drawn rows split evenly
+    back to the members.
     """
-    config = cell.config
-    offsets = np.array([profile.index_of(q * config.bit_size_um) for q in starts])
-    matrices = build_coding_matrix(profile, offsets, m, len(truth_signal))
-    keys = [(config.seed, cell.index, q, r) for q in starts for r in range(config.replicates)]
-    counts = simulate(matrices, truth_signal, cell.noise_level, keys).raw
-    return counts, np.repeat(offsets, config.replicates).tolist()
+    config = members[0][0].config
+    reps = config.replicates
+    bit = config.bit_size_um
+    offsets = [np.array([profile.index_of(q * bit) for q in starts]) for _, starts in members]
+    by_noise = {}  # noise level -> indices of its members
+    for i, (cell, _) in enumerate(members):
+        by_noise.setdefault(cell.noise_level, []).append(i)
+    blocks = [None] * len(members)
+    for noise, indices in by_noise.items():
+        matrices = build_coding_matrix(
+            profile, np.concatenate([offsets[i] for i in indices]), m, len(truth_signal)
+        )
+        keys = [
+            (config.seed, members[i][0].index, q, r)
+            for i in indices for q in members[i][1] for r in range(reps)
+        ]
+        counts = simulate(matrices, truth_signal, noise, keys).raw
+        for i, block in zip(indices, np.split(counts, len(indices))):
+            blocks[i] = block
+    return np.concatenate(blocks), [np.repeat(o, reps).tolist() for o in offsets]
 
 
 def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, recovered):

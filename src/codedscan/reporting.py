@@ -316,17 +316,17 @@ def _check_rows(path, table, pixel_ids, codes, order, line_of):
 
 def _line_problem(line):
     """What is wrong with one data line parsed alone, or None."""
+    if not line.endswith(("\n", "\r")):
+        line += "\n"  # the last line: a quote it leaves open takes the "\n", as in _skipped
+    if _skipped(line) is None:
+        return f"field longer than csv's field limit ({csv.field_size_limit()} characters)"
     try:
         _parse([line])
     except ValueError:
         fields = _parse([line], dtype=object)
         return f"expected 4 columns, got {fields.size}" if fields.size != 4 else "non-numeric row"
-    if '"' in line:
-        fields = _parse([line], dtype=object)
-        if any("\n" in field or "\r" in field for field in fields):
-            return "unclosed quote"
-        if fields[0].lstrip().startswith("#"):
-            return "comment line with bad quoting"
+    if '"' in line and any("\n" in f or "\r" in f for f in _parse([line], dtype=object)):
+        return "unclosed quote"
     if any(c in line for c in _SEPARATORS):
         return "ASCII separator control character"
     return None
@@ -354,7 +354,9 @@ def _trusted(lines):
 
 def _skipped(line):
     """Whether ``line`` is one to skip: csv reads it alone, every quote
-    closed on the line, as a blank, comment or header row."""
+    closed on the line, as a blank, comment or header row. None (false)
+    for a line that passes the screen but that csv refuses to read: one
+    with a field past csv's field limit."""
     # Every line csv skips passes this screen, which is much faster than csv.
     text = line.replace('"', "").lstrip()
     if text and not text.startswith(("#", SERIES_COLUMNS[0])):
@@ -363,8 +365,8 @@ def _skipped(line):
         line += "\n"  # the last line: a quote it leaves open takes the "\n"
     try:
         (row,) = csv.reader([line])
-    except csv.Error:  # a field past csv's size limit
-        return False
+    except csv.Error:  # a field past csv's field limit
+        return None
     if row and row[-1].endswith(("\n", "\r")):
         return False  # a quote left open
     return not row or row[0].lstrip().startswith("#") or tuple(

@@ -559,7 +559,9 @@ def test_recover_field_past_the_csv_field_limit_is_exit_2(tmp_path, capsys):
     # csv cannot read such a comment, so it is not skipped but named
     bad.write_text("# " + "x" * 140_000 + "\n0,0,0.0,5\n0,1,1.0,6\n")
     assert main(["recover", str(bad), "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {bad}:1: expected 4 columns, got 1\n"
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: field longer than csv's field limit (131072 characters)\n"
+    )
 
 
 def test_recover_undecodable_byte_names_file_and_line(tmp_path, capsys):

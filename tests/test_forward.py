@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedscan.aperture import TransmissivityProfile
@@ -178,6 +178,45 @@ def test_trial_rng_is_philox_keyed_by_the_seed_sequence_of_its_entropy(entropy):
     assert got.random(8).tobytes() == expected.random(8).tobytes()
     means = [0.5, 50.0, 5000.0]
     assert got.poisson(means).tolist() == expected.poisson(means).tolist()
+
+
+# Entries below 2**32 are one uint32 word of entropy; larger ones are several.
+ENTRIES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                    st.integers(2**64, 2**130))
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.lists(ENTRIES, min_size=1, max_size=4).map(tuple), min_size=1, max_size=6),
+       per_key=st.booleans(), peak=st.sampled_from([0.5, 50.0, 5000.0]))
+@example(keys=[(0,)], per_key=False, peak=50.0)  # a stack of one, one word
+@example(keys=[(2**130 + 12345, 7, 8)], per_key=True, peak=50.0)  # 7 words
+@example(keys=[(1,), (2**62, 3), (1, 2, 3, 4, 5, 6, 7), (2**64,)], per_key=False, peak=5.0)
+def test_stacked_draw_is_trial_rng_of_each_key(keys, per_key, peak):
+    # One matrix per key, or one for the whole stack; word counts mix.
+    values = np.random.default_rng(5).random(40)
+    matrices = build_coding_matrix(values, np.arange(len(keys) if per_key else 1), 9, 4)
+    signal = make_gaussian_signal(4.0, 1.0)
+    stack = simulate(matrices, signal, peak, keys).raw
+    intensity = matrices @ signal.values * (peak / signal.values.sum())
+    assert stack.shape == (len(keys), 9)
+    for t, key in enumerate(keys):
+        expected = trial_rng(*key).poisson(intensity[t if per_key else 0]).astype(float)
+        assert stack[t].tobytes() == expected.tobytes()
+        alone = simulate(matrices[t if per_key else 0], signal, peak, key).raw
+        assert alone.tobytes() == expected.tobytes()
+
+
+def test_negative_key_entry_is_rejected():
+    # as SeedSequence rejects it, and so trial_rng
+    matrices = build_coding_matrix(np.ones(10), np.zeros(2, dtype=int), 3, 2)
+    signal = make_gaussian_signal(2.0, 1.0)
+    for keys in ([(0,), (2**40, -(2**40))], [5, -3]):
+        with pytest.raises(ValueError, match="negative"):
+            simulate(matrices, signal, 10.0, keys)
+    with pytest.raises(ValueError, match="negative"):
+        simulate(matrices[0], signal, 10.0, (1, -1))
+    with pytest.raises(ValueError):
+        trial_rng(1, -1)
 
 
 def test_signal_and_series_validation():

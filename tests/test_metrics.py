@@ -538,6 +538,37 @@ def test_grouped_cells_equal_each_cell_recovered_alone(monkeypatch, cfg, groups)
     assert grouped == tuple(metrics_module._run_cells([c.cell], pattern)[0] for c in grouped)
 
 
+def test_grouped_draws_equal_each_cell_simulated_alone(monkeypatch):
+    # Noise levels 10, inf and 100 alternate cell by cell, and the last
+    # window pads the profile to another length: each cell's rows, as
+    # recover_batch receives them, are simulate of its own matrix and keys.
+    import codedscan.metrics as metrics_module
+
+    calls = []
+    real = metrics_module.recover_batch
+
+    def capturing(profile, rows, *args):
+        calls.append((profile, np.array(rows)))
+        return real(profile, rows, *args)
+
+    monkeypatch.setattr(metrics_module, "recover_batch", capturing)
+    cfg = ExperimentConfig(sweep_kind="patterning", seed=6, replicates=3, position_stride=31,
+                           noise_levels=(10.0, math.inf, 100.0))
+    cells = iter(c.cell for c in run_sweep(cfg).cells)
+    assert len({len(profile) for profile, _ in calls}) == len(calls) == 2
+    signal = make_gaussian_signal(cfg.signal_width_um, cfg.grid_step_um)
+    m = scan_point_count(cfg.scan_bits, cfg.bit_size_um, cfg.grid_step_um)
+    for profile, rows in calls:
+        for start in range(0, len(rows), cfg.replicates):
+            cell = next(cells)
+            offset = profile.index_of(cell.window_start * cfg.bit_size_um)
+            keys = [(cfg.seed, cell.index, cell.window_start, r) for r in range(cfg.replicates)]
+            matrices = build_coding_matrix(profile, np.array([offset]), m, len(signal))
+            alone = simulate(matrices, signal, cell.noise_level, keys).raw
+            assert rows[start : start + cfg.replicates].tobytes() == alone.tobytes()
+    assert next(cells, None) is None
+
+
 def test_scan_length_trend_more_bits_help():
     cfg = ExperimentConfig(sweep_kind="scan_length", seed=17, replicates=3, position_stride=12,
                       scan_bits_values=(4.0, 8.0), energies_kev=(10.0,),

@@ -250,8 +250,9 @@ def test_series_reader_rejections(tmp_path):
     attempt("0,0,0.0,5\n", "fewer than 2")
     attempt("0,0,1.0,5\n0,1,0.5,6\n0,2,0.0,7\n", "not increasing")
     attempt("0,0,0.0,5\n0,1,1.0,6\n0,2,2.5,7\n", "not equidistant")
-    # a quote left open on the last line, which lacks a line end
-    attempt('a,0,10.0,50\na,1,11.0,60\n#x,0,10.0,"50', r"bad.csv:3: comment line with bad quoting$")
+    # a quote left open on the last line, which lacks a line end, as with one
+    attempt('a,0,10.0,50\na,1,11.0,60\n#x,0,10.0,"50', r"bad.csv:3: unclosed quote$")
+    attempt('a,0,10.0,50\na,1,11.0,60\n#x,0,10.0,"50\n', r"bad.csv:3: unclosed quote$")
     with pytest.raises(SeriesFormatError, match="not found"):
         read_pixel_series(tmp_path / "ghost.csv")
 
