@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -491,3 +493,164 @@ def test_backtracking_that_releases_every_coordinate_does_not_crash():
     except NumericalFailureError as error:
         x = error.best_iterate
     assert x.shape == (2,) and x.min() >= 0.0
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("where", ["a_inf", "b_nan"])
+def test_non_finite_input_is_refused_before_any_solve(stacked, where, capfd):
+    # An inf in A used to fail the whole stack inside LAPACK, which printed
+    # to stderr; a NaN in b ran its row to the cap under RuntimeWarnings.
+    rng = np.random.default_rng(15)
+    a = rng.random((4, 6, 3))
+    b = rng.random((4, 6))
+    if where == "a_inf":
+        a[2, 1, 0] = np.inf
+        a[3, 0, 0] = -np.inf
+    else:
+        b[2, 4] = np.nan
+        b[3, 0] = np.nan
+    if stacked:
+        with pytest.raises(ValueError, match="problem 2: A and b must be finite"):
+            nnls(a, b)
+    else:
+        with pytest.raises(ValueError, match="A and b must be finite"):
+            nnls(a[2], b[2])
+    assert capfd.readouterr().err == ""
+
+
+# Stacks from families where supports are not unique or margins are thin:
+# Gaussian matrices, Hankel slices of a piecewise-constant profile (whose
+# windows repeat, so A is often rank-deficient), exactly or nearly
+# duplicated columns, a zero column, and a right side scaled by 1e+-14;
+# any number of rows, M < N included.
+@st.composite
+def degenerate_stacks(draw):
+    family = draw(st.sampled_from(["gaussian", "hankel", "duplicate", "near_duplicate", "zero_column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 3 * n + 20))
+    if family == "gaussian":
+        a = rng.standard_normal((t, m, n))
+        b = rng.standard_normal((t, m))
+    else:
+        width = draw(st.integers(1, 5))
+        levels = rng.choice([0.0, 0.11, 0.55, 1.0], size=(m + n + 40) // width + 1)
+        windows = np.lib.stride_tricks.sliding_window_view(np.repeat(levels, width), n)
+        a = windows[rng.integers(0, 41, size=t)[:, None] + np.arange(m)]
+        b = a @ rng.random(n) + 0.1 * rng.standard_normal((t, m))
+    if family == "duplicate":
+        a[:, :, -1] = a[:, :, 0]
+    elif family == "near_duplicate":
+        a[:, :, -1] = a[:, :, 0] * (1 + 1e-9 * rng.standard_normal((t, 1)))
+    elif family == "zero_column":
+        a[:, :, rng.integers(n)] = 0.0
+    return a, b * 10.0 ** draw(st.sampled_from([-14, 0, 14]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_stacks(), st.one_of(st.none(), st.integers(0, 12)))
+def test_degenerate_stack_matches_oracle_bit_for_bit(stack, cap):
+    a, b = stack
+    x, converged = nnls(a, b, max_iterations=cap)
+    for r in range(len(a)):
+        try:
+            expected = lawson_hanson_oracle(a[r].copy(), b[r].copy(), cap)
+        except NumericalFailureError as error:
+            assert not converged[r]
+            expected = error.best_iterate
+        except ValueError:
+            continue  # the oracle's empty-slice crash; see the last test in this file
+        else:
+            assert converged[r]
+        assert x[r].tobytes() == expected.tobytes()
+
+
+class _KernelCalls:
+    """``_umath_linalg`` with its ``lstsq`` calls counted, one entry per call
+    holding the number of matrices it solved."""
+
+    def __init__(self, module):
+        self.module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def lstsq(self, a, *args, **kwargs):
+        self.calls.append(len(a))
+        return self.module.lstsq(a, *args, **kwargs)
+
+
+def _spy_kernel_and_fallback(monkeypatch):
+    # The package exports the function under the module's name.
+    nnls_module = importlib.import_module("codedscan.nnls")
+    kernel = _KernelCalls(nnls_module._umath_linalg)
+    monkeypatch.setattr(nnls_module, "_umath_linalg", kernel)
+    fallback = []
+    exact = nnls_module._lawson_hanson
+
+    def spy(a, b, max_iterations):
+        fallback.append((a.copy(), b.copy()))
+        return exact(a, b, max_iterations)
+
+    monkeypatch.setattr(nnls_module, "_lawson_hanson", spy)
+    return kernel.calls, fallback
+
+
+def test_well_conditioned_rows_take_one_kernel_call(monkeypatch):
+    # Interior solutions of well-conditioned problems: the exact method
+    # walks passive-set sizes 1, 2, 3 in three kernel calls; the warm start
+    # solves each row once, in one call for the stack, and certifies it.
+    rng = np.random.default_rng(16)
+    a = rng.random((2, 12, 3)) + np.eye(12, 3)
+    b = (a @ np.array([1.0, 2.0, 3.0])[:, None])[..., 0] + 0.01 * rng.standard_normal((2, 12))
+    expected = [lawson_hanson_oracle(a[r], b[r]) for r in range(2)]
+    calls, fallback = _spy_kernel_and_fallback(monkeypatch)
+    x, converged = nnls(a, b)
+    assert calls == [2] and fallback == []
+    assert converged.all() and x.min() > 0.0
+    assert [row.tobytes() for row in x] == [row.tobytes() for row in expected]
+
+
+def test_rows_without_strict_margins_run_the_exact_method(monkeypatch):
+    # Row 1 has two equal columns, so their duals are equal and one of them
+    # is off the support with a dual of zero up to rounding; row 2 has a zero
+    # column, whose dual is exactly zero. Neither can be certified: only
+    # these rows run the exact method, and every row is its answer.
+    rng = np.random.default_rng(17)
+    a = rng.random((3, 12, 3)) + np.eye(12, 3)
+    a[1, :, 2] = a[1, :, 0]
+    a[2, :, 1] = 0.0
+    b = (a @ np.array([1.0, 2.0, 3.0])[:, None])[..., 0] + 0.01 * rng.standard_normal((3, 12))
+    expected = [lawson_hanson_oracle(a[r], b[r]) for r in range(3)]
+    _, fallback = _spy_kernel_and_fallback(monkeypatch)
+    x, converged = nnls(a, b)
+    assert len(fallback) == 1
+    np.testing.assert_array_equal(fallback[0][0], a[1:])
+    np.testing.assert_array_equal(fallback[0][1], b[1:])
+    assert converged.all()
+    assert [row.tobytes() for row in x] == [row.tobytes() for row in expected]
+
+
+def test_coordinate_within_the_margin_of_zero_runs_the_exact_method():
+    # The last column's dual at the least-squares point over the others is
+    # the tolerance to within 1e-6 relative, so the exact method and the
+    # normal equations can disagree on admitting it. Where the normal
+    # equations do, the lstsq point over all three columns is positive but
+    # its last entry is far inside the certificate's margin of zero: that
+    # row must go to the exact method, which stops without the column.
+    rng = np.random.default_rng(1)
+    t, m, n = 8, 12, 3
+    a = rng.standard_normal((t, m, n))
+    b = np.empty((t, m))
+    for r in range(t):
+        q = np.linalg.qr(a[r, :, :-1])[0]
+        v = rng.standard_normal(m)
+        v -= q @ (q.T @ v)
+        v *= DUAL_TOLERANCE * (1 + 1e-6 * rng.uniform(-1, 1)) / (a[r, :, -1] @ v)
+        b[r] = a[r, :, :-1] @ np.full(n - 1, 100.0) + v
+    x, converged = nnls(a, b)
+    assert converged.all()
+    for r in range(t):
+        assert x[r].tobytes() == lawson_hanson_oracle(a[r], b[r]).tobytes()
