@@ -202,9 +202,12 @@ def _certify(a, b, gram, support, predicted):
     rows = np.flatnonzero(predicted)
     p = support[rows]
     z, sigma = _lstsq_points(a.transpose(0, 2, 1), b, rows, p)
-    w = _duals(a[rows], b[rows], z)
-    c = np.sqrt(np.diagonal(gram[rows], axis1=1, axis2=2))
-    s = np.linalg.norm(b[rows], axis=1) + (c * z).sum(axis=1)
+    # The duals, column norms and ||b|| of the whole stack, with the other
+    # rows at x = 0, then the predicted rows': no copy of their A.
+    x[rows] = z
+    w = _duals(a, b, x)[rows]
+    c = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))[rows]
+    s = np.linalg.norm(b, axis=1)[rows] + (c * z).sum(axis=1)
     e = (m + n + 2) * _EPS * c * s[:, None]
     rho = 2.0 * (np.where(p, np.abs(w), 0.0).max(axis=1, initial=0.0) + e.max(axis=1, initial=0.0))
     g = 2.0 * rho * np.sqrt(p.sum(axis=1)) / sigma + np.sqrt((DUAL_TOLERANCE + rho) * z.sum(axis=1))
@@ -212,7 +215,6 @@ def _certify(a, b, gram, support, predicted):
     off = np.where(p, -np.inf, w + e).max(axis=1, initial=-np.inf) + rho + c.max(axis=1, initial=0.0) * g
     on = sigma * np.where(p, z, np.inf).min(axis=1, initial=np.inf)
     ok = (off < 0.0) & (on > g)
-    x[rows[ok]] = z[ok]
     certified[rows[ok]] = True
     return x, certified
 

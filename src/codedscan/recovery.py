@@ -30,9 +30,12 @@ from .aperture import TransmissivityProfile
 from .forward import ScanSeries, Signal, build_coding_matrix
 from .nnls import NumericalFailureError, nnls
 
-# Rows per stacked shape solve: bounds the (rows, M, N) stack of coding
-# matrices that one ``nnls`` call holds.
+# Rows per screened search.
 STACK_ROWS = 64
+# Doubles in the (rows, M, N) stack of coding matrices that one ``nnls`` call
+# holds: about 624 rows at M = 21 and N = 10, 81 at M = 161. A row that alone
+# holds more is solved by itself.
+SOLVE_DOUBLES = 2**17
 # Most multiply-adds in one screening product. OpenBLAS runs a dgemm of at
 # most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 of them
 # on the calling thread; a stack's larger products ran slower on two threads.
@@ -86,8 +89,9 @@ def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
             f"with an {t.size}-cell signal"
         )
     window_dots = np.correlate(a, t, mode="valid")
-    cum = np.concatenate([[0.0], np.cumsum(window_dots**2)])
-    sq = cum[m:] - cum[:-m]
+    # Summed per window, not as a prefix-sum difference, so that equal
+    # windows get equal norms and tie exactly.
+    sq = np.lib.stride_tricks.sliding_window_view(window_dots**2, m).sum(axis=1)
     return window_dots, np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0.0)
 
 
@@ -228,10 +232,12 @@ def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> l
     if it has no positive count, or the ``NumericalFailureError`` that its
     own shape solve ended in. Row i is ``recover(profile, counts[i],
     template)`` bit for bit. The rows are scaled to unit peak and the flat
-    ones left out; the template terms are computed once. Per ``STACK_ROWS``
-    of the other rows, the positions come from one screened search
-    (``_best_offsets``), and the shapes from one stacked ``nnls`` call. A
-    row with a non-finite or negative count raises ValueError.
+    ones left out; the template terms are computed once. The positions of
+    the other rows come from one screened search (``_best_offsets``) per
+    ``STACK_ROWS`` of them, and their shapes from one stacked ``nnls`` call
+    per stack of coding matrices that holds at most ``SOLVE_DOUBLES``
+    doubles (one row if a row alone holds more). A row with a non-finite or
+    negative count raises ValueError.
     """
     if len(counts) == 0:
         return []
@@ -243,16 +249,21 @@ def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> l
         raise ValueError(f"row {int(np.argmin(finite))}: counts must be finite")
     d, flat = normalize(ScanSeries(counts))
     terms = _template_terms(profile.values, template.values, d.shape[1])
-    fitted = []
+    positions = []
     for start in range(0, len(d), STACK_ROWS):
-        fitted += _recover_stack(profile, d[start : start + STACK_ROWS], terms, len(template))
+        positions += _best_offsets(*terms, d[start : start + STACK_ROWS])
+    rows = max(1, SOLVE_DOUBLES // (d.shape[1] * len(template)))
+    fitted = []
+    for start in range(0, len(d), rows):
+        fitted += _recover_stack(
+            profile, d[start : start + rows], positions[start : start + rows], len(template)
+        )
     fitted = iter(fitted)
     return [FlatSeriesError("no counts: every count is zero") if f else next(fitted) for f in flat]
 
 
-def _recover_stack(profile, d, terms, n) -> list:
-    """``recover_batch`` on at most ``STACK_ROWS`` rows, given the template terms."""
-    positions = _best_offsets(*terms, d)
+def _recover_stack(profile, d, positions, n) -> list:
+    """``recover_batch`` on the rows d, given their positions: one ``nnls`` call."""
     stack = build_coding_matrix(profile, np.array(positions), d.shape[1], n)
     x, converged = nnls(stack, d)
     # Each shape as its sum and its unit-sum shape, and every residual of

@@ -467,6 +467,7 @@ def test_recover_worker_chunks_give_identical_csv_and_stdout(tmp_path, capsys, m
     pixels["flat"] = (positions, np.zeros(positions.size))
     write_series_csv(series, pixels)
     monkeypatch.setattr("codedscan.recovery.STACK_ROWS", 2)
+    monkeypatch.setattr("codedscan.recovery.SOLVE_DOUBLES", 2 * 41 * 10)  # 2 rows of 41 x 10
     outputs = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 
@@ -304,6 +305,23 @@ def test_search_ranks_rows_near_the_float_range_ends_as_their_unit_peak_row(d):
     assert search_position(profile, np.array(d), template) == 3
 
 
+def test_ties_between_equal_windows_go_to_the_smallest_offset():
+    # A 37-cell profile tiled 60 times: every window recurs every 37 offsets,
+    # so each row's best score is tied by every copy of its window.
+    rng = np.random.default_rng(12)
+    period, m = 37, 21
+    profile = TransmissivityProfile(np.resize(rng.random(period), period * 60), STEP_UM)
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    starts = rng.integers(0, period * 60 - m - len(signal) + 1, 40)
+    noiseless = [build_coding_matrix(profile, int(p), m, len(signal)) @ signal.values
+                 for p in starts]
+    d = np.concatenate([noiseless, rng.random((40, m))])
+    positions = [result.position for result in recover_batch(profile, d, signal)]
+    assert positions == [search_position(profile, row / row.max(), signal.values) for row in d]
+    assert positions[:40] == (starts % period).tolist()
+    assert max(positions) < period
+
+
 def as_tuple(result):
     return (result.position, result.signal.tobytes(), result.scale, result.residual)
 
@@ -318,6 +336,16 @@ def test_recover_rows_near_the_float_range_ends_as_their_unit_peak_row(counts):
         warnings.simplefilter("error")
         assert as_tuple(recover(profile, np.array(counts), template)) == as_tuple(unit_peak)
     assert unit_peak.position == 3 and unit_peak.scale > 0.0
+
+
+@contextlib.contextmanager
+def small_stacks(search_rows, solve_rows, n):
+    """Search in stacks of ``search_rows`` rows and solve in stacks of
+    ``solve_rows`` rows of SCAN_POINTS x ``n`` coding matrices."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "STACK_ROWS", search_rows)
+        patch.setattr(recovery, "SOLVE_DOUBLES", solve_rows * SCAN_POINTS * n)
+        yield
 
 
 def random_rows(seed, rows, mu):
@@ -352,11 +380,8 @@ def random_rows(seed, rows, mu):
 )
 def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
     profile, signal, d = random_rows(seed, rows, mu)
-    saved, recovery.STACK_ROWS = recovery.STACK_ROWS, stack_rows  # several stacks per call
-    try:
+    with small_stacks(stack_rows, stack_rows, len(signal)):  # several stacks per call
         batch = recover_batch(profile, d, signal)
-    finally:
-        recovery.STACK_ROWS = saved
     assert len(batch) == rows
     for row, result in zip(d, batch):
         if row.any():
@@ -375,9 +400,11 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
 )
 def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
     # Stacks of STACK_ROWS - 1 to 2 * STACK_ROWS + 1 rows: one full stack,
-    # one short, and full stacks followed by a short one.
+    # one short, and full stacks followed by a short one, in the search and
+    # in the solve.
     profile, signal, d = random_rows(seed, STACK_ROWS + extra, mu)
-    batch = recover_batch(profile, d, signal)
+    with small_stacks(STACK_ROWS, STACK_ROWS, len(signal)):
+        batch = recover_batch(profile, d, signal)
     assert len(batch) == len(d)
     for counts, result in zip(d, batch):
         if not counts.any():
@@ -400,6 +427,68 @@ def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
         fit = matrix @ (result.scale * result.signal)
         assert result.residual == float(np.sum((fit - row) ** 2))
         assert result.signal.sum() == pytest.approx(1.0 if scale else 0.0)
+
+
+@pytest.mark.parametrize("m", [21, 81, 161])
+@pytest.mark.parametrize("bound", [recovery.SOLVE_DOUBLES, 2_000, 1])
+def test_solve_stacks_hold_at_most_the_bound(monkeypatch, m, bound):
+    # 700 rows make full stacks and a short one under the default
+    # bound at every M; under the bound of 1 every row alone exceeds it.
+    rng = np.random.default_rng(m)
+    profile = opaque_profile(pad_cells=m)
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    n = len(signal)
+    d = np.array([
+        simulate(build_coding_matrix(profile, int(p), m, n), signal, 100.0, seed=(m, k)).raw
+        for k, p in enumerate(rng.integers(0, 2480, 700 if bound > 1 else 5))
+    ])
+    calls = []
+    real = recovery.nnls
+
+    def record(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(recovery, "SOLVE_DOUBLES", bound)
+    monkeypatch.setattr(recovery, "nnls", record)
+    recover_batch(profile, d, signal)
+    assert sum(t for t, _, _ in calls) == d.any(axis=1).sum()  # the rows that are not flat
+    assert all(shape[1:] == (m, n) for shape in calls)
+    for t, _, _ in calls:
+        if m * n > bound:
+            assert t == 1
+        else:
+            assert t * m * n <= bound
+    # Every stack but the last is full: one more row would exceed the bound.
+    assert all((t + 1) * m * n > bound for t, _, _ in calls[:-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 13),
+    mu=st.sampled_from([0.219, 0.04, 1e9]),
+)
+def test_batch_rows_are_recovered_alone_when_search_and_solve_stacks_do_not_line_up(
+    seed, rows, mu
+):
+    # Search stacks of 2 rows and solve stacks of 3: their boundaries meet
+    # only every 6 rows.
+    profile, signal, d = random_rows(seed, rows, mu)
+    with small_stacks(2, 3, len(signal)):
+        batch = recover_batch(profile, d, signal)
+    assert len(batch) == rows
+    for row, result in zip(d, batch):
+        if not row.any():
+            assert isinstance(result, FlatSeriesError)
+            continue
+        try:
+            alone = recover(profile, row.copy(), signal)
+        except NumericalFailureError as failure:
+            assert isinstance(result, NumericalFailureError)
+            assert result.best_iterate.tobytes() == failure.best_iterate.tobytes()
+        else:
+            assert as_tuple(result) == as_tuple(alone)
 
 
 @settings(max_examples=25, deadline=None)
