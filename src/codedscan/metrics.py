@@ -149,7 +149,9 @@ def _cells(config: ExperimentConfig, param_name: str, values, groups, replaced) 
     cells = []
     for value in values:
         for group in groups:
-            cell_config = replace(config, **replaced(config, value, group))
+            changes = replaced(config, value, group)
+            # A cell that replaces no field keeps the run's config object.
+            cell_config = replace(config, **changes) if changes else config
             cell_config.optics()  # a missing attenuation entry stops the run before any trial
             for noise in config.noise_levels:
                 cells.append(

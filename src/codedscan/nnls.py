@@ -16,12 +16,14 @@ the same number of passive columns go to the LAPACK kernel that
 ``np.linalg.lstsq`` runs in one stacked call, so each problem follows the
 path, and returns the answer, of its single-problem run.
 
-A stack of more than one problem reaches that answer in fewer kernel
-calls (``_warm_start``):
+A stack of more than one problem, under the default cap or a higher one,
+reaches that answer in fewer kernel calls (``_warm_start``):
 
-1. Predict. The same loop runs on the normal equations A'A z = A'b (as
-   FNNLS does; Bro and de Jong, J. Chemometrics 11, 1997), whose steps are
-   small N x N solves. It only proposes each row's final passive set P.
+1. Predict. Block principal pivoting on the normal equations A'A z = A'b
+   (``_predict``) proposes each row's final passive set P. Each of its
+   iterations moves every infeasible coordinate of every row at once and
+   costs one stacked N x N solve, so most rows finish in a few solves,
+   where a loop that admits one coordinate per step needs |P|.
 2. Solve once. One kernel call per predicted set size gives each row's
    point z over P, bit for bit the exact method's step over P, and the
    singular values of A_P.
@@ -31,7 +33,8 @@ calls (``_warm_start``):
 
 So the contract is the exact method's: each row is bit for bit what a
 single-problem run returns, and a row that hits the 10*N cap fails alone.
-The certificate does not cover that cap (see ``_certify``).
+The certificate does not cover that cap (see ``_certify``), so a stack
+under a lower cap runs the exact method alone.
 """
 
 from __future__ import annotations
@@ -96,10 +99,12 @@ def nnls(a, b, max_iterations: int | None = None):
     if not finite.all():
         where = "" if single else f"problem {int(np.argmin(finite))}: "
         raise ValueError(f"{where}A and b must be finite")
+    default_cap = 10 * a.shape[2]
     if max_iterations is None:
-        max_iterations = 10 * a.shape[2]
-    solve = _lawson_hanson if len(a) == 1 else _warm_start
-    x, converged = solve(a, b, max_iterations)
+        max_iterations = default_cap
+    # Under a lower cap the certificate cannot vouch for it (see ``_certify``).
+    warm = len(a) > 1 and max_iterations >= default_cap
+    x, converged = (_warm_start if warm else _lawson_hanson)(a, b, max_iterations)
     if not single:
         return x, converged
     if not converged[0]:
@@ -110,45 +115,127 @@ def nnls(a, b, max_iterations: int | None = None):
 
 
 def _lawson_hanson(a, b, max_iterations):
-    """The exact method on a stack: ``(x, converged)``."""
+    """The exact method on a stack: ``(x, converged)``.
+
+    A row whose point is not finite stops unconverged.
+    """
+    t, n = a.shape[0], a.shape[2]
     a_t = a.transpose(0, 2, 1)
-    return _active_set(
-        lambda rows, passive: _lstsq_points(a_t, b, rows, passive)[0],
-        lambda rows, x: _duals(a[rows], b[rows], x),
-        a.shape[0], a.shape[2], max_iterations,
-    )
+    outer = np.arange(t)  # rows about to admit a coordinate or stop
+    inner = outer[:0]  # rows about to solve over their passive set
+    x = np.zeros((t, n))
+    w = _duals(a[outer], b[outer], x)
+    passive = np.zeros((t, n), dtype=bool)
+    iterations = np.zeros(t, dtype=int)
+    converged = np.zeros(t, dtype=bool)
+
+    def under_cap(rows):
+        """Count one active-set change; rows past the cap stop unconverged.
+        Returns which rows are still under it."""
+        iterations[rows] += 1
+        return iterations[rows] <= max_iterations
+
+    def step_toward(rows, z):
+        """Step from x toward z, stopping at the first coordinate to hit 0."""
+        xi, p = x[rows], passive[rows]
+        blocking = p & (z <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(blocking, xi / (xi - z), np.inf)
+        alpha = np.nanmin(ratios, axis=1)
+        xi = xi + alpha[:, None] * (z - xi)
+        released = p & (xi <= DUAL_TOLERANCE)
+        xi[released] = 0.0
+        x[rows] = xi
+        passive[rows] = p & ~released
+        return rows[under_cap(rows)]
+
+    while outer.size or inner.size:
+        if outer.size:
+            w_active = np.where(passive[outer], -np.inf, w[outer])
+            j = np.argmax(w_active, axis=1)
+            done = w_active[np.arange(outer.size), j] <= DUAL_TOLERANCE
+            converged[outer[done]] = True
+            grow, j = outer[~done], j[~done]
+            keep = under_cap(grow)
+            grow = grow[keep]
+            passive[grow, j[keep]] = True
+            inner = np.concatenate([inner, grow])
+        z = _lstsq_points(a_t, b, inner, passive[inner])[0]
+        finite = np.isfinite(z).all(axis=1)
+        inner, z = inner[finite], z[finite]
+        feasible = np.where(passive[inner], z, np.inf).min(axis=1) > 0.0
+        outer = inner[feasible]
+        x[outer] = z[feasible]
+        w[outer] = _duals(a[outer], b[outer], x[outer])
+        inner = inner[~feasible]
+        if inner.size:
+            inner = step_toward(inner, z[~feasible])
+    return x, converged
 
 
 def _warm_start(a, b, max_iterations):
     """``_lawson_hanson`` of the stack, bit for bit, from fewer kernel calls."""
     a_t = a.transpose(0, 2, 1)
-    eye = np.eye(a.shape[2])
-
-    def gram_points(rows, passive):
-        # The passive block of A'A, with the identity on the active
-        # coordinates, solves every set size in one call; a singular block
-        # gives NaN.
-        blocks = np.where(passive[:, :, None] & passive[:, None, :], gram[rows], eye)
-        z = _umath_linalg.solve1(blocks, np.where(passive, atb[rows], 0.0), signature="dd->d")
-        return np.where(passive, z, 0.0)
-
     # The prediction and the test only choose which rows the exact method
     # runs, so an overflow or a NaN there costs a row its shortcut, not its
-    # answer. The prediction gets half the cap, so that a row the normal
-    # equations finish in that many changes leaves the exact method room
-    # for a longer path.
+    # answer. The prediction gets half the cap (the cap rule in ``_certify``).
     with np.errstate(all="ignore"):
         gram, atb = a_t @ a, (a_t @ b[..., None])[..., 0]
-        x, predicted = _active_set(
-            gram_points,
-            lambda rows, x: atb[rows] - (gram[rows] @ x[..., None])[..., 0],
-            a.shape[0], a.shape[2], max_iterations // 2,
-        )
-        x, converged = _certify(a, b, gram, x > 0.0, predicted)
+        support, finished = _predict(gram, atb, max_iterations // 2)
+        x, converged = _certify(a, b, gram, support, finished)
     rest = np.flatnonzero(~converged)
     if rest.size:
         x[rest], converged[rest] = _lawson_hanson(a[rest], b[rest], max_iterations)
     return x, converged
+
+
+def _predict(gram, atb, max_iterations):
+    """Each row's support P of the problem on the normal equations A'A z =
+    A'b, by block principal pivoting, and whether the row finished within
+    ``max_iterations`` exchanges: ``(support, finished)``.
+
+    An exchange moves every infeasible coordinate of a row to the other
+    side at once: a passive one with z <= 0, or an active one whose dual
+    exceeds ``DUAL_TOLERANCE``. After three exchanges in a row that do not
+    lower its count of infeasible coordinates, a row moves only the last
+    of them (Murty's rule), until the count falls below its least so far
+    (Judice and Pires, Comput. Oper. Res. 21, 1994; Kim and Park, SIAM J.
+    Sci. Comput. 33, 2011). A row whose point is not finite stops
+    unfinished.
+    """
+    t, n = atb.shape
+    eye = np.eye(n)
+    passive = np.zeros((t, n), dtype=bool)
+    z, w = np.zeros((t, n)), atb.copy()
+    least = np.full(t, n + 1)  # the fewest infeasible coordinates so far
+    chances = np.full(t, 3)  # full exchanges left that need not lower it
+    iterations = np.zeros(t, dtype=int)
+    finished = np.zeros(t, dtype=bool)
+    rows = np.arange(t)
+    while rows.size:
+        infeasible = np.where(passive[rows], z[rows] <= 0.0, w[rows] > DUAL_TOLERANCE)
+        count = infeasible.sum(axis=1)
+        finished[rows[count == 0]] = True
+        go = (count > 0) & (iterations[rows] < max_iterations)
+        rows, infeasible, count = rows[go], infeasible[go], count[go]
+        lower = count < least[rows]
+        full = lower | (chances[rows] > 0)
+        chances[rows] = np.where(lower, 3, chances[rows] - full)
+        least[rows] = np.minimum(least[rows], count)
+        last = n - 1 - np.argmax(infeasible[:, ::-1], axis=1)
+        swap = np.where(full[:, None], infeasible, np.arange(n) == last[:, None])
+        passive[rows] ^= swap
+        iterations[rows] += 1
+        # The passive block of A'A, with the identity on the active
+        # coordinates, solves every set size in one call; a singular block
+        # gives NaN.
+        p = passive[rows]
+        blocks = np.where(p[:, :, None] & p[:, None, :], gram[rows], eye)
+        points = _umath_linalg.solve1(blocks, np.where(p, atb[rows], 0.0), signature="dd->d")
+        z[rows] = np.where(p, points, 0.0)
+        rows = rows[np.isfinite(z[rows]).all(axis=1)]
+        w[rows] = atb[rows] - (gram[rows] @ z[rows][..., None])[..., 0]
+    return passive, finished
 
 
 def _certify(a, b, gram, support, predicted):
@@ -188,9 +275,17 @@ def _certify(a, b, gram, support, predicted):
       sigma * min z_P > g rules it out.
 
     So P' = P, and x' is the exact method's step over P: the same kernel
-    call on the same columns, z bit for bit. The argument does not cover
-    whether the exact method would first hit its cap; the prediction runs
-    under half the cap for that reason.
+    call on the same columns, z bit for bit.
+
+    The cap rule. The argument does not cover whether the exact method
+    would first hit its cap, and no cheap bound on the length of its path
+    exists: it needs at least |P| changes to reach P, and more for every
+    coordinate it admits and later releases. So rows come here only under
+    the default cap of 10 N changes or a higher one, where |P| <= N is at
+    most a tenth of it, and only rows that the prediction finished within
+    half the cap. (Among the test strategies' rows, no converged path took
+    2 N changes.) A cap of 2 |P| is not enough: a 4 x 4 row with |P| = 2
+    takes 6 changes (``test_nnls.py``).
 
     A row with an off-support dual that is zero up to rounding (a zero or a
     duplicated column, a column in the span of the support) never passes,
@@ -219,65 +314,6 @@ def _certify(a, b, gram, support, predicted):
     return x, certified
 
 
-def _active_set(points, duals, t, n, max_iterations):
-    """The Lawson-Hanson loop over a stack of T problems in N unknowns.
-
-    ``points(rows, passive)`` gives the rows' least-squares points over
-    their passive columns (zero elsewhere) and ``duals(rows, x)`` their
-    duals at x. A row whose point is not finite stops unconverged.
-    """
-    x = np.zeros((t, n))
-    w = duals(np.arange(t), x)
-    passive = np.zeros((t, n), dtype=bool)
-    iterations = np.zeros(t, dtype=int)
-    converged = np.zeros(t, dtype=bool)
-
-    def under_cap(rows):
-        """Count one active-set change; rows past the cap stop unconverged.
-        Returns which rows are still under it."""
-        iterations[rows] += 1
-        return iterations[rows] <= max_iterations
-
-    def step_toward(rows, z):
-        """Step from x toward z, stopping at the first coordinate to hit 0."""
-        xi, p = x[rows], passive[rows]
-        blocking = p & (z <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(blocking, xi / (xi - z), np.inf)
-        alpha = np.nanmin(ratios, axis=1)
-        xi = xi + alpha[:, None] * (z - xi)
-        released = p & (xi <= DUAL_TOLERANCE)
-        xi[released] = 0.0
-        x[rows] = xi
-        passive[rows] = p & ~released
-        return rows[under_cap(rows)]
-
-    outer = np.arange(t)  # rows about to admit a coordinate or stop
-    inner = outer[:0]  # rows about to solve over their passive set
-    while outer.size or inner.size:
-        if outer.size:
-            w_active = np.where(passive[outer], -np.inf, w[outer])
-            j = np.argmax(w_active, axis=1)
-            done = w_active[np.arange(outer.size), j] <= DUAL_TOLERANCE
-            converged[outer[done]] = True
-            grow, j = outer[~done], j[~done]
-            keep = under_cap(grow)
-            grow = grow[keep]
-            passive[grow, j[keep]] = True
-            inner = np.concatenate([inner, grow])
-        z = points(inner, passive[inner])
-        finite = np.isfinite(z).all(axis=1)
-        inner, z = inner[finite], z[finite]
-        feasible = np.where(passive[inner], z, np.inf).min(axis=1) > 0.0
-        outer = inner[feasible]
-        x[outer] = z[feasible]
-        w[outer] = duals(outer, x[outer])
-        inner = inner[~feasible]
-        if inner.size:
-            inner = step_toward(inner, z[~feasible])
-    return x, converged
-
-
 def _lstsq_points(a_t, b, rows, passive):
     """Least-squares points over the rows' passive columns, one stacked
     ``lstsq`` per passive-set size, and sigma_min of those columns (0 when
@@ -300,7 +336,9 @@ def _lstsq_points(a_t, b, rows, passive):
                 b[r, :, None], _EPS * max(m, k), signature="ddd->ddid",
             )
             z[group[:, None], cols] = zk[..., 0]
-            sigma[group] = sk[:, -1] if k <= m else 0.0
+            # An exactly singular A_P can give -0.0, whose reciprocal
+            # would pass any margin in ``_certify``.
+            sigma[group] = np.abs(sk[:, -1]) if k <= m else 0.0
     return z, sigma
 
 

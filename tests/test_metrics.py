@@ -519,6 +519,20 @@ def test_quick_patterning_grid_recovers_once_per_group(monkeypatch):
     assert sum(rows for _, rows in calls) == sum(c.k for c in cells)
 
 
+@pytest.mark.parametrize("kind", ["patterning", "bsr"])
+def test_only_cells_that_replace_a_field_copy_the_config(kind):
+    # A patterning cell replaces no field, so it keeps the run's config
+    # object; a bsr cell gets its own, validated copy.
+    import codedscan.metrics as metrics_module
+
+    cfg = ExperimentConfig(sweep_kind=kind, replicates=1, position_stride=31)
+    pattern = generate_de_bruijn(cfg.pattern_order)
+    name, values, groups, replaced = metrics_module._AXES[kind]
+    cells = metrics_module._cells(cfg, name, values(cfg, pattern), groups(cfg), replaced)
+    assert len(cells) > 1
+    assert all((cell.config is cfg) == (kind == "patterning") for cell in cells)
+
+
 @pytest.mark.parametrize("cfg, groups", [
     (ExperimentConfig(sweep_kind="patterning", seed=4, replicates=2, position_stride=31,
                       noise_levels=(20.0, 100.0)), 2),

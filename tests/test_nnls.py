@@ -567,12 +567,13 @@ def test_degenerate_stack_matches_oracle_bit_for_bit(stack, cap):
 
 
 class _KernelCalls:
-    """``_umath_linalg`` with its ``lstsq`` calls counted, one entry per call
-    holding the number of matrices it solved."""
+    """``_umath_linalg`` with its ``lstsq`` and ``solve1`` calls counted, one
+    entry per call holding the number of matrices it solved."""
 
     def __init__(self, module):
         self.module = module
         self.calls = []
+        self.solves = []
 
     def __getattr__(self, name):
         return getattr(self.module, name)
@@ -581,10 +582,16 @@ class _KernelCalls:
         self.calls.append(len(a))
         return self.module.lstsq(a, *args, **kwargs)
 
+    def solve1(self, a, *args, **kwargs):
+        self.solves.append(len(a))
+        return self.module.solve1(a, *args, **kwargs)
+
+
+# The package exports the function under the module's name.
+nnls_module = importlib.import_module("codedscan.nnls")
+
 
 def _spy_kernel_and_fallback(monkeypatch):
-    # The package exports the function under the module's name.
-    nnls_module = importlib.import_module("codedscan.nnls")
     kernel = _KernelCalls(nnls_module._umath_linalg)
     monkeypatch.setattr(nnls_module, "_umath_linalg", kernel)
     fallback = []
@@ -595,7 +602,7 @@ def _spy_kernel_and_fallback(monkeypatch):
         return exact(a, b, max_iterations)
 
     monkeypatch.setattr(nnls_module, "_lawson_hanson", spy)
-    return kernel.calls, fallback
+    return kernel, fallback
 
 
 def test_well_conditioned_rows_take_one_kernel_call(monkeypatch):
@@ -606,9 +613,9 @@ def test_well_conditioned_rows_take_one_kernel_call(monkeypatch):
     a = rng.random((2, 12, 3)) + np.eye(12, 3)
     b = (a @ np.array([1.0, 2.0, 3.0])[:, None])[..., 0] + 0.01 * rng.standard_normal((2, 12))
     expected = [lawson_hanson_oracle(a[r], b[r]) for r in range(2)]
-    calls, fallback = _spy_kernel_and_fallback(monkeypatch)
+    kernel, fallback = _spy_kernel_and_fallback(monkeypatch)
     x, converged = nnls(a, b)
-    assert calls == [2] and fallback == []
+    assert kernel.calls == [2] and fallback == []
     assert converged.all() and x.min() > 0.0
     assert [row.tobytes() for row in x] == [row.tobytes() for row in expected]
 
@@ -654,3 +661,138 @@ def test_coordinate_within_the_margin_of_zero_runs_the_exact_method():
     assert converged.all()
     for r in range(t):
         assert x[r].tobytes() == lawson_hanson_oracle(a[r], b[r]).tobytes()
+
+
+def test_prediction_takes_fewer_solves_than_positive_coordinates(monkeypatch):
+    # Every optimum has all 8 coordinates positive. Admitting one coordinate
+    # per step would take 8 stacked solves; exchanging every infeasible
+    # coordinate at once takes fewer, and every row is certified.
+    rng = np.random.default_rng(18)
+    a = rng.random((6, 24, 8)) + 2.0 * np.eye(24, 8)
+    b = (a @ (1.0 + rng.random((6, 8, 1))))[..., 0] + 0.01 * rng.standard_normal((6, 24))
+    expected = [lawson_hanson_oracle(a[r], b[r]) for r in range(6)]
+    assert min(int((row > 0.0).sum()) for row in expected) == 8
+    kernel, fallback = _spy_kernel_and_fallback(monkeypatch)
+    x, converged = nnls(a, b)
+    assert 0 < len(kernel.solves) < 8 and fallback == []
+    assert converged.all()
+    assert [row.tobytes() for row in x] == [row.tobytes() for row in expected]
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_only_the_default_cap_or_more_certifies(monkeypatch, below):
+    # At the default cap of 10 N the rows are certified; one change below
+    # it, the whole stack runs the exact method. Either way each row is the
+    # single-problem answer.
+    rng = np.random.default_rng(16)
+    a = rng.random((2, 12, 3)) + np.eye(12, 3)
+    b = (a @ np.array([1.0, 2.0, 3.0])[:, None])[..., 0] + 0.01 * rng.standard_normal((2, 12))
+    cap = 30 - below
+    expected = [lawson_hanson_oracle(a[r], b[r], cap) for r in range(2)]
+    _, fallback = _spy_kernel_and_fallback(monkeypatch)
+    x, converged = nnls(a, b, max_iterations=cap)
+    assert len(fallback) == below
+    if below:
+        np.testing.assert_array_equal(fallback[0][0], a)
+    assert converged.all()
+    assert [row.tobytes() for row in x] == [row.tobytes() for row in expected]
+
+
+# A Hankel slice of a piecewise-constant profile whose single-problem path
+# admits and releases coordinates: 6 changes to end on a support of 2.
+LONG_PATH_A = np.array([[0.11, 1.0, 0.0, 0.11], [1.0, 0.0, 0.11, 1.0],
+                        [0.0, 0.11, 1.0, 0.11], [0.11, 1.0, 0.11, 0.0]])
+LONG_PATH_B = np.array([0.6134966986082396, 1.6012026003337498, 0.2217083743644556,
+                        0.40021670165092194])
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6])
+def test_cap_of_twice_the_support_does_not_certify(cap):
+    # The prediction finishes this row within cap // 2 exchanges on a
+    # support of at most cap // 2 coordinates, and the certificate passes
+    # it; yet under caps 4 and 5 the single-problem method stops at its
+    # cap first. Only the cap rule keeps the row from being certified.
+    a, b = np.stack([LONG_PATH_A] * 2), np.stack([LONG_PATH_B] * 2)
+    gram = a.transpose(0, 2, 1) @ a
+    with np.errstate(all="ignore"):
+        support, finished = nnls_module._predict(gram, (a.transpose(0, 2, 1) @ b[..., None])[..., 0], 2)
+        _, certified = nnls_module._certify(a, b, gram, support, finished)
+    assert certified.all() and support.sum(axis=1).tolist() == [2, 2]
+    x, converged = nnls(a, b, max_iterations=cap)
+    try:
+        expected = lawson_hanson_oracle(LONG_PATH_A, LONG_PATH_B, cap)
+    except NumericalFailureError as error:
+        assert cap < 6 and not converged.any()
+        expected = error.best_iterate
+    else:
+        assert cap == 6 and converged.all()
+    assert [row.tobytes() for row in x] == [expected.tobytes()] * 2
+
+
+def test_exactly_singular_support_is_not_certified():
+    # Columns 0 and 5 are both multiples of the first unit vector, so A_P
+    # over the predicted support is exactly singular and LAPACK gives its
+    # least singular value as -0.0. The certificate must not read that as a
+    # margin; the row runs the exact method.
+    a = np.array([[0.55, 0, 0, 0, 0, 0.5499999997991569], [0, 0, 0, 0, 0.55, 0],
+                  [0, 0, 0, 0.55, 0.55, 0], [0, 0, 0.55, 0.55, 0.55, 0],
+                  [0, 0.55, 0.55, 0.55, 0.55, 0]])
+    b = np.array([0.6582206265037472, 0.5682050236316024, 0.8930096297861205,
+                  0.8509470098579015, 1.3247377154735869])
+    stack, rhs = np.stack([a, a]), np.stack([b, b])
+    gram = stack.transpose(0, 2, 1) @ stack
+    support = np.array([[True, True, False, True, True, True]] * 2)
+    with np.errstate(all="ignore"):
+        _, certified = nnls_module._certify(stack, rhs, gram, support, np.ones(2, dtype=bool))
+    assert not certified.any()
+    x, converged = nnls(stack, rhs)
+    assert converged.all()
+    assert [row.tobytes() for row in x] == [lawson_hanson_oracle(a, b).tobytes()] * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(problem_stacks(), degenerate_stacks()), st.one_of(st.none(), st.integers(0, 12)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_any_prediction_leaves_every_row_the_single_problem_answer(stack, cap, above, seed):
+    # The prediction only proposes: with random supports and random
+    # "finished" flags in its place, the certificate and the cap rule alone
+    # decide which rows keep their one-step answer.
+    a, b = stack
+    if cap is not None and above:
+        cap += 10 * a.shape[2]
+    rng = np.random.default_rng(seed)
+
+    def guess(gram, atb, max_iterations):
+        return rng.random(atb.shape) < rng.random(), rng.random(len(atb)) < 0.8
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nnls_module, "_predict", guess)
+        x, converged = nnls(a, b, max_iterations=cap)
+    for r in range(len(a)):
+        try:
+            expected = lawson_hanson_oracle(a[r].copy(), b[r].copy(), cap)
+        except NumericalFailureError as error:
+            assert not converged[r]
+            expected = error.best_iterate
+        except ValueError:
+            continue  # the oracle's empty-slice crash; see the last test in this file
+        else:
+            assert converged[r]
+        assert x[r].tobytes() == expected.tobytes()
+
+
+def test_murty_rule_ends_a_cycle_of_full_exchanges():
+    # On this row, moving every infeasible coordinate at once returns to
+    # passive sets it has left, without end. Moving one coordinate at a
+    # time, once three exchanges have not lowered the count of infeasible
+    # ones, finishes within the prediction's half of the default cap.
+    a = np.array([[-0.1, -1.0, 0.7], [0.3, 1.4, -1.5], [-1.1, -2.2, 0.5]])
+    b = np.array([-0.5, 0.3, 0.0])
+    stack, rhs = np.stack([a, a]), np.stack([b, b])
+    gram = stack.transpose(0, 2, 1) @ stack
+    with np.errstate(all="ignore"):
+        _, finished = nnls_module._predict(gram, (stack.transpose(0, 2, 1) @ rhs[..., None])[..., 0], 15)
+    assert finished.all()
+    x, converged = nnls(stack, rhs)
+    assert converged.all()
+    assert [row.tobytes() for row in x] == [lawson_hanson_oracle(a, b).tobytes()] * 2
