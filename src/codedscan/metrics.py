@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -88,18 +89,22 @@ def score(recovered, truth: tuple, config: ExperimentConfig) -> tuple:
     denom = float(np.linalg.norm(s_true))
     if denom == 0.0:
         raise ValueError("true signal has zero norm")
-    margin_um = config.position_margin_bits * config.bit_size_um
-    position, shape = np.zeros((2, len(recovered)), dtype=bool)
-    for i, (p_star, result) in enumerate(zip(p_stars, recovered)):
-        if not isinstance(result, RecoveryResult):
-            continue
+    fits = [(i, result) for i, result in enumerate(recovered) if isinstance(result, RecoveryResult)]
+    for _, result in fits:
         if result.signal.size != s_true.size:
             raise ValueError(
                 f"signal length mismatch: recovered {result.signal.size}, true {s_true.size}"
             )
-        position[i] = abs(result.position - p_star) * config.grid_step_um <= margin_um
-        relative = float(np.linalg.norm(result.signal - s_true)) / denom
-        shape[i] = position[i] and relative < config.epsilon
+    index = np.array([i for i, _ in fits], dtype=np.intp)
+    offsets = np.array([abs(result.position - p_stars[i]) for i, result in fits], dtype=float)
+    diff = np.array([result.signal for _, result in fits]).reshape(len(fits), s_true.size) - s_true
+    # vecdot sums each row as np.linalg.norm sums a vector, so every norm
+    # has the per-trial bits; norm(axis=1) sums in another order.
+    relative = np.sqrt(np.vecdot(diff, diff)) / denom
+    hit = offsets * config.grid_step_um <= config.position_margin_bits * config.bit_size_um
+    position, shape = np.zeros((2, len(recovered)), dtype=bool)
+    position[index] = hit
+    shape[index] = hit & (relative < config.epsilon)
     return position, shape
 
 
@@ -242,8 +247,8 @@ def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, recovered):
     ``p_stars``. A flat series or a failed solve is scored as a miss."""
     config = cell.config
     position, shape = score(recovered, (p_stars, s_true), config)
-    flat = sum(isinstance(result, FlatSeriesError) for result in recovered)
-    failed_nnls = sum(isinstance(result, NumericalFailureError) for result in recovered)
+    kinds = Counter(map(type, recovered))
+    flat, failed_nnls = kinds[FlatSeriesError], kinds[NumericalFailureError]
     k = len(recovered)
     stats = None
     if cell.window_start is not None:

@@ -5,10 +5,11 @@ exhaustive template matching against every feasible profile window, then
 solve a non-negative least-squares problem for the beam shape at that
 offset. Each series gets one search and one solve.
 
-A stack of series is searched together: chunked matrix products screen
-every offset of every row, and only a row whose best offsets tie to within
-the products' rounding error is searched again exactly on the span of its
-near-ties. The positions are those of the one-row search, bit for bit.
+A stack of series is searched together: chunked float32 matrix products
+screen every offset of every row, and only a row whose best offsets tie to
+within the screen's rounding error, 4 (M + 4) eps32 + 16 (M + 2) eps64
+relatively, is searched again by the float64 one-row search on the span of
+its near-ties. The positions are those of the one-row search, bit for bit.
 
 Counts are fitted as they are, up to one scale: the search scores offset
 p by d . r_p / ||r_p|| for its template window r_p, which ranks offsets as
@@ -36,13 +37,13 @@ STACK_ROWS = 64
 # holds: about 624 rows at M = 21 and N = 10, 81 at M = 161. A row that alone
 # holds more is solved by itself.
 SOLVE_DOUBLES = 2**17
-# Most multiply-adds in one screening product. OpenBLAS runs a dgemm of at
-# most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD = 65,536 * 4 of them
-# on the calling thread; a stack's larger products ran slower on two threads.
+# Most multiply-adds in one screening product. OpenBLAS 0.3.31 on an AVX-512
+# host ran float32 products of this size on the calling thread, and products
+# of 2^20 on two threads, slower than on one.
 SCREEN_MADDS = 65_536 * 4
-# Screened scores held at once per stack: a (rows, offsets) block of doubles.
+# Screened scores held at once per stack: a (rows, offsets) block of floats.
 SCREEN_BLOCK = 32_768
-
+F32 = np.finfo(np.float32)
 
 
 class FlatSeriesError(ValueError):
@@ -107,75 +108,93 @@ def _best_offset(window_dots: np.ndarray, inv_norm: np.ndarray, d: np.ndarray) -
     return int(np.argmax(score))
 
 
-def _best_offsets(window_dots, inv_norm, d) -> list:
+def _single_precision(window_dots: np.ndarray, inv_norm: np.ndarray):
+    """The screen's float32 copies ``(window_dots, inv_norm)``, or None if
+    some value of either is neither 0 nor a normal float32: then every row
+    is searched by ``_best_offset`` alone."""
+    for a in (window_dots, inv_norm):
+        if not ((a == 0.0) | ((a >= F32.tiny) & (a <= F32.max))).all():
+            return None
+    return window_dots.astype(np.float32), inv_norm.astype(np.float32)
+
+
+def _best_offsets(window_dots, inv_norm, screen, d) -> list:
     """``_best_offset`` of every row of the (T, M) stack d, bit for bit.
 
-    A screen computes cross for all rows in matrix products of at most
+    ``screen`` is ``_single_precision(window_dots, inv_norm)``. The screen
+    computes cross for all rows in float32 matrix products of at most
     ``SCREEN_MADDS`` multiply-adds over a sliding view of the window dots,
-    scales it by the same ``inv_norm`` as the one-row search, and keeps for
-    each block of offsets each row's largest score and the next largest.
+    scales it by ``inv_norm``, and keeps for each block of offsets each
+    row's largest score and the next largest.
 
-    So the two searches differ only in their cross sums. With r >= 0 (a
-    profile in [0, 1] against a ``Signal``) and d >= 0, a sum of M products
-    is within gamma_M * cross of its exact value in any order when no
-    product underflows (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1), and the score adds one rounding. So the one-row
-    search's offset is among the near-ties: the offsets whose screened score
-    is at least S * (1 - delta), for the row's largest screened score S and
-    delta = 16 (M + 2) eps. A row with one near-tie has found its offset.
-    Any other row runs ``_best_offset`` on the blocks that hold its
-    near-ties, which keeps ties on the smallest offset.
+    With r >= 0 (a profile in [0, 1] against a ``Signal``) and d >= 0, a
+    sum of M products is within gamma_M = M u / (1 - M u) of its exact
+    value, relatively, in any order when nothing underflows (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1). The screened score
+    also rounds d, r and inv_norm to float32 and multiplies once more, so it
+    is within gamma_{M+4}(u32) of the exact d . r_p * inv_norm_p, and the
+    one-row search's float64 score is within gamma_{M+1}(u64) of it. So the
+    one-row search's offset is among the near-ties, the offsets whose
+    screened score is at least S * (1 - delta) for the row's largest
+    screened score S, once delta >= 2 (gamma_{M+4}(u32) + gamma_{M+1}(u64)).
+    delta = 4 (M + 4) eps32 + 16 (M + 2) eps64 is at least twice that
+    (u = eps / 2). A row with one near-tie has found its offset. Any other
+    row runs ``_best_offset`` on the blocks that hold its near-ties, which
+    keeps ties on the smallest offset.
 
-    ``_best_offset`` searches a whole row that has a negative or non-finite
-    entry, or whose S lies outside [tiny / delta * max(inv_norm, 1),
-    max / 2 * min(inv_norm > 0, 1)]. Inside, every near-tie's cross and
-    score is at least tiny / (2 delta), so underflow costs them no relative
-    digit, and no cross where inv_norm > 0 exceeds max / 2 or overflows. It
-    searches every row of a stack of one (the screen costs more there) or
-    of a stack whose rows alone exceed ``SCREEN_MADDS``.
+    ``_best_offset`` searches the whole of a row that has a negative or
+    non-finite entry or one past float32's largest value, or whose S lies
+    outside [(M + 1) tiny32 / delta * max(inv_norm, 1), max32]. Inside,
+    every near-tie's score is at least half the lower end. Rounding an entry
+    of d to a float32 subnormal, and each product or score that underflows,
+    loses at most tiny32 * u32 of it (an entry's loss is scaled by
+    r_m * inv_norm_p <= 1), so together at most 4 u32 delta of it,
+    relatively. No product, cross or score overflowed, since every term is
+    >= 0 and a window with inv_norm = 0 is all zero. A row scaled into
+    float32's subnormal range has S <= ||d||, below the lower end. Every row
+    is searched by ``_best_offset`` alone if ``screen`` is None, in a stack
+    of one (the screen costs more there) and in a stack whose rows alone
+    exceed ``SCREEN_MADDS``.
     """
     t, m = d.shape
     p_count = inv_norm.size
-    if t == 1 or t * m > SCREEN_MADDS:
+    if screen is None or t == 1 or t * m > SCREEN_MADDS:
         return [_best_offset(window_dots, inv_norm, row) for row in d]
-    delta = 16 * (m + 2) * float_info.epsilon
-    least = float_info.min / delta * max(inv_norm.max(), 1.0)
-    most = float_info.max / 2.0 * min(inv_norm[inv_norm > 0.0].min(initial=1.0), 1.0)
+    dots32, inv32 = screen
+    delta = 4 * (m + 4) * float(F32.eps) + 16 * (m + 2) * float_info.epsilon
+    least = (m + 1) * float(F32.tiny) / delta * max(inv_norm.max(), 1.0)
     product = SCREEN_MADDS // (t * m)  # offsets per matrix product
     block = max(product, SCREEN_BLOCK // t // product * product)  # offsets per block
-    windows = np.lib.stride_tricks.sliding_window_view(window_dots, m)
+    windows = np.lib.stride_tricks.sliding_window_view(dots32, m)
     rows = np.arange(t)
-    scores = np.empty((t, block))
+    scores = np.empty((t, block), dtype=np.float32)
     blocks = range(0, p_count, block)
-    tops, seconds = np.empty((2, len(blocks), t))
+    tops, seconds = np.empty((2, len(blocks), t), dtype=np.float32)
     args = np.empty((len(blocks), t), dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that fall back below
+        d32 = d.astype(np.float32)
         for k, start in enumerate(blocks):
             g = scores[:, : min(block, p_count - start)]
             for j in range(0, g.shape[1], product):
-                np.matmul(d, windows[start + j : start + j + product].T, out=g[:, j : j + product])
-            g *= inv_norm[start : start + g.shape[1]]
+                np.matmul(d32, windows[start + j : start + j + product].T, out=g[:, j : j + product])
+            g *= inv32[start : start + g.shape[1]]
             args[k] = g.argmax(axis=1)
             tops[k] = g[rows, args[k]]
             g[rows, args[k]] = -1.0
             g.max(axis=1, out=seconds[k])
-        top = tops.max(axis=0)
-        near = top * (1.0 - delta)
+    top = tops.max(axis=0).astype(float)
+    near = top * (1.0 - delta)  # in float64, which every float32 score compares with exactly
     held = tops >= near  # blocks holding a near-tie
     single = held.sum(axis=0) + (seconds >= near).sum(axis=0) == 1
     first = held.argmax(axis=0)
     last = len(blocks) - 1 - held[::-1].argmax(axis=0)
-    screened = ((d >= 0.0) & (d <= float_info.max)).all(axis=1) & (least <= top) & (top <= most)
-    positions = []
-    for i, row in enumerate(d):
-        if not screened[i]:
-            positions.append(_best_offset(window_dots, inv_norm, row))
-        elif single[i]:
-            positions.append(int(first[i] * block + args[first[i], i]))
-        else:
+    screened = ((d >= 0.0) & (d <= F32.max)).all(axis=1) & (least <= top) & (top <= F32.max)
+    positions = (first * block + args[first, rows]).tolist()
+    for i in np.flatnonzero(~(screened & single)):
+        lo, hi = 0, p_count
+        if screened[i]:  # only the blocks that hold its near-ties
             lo, hi = int(first[i]) * block, min(int(last[i] + 1) * block, p_count)
-            offset = _best_offset(window_dots[lo : hi + m - 1], inv_norm[lo:hi], row)
-            positions.append(lo + offset)
+        positions[i] = lo + _best_offset(window_dots[lo : hi + m - 1], inv_norm[lo:hi], d[i])
     return positions
 
 
@@ -249,9 +268,10 @@ def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> l
         raise ValueError(f"row {int(np.argmin(finite))}: counts must be finite")
     d, flat = normalize(ScanSeries(counts))
     terms = _template_terms(profile.values, template.values, d.shape[1])
+    screen = _single_precision(*terms)
     positions = []
     for start in range(0, len(d), STACK_ROWS):
-        positions += _best_offsets(*terms, d[start : start + STACK_ROWS])
+        positions += _best_offsets(*terms, screen, d[start : start + STACK_ROWS])
     rows = max(1, SOLVE_DOUBLES // (d.shape[1] * len(template)))
     fitted = []
     for start in range(0, len(d), rows):

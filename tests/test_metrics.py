@@ -182,6 +182,53 @@ def test_score_matches_the_per_trial_reference(trials, one_hot, epsilon, margin_
         (bool(p), bool(q)) for p, q in expected]
 
 
+@st.composite
+def graded_cells(draw):
+    """A cell's entries against a random unit-sum truth of n cells: fits at
+    offsets around the margin with shapes off the truth by noise of random
+    size, flat series and failed solves; and an epsilon that is one fit's
+    per-trial relative error moved by at most 3 ulps, so that a norm one
+    bit off the per-trial one grades that fit differently."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 3, 7, 10, 16, 21, 33]))
+    s = rng.random(n) + 0.01
+    s /= s.sum()
+    entries = []
+    for kind in rng.choice(["fit", "fit", "fit", "flat", "failed"], draw(st.integers(1, 40))):
+        if kind == "flat":
+            entries.append(FlatSeriesError("flat"))
+        elif kind == "failed":
+            entries.append(NumericalFailureError("no convergence", None))
+        else:
+            noise = rng.normal(0.0, 10.0 ** rng.uniform(-4.0, -0.5), n)
+            entries.append(result_at(40 + int(rng.integers(-12, 13)), s + noise))
+    fits = [entry for entry in entries if isinstance(entry, RecoveryResult)]
+    epsilon = 0.02
+    if fits:
+        pinned = fits[int(rng.integers(0, len(fits)))]
+        epsilon = float(np.linalg.norm(pinned.signal - s)) / float(np.linalg.norm(s))
+        epsilon = float(epsilon + draw(st.integers(-3, 3)) * np.spacing(epsilon))
+    return entries, s, epsilon
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_cells())
+def test_score_grades_each_entry_as_the_per_trial_loop(cell):
+    entries, s, epsilon = cell
+    config = replace(CONFIG, epsilon=epsilon)
+    position, shape = score(entries, ([40] * len(entries), s), config)
+    expected = [reference_grade(entry, (40, s), config) for entry in entries]
+    assert list(zip(position.tolist(), shape.tolist())) == [
+        (bool(p), bool(q)) for p, q in expected]
+    from codedscan.metrics import _score_cell
+
+    result = _score_cell(SweepCell(0, "bsr", 1.0, 10.0, 10.0, config), generate_de_bruijn(8),
+                         s, [40] * len(entries), entries)
+    assert (result.flat, result.failed_nnls) == (
+        sum(isinstance(entry, FlatSeriesError) for entry in entries),
+        sum(isinstance(entry, NumericalFailureError) for entry in entries))
+
+
 def test_criteria_validation():
     with pytest.raises(ValueError):
         replace(CONFIG, epsilon=0.0)

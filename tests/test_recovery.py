@@ -561,8 +561,11 @@ def tie_prone_stacks(draw):
     """A profile, a template and a stack of rows made to tie, or to leave the
     screen's error bound: long open and opaque runs (sq = 0), periodic
     profiles (exact ties), mirrored profiles with a symmetric template and
-    palindromic rows (ties in exact arithmetic that round apart), and rows
-    that are all zero, negative, non-finite or scaled by 1e-300 to 1e300."""
+    palindromic rows (ties in exact arithmetic that round apart), templates
+    scaled by 1e-45 to 1e45 (window dots outside float32's range), and rows
+    that are all zero, negative, non-finite, scaled by 1e-300 to 1e300,
+    scaled to near float32's least or largest value, or hold one entry
+    below float32's least normal value."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.sampled_from([*range(1, 13), 81]))
     n = draw(st.integers(1, 10))
@@ -578,7 +581,7 @@ def tie_prone_stacks(draw):
     else:
         half = rng.random(size // 2)
         values = np.concatenate([half, half[::-1]])
-    template = rng.random(n) * 10.0 ** rng.integers(-20, 21)
+    template = rng.random(n) * 10.0 ** rng.integers(-45, 46)
     if kind == "mirrored":
         template = template + template[::-1]
     rows = draw(st.sampled_from([1, 2, STACK_ROWS - 1, STACK_ROWS, STACK_ROWS + 1]))
@@ -586,12 +589,17 @@ def tie_prone_stacks(draw):
     d += d[:, ::-1]  # palindromic
     shuffled = rng.random(rows) < (0.2 if kind == "mirrored" else 0.6)
     d[shuffled] = rng.random((shuffled.sum(), m))
-    special = rng.integers(0, 12, rows)
+    special = rng.integers(0, 16, rows)
     d[special == 0] = 0.0
     d[special == 1] *= -1.0
     d[special == 2, rng.integers(0, m)] = rng.choice([np.nan, np.inf, -1.0])
     scaled = special == 3
     d[scaled] *= 10.0 ** rng.integers(-300, 301, (scaled.sum(), 1))
+    tiny = special == 4
+    d[tiny] *= 10.0 ** rng.uniform(-45.0, -37.0, (tiny.sum(), 1))
+    huge = special == 5
+    d[huge] *= rng.uniform(1e37, 3e38, (huge.sum(), 1))
+    d[special == 6, rng.integers(0, m)] = 10.0 ** rng.uniform(-45.0, -38.0)
     return TransmissivityProfile(values, STEP_UM), Signal(template), d
 
 
@@ -604,10 +612,26 @@ def extreme_scale_stack(template_scale, row_scale):
     return profile, Signal(np.full(3, template_scale)), np.array([row, row_scale * row])
 
 
+def float32_flip_stack():
+    """Two rows d = (1, y) against a profile whose windows (1/16, 1) at offset
+    0 and (1, 1/32) at offset 3 score within 9e-8 of each other, relatively:
+    offset 3 is ahead in exact arithmetic and offset 0 in float32. The window
+    dots (a template of one open cell) and the products are exact in
+    float32, and the cross sums of two terms round once, so the flip does not
+    depend on the order in which a matrix product sums."""
+    profile = TransmissivityProfile(np.array([0.0625, 1.0, 0.0, 1.0, 0.03125]), STEP_UM)
+    return profile, Signal(np.ones(1)), np.array([[1.0, 0.9692970843765929]] * 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tie_prone_stacks())
 @example(extreme_scale_stack(1e-20, 1e-300))
 @example(extreme_scale_stack(1e20, 1e300))
+@example(extreme_scale_stack(1e-40, 1.0))  # window dots below float32's least normal value
+@example(extreme_scale_stack(1e40, 1.0))  # window dots above float32's largest value
+@example(extreme_scale_stack(1e30, 1e-43))  # unit-range cross sums of float32-subnormal rows
+@example(extreme_scale_stack(1.0, 3e38))  # cross sums past float32's largest value
+@example(float32_flip_stack())
 def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     profile, signal, d = stack
     received, positions = [], []
@@ -629,8 +653,9 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
                 recover_batch(profile, d, signal)
         # The search also takes every stack as it is, rows near 1e-300 and 1e300 included.
         terms = recovery._template_terms(profile.values, signal.values, d.shape[1])
+        single = recovery._single_precision(*terms)
         for start in range(0, len(d), STACK_ROWS):
-            keep(*terms, d[start : start + STACK_ROWS])
+            keep(*terms, single, d[start : start + STACK_ROWS])
         expected = [search_position(profile, row, signal.values) for row in received]
     assert positions == expected
     assert all(type(p) is int for p in positions)
@@ -650,7 +675,8 @@ def test_screen_products_stay_within_the_one_thread_bound(monkeypatch, m, t):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", record)
-    positions = recovery._best_offsets(window_dots, inv_norm, d)
+    screen = recovery._single_precision(window_dots, inv_norm)
+    positions = recovery._best_offsets(window_dots, inv_norm, screen, d)
     monkeypatch.undo()
     assert positions == [recovery._best_offset(window_dots, inv_norm, row) for row in d]
     assert all(rows * inner * cols <= recovery.SCREEN_MADDS for rows, inner, cols in products)
