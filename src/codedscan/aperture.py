@@ -113,9 +113,12 @@ class TransmissivityProfile:
             values, self.grid_step_um, self.origin_um - left_cells * self.grid_step_um
         )
 
-    def extend_open(self, length: int) -> "TransmissivityProfile":
-        """Pad open cells on the right until the profile holds ``length`` cells."""
-        return self.pad_open(0, length - len(self)) if length > len(self) else self
+    def pad_for_scan(self, m: int, n: int) -> "TransmissivityProfile":
+        """Pad ``m + n`` open cells on both flanks for scans of ``m`` points
+        of an ``n``-cell signal: a scan may start before the mask or run
+        past it, and every such alignment is an offset of the padded profile.
+        """
+        return self.pad_open(m + n, m + n)
 
     def index_of(self, position_um: float) -> int:
         """Grid index of a physical coordinate (rounded to the nearest cell)."""

@@ -175,10 +175,7 @@ def run_recover_command(args) -> int:
             )
         counts = counts[:n_keep]
         by_length.setdefault(counts.size, []).append((pixel_id, counts))
-    # Open padding on both flanks: scans may start before or run past the
-    # mask, and the search needs those alignments to exist.
-    margin = max(by_length) + len(probe)
-    profile = profile.pad_open(margin, margin)
+    profile = profile.pad_for_scan(max(by_length), len(probe))
     rows = run_slices(_recover_pixels, list(by_length.values()), args.workers, profile, probe)
     rows.sort(key=lambda r: r.pixel_id)
     items = list(cfg.echo_items())
@@ -233,10 +230,10 @@ def run_simulate_command(args) -> int:
     if not 0 <= args.window < n_windows:
         raise ConfigError(f"window must be in [0, {n_windows}), got {args.window}")
     start_um = float(geometry.bit_edges_um()[args.window])
-    p_star = profile.index_of(start_um)
     m = scan_point_count(cfg.scan_bits, bit, cfg.grid_step_um)
     n = len(signal)
-    profile = profile.extend_open(p_star + m + n - 1)
+    profile = profile.pad_for_scan(m, n)
+    p_star = profile.index_of(start_um)
     matrix = build_coding_matrix(profile, p_star, m, n)
     peak = cfg.noise_levels[0]
     series = simulate(matrix, signal, peak, (seed, args.window), noiseless=args.noiseless)

@@ -171,69 +171,58 @@ def _cells(config: ExperimentConfig, param_name: str, values, groups, replaced) 
 def _run_cells(cells: list, pattern: Pattern) -> list:
     """``CellResult`` of each of ``cells``, which share one config.
 
-    Cells that also pad the profile to one length (all of them, but for the
-    deepest patterning windows) form a group. A group is drawn with one
-    ``simulate`` call per noise level and recovered in one ``recover_batch``
-    call on its rows in cell order; row i is ``recover`` of row i alone,
-    and every row keeps its own trial key, so grouping leaves every result
+    The cells share one profile, padded as ``recover`` pads it, so a sweep
+    searches the offsets that ``recover`` searches. Their trials are drawn
+    with one ``simulate`` call per noise level and recovered in one
+    ``recover_batch`` call on their rows in cell order; row i is ``recover``
+    of row i alone, and every row keeps its own trial key, so each result is
     as it would be for the cell by itself.
     """
     config = cells[0].config
-    bit = config.bit_size_um
     profile = build_profile(
         config.geometry(pattern), config.optics(), config.grid_step_um, config.oversample
     )
     truth_signal = make_gaussian_signal(config.signal_width_um, config.grid_step_um)
     s_true = truth_signal.unit_sum().values
-    m = scan_point_count(config.scan_bits, bit, config.grid_step_um)
-    n = len(truth_signal)
-    groups = {}  # padded profile length -> (padded profile, [(cell, its starts)])
-    for cell in cells:
-        if cell.window_start is None:
-            starts = _window_starts(pattern, config)
-        else:
-            starts = (cell.window_start,)
-        # Pad the open region past the mask so the deepest start still fits.
-        padded = profile.extend_open(profile.index_of(max(starts) * bit) + m + n - 1)
-        groups.setdefault(len(padded), (padded, []))[1].append((cell, starts))
-    results = {}
-    for padded, members in groups.values():
-        rows, p_stars = _simulate_group(members, padded, truth_signal, m)
-        recovered = iter(recover_batch(padded, rows, config.probe()))
-        for (cell, _), cell_p_stars in zip(members, p_stars):
-            results[cell.index] = _score_cell(
-                cell, pattern, s_true, cell_p_stars, [next(recovered) for _ in cell_p_stars]
-            )
-    return [results[cell.index] for cell in cells]
+    m = scan_point_count(config.scan_bits, config.bit_size_um, config.grid_step_um)
+    profile = profile.pad_for_scan(m, len(truth_signal))
+    rows, p_stars = _simulate_cells(cells, pattern, profile, truth_signal, m)
+    recovered = iter(recover_batch(profile, rows, config.probe()))
+    return [
+        _score_cell(cell, pattern, s_true, cell_p_stars, [next(recovered) for _ in cell_p_stars])
+        for cell, cell_p_stars in zip(cells, p_stars)
+    ]
 
 
-def _simulate_group(members, profile, truth_signal, m: int) -> tuple:
-    """``(counts, p_stars)`` of a group's ``(cell, starts)`` members: their
-    series as counted, stacked in member order, and each member's list of
-    true offsets, one per series.
+def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
+    """``(counts, p_stars)`` of ``cells``: their series as counted, stacked
+    in cell order, and each cell's list of true offsets, one per series.
 
-    Each window's intensity is computed once, and the windows of all
-    members at one noise level are drawn by one ``simulate`` call;
-    replicate r of window q is drawn from its own stream, keyed (seed,
-    cell, q, r). Every member has as many windows as the others (all of
-    the config's, or the one it scores), so the drawn rows split evenly
-    back to the members.
+    A cell scans every window of the config, or the one it scores. Each
+    window's intensity is computed once, and the windows of all cells at
+    one noise level are drawn by one ``simulate`` call; replicate r of
+    window q is drawn from its own stream, keyed (seed, cell, q, r). Every
+    cell has as many windows as the others, so the drawn rows split evenly
+    back to the cells.
     """
-    config = members[0][0].config
+    config = cells[0].config
     reps = config.replicates
-    bit = config.bit_size_um
-    offsets = [np.array([profile.index_of(q * bit) for q in starts]) for _, starts in members]
-    by_noise = {}  # noise level -> indices of its members
-    for i, (cell, _) in enumerate(members):
+    starts = [
+        _window_starts(pattern, config) if cell.window_start is None else (cell.window_start,)
+        for cell in cells
+    ]
+    offsets = [np.array([profile.index_of(q * config.bit_size_um) for q in s]) for s in starts]
+    by_noise = {}  # noise level -> indices of its cells
+    for i, cell in enumerate(cells):
         by_noise.setdefault(cell.noise_level, []).append(i)
-    blocks = [None] * len(members)
+    blocks = [None] * len(cells)
     for noise, indices in by_noise.items():
         matrices = build_coding_matrix(
             profile, np.concatenate([offsets[i] for i in indices]), m, len(truth_signal)
         )
         keys = [
-            (config.seed, members[i][0].index, q, r)
-            for i in indices for q in members[i][1] for r in range(reps)
+            (config.seed, cells[i].index, q, r)
+            for i in indices for q in starts[i] for r in range(reps)
         ]
         counts = simulate(matrices, truth_signal, noise, keys).raw
         for i, block in zip(indices, np.split(counts, len(indices))):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from codedscan import (
+    RecoveryResult,
     build_coding_matrix,
     build_profile,
     generate_de_bruijn,
@@ -408,12 +409,9 @@ def multi_pixel_file(tmp_path, windows, peak, seed):
     """Noisy synthetic series for several true windows, via the library."""
     pattern = generate_de_bruijn(8)
     geometry = ApertureGeometry(10.0, 10.0, 10.0, pattern)
-    profile = build_profile(geometry, OpticalContext(0.219, 0.0), 1.0)
     signal = make_gaussian_signal(10.0, 1.0)
     m, n = 81, 10
-    shortfall = profile.index_of(max(windows) * 10.0) + m + n - 1 - len(profile)
-    if shortfall > 0:
-        profile = profile.pad_open(0, shortfall)
+    profile = build_profile(geometry, OpticalContext(0.219, 0.0), 1.0).pad_for_scan(m, n)
     series = {}
     for q in windows:
         p_star = profile.index_of(q * 10.0)
@@ -436,6 +434,61 @@ def recovered_positions(path):
         out[entry["pixel_id"]] = (entry["status"],
                                   float(entry["p_hat_um"]) if entry["p_hat_um"] else None)
     return out
+
+
+SCAN_LENGTH_SWEEP = """
+[sweep]
+kind = scan_length
+scan_bits_values = 4, 8
+energies_kev = 10
+replicates = 2
+position_stride = 32
+
+[scan]
+noise_levels = 10, 100
+seed = 7
+"""
+
+
+def test_sweep_trials_recover_where_recover_places_their_counts(tmp_path, monkeypatch):
+    # Sweeps and recover search one space: every trial of the golden
+    # scan_length sweep, written to a series file, is recovered by recover
+    # on the profile the sweep searched, at the position the sweep found.
+    # With sweeps padding the right flank only, some 4-bit scans at noise
+    # 100 were placed elsewhere.
+    import codedscan.cli as cli_module
+    import codedscan.metrics as metrics_module
+
+    def capturing(calls, real):
+        def batch(profile, counts, *args):
+            results = real(profile, counts, *args)
+            calls.append((profile, np.array(counts), results))
+            return results
+
+        return batch
+
+    sweeps, recovers = [], []
+    monkeypatch.setattr(metrics_module, "recover_batch",
+                        capturing(sweeps, metrics_module.recover_batch))
+    monkeypatch.setattr(cli_module, "recover_batch", capturing(recovers, cli_module.recover_batch))
+    cfg = write_cfg(tmp_path, SCAN_LENGTH_SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(sweeps) == 2  # one per scan length
+    for profile, counts, results in sweeps:
+        assert all(isinstance(r, RecoveryResult) for r in results)  # no flat or failed trial
+        positions = profile.position_of(np.arange(counts.shape[1]))
+        series = tmp_path / "trials.csv"
+        write_series_csv(series, {f"t{i:03d}": (positions, row) for i, row in enumerate(counts)})
+        out = tmp_path / "recovered.csv"
+        assert main(["recover", str(series), "--config", str(cfg), "--out", str(out)]) == 0
+        (searched, _, _), = recovers
+        recovers.clear()
+        assert searched.values.tobytes() == profile.values.tobytes()
+        assert searched.origin_um == profile.origin_um
+        assert recovered_positions(out) == {
+            f"t{i:03d}": ("ok", float(profile.position_of(r.position)))
+            for i, r in enumerate(results)
+        }
 
 
 def test_recover_multi_pixel_and_worker_identity(tmp_path, capsys):

@@ -361,14 +361,11 @@ def test_single_cell_msp_matches_manual_recomputation():
     pattern = generate_de_bruijn(8)
     geometry = ApertureGeometry(BIT_UM, BIT_UM, 10.0, pattern)
     context = OpticalContext(0.219, 0.0)
-    profile = build_profile(geometry, context, STEP_UM)
     signal = make_gaussian_signal(BIT_UM, STEP_UM)
     s_true = signal.unit_sum().values
     m, n = scan_point_count(8.0, BIT_UM, STEP_UM), len(signal)
+    profile = build_profile(geometry, context, STEP_UM).pad_for_scan(m, n)
     starts = range(0, 249, stride)
-    shortfall = profile.index_of(max(starts) * BIT_UM) + m + n - 1 - len(profile)
-    if shortfall > 0:
-        profile = profile.pad_open(0, shortfall)
     p_stars, recovered = [], []
     for q in starts:
         p_star = profile.index_of(q * BIT_UM)
@@ -500,8 +497,8 @@ def test_monotone_noise_invariant():
 
 
 def test_worker_count_does_not_change_results():
-    # Window 248 pads the profile: 16 cells in one group, 2 in another. Two
-    # and three workers slice the 18 cells 9 + 9 and 6 + 6 + 6.
+    # The 18 cells (9 windows x 2 noise levels) share one config. Two and
+    # three workers slice them 9 + 9 and 6 + 6 + 6.
     cfg = ExperimentConfig(sweep_kind="patterning", seed=5, replicates=2, position_stride=31,
                            bit_size_zero_um=5.0, bit_size_one_um=5.0,
                            noise_levels=(20.0, 100.0))
@@ -552,18 +549,16 @@ def count_recover_batch_calls(monkeypatch):
     return calls
 
 
-def test_quick_patterning_grid_recovers_once_per_group(monkeypatch):
-    # The 126 cells (63 windows x 2 noise levels) share one config; only the
-    # last window, 248, pads the 2,564-cell profile, so its 2 cells form the
-    # second group.
+def test_quick_patterning_grid_recovers_in_one_call(monkeypatch):
+    # The 126 cells (63 windows x 2 noise levels) share one config, so one
+    # profile: the 2,564 cells of the mask with m + n = 81 + 10 open cells
+    # on each flank, whichever window a cell scores.
     calls = count_recover_batch_calls(monkeypatch)
     cfg = ExperimentConfig(sweep_kind="patterning", energy_kev=30.0, incidence_angle_deg=20.0,
                            replicates=5, position_stride=4)
     cells = run_sweep(cfg).cells
     assert len(cells) == 126
-    assert [length for length, _ in calls] == [2564, 2574]
-    assert calls[1][1] == sum(c.k for c in cells[-2:])
-    assert sum(rows for _, rows in calls) == sum(c.k for c in cells)
+    assert calls == [(2564 + 2 * 91, sum(c.k for c in cells))]
 
 
 @pytest.mark.parametrize("kind", ["patterning", "bsr"])
@@ -580,29 +575,30 @@ def test_only_cells_that_replace_a_field_copy_the_config(kind):
     assert all((cell.config is cfg) == (kind == "patterning") for cell in cells)
 
 
-@pytest.mark.parametrize("cfg, groups", [
+@pytest.mark.parametrize("cfg, configs", [
     (ExperimentConfig(sweep_kind="patterning", seed=4, replicates=2, position_stride=31,
-                      noise_levels=(20.0, 100.0)), 2),
+                      noise_levels=(20.0, 100.0)), 1),
     (ExperimentConfig(sweep_kind="bsr", seed=4, replicates=1, position_stride=16,
                       bsr_values=(0.5, 1.0), energies_kev=(10.0,),
                       noise_levels=(10.0, 100.0)), 2),
 ])
-def test_grouped_cells_equal_each_cell_recovered_alone(monkeypatch, cfg, groups):
-    # The patterning run's last window pads the profile; each bsr group
-    # holds one bsr value's two noise levels.
+def test_grouped_cells_equal_each_cell_recovered_alone(monkeypatch, cfg, configs):
+    # One recover_batch call per config: every patterning cell shares the
+    # run's config, and each bsr config holds one bsr value's two noise
+    # levels.
     import codedscan.metrics as metrics_module
 
     calls = count_recover_batch_calls(monkeypatch)
     grouped = run_sweep(cfg).cells
-    assert len(calls) == groups < len(grouped)
+    assert len(calls) == configs < len(grouped)
     pattern = generate_de_bruijn(cfg.pattern_order)
     assert grouped == tuple(metrics_module._run_cells([c.cell], pattern)[0] for c in grouped)
 
 
 def test_grouped_draws_equal_each_cell_simulated_alone(monkeypatch):
-    # Noise levels 10, inf and 100 alternate cell by cell, and the last
-    # window pads the profile to another length: each cell's rows, as
-    # recover_batch receives them, are simulate of its own matrix and keys.
+    # Noise levels 10, inf and 100 alternate cell by cell in the one call:
+    # each cell's rows, as recover_batch receives them, are simulate of its
+    # own matrix and keys, on the profile padded as recover pads it.
     import codedscan.metrics as metrics_module
 
     calls = []
@@ -616,10 +612,16 @@ def test_grouped_draws_equal_each_cell_simulated_alone(monkeypatch):
     cfg = ExperimentConfig(sweep_kind="patterning", seed=6, replicates=3, position_stride=31,
                            noise_levels=(10.0, math.inf, 100.0))
     cells = iter(c.cell for c in run_sweep(cfg).cells)
-    assert len({len(profile) for profile, _ in calls}) == len(calls) == 2
+    assert len(calls) == 1
     signal = make_gaussian_signal(cfg.signal_width_um, cfg.grid_step_um)
     m = scan_point_count(cfg.scan_bits, cfg.bit_size_um, cfg.grid_step_um)
+    pattern = generate_de_bruijn(cfg.pattern_order)
+    padded = build_profile(
+        cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample
+    ).pad_for_scan(m, len(signal))
     for profile, rows in calls:
+        assert profile.values.tobytes() == padded.values.tobytes()
+        assert profile.origin_um == padded.origin_um
         for start in range(0, len(rows), cfg.replicates):
             cell = next(cells)
             offset = profile.index_of(cell.window_start * cfg.bit_size_um)

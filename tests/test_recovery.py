@@ -661,6 +661,29 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     assert all(type(p) is int for p in positions)
 
 
+def test_near_opaque_bars_keep_the_search_in_double_precision():
+    # Bars of 10/um attenuation over 10 um transmit exp(-100), a float32
+    # subnormal, and an 11-point scan fits inside the pattern's 8-bit run
+    # of bars, where 1/||r_p|| is past float32's largest value. So the
+    # screen makes no float32 copies, and every row, scanned over bars and
+    # gaps alike, is placed by the one-row search without a warning.
+    geometry = ApertureGeometry(BIT_UM, BIT_UM, 10.0, generate_de_bruijn(8))
+    profile = build_profile(geometry, OpticalContext(10.0), STEP_UM).pad_open(0, 12)
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    m = 11
+    terms = recovery._template_terms(profile.values, signal.values, m)
+    assert recovery._single_precision(*terms) is None
+    matrices = build_coding_matrix(profile, np.arange(0, 2540, 7), m, len(signal))
+    counts = simulate(matrices, signal, 1e4, [(5, k) for k in range(len(matrices))]).raw
+    counts = counts[counts.any(axis=1)]  # scans over bars alone count nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = recover_batch(profile, counts, signal)
+    assert [r.position for r in results] == [
+        recovery._best_offset(*terms, row / row.max()) for row in counts
+    ]
+
+
 @pytest.mark.parametrize("m", [1, 11, 81, 241])
 @pytest.mark.parametrize("t", [1, 16, 64])
 def test_screen_products_stay_within_the_one_thread_bound(monkeypatch, m, t):
