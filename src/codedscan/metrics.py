@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -256,7 +257,8 @@ def run_slices(fn, groups, workers: int, *shared) -> list:
 
     A slice holds at most ``ceil(items / workers)`` items, counted over all
     groups. The slices run here with one worker or one slice, else in a
-    pool of one process per slice, at most ``workers``.
+    pool of one process per slice, at most ``workers`` and at most
+    ``os.cpu_count()``.
     """
     size = -(-sum(map(len, groups)) // max(workers, 1))
     slices = [
@@ -268,7 +270,8 @@ def run_slices(fn, groups, workers: int, *shared) -> list:
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(slices))) as pool:
+        processes = min(workers, len(slices), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(fn, slices, *([arg] * len(slices) for arg in shared)))
     return [item for part in done for item in part]
 

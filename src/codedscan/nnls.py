@@ -3,9 +3,9 @@
 The answer is defined by its optimality (KKT) conditions: x >= 0 and, with
 the dual w = A'(b - A x), w_i = 0 where x_i > 0 and w_i <= 0 where x_i = 0.
 Where A has full column rank that point is unique. A stack of T problems
-is solved together, so the numpy call overhead is paid per step, not per
-problem, and a row's answer does not depend on the rows beside it: one
-problem is a stack of one.
+is solved together, so the numpy call overhead of steps 1 and 2 is paid
+per step, not per problem, and a row's answer does not depend on the rows
+beside it: one problem is a stack of one.
 
 1. Block principal pivoting on the normal equations A'A z = A'b
    (``_predict``) gives each row a point z with support P. Each of its
@@ -20,14 +20,11 @@ problem is a stack of one.
    A'A, whose condition number is the square of A's, to about 1e-8
    relative. A scan with M < N never passes it.
 3. Every other row (unfinished, singular, rank-deficient) runs the
-   Lawson-Hanson active-set method, ``_lawson_hanson``, stacked: each outer
-   pass admits the active coordinate with the largest dual, then an inner
-   loop backtracks along the least-squares point of the passive columns,
-   as ``np.linalg.lstsq`` computes it, until it is feasible. The steps of
-   all rows with the same number of passive columns go to the LAPACK
-   kernel that ``np.linalg.lstsq`` runs in one call, so each row returns,
-   bit for bit, what a single-problem run of the method returns. It stops
-   once no active dual exceeds ``DUAL_TOLERANCE``.
+   Lawson-Hanson active-set method, ``_lawson_hanson``, one problem at a
+   time: each outer pass admits the active coordinate with the largest
+   dual, then an inner loop backtracks along the least-squares point of
+   the passive columns, as ``np.linalg.lstsq`` computes it, until it is
+   feasible. It stops once no active dual exceeds ``DUAL_TOLERANCE``.
 
 Each method stops a row after ``CHANGES_PER_COLUMN`` * N exchanges or
 active-set changes; a row that Lawson-Hanson cannot finish within that cap
@@ -47,7 +44,6 @@ DUAL_TOLERANCE = 1e-10
 CHANGES_PER_COLUMN = 10
 # Least ratio sigma_min(A) / sigma_max(A) at which a prediction is accepted.
 SINGULAR_RATIO = 1e-4
-_EPS = np.finfo(float).eps
 
 
 class NumericalFailureError(RuntimeError):
@@ -106,9 +102,8 @@ def nnls(a, b):
         gram, atb = a_t @ a, (a_t @ b[..., None])[..., 0]
         x, finished = _predict(gram, atb, cap)
         converged = finished & _accepted(a, b, gram, atb, x)
-    rest = np.flatnonzero(~converged)
-    if rest.size:
-        x[rest], converged[rest] = _lawson_hanson(a[rest], b[rest], cap)
+    for i in np.flatnonzero(~converged):
+        x[i], converged[i] = _lawson_hanson(a[i], b[i], cap)
     if not single:
         return x, converged
     if not converged[0]:
@@ -189,91 +184,47 @@ def _accepted(a, b, gram, atb, z):
 
 
 def _lawson_hanson(a, b, cap):
-    """Lawson-Hanson on a stack: ``(x, converged)``.
+    """Lawson-Hanson on one (M, N) problem: ``(x, converged)``.
 
-    A row whose point is not finite stops unconverged.
+    Admissions and backtracking steps count against ``cap``. A point that
+    is not finite stops the problem unconverged.
     """
-    t, n = a.shape[0], a.shape[2]
-    a_t = a.transpose(0, 2, 1)
-    outer = np.arange(t)  # rows about to admit a coordinate or stop
-    inner = outer[:0]  # rows about to solve over their passive set
-    x = np.zeros((t, n))
-    w = _duals(a[outer], b[outer], x)
-    passive = np.zeros((t, n), dtype=bool)
-    iterations = np.zeros(t, dtype=int)
-    converged = np.zeros(t, dtype=bool)
-
-    def under_cap(rows):
-        """Count one active-set change; rows past the cap stop unconverged.
-        Returns which rows are still under it."""
-        iterations[rows] += 1
-        return iterations[rows] <= cap
-
-    def step_toward(rows, z):
-        """Step from x toward z, stopping at the first coordinate to hit 0."""
-        xi, p = x[rows], passive[rows]
-        blocking = p & (z <= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(blocking, xi / (xi - z), np.inf)
-        alpha = np.nanmin(ratios, axis=1)
-        xi = xi + alpha[:, None] * (z - xi)
-        released = p & (xi <= DUAL_TOLERANCE)
-        xi[released] = 0.0
-        x[rows] = xi
-        passive[rows] = p & ~released
-        return rows[under_cap(rows)]
-
-    while outer.size or inner.size:
-        if outer.size:
-            w_active = np.where(passive[outer], -np.inf, w[outer])
-            j = np.argmax(w_active, axis=1)
-            done = w_active[np.arange(outer.size), j] <= DUAL_TOLERANCE
-            converged[outer[done]] = True
-            grow, j = outer[~done], j[~done]
-            keep = under_cap(grow)
-            grow = grow[keep]
-            passive[grow, j[keep]] = True
-            inner = np.concatenate([inner, grow])
-        z = _lstsq_points(a_t, b, inner, passive[inner])
-        finite = np.isfinite(z).all(axis=1)
-        inner, z = inner[finite], z[finite]
-        feasible = np.where(passive[inner], z, np.inf).min(axis=1) > 0.0
-        outer = inner[feasible]
-        x[outer] = z[feasible]
-        w[outer] = _duals(a[outer], b[outer], x[outer])
-        inner = inner[~feasible]
-        if inner.size:
-            inner = step_toward(inner, z[~feasible])
-    return x, converged
-
-
-def _lstsq_points(a_t, b, rows, passive):
-    """Least-squares points over the rows' passive columns, one stacked
-    ``lstsq`` per passive-set size; an empty passive set gives 0."""
-    m, n = a_t.shape[2], a_t.shape[1]
-    z = np.zeros((rows.size, n))
-    sizes = passive.sum(axis=1)
-    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        for k in set(sizes.tolist()) - {0}:
-            group = np.flatnonzero(sizes == k)
-            cols = np.nonzero(passive[group])[1].reshape(group.size, k)
-            r = rows[group]
-            # Rows of A' gather in one fancy index; their transpose is
-            # the Fortran-ordered (M, k) matrix that LAPACK is handed.
-            zk = _umath_linalg.lstsq(
-                a_t[r[:, None], cols].transpose(0, 2, 1),
-                b[r, :, None], _EPS * max(m, k), signature="ddd->ddid",
-            )[0]
-            z[group[:, None], cols] = zk[..., 0]
-    return z
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    changes = 0
+    while True:
+        w = np.where(passive, -np.inf, _duals(a, b, x))
+        j = np.argmax(w)
+        if w[j] <= DUAL_TOLERANCE:
+            return x, True
+        changes += 1
+        if changes > cap:
+            return x, False
+        passive[j] = True
+        while True:
+            # A step that released every passive coordinate solves over none.
+            z = np.zeros(n)
+            if passive.any():
+                z[passive] = np.linalg.lstsq(a[:, passive], b)[0]
+            if not np.isfinite(z).all():
+                return x, False
+            if np.where(passive, z, np.inf).min() > 0.0:
+                x = z
+                break
+            # Step from x toward z, stopping at the first coordinate to hit 0.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(passive & (z <= 0.0), x / (x - z), np.inf)
+            x = x + np.nanmin(ratios) * (z - x)
+            released = passive & (x <= DUAL_TOLERANCE)
+            x[released] = 0.0
+            passive &= ~released
+            changes += 1
+            if changes > cap:
+                return x, False
 
 
 def _duals(a, b, x):
-    """A'(b - A x) of each problem in a stack."""
+    """A'(b - A x) of one problem or of each problem in a stack."""
     r = b - (a @ x[..., None])[..., 0]
-    return (a.transpose(0, 2, 1) @ r[..., None])[..., 0]
-
-
-def _raise_lstsq_error(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return (np.swapaxes(a, -1, -2) @ r[..., None])[..., 0]

@@ -256,16 +256,17 @@ def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> l
     ``STACK_ROWS`` of them, and their shapes from one stacked ``nnls`` call
     per stack of coding matrices that holds at most ``SOLVE_DOUBLES``
     doubles (one row if a row alone holds more). A row with a non-finite or
-    negative count raises ValueError.
+    negative count raises a ValueError that names the row.
     """
     if len(counts) == 0:
         return []
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] == 0:
         raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {counts.shape}")
-    finite = np.isfinite(counts).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))}: counts must be finite")
+    for valid, rule in ((np.isfinite(counts), "finite"), (counts >= 0.0, ">= 0")):
+        ok = valid.all(axis=1)
+        if not ok.all():
+            raise ValueError(f"row {int(np.argmin(ok))}: counts must be {rule}")
     d, flat = normalize(ScanSeries(counts))
     terms = _template_terms(profile.values, template.values, d.shape[1])
     screen = _single_precision(*terms)

@@ -28,6 +28,11 @@ SERIES = "two_pixels.csv"  # input of the recover cases, simulated at 10 keV
 # headers, blank lines, CRLF endings, a quoted id holding a comma, and
 # padded, signed, quoted and exponent numbers.
 LAYOUT_SERIES = "layout_pixels.csv"
+# Windows 0, 3, 120 and 247 simulated at seed 7 and noise 100. Cut to one
+# bit, most of these scans lie inside runs of equal bits, so their coding
+# matrices are rank-deficient and the shape solve falls back to
+# Lawson-Hanson: the one case that pins the fallback's shapes.
+FALLBACK_SERIES = "fallback_pixels.csv"
 OUT = "out.csv"
 
 BASE = {
@@ -63,6 +68,7 @@ CASES = {
     "recover": ({}, ["recover", SERIES, "--out", OUT]),
     "recover_truncated": ({}, ["recover", SERIES, "--out", OUT, "--truncate-bits", "4"]),
     "recover_layout": ({}, ["recover", LAYOUT_SERIES, "--out", OUT]),
+    "recover_fallback": ({}, ["recover", FALLBACK_SERIES, "--out", OUT, "--truncate-bits", "1"]),
     "simulate_file": ({}, ["simulate", "37", "--out", OUT]),
     "simulate_stdout": ({}, ["simulate", "180", "--noiseless"]),
 }
@@ -81,7 +87,7 @@ def run_case(name: str, workdir: Path) -> dict:
     """Run one case in ``workdir``; returns {golden file name: bytes}."""
     sections, argv = CASES[name]
     (workdir / "exp.cfg").write_text(config_text(sections), encoding="utf-8")
-    for series in (SERIES, LAYOUT_SERIES):
+    for series in (SERIES, LAYOUT_SERIES, FALLBACK_SERIES):
         shutil.copy(GOLDEN / series, workdir / series)
     stdout = io.StringIO()
     here = os.getcwd()

@@ -508,10 +508,13 @@ def test_worker_count_does_not_change_results():
         assert run_sweep(cfg, workers=workers) == serial
 
 
-def test_pool_holds_one_process_per_slice_at_most(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each process pool that ``run_slices`` opens,
+    on a host of 8 CPUs. The pool runs its slices inline, so no process
+    starts."""
     import concurrent.futures
-
-    from codedscan.metrics import run_slices
+    import os
 
     sizes = []
 
@@ -529,9 +532,37 @@ def test_pool_holds_one_process_per_slice_at_most(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return sizes
+
+
+def test_pool_holds_one_process_per_slice_at_most(pool_sizes):
+    from codedscan.metrics import run_slices
+
     # Four workers, two one-item slices: two processes, results unchanged.
     assert run_slices(lambda part: [10 * x for x in part], [[1], [2]], 4) == [10, 20]
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_pool_holds_one_process_per_cpu_at_most(pool_sizes, monkeypatch):
+    import os
+
+    from codedscan.metrics import run_slices
+
+    # 100,000 workers on 1,500 items: 1,500 one-item slices, as before, run
+    # by one process per CPU; a host that reports no CPU count gets one.
+    seen = []
+
+    def fn(part):
+        seen.append(len(part))
+        return [10 * x for x in part]
+
+    items = list(range(1500))
+    assert run_slices(fn, [items], 100_000) == [10 * x for x in items]
+    assert seen == [1] * 1500
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_slices(fn, [items[:3]], 3) == [0, 10, 20]
+    assert pool_sizes == [8, 1]
 
 
 def count_recover_batch_calls(monkeypatch):

@@ -109,7 +109,7 @@ def solve_and_trace(a, b):
     with pytest.MonkeyPatch.context() as patch:
         _, fallback = _spy_kernel_and_fallback(patch)
         x, converged = nnls(a, b)
-    ran = {ra.tobytes() + rb.tobytes() for fa, fb in fallback for ra, rb in zip(fa, fb)}
+    ran = {fa.tobytes() + fb.tobytes() for fa, fb in fallback}
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     exact = np.array([a[r].tobytes() + b[r].tobytes() in ran for r in range(len(a))], dtype=bool)
     return x, converged, exact
@@ -534,9 +534,10 @@ def test_lstsq_point_with_an_active_dual_above_the_tolerance_goes_on():
 def test_backtracking_that_releases_every_coordinate_does_not_crash():
     # b is about 1e-10 of a's scale, so the solution lies below the
     # tolerance that pins backtracked coordinates to zero and a step can
-    # release every passive coordinate. The single-problem loop then took
-    # the minimum of an empty slice and raised ValueError; the stacked loop
-    # solves the empty passive set and goes on.
+    # release every passive coordinate. The oracle then takes the minimum of
+    # an empty slice and raises ValueError; the fallback solves the empty
+    # passive set and goes on, here until its cap. ``nnls`` accepts the
+    # prediction on this row, so the fallback is also run directly.
     a = np.array([
         [-44068.014026102275, 68534.56709322266], [-135075.68247635767, -223294.5741741132],
         [107070.14824155312, 26467.143551497345], [-25122.50642507549, 1546.990417589462],
@@ -553,6 +554,8 @@ def test_backtracking_that_releases_every_coordinate_does_not_crash():
     except NumericalFailureError as error:
         x = error.best_iterate
     assert x.shape == (2,) and x.min() >= 0.0
+    x, converged = nnls_module._lawson_hanson(a, b, 20)
+    assert x.tolist() == [0.0, 0.0] and not converged
 
 
 @pytest.mark.parametrize("stacked", [True, False])
@@ -619,20 +622,15 @@ def test_degenerate_stack_matches_oracle_bit_for_bit(stack):
 
 
 class _KernelCalls:
-    """``_umath_linalg`` with its ``lstsq`` and ``solve1`` calls counted, one
-    entry per call holding the number of matrices it solved."""
+    """``_umath_linalg`` with its ``solve1`` calls counted, one entry per
+    call holding the number of matrices it solved."""
 
     def __init__(self, module):
         self.module = module
-        self.calls = []
         self.solves = []
 
     def __getattr__(self, name):
         return getattr(self.module, name)
-
-    def lstsq(self, a, *args, **kwargs):
-        self.calls.append(len(a))
-        return self.module.lstsq(a, *args, **kwargs)
 
     def solve1(self, a, *args, **kwargs):
         self.solves.append(len(a))
@@ -640,6 +638,8 @@ class _KernelCalls:
 
 
 def _spy_kernel_and_fallback(monkeypatch):
+    """Count ``solve1`` calls and record each (M, N) problem that runs the
+    Lawson-Hanson fallback, one ``(a, b)`` per call."""
     kernel = _KernelCalls(nnls_module._umath_linalg)
     monkeypatch.setattr(nnls_module, "_umath_linalg", kernel)
     fallback = []
@@ -653,19 +653,17 @@ def _spy_kernel_and_fallback(monkeypatch):
     return kernel, fallback
 
 
-
-
 def test_well_conditioned_rows_take_one_kernel_call(monkeypatch):
     # Interior solutions of well-conditioned problems: Lawson-Hanson would
-    # walk passive-set sizes 1, 2, 3 in three lstsq calls; the prediction
-    # moves all three coordinates at once, in one solve for the stack, and
-    # its point is accepted.
+    # walk passive-set sizes 1, 2, 3 in three lstsq steps per row; the
+    # prediction moves all three coordinates at once, in one solve for the
+    # stack, and its point is accepted, so no row falls back.
     rng = np.random.default_rng(16)
     a = rng.random((2, 12, 3)) + np.eye(12, 3)
     b = (a @ np.array([1.0, 2.0, 3.0])[:, None])[..., 0] + 0.01 * rng.standard_normal((2, 12))
     kernel, fallback = _spy_kernel_and_fallback(monkeypatch)
     x, converged = nnls(a, b)
-    assert kernel.solves == [2] and kernel.calls == [] and fallback == []
+    assert kernel.solves == [2] and fallback == []
     assert converged.all() and x.min() > 0.0
     assert_rows_are_their_answers(a, b, x, converged, np.zeros(2, dtype=bool))
 
@@ -674,8 +672,8 @@ def test_rows_without_strict_margins_run_the_exact_method(monkeypatch):
     # Row 1 has two equal columns, so their duals are equal and one of them
     # is off the support with a dual of zero up to rounding; row 2 has a zero
     # column, whose dual is exactly zero. Neither A has full column rank, so
-    # neither prediction is accepted: only these rows run Lawson-Hanson, and
-    # every row is its answer.
+    # neither prediction is accepted: only these rows run Lawson-Hanson, one
+    # problem per call, and every row is its answer.
     rng = np.random.default_rng(17)
     a = rng.random((3, 12, 3)) + np.eye(12, 3)
     a[1, :, 2] = a[1, :, 0]
@@ -683,9 +681,10 @@ def test_rows_without_strict_margins_run_the_exact_method(monkeypatch):
     b = (a @ np.array([1.0, 2.0, 3.0])[:, None])[..., 0] + 0.01 * rng.standard_normal((3, 12))
     _, fallback = _spy_kernel_and_fallback(monkeypatch)
     x, converged = nnls(a, b)
-    assert len(fallback) == 1
-    np.testing.assert_array_equal(fallback[0][0], a[1:])
-    np.testing.assert_array_equal(fallback[0][1], b[1:])
+    assert len(fallback) == 2
+    for (fallback_a, fallback_b), r in zip(fallback, [1, 2]):
+        np.testing.assert_array_equal(fallback_a, a[r])
+        np.testing.assert_array_equal(fallback_b, b[r])
     assert converged.all()
     assert_rows_are_their_answers(a, b, x, converged, np.array([False, True, True]))
 

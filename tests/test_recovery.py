@@ -554,6 +554,13 @@ def test_batch_accepts_empty_and_rejects_bad_arguments():
         d[1, 4] = bad
         with pytest.raises(ValueError, match=r"^row 1: counts must be finite$"):
             recover_batch(profile, d, signal)
+    d = np.ones((3, SCAN_POINTS))
+    d[1, 4] = -1.0
+    with pytest.raises(ValueError, match=r"^row 1: counts must be >= 0$"):
+        recover_batch(profile, d, signal)
+    d[0, 0] = np.nan  # a non-finite count is named first, as a series does
+    with pytest.raises(ValueError, match=r"^row 0: counts must be finite$"):
+        recover_batch(profile, d, signal)
 
 
 @st.composite
