@@ -255,11 +255,12 @@ def run_slices(fn, groups, workers: int, *shared) -> list:
     """``fn(slice, *shared)`` over contiguous slices of each of ``groups``,
     its results joined in slice order.
 
-    A slice holds at most ``ceil(items / workers)`` items, counted over all
-    groups. The slices run here with one worker or one slice, else in a
-    pool of one process per slice, at most ``workers`` and at most
-    ``os.cpu_count()``.
+    ``workers`` is capped at ``os.cpu_count()``, and a slice holds at most
+    ``ceil(items / workers)`` items, counted over all groups. The slices run
+    here with one worker or one slice, else in a pool of one process per
+    slice, at most ``workers``.
     """
+    workers = min(workers, os.cpu_count() or 1)
     size = -(-sum(map(len, groups)) // max(workers, 1))
     slices = [
         group[start : start + size] for group in groups for start in range(0, len(group), size)
@@ -270,8 +271,7 @@ def run_slices(fn, groups, workers: int, *shared) -> list:
         # Imported here: it loads multiprocessing, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        processes = min(workers, len(slices), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(slices))) as pool:
             done = list(pool.map(fn, slices, *([arg] * len(slices) for arg in shared)))
     return [item for part in done for item in part]
 

@@ -15,10 +15,12 @@ beside it: one problem is a stack of one.
 2. A row takes z as its answer (``_accepted``) when it finished, so z > 0
    on P; when, with w computed on A itself, |w| on P and w off P are at
    most ``DUAL_TOLERANCE`` * max|A'b|; and when sigma_min(A) >
-   ``SINGULAR_RATIO`` * sigma_max(A). That last test means full column
-   rank, so the optimum is unique, and bounds the cost of solving through
-   A'A, whose condition number is the square of A's, to about 1e-8
-   relative. A scan with M < N never passes it.
+   ``SINGULAR_RATIO`` * ||A||_F, which one stacked Cholesky factorization
+   of A'A - ``SINGULAR_RATIO``^2 tr(A'A) I decides. That last test means
+   full column rank, so the optimum is unique, and, as ||A||_F >=
+   sigma_max(A), bounds the cost of solving through A'A, whose condition
+   number is the square of A's, to about 1e-8 relative. A scan with M < N
+   never passes it.
 3. Every other row (unfinished, singular, rank-deficient) runs the
    Lawson-Hanson active-set method, ``_lawson_hanson``, one problem at a
    time: each outer pass admits the active coordinate with the largest
@@ -42,7 +44,7 @@ from numpy.linalg import _umath_linalg
 DUAL_TOLERANCE = 1e-10
 # Exchanges or active-set changes per column of A before a row stops.
 CHANGES_PER_COLUMN = 10
-# Least ratio sigma_min(A) / sigma_max(A) at which a prediction is accepted.
+# Least ratio sigma_min(A) / ||A||_F at which a prediction is accepted.
 SINGULAR_RATIO = 1e-4
 
 
@@ -126,61 +128,81 @@ def _predict(gram, atb, cap):
     (Judice and Pires, Comput. Oper. Res. 21, 1994; Kim and Park, SIAM J.
     Sci. Comput. 33, 2011). A row whose point is not finite stops
     unfinished.
+
+    Only the rows still running are held, and a row leaves them when it
+    finishes or stops, so each exchange costs what its running rows cost.
+    They have all made the same number of exchanges.
     """
     t, n = atb.shape
-    eye = np.eye(n)
+    z = np.zeros((t, n))
+    finished = np.zeros(t, dtype=bool)
+    # The running rows: their index into the stack and their state.
+    rows = np.arange(t)
     passive = np.zeros((t, n), dtype=bool)
-    z, w = np.zeros((t, n)), atb.copy()
+    point, w = z.copy(), atb
     least = np.full(t, n + 1)  # the fewest infeasible coordinates so far
     chances = np.full(t, 3)  # full exchanges left that need not lower it
-    iterations = np.zeros(t, dtype=int)
-    finished = np.zeros(t, dtype=bool)
-    rows = np.arange(t)
+    exchanges = 0
     while True:
-        infeasible = np.where(passive[rows], z[rows] <= 0.0, w[rows] > DUAL_TOLERANCE)
+        finite = np.isfinite(point).all(axis=1)
+        infeasible = np.where(passive, point <= 0.0, w > DUAL_TOLERANCE)
         count = infeasible.sum(axis=1)
-        finished[rows[count == 0]] = True
-        go = (count > 0) & (iterations[rows] < cap)
-        if not go.any():
+        finished[rows[finite & (count == 0)]] = True
+        go = finite & (count > 0)
+        # With no running rows left, go.all() is true too: stop here.
+        if not go.any() or exchanges >= cap:
+            z[rows] = point
             return z, finished
-        rows, infeasible, count = rows[go], infeasible[go], count[go]
-        lower = count < least[rows]
-        full = lower | (chances[rows] > 0)
-        chances[rows] = np.where(lower, 3, chances[rows] - full)
-        least[rows] = np.minimum(least[rows], count)
+        if not go.all():
+            z[rows[~go]] = point[~go]
+            rows, gram, atb, passive, point = rows[go], gram[go], atb[go], passive[go], point[go]
+            least, chances, infeasible, count = least[go], chances[go], infeasible[go], count[go]
+        lower = count < least
+        full = lower | (chances > 0)
+        chances = np.where(lower, 3, chances - full)
+        least = np.minimum(least, count)
         last = n - 1 - np.argmax(infeasible[:, ::-1], axis=1)
-        swap = np.where(full[:, None], infeasible, np.arange(n) == last[:, None])
-        passive[rows] ^= swap
-        iterations[rows] += 1
+        passive ^= np.where(full[:, None], infeasible, np.arange(n) == last[:, None])
+        exchanges += 1
         # The passive block of A'A, with the identity on the active
         # coordinates, solves every set size in one call; a singular block
         # gives NaN.
-        p = passive[rows]
-        blocks = np.where(p[:, :, None] & p[:, None, :], gram[rows], eye)
-        points = _umath_linalg.solve1(blocks, np.where(p, atb[rows], 0.0), signature="dd->d")
-        z[rows] = np.where(p, points, 0.0)
-        rows = rows[np.isfinite(z[rows]).all(axis=1)]
-        w[rows] = atb[rows] - (gram[rows] @ z[rows][..., None])[..., 0]
+        blocks = np.where(passive[:, :, None] & passive[:, None, :], gram, 0.0)
+        np.einsum("ijj->ij", blocks)[~passive] = 1.0
+        points = _umath_linalg.solve1(blocks, np.where(passive, atb, 0.0), signature="dd->d")
+        point = np.where(passive, points, 0.0)
+        w = atb - (gram @ point[..., None])[..., 0]
 
 
 def _accepted(a, b, gram, atb, z):
     """Which rows' points z are their answers, if finished: the KKT
     conditions hold with the duals computed on A, to within
     ``DUAL_TOLERANCE`` * max|A'b|, and sigma_min(A) >
-    ``SINGULAR_RATIO`` * sigma_max(A).
+    ``SINGULAR_RATIO`` * ||A||_F.
 
     The support P of a finished row is where z > 0. The dual test scales
     with A and b: on a small problem the absolute ``DUAL_TOLERANCE`` that
     ends the prediction can stop it far from the optimum, and such a row
-    fails here. The singular values come from the eigenvalues of A'A,
-    which LAPACK gives to within about N eps sigma_max^2, far inside the
-    test's SINGULAR_RATIO^2 sigma_max^2.
+    fails here.
+
+    The rank test is one Cholesky factorization of A'A - s I, with s =
+    ``SINGULAR_RATIO``^2 tr(A'A). It succeeds where that matrix is positive
+    definite, that is where sigma_min(A)^2 > s, and numpy fills a failed
+    factor with NaN, so a row passes where its factor is finite. As
+    tr(A'A) = ||A||_F^2 >= sigma_max(A)^2, a row that passes has
+    sigma_min(A) > ``SINGULAR_RATIO`` * sigma_max(A). Cholesky's backward
+    error is at most N gamma_{N+1} tr(A'A), about 1e-14 tr(A'A) here
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
+    far inside the test's margin of 1e-8 tr(A'A).
     """
     w = _duals(a, b, z)
     worst = np.where(z > 0.0, np.abs(w), w).max(axis=1, initial=-np.inf)
     kkt = worst <= DUAL_TOLERANCE * np.abs(atb).max(axis=1, initial=0.0)
-    squares = _umath_linalg.eigvalsh_lo(gram, signature="d->d")  # ascending
-    return kkt & (squares[:, 0] > SINGULAR_RATIO**2 * squares[:, -1])
+    shifted = gram.copy()
+    diagonals = np.einsum("ijj->ij", shifted)  # a view
+    diagonals -= SINGULAR_RATIO**2 * diagonals.sum(axis=1, keepdims=True)
+    factors = _umath_linalg.cholesky_lo(shifted, signature="d->d")
+    return kkt & np.isfinite(factors).all(axis=(1, 2))
 
 
 def _lawson_hanson(a, b, cap):

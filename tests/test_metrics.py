@@ -496,9 +496,12 @@ def test_monotone_noise_invariant():
         assert by_key[(bsr, 100.0)] >= by_key[(bsr, 10.0)] - 5.0
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    import os
+
     # The 18 cells (9 windows x 2 noise levels) share one config. Two and
-    # three workers slice them 9 + 9 and 6 + 6 + 6.
+    # three workers slice them 9 + 9 and 6 + 6 + 6 on a host of 3 CPUs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     cfg = ExperimentConfig(sweep_kind="patterning", seed=5, replicates=2, position_stride=31,
                            bit_size_zero_um=5.0, bit_size_one_um=5.0,
                            noise_levels=(20.0, 100.0))
@@ -549,8 +552,9 @@ def test_pool_holds_one_process_per_cpu_at_most(pool_sizes, monkeypatch):
 
     from codedscan.metrics import run_slices
 
-    # 100,000 workers on 1,500 items: 1,500 one-item slices, as before, run
-    # by one process per CPU; a host that reports no CPU count gets one.
+    # 100,000 workers on 1,500 items, on a host of 8 CPUs: 8 slices of at
+    # most 188 items, run by one process per CPU. A host that reports no
+    # CPU count runs one slice inline, with no pool.
     seen = []
 
     def fn(part):
@@ -559,10 +563,12 @@ def test_pool_holds_one_process_per_cpu_at_most(pool_sizes, monkeypatch):
 
     items = list(range(1500))
     assert run_slices(fn, [items], 100_000) == [10 * x for x in items]
-    assert seen == [1] * 1500
+    assert seen == [188] * 7 + [184]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
+    seen.clear()
     assert run_slices(fn, [items[:3]], 3) == [0, 10, 20]
-    assert pool_sizes == [8, 1]
+    assert seen == [3]
+    assert pool_sizes == [8]
 
 
 def count_recover_batch_calls(monkeypatch):

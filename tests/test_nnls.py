@@ -761,3 +761,112 @@ def test_murty_rule_ends_a_cycle_of_full_exchanges():
     x, converged, exact = solve_and_trace(stack, rhs)
     assert converged.all() and not exact.any()
     assert_rows_are_their_answers(stack, rhs, x, converged, exact)
+
+
+def with_singular_values(seed, m, sigma):
+    """An (m, N) matrix U diag(sigma) V' with random orthonormal U and V."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, len(sigma))))[0]
+    v = np.linalg.qr(rng.standard_normal((len(sigma), len(sigma))))[0]
+    return (u * sigma) @ v.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(0, 20), st.floats(1.01, 1e4),
+       st.integers(-6, 6))
+@example(seed=0, n=10, extra=0, margin=1.01, scale=0)  # just inside the threshold
+@example(seed=1, n=2, extra=20, margin=1.01, scale=-6)
+def test_rows_of_full_rank_by_a_margin_are_accepted(seed, n, extra, margin, scale):
+    # sigma_min(A)^2 = margin * 1e-8 * ||A||_F^2, the other singular values
+    # in [1e-3, 1]. With b = 0 the prediction z = 0 finishes at once and
+    # is a KKT point, so the rank test alone decides: the row is accepted.
+    others = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 0.0, size=n - 1)
+    share = margin * SINGULAR_RATIO**2
+    sigma = np.append(others, np.sqrt(share / (1.0 - share) * (others @ others)))
+    a = with_singular_values(seed, n + extra, sigma * 10.0**scale)
+    found = np.linalg.svd(a, compute_uv=False)
+    assert found[-1] ** 2 >= 1.0099 * SINGULAR_RATIO**2 * (found @ found)
+    x, converged, exact = solve_and_trace(a[None], np.zeros((1, n + extra)))
+    assert converged[0] and not exact[0]
+    assert x[0].tolist() == [0.0] * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(0, 20), st.floats(0.0, 0.99),
+       st.integers(-6, 6), st.booleans())
+@example(seed=0, n=10, extra=0, ratio=0.99, scale=0, duplicate=False)  # just outside it
+@example(seed=1, n=4, extra=3, ratio=0.5, scale=0, duplicate=True)  # a duplicated column
+@example(seed=2, n=3, extra=5, ratio=0.5, scale=-400, duplicate=False)  # 10.0**-400 == 0: A = 0
+@example(seed=3, n=5, extra=5, ratio=0.5, scale=160, duplicate=False)  # A'A overflows to inf
+def test_rows_short_of_full_rank_fall_back(seed, n, extra, ratio, scale, duplicate):
+    # sigma_min(A) = ratio * 1e-4 * sigma_max(A) <= 0.99e-4 * ||A||_F, or a
+    # duplicated column: the row fails the rank test, whatever b, and runs
+    # Lawson-Hanson. Warnings are errors here, so neither the failed
+    # Cholesky factor nor the overflow may warn.
+    rng = np.random.default_rng(seed)
+    sigma = np.append(np.append(1.0, 10.0 ** rng.uniform(-3.0, 0.0, size=n - 2)), ratio * SINGULAR_RATIO)
+    a = with_singular_values(seed, n + extra, sigma * 10.0**scale)
+    if duplicate:
+        a[:, -1] = a[:, 0]
+    b = rng.standard_normal((1, n + extra))
+    x, converged, exact = solve_and_trace(a[None], b)
+    assert exact[0]
+    assert_rows_are_their_answers(a[None], b, x, converged, exact)
+
+
+def predict_each_row_alone(gram, atb, cap):
+    """``_predict`` of a stack and of each of its rows as a stack of one."""
+    with np.errstate(all="ignore"):
+        stacked = nnls_module._predict(gram, atb, cap)
+        alone = [nnls_module._predict(gram[r : r + 1], atb[r : r + 1], cap) for r in range(len(atb))]
+    return stacked, alone
+
+
+def normal_equations(a, b):
+    a_t = a.transpose(0, 2, 1)
+    return a_t @ a, (a_t @ b[..., None])[..., 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(problem_stacks(), degenerate_stacks()), st.sampled_from([0, 1, 2, 3, 4, 5, None]))
+def test_prediction_of_a_stack_is_each_row_alone_bit_for_bit(stack, cap):
+    # Rows leave the running stack as they finish or stop; the rows that
+    # stay are solved as they would be alone, at any cap (None: 10 N).
+    a, b = (np.ascontiguousarray(v, dtype=float) for v in stack)
+    cap = 10 * a.shape[2] if cap is None else cap
+    (z, finished), alone = predict_each_row_alone(*normal_equations(a, b), cap)
+    for r, (z_r, finished_r) in enumerate(alone):
+        assert z_r[0].tobytes() == z[r].tobytes()
+        assert finished_r[0] == finished[r]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 5, 30])
+def test_prediction_stops_a_singular_row_beside_rows_that_finish(cap):
+    # Row 0's columns are equal, so its first exchange makes them all
+    # passive and solves an exactly singular block: a NaN point, and the
+    # row stops unfinished. Row 1 finishes after one exchange and row 2,
+    # the row of test_murty_rule_ends_a_cycle_of_full_exchanges, after ten,
+    # each as it would alone.
+    a = np.stack([np.ones((3, 3)), np.eye(3), [[-0.1, -1.0, 0.7], [0.3, 1.4, -1.5], [-1.1, -2.2, 0.5]]])
+    b = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [-0.5, 0.3, 0.0]])
+    (z, finished), alone = predict_each_row_alone(*normal_equations(a, b), cap)
+    for r, (z_r, finished_r) in enumerate(alone):
+        assert z_r[0].tobytes() == z[r].tobytes() and finished_r[0] == finished[r]
+    assert finished.tolist() == [False, cap >= 1, cap >= 10]
+    assert np.isnan(z[0]).all() == (cap >= 1)
+    if cap >= 10:
+        assert z[1].tolist() == [1.0, 0.0, 0.0] and z[2][0] == z[2][2] == 0.0 < z[2][1]
+
+
+@pytest.mark.parametrize("stack", ["empty", "every point not finite"])
+def test_prediction_with_no_running_rows_returns_at_once(stack, monkeypatch):
+    # No running row is left before the first exchange of a (0, N) stack,
+    # or after the first of a stack whose every point is NaN: the
+    # prediction returns there, after no further solve.
+    a = np.zeros((0, 3, 2)) if stack == "empty" else np.ones((4, 3, 2))
+    kernel, _ = _spy_kernel_and_fallback(monkeypatch)
+    with np.errstate(all="ignore"):
+        z, finished = nnls_module._predict(*normal_equations(a, np.ones(a.shape[:2])), 20)
+    assert kernel.solves == ([] if stack == "empty" else [4])
+    assert z.shape == (len(a), 2) and not finished.any()
+    assert np.isnan(z).all()
