@@ -74,8 +74,8 @@ class OpticalContext:
     incidence_angle_deg: float = 0.0
 
     def __post_init__(self):
-        if self.mu_per_um < 0:
-            raise ValueError("mu_per_um must be >= 0")
+        if not 0 <= self.mu_per_um < math.inf:
+            raise ValueError("mu_per_um must be finite and >= 0")
         if not 0 <= self.incidence_angle_deg < 90:
             raise ValueError("incidence_angle_deg must be in [0, 90)")
 
@@ -92,10 +92,10 @@ class TransmissivityProfile:
         values = np.array(self.values, dtype=float, order="C")  # a private copy
         if values.ndim != 1 or values.size == 0:
             raise ValueError("profile values must be a non-empty vector")
-        if values.min() < 0 or values.max() > 1 + 1e-12:
+        if not ((values >= 0) & (values <= 1 + 1e-12)).all():  # a NaN fails both tests
             raise ValueError("profile values must lie in [0, 1]")
-        if self.grid_step_um <= 0:
-            raise ValueError("grid_step_um must be positive")
+        if not 0 < self.grid_step_um < math.inf:
+            raise ValueError("grid_step_um must be finite and positive")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -188,8 +188,8 @@ def build_profile(
     that can clip a bar has a cell; ``origin_um`` records where the first
     cell starts (negative at tilted incidence).
     """
-    if grid_step_um <= 0:
-        raise ValueError("grid_step_um must be positive")
+    if not 0 < grid_step_um < math.inf:
+        raise ValueError("grid_step_um must be finite and positive")
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     theta = math.radians(context.incidence_angle_deg)

@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, SeriesFormatError, validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # sizes past what the host can allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -47,7 +47,8 @@ class Signal:
 
 @dataclass(frozen=True)
 class ScanSeries:
-    """Measured counts, one per scan step; a (T, M) stack holds T series."""
+    """Measured counts, one per scan step; a (T, M) stack holds T series.
+    A stack's error names its first bad row: ``row i: counts must be finite``."""
 
     raw: np.ndarray
 
@@ -55,10 +56,11 @@ class ScanSeries:
         raw = np.array(self.raw, dtype=float, order="C")  # a private copy
         if raw.ndim not in (1, 2) or raw.size == 0:
             raise ValueError("series must be a non-empty vector or stack of vectors")
-        if not np.isfinite(raw).all():
-            raise ValueError("counts must be finite")
-        if raw.min() < 0:
-            raise ValueError("counts must be >= 0")
+        for valid, rule in ((np.isfinite(raw), "finite"), (raw >= 0.0, ">= 0")):
+            ok = np.atleast_2d(valid).all(axis=1)
+            if not ok.all():
+                row = f"row {int(np.argmin(ok))}: " if raw.ndim == 2 else ""
+                raise ValueError(f"{row}counts must be {rule}")
         raw.flags.writeable = False
         object.__setattr__(self, "raw", raw)
 

@@ -199,12 +199,12 @@ def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
     """``(counts, p_stars)`` of ``cells``: their series as counted, stacked
     in cell order, and each cell's list of true offsets, one per series.
 
-    A cell scans every window of the config, or the one it scores. Each
-    window's intensity is computed once, and the windows of all cells at
-    one noise level are drawn by one ``simulate`` call; replicate r of
-    window q is drawn from its own stream, keyed (seed, cell, q, r). Every
-    cell has as many windows as the others, so the drawn rows split evenly
-    back to the cells.
+    A cell scans every window of the config, or the one it scores. The
+    windows of all cells at one noise level are drawn by one ``simulate``
+    call on coding matrices built for it, so each noise level computes its
+    windows' intensities anew; replicate r of window q is drawn from its own
+    stream, keyed (seed, cell, q, r). Every cell has as many windows as the
+    others, so the drawn rows split evenly back to the cells.
     """
     config = cells[0].config
     reps = config.replicates

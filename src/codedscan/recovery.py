@@ -198,23 +198,25 @@ def _best_offsets(window_dots, inv_norm, screen, d) -> list:
     return positions
 
 
-def search_position(
-    profile: TransmissivityProfile,
-    d: np.ndarray,
-    template: np.ndarray,
-) -> int:
+def search_position(profile: TransmissivityProfile, d: np.ndarray, template: np.ndarray):
     """Offset minimizing min_{c>=0} ||c * A_p template - d||^2 over all feasible p.
 
-    The template's scale does not matter. Evaluated for every offset at
-    once through sliding correlations (the fit at p needs only the window
-    sums r[p+m] = sum_n a[p+m+n] t_n), so the exhaustive search costs one
-    correlation of the window dots with d, O(L*M) rather than O(L*M*N).
-    This is the one-row search; ``recover_batch`` screens a stack of rows
-    in matrix products and gets the same offsets. Ties break toward the
-    smallest offset.
+    One series d (M,) gives its offset, and a (T, M) stack the list of its
+    rows' offsets. The template's scale does not matter. Every offset is
+    scored at once through sliding correlations (the fit at p needs only the
+    window sums r[p+m] = sum_n a[p+m+n] t_n), O(L*M) rather than O(L*M*N).
+    The template terms are computed once per call, and ``_best_offsets``
+    screens ``STACK_ROWS`` rows at a time: each offset is ``_best_offset``'s
+    bit for bit, and ties break toward the smallest offset.
     """
-    terms = _template_terms(profile.values, np.asarray(template, dtype=float), d.size)
-    return _best_offset(*terms, d)
+    d = np.asarray(d, dtype=float)
+    rows = np.atleast_2d(d)
+    terms = _template_terms(profile.values, np.asarray(template, dtype=float), rows.shape[1])
+    screen = _single_precision(*terms)
+    positions = []
+    for start in range(0, len(rows), STACK_ROWS):
+        positions += _best_offsets(*terms, screen, rows[start : start + STACK_ROWS])
+    return positions[0] if d.ndim == 1 else positions
 
 
 def solve_signal(
@@ -251,28 +253,20 @@ def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> l
     if it has no positive count, or the ``NumericalFailureError`` that its
     own shape solve ended in. Row i is ``recover(profile, counts[i],
     template)`` bit for bit. The rows are scaled to unit peak and the flat
-    ones left out; the template terms are computed once. The positions of
-    the other rows come from one screened search (``_best_offsets``) per
-    ``STACK_ROWS`` of them, and their shapes from one stacked ``nnls`` call
-    per stack of coding matrices that holds at most ``SOLVE_DOUBLES``
-    doubles (one row if a row alone holds more). A row with a non-finite or
-    negative count raises a ValueError that names the row.
+    ones left out (``normalize``); the others are placed by one
+    ``search_position`` call, and their shapes come from one stacked
+    ``nnls`` call per stack of coding matrices that holds at most
+    ``SOLVE_DOUBLES`` doubles (one row if a row alone holds more). A row
+    with a non-finite or negative count raises the ValueError of
+    ``ScanSeries``, which names the row.
     """
     if len(counts) == 0:
         return []
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] == 0:
         raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {counts.shape}")
-    for valid, rule in ((np.isfinite(counts), "finite"), (counts >= 0.0, ">= 0")):
-        ok = valid.all(axis=1)
-        if not ok.all():
-            raise ValueError(f"row {int(np.argmin(ok))}: counts must be {rule}")
     d, flat = normalize(ScanSeries(counts))
-    terms = _template_terms(profile.values, template.values, d.shape[1])
-    screen = _single_precision(*terms)
-    positions = []
-    for start in range(0, len(d), STACK_ROWS):
-        positions += _best_offsets(*terms, screen, d[start : start + STACK_ROWS])
+    positions = search_position(profile, d, template.values)
     rows = max(1, SOLVE_DOUBLES // (d.shape[1] * len(template)))
     fitted = []
     for start in range(0, len(d), rows):

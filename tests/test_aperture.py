@@ -215,6 +215,22 @@ def test_profile_validation_and_padding():
         build_profile(geom, OpticalContext(0.2), grid_step_um=1.0, oversample=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_physics_is_rejected(bad):
+    # NaN fails every comparison, so a rule like `value < 0` lets it through: each
+    # bound is tested as a range the value must lie in.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        TransmissivityProfile(np.array([0.5, bad, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="grid_step_um must be finite and positive"):
+        TransmissivityProfile(np.array([0.5, 1.0]), bad)
+    with pytest.raises(ValueError, match="grid_step_um must be finite and positive"):
+        build_profile(simple_geometry("01"), OpticalContext(0.2), grid_step_um=bad)
+    with pytest.raises(ValueError, match="mu_per_um must be finite and >= 0"):
+        OpticalContext(mu_per_um=bad)
+    with pytest.raises(ValueError, match=r"incidence_angle_deg must be in \[0, 90\)"):
+        OpticalContext(0.2, incidence_angle_deg=bad)
+
+
 def test_geometry_validation_and_unequal_bits():
     with pytest.raises(ValueError):
         ApertureGeometry(0.0, 10.0, 10.0, Pattern.from_string("01"))

@@ -129,6 +129,16 @@ def test_size_that_overflows_to_inf_is_exit_2(tmp_path, capsys, command, text, m
     assert line.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_size_past_any_address_space_is_exit_2(tmp_path, capsys, command):
+    # 1e18 scan points are exabytes of doubles: no host can hand that out,
+    # so the allocation fails at once and nothing is filled.
+    cfg = write_cfg(tmp_path, "[scan]\nscan_bits = 1e17\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: out of memory: Unable to allocate")
+
+
 def test_sweep_noiseless_saturates_above_unit_bsr(tmp_path):
     cfg = write_cfg(tmp_path, OPAQUE + """
 [sweep]

@@ -241,6 +241,20 @@ def test_non_finite_values_rejected(bad, stack):
             Signal(values)
 
 
+def test_stack_errors_name_the_first_bad_row():
+    counts = np.ones((4, 3))
+    counts[1, 0] = -1.0
+    with pytest.raises(ValueError, match=r"^row 1: counts must be >= 0$"):
+        ScanSeries(counts)
+    counts[3, 2] = math.nan  # every row is checked for finite counts before any for sign
+    with pytest.raises(ValueError, match=r"^row 3: counts must be finite$"):
+        ScanSeries(counts)
+    with pytest.raises(ValueError, match=r"^counts must be finite$"):
+        ScanSeries(counts[3])
+    with pytest.raises(ValueError, match=r"^counts must be >= 0$"):
+        ScanSeries(counts[1])
+
+
 @pytest.mark.parametrize("make, field", [
     (ScanSeries, "raw"), (Signal, "values"),
     (lambda values: TransmissivityProfile(values, 1.0), "values"),

@@ -652,18 +652,20 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     # Overflow and NaN are inputs here, not faults, in the search and the solve.
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
+        patch.setattr(recovery, "_best_offsets", keep)
         if np.isfinite(d).all() and (d >= 0.0).all():
-            patch.setattr(recovery, "_best_offsets", keep)
             recover_batch(profile, d, signal)  # searches the unit-peak rows that are not flat
         else:  # recover_batch rejects the stack; its search still takes it
             with pytest.raises(ValueError, match="counts must be"):
                 recover_batch(profile, d, signal)
         # The search also takes every stack as it is, rows near 1e-300 and 1e300 included.
-        terms = recovery._template_terms(profile.values, signal.values, d.shape[1])
-        single = recovery._single_precision(*terms)
-        for start in range(0, len(d), STACK_ROWS):
-            keep(*terms, single, d[start : start + STACK_ROWS])
-        expected = [search_position(profile, row, signal.values) for row in received]
+        searched = search_position(profile, d, signal.values)
+    assert searched == positions[-len(d) :]
+    # The float64 one-row search, outside the patch: the screen is never its own reference.
+    terms = recovery._template_terms(profile.values, signal.values, d.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = [recovery._best_offset(*terms, row) for row in received]
     assert positions == expected
     assert all(type(p) is int for p in positions)
 
