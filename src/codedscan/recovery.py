@@ -31,8 +31,6 @@ from .aperture import TransmissivityProfile
 from .forward import ScanSeries, Signal, build_coding_matrix
 from .nnls import NumericalFailureError, nnls
 
-# Rows per screened search.
-STACK_ROWS = 64
 # Doubles in the (rows, M, N) stack of coding matrices that one ``nnls`` call
 # holds: about 624 rows at M = 21 and N = 10, 81 at M = 161. A row that alone
 # holds more is solved by itself.
@@ -41,8 +39,9 @@ SOLVE_DOUBLES = 2**17
 # host ran float32 products of this size on the calling thread, and products
 # of 2^20 on two threads, slower than on one.
 SCREEN_MADDS = 65_536 * 4
-# Screened scores held at once per stack: a (rows, offsets) block of floats.
-SCREEN_BLOCK = 32_768
+# Float32 scores that one screened stack holds (1 MiB): a stack has
+# max(1, SCREEN_FLOATS // P) rows for P feasible offsets.
+SCREEN_FLOATS = 2**18
 F32 = np.finfo(np.float32)
 
 
@@ -123,9 +122,9 @@ def _best_offsets(window_dots, inv_norm, screen, d) -> list:
 
     ``screen`` is ``_single_precision(window_dots, inv_norm)``. The screen
     computes cross for all rows in float32 matrix products of at most
-    ``SCREEN_MADDS`` multiply-adds over a sliding view of the window dots,
-    scales it by ``inv_norm``, and keeps for each block of offsets each
-    row's largest score and the next largest.
+    ``SCREEN_MADDS`` multiply-adds over a sliding view of the window dots
+    into one (T, P) score array, scales it by ``inv_norm``, and takes each
+    row's largest score, its offset and the next largest score.
 
     With r >= 0 (a profile in [0, 1] against a ``Signal``) and d >= 0, a
     sum of M products is within gamma_M = M u / (1 - M u) of its exact
@@ -139,8 +138,8 @@ def _best_offsets(window_dots, inv_norm, screen, d) -> list:
     screened score S, once delta >= 2 (gamma_{M+4}(u32) + gamma_{M+1}(u64)).
     delta = 4 (M + 4) eps32 + 16 (M + 2) eps64 is at least twice that
     (u = eps / 2). A row with one near-tie has found its offset. Any other
-    row runs ``_best_offset`` on the blocks that hold its near-ties, which
-    keeps ties on the smallest offset.
+    row runs ``_best_offset`` on the span from its first near-tie to its
+    last, which holds every near-tie and so keeps ties on the smallest offset.
 
     ``_best_offset`` searches the whole of a row that has a negative or
     non-finite entry or one past float32's largest value, or whose S lies
@@ -164,36 +163,28 @@ def _best_offsets(window_dots, inv_norm, screen, d) -> list:
     delta = 4 * (m + 4) * float(F32.eps) + 16 * (m + 2) * float_info.epsilon
     least = (m + 1) * float(F32.tiny) / delta * max(inv_norm.max(), 1.0)
     product = SCREEN_MADDS // (t * m)  # offsets per matrix product
-    block = max(product, SCREEN_BLOCK // t // product * product)  # offsets per block
     windows = np.lib.stride_tricks.sliding_window_view(dots32, m)
     rows = np.arange(t)
-    scores = np.empty((t, block), dtype=np.float32)
-    blocks = range(0, p_count, block)
-    tops, seconds = np.empty((2, len(blocks), t), dtype=np.float32)
-    args = np.empty((len(blocks), t), dtype=np.intp)
+    scores = np.empty((t, p_count), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that fall back below
         d32 = d.astype(np.float32)
-        for k, start in enumerate(blocks):
-            g = scores[:, : min(block, p_count - start)]
-            for j in range(0, g.shape[1], product):
-                np.matmul(d32, windows[start + j : start + j + product].T, out=g[:, j : j + product])
-            g *= inv32[start : start + g.shape[1]]
-            args[k] = g.argmax(axis=1)
-            tops[k] = g[rows, args[k]]
-            g[rows, args[k]] = -1.0
-            g.max(axis=1, out=seconds[k])
-    top = tops.max(axis=0).astype(float)
+        for j in range(0, p_count, product):
+            np.matmul(d32, windows[j : j + product].T, out=scores[:, j : j + product])
+        scores *= inv32
+        args = scores.argmax(axis=1)
+        top = scores[rows, args]
+        scores[rows, args] = -1.0
+        second = scores.max(axis=1)
+        scores[rows, args] = top
+    top = top.astype(float)
     near = top * (1.0 - delta)  # in float64, which every float32 score compares with exactly
-    held = tops >= near  # blocks holding a near-tie
-    single = held.sum(axis=0) + (seconds >= near).sum(axis=0) == 1
-    first = held.argmax(axis=0)
-    last = len(blocks) - 1 - held[::-1].argmax(axis=0)
     screened = ((d >= 0.0) & (d <= F32.max)).all(axis=1) & (least <= top) & (top <= F32.max)
-    positions = (first * block + args[first, rows]).tolist()
-    for i in np.flatnonzero(~(screened & single)):
+    positions = args.tolist()
+    for i in np.flatnonzero(~screened | (second >= near)):
         lo, hi = 0, p_count
-        if screened[i]:  # only the blocks that hold its near-ties
-            lo, hi = int(first[i]) * block, min(int(last[i] + 1) * block, p_count)
+        if screened[i]:  # only the span from its first near-tie to its last
+            ties = np.flatnonzero(scores[i] >= near[i])
+            lo, hi = int(ties[0]), int(ties[-1]) + 1
         positions[i] = lo + _best_offset(window_dots[lo : hi + m - 1], inv_norm[lo:hi], d[i])
     return positions
 
@@ -206,16 +197,23 @@ def search_position(profile: TransmissivityProfile, d: np.ndarray, template: np.
     scored at once through sliding correlations (the fit at p needs only the
     window sums r[p+m] = sum_n a[p+m+n] t_n), O(L*M) rather than O(L*M*N).
     The template terms are computed once per call, and ``_best_offsets``
-    screens ``STACK_ROWS`` rows at a time: each offset is ``_best_offset``'s
-    bit for bit, and ties break toward the smallest offset.
+    screens stacks of max(1, ``SCREEN_FLOATS`` // P) rows for P feasible
+    offsets: each offset is ``_best_offset``'s bit for bit, and ties break
+    toward the smallest offset. The rows may hold any float; the template
+    must be one that ``Signal`` accepts (non-empty, finite, >= 0), or a
+    ValueError is raised, as it is for d of any shape but (M,) or (T, M)
+    with M >= 1.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim not in (1, 2) or d.shape[-1] == 0:
+        raise ValueError(f"expected a series (M,) or (T, M) stack, M >= 1, got shape {d.shape}")
     rows = np.atleast_2d(d)
-    terms = _template_terms(profile.values, np.asarray(template, dtype=float), rows.shape[1])
+    terms = _template_terms(profile.values, Signal(template).values, rows.shape[1])
     screen = _single_precision(*terms)
+    stack = max(1, SCREEN_FLOATS // terms[1].size)
     positions = []
-    for start in range(0, len(rows), STACK_ROWS):
-        positions += _best_offsets(*terms, screen, rows[start : start + STACK_ROWS])
+    for start in range(0, len(rows), stack):
+        positions += _best_offsets(*terms, screen, rows[start : start + stack])
     return positions[0] if d.ndim == 1 else positions
 
 

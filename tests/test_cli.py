@@ -18,6 +18,7 @@ from codedscan import (
 )
 from codedscan.aperture import ApertureGeometry, OpticalContext
 from codedscan.cli import main
+from codedscan.config import load_config
 from codedscan.reporting import read_pixel_series, write_series_csv
 
 OPAQUE = """
@@ -529,7 +530,13 @@ def test_recover_worker_chunks_give_identical_csv_and_stdout(tmp_path, capsys, m
     positions = pixels["080"][0]
     pixels["flat"] = (positions, np.zeros(positions.size))
     write_series_csv(series, pixels)
-    monkeypatch.setattr("codedscan.recovery.STACK_ROWS", 2)
+    # Search stacks of two rows at either length: recover pads the profile
+    # for 81 points, so the 41-point pixels have the most offsets, 40 more.
+    c = load_config(cfg)
+    padded = build_profile(c.geometry(generate_de_bruijn(c.pattern_order)), c.optics(),
+                           c.grid_step_um, c.oversample).pad_for_scan(81, len(c.probe()))
+    offsets = padded.values.size - 41 - len(c.probe()) + 2  # offsets 0 to size - m - n + 1
+    monkeypatch.setattr("codedscan.recovery.SCREEN_FLOATS", 2 * offsets)
     monkeypatch.setattr("codedscan.recovery.SOLVE_DOUBLES", 2 * 41 * 10)  # 2 rows of 41 x 10
     outputs = []
     for workers in ("1", "2"):

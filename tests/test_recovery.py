@@ -24,7 +24,6 @@ from codedscan.forward import (
 from codedscan import recovery
 from codedscan.nnls import NumericalFailureError
 from codedscan.recovery import (
-    STACK_ROWS,
     FlatSeriesError,
     normalize,
     recover,
@@ -36,6 +35,7 @@ from codedscan.recovery import (
 BIT_UM = 10.0
 STEP_UM = 1.0
 SCAN_POINTS = int(8 * BIT_UM / STEP_UM) + 1  # 8-bit travel, both endpoints sampled
+SEARCH_ROWS = 64  # rows per search stack in the tests of full and short stacks
 
 
 def opaque_profile(pad_cells: int = 12) -> TransmissivityProfile:
@@ -338,12 +338,20 @@ def test_recover_rows_near_the_float_range_ends_as_their_unit_peak_row(counts):
     assert unit_peak.position == 3 and unit_peak.scale > 0.0
 
 
+def screen_floats(rows, profile, m, n):
+    """The ``SCREEN_FLOATS`` that screens ``rows`` rows per stack: rows times
+    the profile's feasible offsets, 0 to size - m - n + 1, for m-point scans
+    of an n-cell template."""
+    return rows * (profile.values.size - m - n + 2)
+
+
 @contextlib.contextmanager
-def small_stacks(search_rows, solve_rows, n):
+def small_stacks(profile, search_rows, solve_rows, n):
     """Search in stacks of ``search_rows`` rows and solve in stacks of
     ``solve_rows`` rows of SCAN_POINTS x ``n`` coding matrices."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recovery, "STACK_ROWS", search_rows)
+        floats = screen_floats(search_rows, profile, SCAN_POINTS, n)
+        patch.setattr(recovery, "SCREEN_FLOATS", floats)
         patch.setattr(recovery, "SOLVE_DOUBLES", solve_rows * SCAN_POINTS * n)
         yield
 
@@ -380,7 +388,7 @@ def random_rows(seed, rows, mu):
 )
 def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
     profile, signal, d = random_rows(seed, rows, mu)
-    with small_stacks(stack_rows, stack_rows, len(signal)):  # several stacks per call
+    with small_stacks(profile, stack_rows, stack_rows, len(signal)):  # several stacks per call
         batch = recover_batch(profile, d, signal)
     assert len(batch) == rows
     for row, result in zip(d, batch):
@@ -395,15 +403,15 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    extra=st.sampled_from([-1, 0, 1, STACK_ROWS + 1]),
+    extra=st.sampled_from([-1, 0, 1, SEARCH_ROWS + 1]),
     mu=st.sampled_from([0.219, 0.04, 1e9]),
 )
 def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
-    # Stacks of STACK_ROWS - 1 to 2 * STACK_ROWS + 1 rows: one full stack,
+    # Stacks of SEARCH_ROWS - 1 to 2 * SEARCH_ROWS + 1 rows: one full stack,
     # one short, and full stacks followed by a short one, in the search and
     # in the solve.
-    profile, signal, d = random_rows(seed, STACK_ROWS + extra, mu)
-    with small_stacks(STACK_ROWS, STACK_ROWS, len(signal)):
+    profile, signal, d = random_rows(seed, SEARCH_ROWS + extra, mu)
+    with small_stacks(profile, SEARCH_ROWS, SEARCH_ROWS, len(signal)):
         batch = recover_batch(profile, d, signal)
     assert len(batch) == len(d)
     for counts, result in zip(d, batch):
@@ -475,7 +483,7 @@ def test_batch_rows_are_recovered_alone_when_search_and_solve_stacks_do_not_line
     # Search stacks of 2 rows and solve stacks of 3: their boundaries meet
     # only every 6 rows.
     profile, signal, d = random_rows(seed, rows, mu)
-    with small_stacks(2, 3, len(signal)):
+    with small_stacks(profile, 2, 3, len(signal)):
         batch = recover_batch(profile, d, signal)
     assert len(batch) == rows
     for row, result in zip(d, batch):
@@ -591,7 +599,7 @@ def tie_prone_stacks(draw):
     template = rng.random(n) * 10.0 ** rng.integers(-45, 46)
     if kind == "mirrored":
         template = template + template[::-1]
-    rows = draw(st.sampled_from([1, 2, STACK_ROWS - 1, STACK_ROWS, STACK_ROWS + 1]))
+    rows = draw(st.sampled_from([1, 2, SEARCH_ROWS - 1, SEARCH_ROWS, SEARCH_ROWS + 1]))
     d = rng.random((rows, m))
     d += d[:, ::-1]  # palindromic
     shuffled = rng.random(rows) < (0.2 if kind == "mirrored" else 0.6)
@@ -653,6 +661,10 @@ def test_batch_positions_equal_the_one_row_search_on_ties(stack):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         patch.setattr(recovery, "_best_offsets", keep)
+        # Stacks of SEARCH_ROWS rows, so that the drawn row counts fill one
+        # stack, fall one row short of it or spill one row past it.
+        floats = screen_floats(SEARCH_ROWS, profile, d.shape[1], len(signal))
+        patch.setattr(recovery, "SCREEN_FLOATS", floats)
         if np.isfinite(d).all() and (d >= 0.0).all():
             recover_batch(profile, d, signal)  # searches the unit-peak rows that are not flat
         else:  # recover_batch rejects the stack; its search still takes it
@@ -714,3 +726,54 @@ def test_screen_products_stay_within_the_one_thread_bound(monkeypatch, m, t):
     assert all(rows * inner * cols <= recovery.SCREEN_MADDS for rows, inner, cols in products)
     # A stack of one is searched alone; any other screens every offset once.
     assert sum(cols for _, _, cols in products) == (inv_norm.size if t > 1 else 0)
+
+
+@pytest.mark.parametrize("rows_per_stack", [None, 0.5, 1, 2.5, 3])
+def test_search_stacks_hold_at_most_the_budget(monkeypatch, rows_per_stack):
+    # Budgets of half a row (each row alone exceeds it), of 1, 2.5 and 3
+    # rows, and the default, under which the 7 rows are one stack.
+    profile, signal, d = random_rows(5, 7, 0.219)
+    offsets = screen_floats(1, profile, SCAN_POINTS, len(signal))
+    if rows_per_stack is not None:
+        monkeypatch.setattr(recovery, "SCREEN_FLOATS", int(rows_per_stack * offsets))
+    budget = recovery.SCREEN_FLOATS
+    stacks = []
+    real = recovery._best_offsets
+
+    def record(window_dots, inv_norm, screen, rows):
+        stacks.append((len(rows), inv_norm.size, rows.copy()))
+        return real(window_dots, inv_norm, screen, rows)
+
+    monkeypatch.setattr(recovery, "_best_offsets", record)
+    positions = search_position(profile, d, signal.values)
+    monkeypatch.undo()
+    full = 7 if rows_per_stack is None else max(1, int(rows_per_stack))  # rows per full stack
+    assert stacks[0][0] == full
+    assert all(p_count == offsets for _, p_count, _ in stacks)
+    assert all(t * offsets <= budget or t == 1 for t, _, _ in stacks)
+    # Every stack but the last is full: one more row would exceed the budget.
+    assert all((t + 1) * offsets > budget for t, _, _ in stacks[:-1])
+    np.testing.assert_array_equal(np.concatenate([rows for _, _, rows in stacks]), d)
+    terms = recovery._template_terms(profile.values, signal.values, SCAN_POINTS)
+    assert positions == [recovery._best_offset(*terms, row) for row in d]
+
+
+@pytest.mark.parametrize(
+    "d, template, message",
+    [
+        (np.ones((2, 0)), np.ones(3), "got shape"),  # ZeroDivisionError in the screen
+        (np.ones((2, 2, 5)), np.ones(3), "got shape"),
+        (np.ones(0), np.ones(3), "got shape"),
+        (np.ones(5), np.ones(0), "non-empty"),
+        (np.ones(5), np.ones((2, 3)), "non-empty"),
+        (np.ones(5), np.array([1.0, np.nan, 1.0]), "finite"),  # silently placed at 0
+        (np.ones(5), np.array([1.0, np.inf]), "finite"),
+        (np.ones(5), np.array([1.0, -1.0]), ">= 0"),
+    ],
+    ids=["no-points", "3-d", "empty-series", "empty-template", "2-d-template",
+         "nan-template", "inf-template", "negative-template"],
+)
+def test_search_refuses_malformed_arguments(d, template, message):
+    profile = TransmissivityProfile(np.arange(60) * 0.618 % 1.0, STEP_UM)
+    with pytest.raises(ValueError, match=message):
+        search_position(profile, d, template)
