@@ -30,6 +30,7 @@ from .metrics import (
 from .nnls import NumericalFailureError, nnls
 from .recovery import (
     FlatSeriesError,
+    RecoveryBatch,
     RecoveryResult,
     normalize,
     recover,
@@ -48,6 +49,7 @@ __all__ = [
     "NumericalFailureError",
     "OpticalContext",
     "Pattern",
+    "RecoveryBatch",
     "RecoveryResult",
     "ScanSeries",
     "Signal",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +17,9 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
 from .metrics import patterning_correlations, run_slices, scan_point_count
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
-from .recovery import FlatSeriesError, RecoveryResult, recover, recover_batch  # noqa: F401
+from .recovery import RecoveryBatch, recover, recover_batch  # noqa: F401
 from .reporting import (
     POSITION_TOLERANCE_UM,
-    RecoveryRow,
     SeriesFormatError,
     read_pixel_series,
     series_csv_text,
@@ -132,19 +131,8 @@ def run_sweep_command(args) -> int:
 
 
 def _recover_pixels(pixels, profile, probe) -> list:
-    """Recovery rows of equal-length ``(pixel_id, counts)`` pixels, in the order given."""
-    results = recover_batch(profile, np.array([counts for _, counts in pixels]), probe)
-    rows = []
-    for (pixel_id, _), result in zip(pixels, results):
-        if isinstance(result, RecoveryResult):
-            rows.append(RecoveryRow(
-                pixel_id, float(profile.position_of(result.position)), result.residual,
-                result.signal, "ok",
-            ))
-        else:
-            status = "flat" if isinstance(result, FlatSeriesError) else "failed"
-            rows.append(RecoveryRow(pixel_id, None, None, None, status))
-    return rows
+    """``recover_batch`` of equal-length ``(pixel_id, counts)`` pixels, as a list of one."""
+    return [recover_batch(profile, np.array([counts for _, counts in pixels]), probe)]
 
 
 def run_recover_command(args) -> int:
@@ -176,23 +164,29 @@ def run_recover_command(args) -> int:
         counts = counts[:n_keep]
         by_length.setdefault(counts.size, []).append((pixel_id, counts))
     profile = profile.pad_for_scan(max(by_length), len(probe))
-    rows = run_slices(_recover_pixels, list(by_length.values()), args.workers, profile, probe)
-    rows.sort(key=lambda r: r.pixel_id)
+    groups = list(by_length.values())
+    parts = run_slices(_recover_pixels, groups, args.workers, profile, probe)
+    pixel_ids = [pixel_id for group in groups for pixel_id, _ in group]
+    order = sorted(range(len(pixel_ids)), key=pixel_ids.__getitem__)
+    pixel_ids = [pixel_ids[i] for i in order]
+    recovered = RecoveryBatch(*(np.concatenate([getattr(part, f.name) for part in parts])[order]
+                                for f in fields(RecoveryBatch)))
+    p_hat_um = profile.position_of(recovered.position)
     items = list(cfg.echo_items())
     if args.truncate_bits is not None:
         items.append(("truncate_bits", f"{args.truncate_bits:g}"))
     out = Path(args.out or cfg.out_csv or "recovery.csv")
-    write_recovery_csv(out, rows, len(probe), items)
-    for row in rows:
-        if row.status == "ok":
-            print(
-                f"pixel {row.pixel_id}: p_hat {row.p_hat_um:.3f} um, residual {row.residual:.3e}"
-            )
+    write_recovery_csv(out, pixel_ids, p_hat_um, recovered, len(probe), items)
+    for pixel_id, p_hat, residual, status in zip(
+        pixel_ids, p_hat_um.tolist(), recovered.residual.tolist(), recovered.status.tolist()
+    ):
+        if status == "ok":
+            print(f"pixel {pixel_id}: p_hat {p_hat:.3f} um, residual {residual:.3e}")
         else:
-            print(f"pixel {row.pixel_id}: {row.status}")
-    skipped = sum(1 for r in rows if r.status != "ok")
+            print(f"pixel {pixel_id}: {status}")
+    skipped = int((recovered.status != "ok").sum())
     if skipped:
-        print(f"warning: {skipped} of {len(rows)} pixels not recovered")
+        print(f"warning: {skipped} of {len(recovered)} pixels not recovered")
     print(f"wrote {out}")
     return 0
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -13,9 +12,8 @@ import numpy as np
 from .aperture import build_profile
 from .codes import Pattern, generate_de_bruijn, window_stats
 from .forward import build_coding_matrix, make_gaussian_signal, simulate
-from .nnls import NumericalFailureError
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
-from .recovery import FlatSeriesError, RecoveryResult, recover, recover_batch  # noqa: F401
+from .recovery import RecoveryBatch, recover, recover_batch  # noqa: F401
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -71,14 +69,14 @@ class SweepResult:
                 raise ValueError("MSP outside [0, 100]")
 
 
-def score(recovered, truth: tuple, config: ExperimentConfig) -> tuple:
+def score(recovered: RecoveryBatch, truth: tuple, config: ExperimentConfig) -> tuple:
     """Grade a cell's recoveries against ground truth by ``config``'s [criteria].
 
-    ``recovered`` holds one ``recover_batch`` entry per trial, and ``truth``
-    is ``(p_stars, s_true)``: each trial's true offset on the config's grid,
-    and the true signal on the recovered signals' grid, in unit-sum gauge.
-    Returns ``(position, shape)``, one bool per entry; an entry that is not
-    a ``RecoveryResult`` (a flat series or a failed solve) fails both. The
+    ``recovered`` is the ``recover_batch`` record of the trials, and
+    ``truth`` is ``(p_stars, s_true)``: each trial's true offset on the
+    config's grid, and the true signal on the recovered signals' grid, in
+    unit-sum gauge. Returns ``(position, shape)``, one bool per row; a row
+    whose status is not ok (a flat series or a failed solve) fails both. The
     position margin counts in the config's one bit size. Shape success
     requires position success first: the relative error of a shape fitted at
     the wrong depth is not meaningful.
@@ -90,22 +88,18 @@ def score(recovered, truth: tuple, config: ExperimentConfig) -> tuple:
     denom = float(np.linalg.norm(s_true))
     if denom == 0.0:
         raise ValueError("true signal has zero norm")
-    fits = [(i, result) for i, result in enumerate(recovered) if isinstance(result, RecoveryResult)]
-    for _, result in fits:
-        if result.signal.size != s_true.size:
-            raise ValueError(
-                f"signal length mismatch: recovered {result.signal.size}, true {s_true.size}"
-            )
-    index = np.array([i for i, _ in fits], dtype=np.intp)
-    offsets = np.array([abs(result.position - p_stars[i]) for i, result in fits], dtype=float)
-    diff = np.array([result.signal for _, result in fits]).reshape(len(fits), s_true.size) - s_true
+    if (n := recovered.signal.shape[1]) != s_true.size:
+        raise ValueError(f"signal length mismatch: recovered {n}, true {s_true.size}")
+    ok = recovered.status == "ok"
+    offsets = np.abs(recovered.position[ok] - np.asarray(p_stars)[ok]).astype(float)
+    diff = recovered.signal[ok] - s_true
     # vecdot sums each row as np.linalg.norm sums a vector, so every norm
     # has the per-trial bits; norm(axis=1) sums in another order.
     relative = np.sqrt(np.vecdot(diff, diff)) / denom
     hit = offsets * config.grid_step_um <= config.position_margin_bits * config.bit_size_um
     position, shape = np.zeros((2, len(recovered)), dtype=bool)
-    position[index] = hit
-    shape[index] = hit & (relative < config.epsilon)
+    position[ok] = hit
+    shape[ok] = hit & (relative < config.epsilon)
     return position, shape
 
 
@@ -174,10 +168,11 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
 
     The cells share one profile, padded as ``recover`` pads it, so a sweep
     searches the offsets that ``recover`` searches. Their trials are drawn
-    with one ``simulate`` call per noise level and recovered in one
-    ``recover_batch`` call on their rows in cell order; row i is ``recover``
-    of row i alone, and every row keeps its own trial key, so each result is
-    as it would be for the cell by itself.
+    with one ``simulate`` call per noise level, recovered in one
+    ``recover_batch`` call on their rows in cell order and graded by one
+    ``score`` call; row i is ``recover`` of row i alone, and every row keeps
+    its own trial key, so each result is as it would be for the cell by
+    itself.
     """
     config = cells[0].config
     profile = build_profile(
@@ -188,16 +183,16 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
     m = scan_point_count(config.scan_bits, config.bit_size_um, config.grid_step_um)
     profile = profile.pad_for_scan(m, len(truth_signal))
     rows, p_stars = _simulate_cells(cells, pattern, profile, truth_signal, m)
-    recovered = iter(recover_batch(profile, rows, config.probe()))
-    return [
-        _score_cell(cell, pattern, s_true, cell_p_stars, [next(recovered) for _ in cell_p_stars])
-        for cell, cell_p_stars in zip(cells, p_stars)
-    ]
+    recovered = recover_batch(profile, rows, config.probe())
+    position, shape = score(recovered, (p_stars, s_true), config)
+    # Every cell has as many rows as the others.
+    parts = (np.split(column, len(cells)) for column in (position, shape, recovered.status))
+    return [_score_cell(cell, pattern, *part) for cell, *part in zip(cells, *parts)]
 
 
 def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
     """``(counts, p_stars)`` of ``cells``: their series as counted, stacked
-    in cell order, and each cell's list of true offsets, one per series.
+    in cell order, and the true offset of each series.
 
     A cell scans every window of the config, or the one it scores. The
     windows of all cells at one noise level are drawn by one ``simulate``
@@ -228,18 +223,16 @@ def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
         counts = simulate(matrices, truth_signal, noise, keys).raw
         for i, block in zip(indices, np.split(counts, len(indices))):
             blocks[i] = block
-    return np.concatenate(blocks), [np.repeat(o, reps).tolist() for o in offsets]
+    return np.concatenate(blocks), np.repeat(np.concatenate(offsets), reps)
 
 
-def _score_cell(cell: SweepCell, pattern: Pattern, s_true, p_stars, recovered):
-    """One cell's ``CellResult``: its recoveries, one ``recover_batch``
-    entry per series, scored against ``s_true`` at the true offsets
-    ``p_stars``. A flat series or a failed solve is scored as a miss."""
+def _score_cell(cell: SweepCell, pattern: Pattern, position, shape, status):
+    """One cell's ``CellResult`` from its trials' ``score`` grades
+    ``position`` and ``shape`` and their ``recover_batch`` ``status``. A
+    flat series or a failed solve counts as a miss."""
     config = cell.config
-    position, shape = score(recovered, (p_stars, s_true), config)
-    kinds = Counter(map(type, recovered))
-    flat, failed_nnls = kinds[FlatSeriesError], kinds[NumericalFailureError]
-    k = len(recovered)
+    k = len(status)
+    flat, failed_nnls = int((status == "flat").sum()), int((status == "failed").sum())
     stats = None
     if cell.window_start is not None:
         stats = window_stats(pattern, cell.window_start, config.pattern_order)

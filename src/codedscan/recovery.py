@@ -61,6 +61,25 @@ class RecoveryResult:
     residual: float
 
 
+@dataclass(frozen=True)
+class RecoveryBatch:
+    """A stack's recoveries as columns, row i for series i: ``position`` (T,),
+    unit-sum ``signal`` (T, N), ``scale`` (T,) and ``residual`` (T,) as in
+    ``RecoveryResult``, and ``status`` (T,): "ok", "flat" (no positive count)
+    or "failed" (the shape solve did not converge). A flat row holds 0 in the
+    other columns; a failed row, its searched offset and the solve's last
+    iterate, split into signal and scale and scored as a fit is."""
+
+    position: np.ndarray
+    signal: np.ndarray
+    scale: np.ndarray
+    residual: np.ndarray
+    status: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+
 def normalize(series: ScanSeries):
     """Unit-peak counts: each series divided by its largest count.
 
@@ -236,60 +255,60 @@ def recover(profile: TransmissivityProfile, counts, template: Signal) -> Recover
     template.values)`` and the shape is ``solve_signal`` s >= 0 there. The
     result holds s / sum(s) and sum(s), or a zero signal and scale where s
     is zero. Raises ``FlatSeriesError`` if every count is zero and
-    ``NumericalFailureError`` if the shape solve does not converge.
+    ``NumericalFailureError``, carrying scale * signal as its iterate, if
+    the shape solve does not converge.
     """
-    (result,) = recover_batch(profile, np.asarray(counts)[None], template)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    batch = recover_batch(profile, np.asarray(counts)[None], template)
+    position, signal, scale = int(batch.position[0]), batch.signal[0], float(batch.scale[0])
+    if batch.status[0] == "flat":
+        raise FlatSeriesError("no counts: every count is zero")
+    if batch.status[0] == "failed":
+        message = f"no convergence for the shape at offset {position}"
+        raise NumericalFailureError(message, scale * signal)
+    return RecoveryResult(position, signal, scale, float(batch.residual[0]))
 
 
-def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> list:
+def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> RecoveryBatch:
     """``recover`` for every row of ``counts``, a (T, M) stack of series as measured.
 
-    Returns one entry per row: its ``RecoveryResult``, a ``FlatSeriesError``
-    if it has no positive count, or the ``NumericalFailureError`` that its
-    own shape solve ended in. Row i is ``recover(profile, counts[i],
-    template)`` bit for bit. The rows are scaled to unit peak and the flat
-    ones left out (``normalize``); the others are placed by one
+    Returns the stack's ``RecoveryBatch``, whose row i is ``recover(profile,
+    counts[i], template)`` bit for bit where its status is ok. A (0, M)
+    stack gives an empty record. The rows are scaled to unit peak and the
+    flat ones left out (``normalize``); the others are placed by one
     ``search_position`` call, and their shapes come from one stacked
     ``nnls`` call per stack of coding matrices that holds at most
     ``SOLVE_DOUBLES`` doubles (one row if a row alone holds more). A row
     with a non-finite or negative count raises the ValueError of
-    ``ScanSeries``, which names the row.
+    ``ScanSeries``, which names the row, and ``counts`` of any shape but
+    (T, M) with M >= 1 raises a ValueError.
     """
-    if len(counts) == 0:
-        return []
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] == 0:
         raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {counts.shape}")
-    d, flat = normalize(ScanSeries(counts))
-    positions = search_position(profile, d, template.values)
-    rows = max(1, SOLVE_DOUBLES // (d.shape[1] * len(template)))
-    fitted = []
+    t, n = len(counts), len(template)
+    d, flat = normalize(ScanSeries(counts)) if t else (counts, np.zeros(0, dtype=bool))
+    batch = RecoveryBatch(
+        np.zeros(t, dtype=int), np.zeros((t, n)), np.zeros(t), np.zeros(t),
+        np.where(flat, "flat", "ok").astype("U6"),  # room for "failed"
+    )
+    fitted = np.flatnonzero(~flat)
+    batch.position[fitted] = search_position(profile, d, template.values)
+    rows = max(1, SOLVE_DOUBLES // (d.shape[1] * n))
     for start in range(0, len(d), rows):
-        fitted += _recover_stack(
-            profile, d[start : start + rows], positions[start : start + rows], len(template)
-        )
-    fitted = iter(fitted)
-    return [FlatSeriesError("no counts: every count is zero") if f else next(fitted) for f in flat]
+        _recover_stack(profile, d[start : start + rows], batch, fitted[start : start + rows])
+    return batch
 
 
-def _recover_stack(profile, d, positions, n) -> list:
-    """``recover_batch`` on the rows d, given their positions: one ``nnls`` call."""
-    stack = build_coding_matrix(profile, np.array(positions), d.shape[1], n)
+def _recover_stack(profile, d, batch, rows) -> None:
+    """Fill rows ``rows`` of ``batch``, whose positions are set, from their
+    unit-peak counts d: one ``nnls`` call."""
+    stack = build_coding_matrix(profile, batch.position[rows], d.shape[1], batch.signal.shape[1])
     x, converged = nnls(stack, d)
     # Each shape as its sum and its unit-sum shape, and every residual of
     # scale * signal in one stacked product and one row sum.
     scales = x.sum(axis=1)
     shapes = x / np.where(scales > 0.0, scales, 1.0)[:, None]  # a zero shape stays zero
     fits = stack @ (scales[:, None] * shapes)[..., None]
-    residuals = ((fits[..., 0] - d) ** 2).sum(axis=1)
-    return [
-        RecoveryResult(p, shape, float(scale), float(residual))
-        if ok
-        else NumericalFailureError(f"no convergence for the shape at offset {p}", iterate)
-        for p, shape, scale, residual, ok, iterate in zip(
-            positions, shapes, scales, residuals, converged, x
-        )
-    ]
+    batch.signal[rows], batch.scale[rows] = shapes, scales
+    batch.residual[rows] = ((fits[..., 0] - d) ** 2).sum(axis=1)
+    batch.status[rows[~converged]] = "failed"

@@ -7,7 +7,6 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +30,6 @@ SWEEP_COLUMNS = (
 
 class SeriesFormatError(ValueError):
     """Malformed scan-series file."""
-
-
-@dataclass(frozen=True)
-class RecoveryRow:
-    """One pixel's recovery for the results CSV; signal is None off-status."""
-
-    pixel_id: str
-    p_hat_um: float | None
-    residual: float | None
-    signal: np.ndarray | None
-    status: str  # ok | flat | failed
 
 
 def _fmt(value) -> str:
@@ -101,8 +89,12 @@ def write_sweep_csv(path, result: SweepResult, config_items=()) -> Path:
     return atomic_write_text(path, out.getvalue())
 
 
-def write_recovery_csv(path, rows, n_signal: int, config_items=()) -> Path:
-    """Per-pixel recoveries: pixel_id, p_hat_um, residual, s_0.., status."""
+def write_recovery_csv(path, pixel_ids, p_hat_um, recovered, n_signal, config_items=()) -> Path:
+    """Per-pixel recoveries: pixel_id, p_hat_um, residual, s_0.., status. Row
+    i is ``pixel_ids[i]`` at ``p_hat_um[i]`` with row i of the ``RecoveryBatch``
+    ``recovered``; a row whose status is not ok leaves its numbers blank."""
+    if recovered.signal.shape[1] != n_signal:
+        raise ValueError(f"signal length {recovered.signal.shape[1]}, expected {n_signal}")
     out = io.StringIO()
     out.write(_comment_block("recovery results", config_items))
     writer = csv.writer(out, lineterminator="\n")
@@ -111,16 +103,14 @@ def write_recovery_csv(path, rows, n_signal: int, config_items=()) -> Path:
         + [f"s_{i}" for i in range(n_signal)]
         + ["status"]
     )
-    for row in rows:
-        cells = [row.pixel_id, _fmt(row.p_hat_um), _fmt(row.residual)]
-        if row.signal is None:
-            cells += [""] * n_signal
-        else:
-            if row.signal.size != n_signal:
-                raise ValueError(f"pixel {row.pixel_id}: signal length {row.signal.size}")
-            cells += map(repr, row.signal.tolist())  # _fmt's text for finite floats
-        cells.append(row.status)
-        writer.writerow(cells)
+    blank = [""] * (n_signal + 2)
+    for pixel_id, p_hat, residual, signal, status in zip(
+        pixel_ids, np.asarray(p_hat_um).tolist(), recovered.residual.tolist(),
+        recovered.signal.tolist(), recovered.status.tolist(), strict=True,
+    ):
+        # repr is _fmt's text for finite floats
+        numbers = map(repr, [p_hat, residual, *signal]) if status == "ok" else blank
+        writer.writerow([pixel_id, *numbers, status])
     return atomic_write_text(path, out.getvalue())
 
 

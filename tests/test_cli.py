@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from codedscan import (
-    RecoveryResult,
     build_coding_matrix,
     build_profile,
     generate_de_bruijn,
@@ -249,23 +248,31 @@ def test_recover_without_truncation_runs_with_unequal_bit_sizes(tmp_path, capsys
     assert recovered_positions(out)["010"][0] == "ok"
 
 
+def fail_solved_row(monkeypatch, index):
+    """Make ``codedscan.recovery.nnls`` report row ``index`` of the rows it
+    solves, counted from 0 over all its calls, as not converged."""
+    from codedscan import recovery
+
+    real = recovery.nnls
+    solved = []  # rows of each call so far
+
+    def fails(a, b):
+        x, converged = real(a, b)
+        row = index - sum(solved)
+        if 0 <= row < len(b):
+            converged[row] = False
+        solved.append(len(b))
+        return x, converged
+
+    monkeypatch.setattr(recovery, "nnls", fails)
+
+
 def test_sweep_cell_lines_count_flat_and_unconverged_trials(tmp_path, capsys, monkeypatch):
-    import codedscan.metrics as metrics_module
-    from codedscan.nnls import NumericalFailureError
-    from codedscan.recovery import RecoveryResult
-
-    real = metrics_module.recover_batch
-
-    def last_fit_fails(profile, counts, *args):
-        results = real(profile, counts, *args)
-        last = max(i for i, result in enumerate(results) if isinstance(result, RecoveryResult))
-        results[last] = NumericalFailureError("no convergence", None)
-        return results
-
-    monkeypatch.setattr(metrics_module, "recover_batch", last_fit_fails)
     # Opaque bars: both 4-bit scans of window 230, which see only its five
     # bars (bits 230-234 are all ones), count nothing in each cell, and the
     # last fitted row of the cells' shared batch belongs to the noise-100 cell.
+    # That is row 19 of the 20 rows solved: 24 trials, 4 of them flat.
+    fail_solved_row(monkeypatch, 19)
     cfg = write_cfg(tmp_path, """
 [optics]
 mu_per_um = 1e9
@@ -486,7 +493,7 @@ def test_sweep_trials_recover_where_recover_places_their_counts(tmp_path, monkey
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 0
     assert len(sweeps) == 2  # one per scan length
     for profile, counts, results in sweeps:
-        assert all(isinstance(r, RecoveryResult) for r in results)  # no flat or failed trial
+        assert set(results.status) == {"ok"}  # no flat or failed trial
         positions = profile.position_of(np.arange(counts.shape[1]))
         series = tmp_path / "trials.csv"
         write_series_csv(series, {f"t{i:03d}": (positions, row) for i, row in enumerate(counts)})
@@ -497,8 +504,8 @@ def test_sweep_trials_recover_where_recover_places_their_counts(tmp_path, monkey
         assert searched.values.tobytes() == profile.values.tobytes()
         assert searched.origin_um == profile.origin_um
         assert recovered_positions(out) == {
-            f"t{i:03d}": ("ok", float(profile.position_of(r.position)))
-            for i, r in enumerate(results)
+            f"t{i:03d}": ("ok", float(profile.position_of(p)))
+            for i, p in enumerate(results.position)
         }
 
 
@@ -590,6 +597,27 @@ def test_recover_flat_pixel_reported_and_skipped(tmp_path, capsys):
     got = recovered_positions(out)
     assert got["zzz"][0] == "flat"
     assert got["040"][0] == "ok"
+
+
+def test_recover_failed_pixel_reported_and_left_blank(tmp_path, capsys, monkeypatch):
+    # Pixels are solved in id order, so pixel 080 is row 1 of the rows solved.
+    cfg = write_cfg(tmp_path, "[scan]\nnoise_levels = 1000\n")
+    series = multi_pixel_file(tmp_path, (0, 80, 200), peak=1000.0, seed=3)
+    outputs = []
+    for fails in (False, True):
+        if fails:
+            fail_solved_row(monkeypatch, 1)
+        out = tmp_path / f"rec{fails}.csv"
+        assert main(["recover", str(series), "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        outputs.append((rows, capsys.readouterr().out.splitlines()))
+    (rows, stdout), (failed_rows, failed_stdout) = outputs
+    assert failed_rows[2] == ",".join(["080"] + [""] * 12 + ["failed"])
+    assert failed_rows[:2] + failed_rows[3:] == rows[:2] + rows[3:]
+    assert failed_stdout[1] == "pixel 080: failed"
+    assert failed_stdout[3] == "warning: 1 of 3 pixels not recovered"
+    assert failed_stdout[:3:2] == stdout[:3:2]  # pixels 000 and 200
+    assert stdout[3].startswith("wrote ")  # no warning without the failure
 
 
 def test_recover_empty_file_is_exit_2(tmp_path, capsys):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from codedscan import (
     CellResult,
     ExperimentConfig,
-    FlatSeriesError,
-    NumericalFailureError,
+    RecoveryBatch,
     RecoveryResult,
     SweepCell,
     SweepResult,
@@ -42,6 +41,23 @@ def result_at(position, signal):
                           scale=1.0, residual=0.0)
 
 
+def batch_of(entries, n=None):
+    """The ``recover_batch`` record of ``entries``: each a ``RecoveryResult``,
+    or "flat" or "failed" for a row without a fit, held as zeros. Its signals
+    have ``n`` cells, or as many as the first fit's."""
+    if n is None:
+        n = next(entry.signal.size for entry in entries if isinstance(entry, RecoveryResult))
+    rows = [entry if isinstance(entry, RecoveryResult) else RecoveryResult(0, np.zeros(n), 0.0, 0.0)
+            for entry in entries]
+    return RecoveryBatch(
+        np.array([row.position for row in rows], dtype=int),
+        np.array([row.signal for row in rows]).reshape(len(rows), n),
+        np.array([row.scale for row in rows]),
+        np.array([row.residual for row in rows]),
+        np.array([entry if isinstance(entry, str) else "ok" for entry in entries], dtype="<U6"),
+    )
+
+
 def unit_gaussian():
     return make_gaussian_signal(BIT_UM, STEP_UM).unit_sum().values
 
@@ -51,59 +67,60 @@ def unit_gaussian():
 
 def test_score_exact_recovery_is_double_success():
     s = unit_gaussian()
-    position, shape = score([result_at(40, s)], ([40], s), CONFIG)
+    position, shape = score(batch_of([result_at(40, s)]), ([40], s), CONFIG)
     assert (position.tolist(), shape.tolist()) == ([True], [True])
 
 
 def test_score_two_bits_off_fails_position():
     s = unit_gaussian()
-    position, _ = score([result_at(60, s)], ([40], s), CONFIG)
+    position, _ = score(batch_of([result_at(60, s)]), ([40], s), CONFIG)
     assert position.tolist() == [False]
 
 
 def test_score_margin_is_inclusive():
     s = unit_gaussian()
     # exactly one bit off: |50-40| * 1.0 um == 1.0 * 10.0 um
-    position, _ = score([result_at(50, s)], ([40], s), CONFIG)
+    position, _ = score(batch_of([result_at(50, s)]), ([40], s), CONFIG)
     assert position.tolist() == [True]
 
 
 def test_score_five_percent_shape_error_fails_shape_only():
     s = unit_gaussian()
     noisy = s * 1.05
-    position, shape = score([result_at(40, noisy)], ([40], s), replace(CONFIG, epsilon=0.02))
+    position, shape = score(batch_of([result_at(40, noisy)]), ([40], s),
+                            replace(CONFIG, epsilon=0.02))
     assert (position.tolist(), shape.tolist()) == ([True], [False])
 
 
 def test_score_shape_success_requires_position_success():
     s = unit_gaussian()
-    position, shape = score([result_at(80, s)], ([40], s), CONFIG)
+    position, shape = score(batch_of([result_at(80, s)]), ([40], s), CONFIG)
     assert (position.tolist(), shape.tolist()) == ([False], [False])
 
 
 def test_score_loose_epsilon_admits_shape_error():
     s = unit_gaussian()
-    _, shape = score([result_at(40, s * 1.05)], ([40], s), replace(CONFIG, epsilon=0.10))
+    _, shape = score(batch_of([result_at(40, s * 1.05)]), ([40], s),
+                     replace(CONFIG, epsilon=0.10))
     assert shape.tolist() == [True]
 
 
 def test_score_rejects_mismatched_lengths():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="length"):
-        score([result_at(40, s[:-1])], ([40], s), CONFIG)
+        score(batch_of([result_at(40, s[:-1])]), ([40], s), CONFIG)
 
 
 def test_score_rejects_zero_truth():
     s = unit_gaussian()
     with pytest.raises(ValueError, match="zero norm"):
-        score([result_at(40, s)], ([40], np.zeros_like(s)), CONFIG)
+        score(batch_of([result_at(40, s)]), ([40], np.zeros_like(s)), CONFIG)
 
 
 def test_score_reads_flat_and_unconverged_entries_as_misses():
     s = unit_gaussian()
-    entries = [result_at(40, s), FlatSeriesError("flat"), result_at(41, s * 1.05),
-               NumericalFailureError("no convergence", None)]
-    position, shape = score(entries, ([40] * 4, s), CONFIG)
+    entries = [result_at(40, s), "flat", result_at(41, s * 1.05), "failed"]
+    position, shape = score(batch_of(entries), ([40] * 4, s), CONFIG)
     assert position.tolist() == [True, False, True, False]
     assert shape.tolist() == [True, False, False, False]
 
@@ -112,9 +129,9 @@ def test_score_rejects_a_true_offset_per_entry_mismatch():
     # zip would drop the unmatched trials, and the cell's MSP with them.
     s = unit_gaussian()
     with pytest.raises(ValueError, match="2 recoveries but 3 true offsets"):
-        score([result_at(40, s)] * 2, ([40] * 3, s), CONFIG)
+        score(batch_of([result_at(40, s)] * 2), ([40] * 3, s), CONFIG)
     with pytest.raises(ValueError, match="2 recoveries but 1 true offsets"):
-        score([result_at(40, s)] * 2, ([40], s), CONFIG)
+        score(batch_of([result_at(40, s)] * 2), ([40], s), CONFIG)
 
 
 def reference_grade(result, truth, config):
@@ -167,15 +184,13 @@ def test_score_matches_the_per_trial_reference(trials, one_hot, epsilon, margin_
     p_star = 40
     entries = []
     for kind, delta, factor in trials:
-        if kind == "flat":
-            entries.append(FlatSeriesError("flat"))
-        elif kind == "failed":
-            entries.append(NumericalFailureError("no convergence", None))
+        if kind in ("flat", "failed"):
+            entries.append(kind)
         elif one_hot:
             entries.append(result_at(p_star + delta, s + np.eye(10)[0] * abs(epsilon * factor)))
         else:
             entries.append(result_at(p_star + delta, s * (1.0 + epsilon * factor)))
-    position, shape = score(entries, ([p_star] * len(entries), s), config)
+    position, shape = score(batch_of(entries, s.size), ([p_star] * len(entries), s), config)
     expected = [reference_grade(entry, (p_star, s), config) for entry in entries]
     assert position.dtype == shape.dtype == bool
     assert list(zip(position.tolist(), shape.tolist())) == [
@@ -195,10 +210,8 @@ def graded_cells(draw):
     s /= s.sum()
     entries = []
     for kind in rng.choice(["fit", "fit", "fit", "flat", "failed"], draw(st.integers(1, 40))):
-        if kind == "flat":
-            entries.append(FlatSeriesError("flat"))
-        elif kind == "failed":
-            entries.append(NumericalFailureError("no convergence", None))
+        if kind in ("flat", "failed"):
+            entries.append(str(kind))
         else:
             noise = rng.normal(0.0, 10.0 ** rng.uniform(-4.0, -0.5), n)
             entries.append(result_at(40 + int(rng.integers(-12, 13)), s + noise))
@@ -216,17 +229,16 @@ def graded_cells(draw):
 def test_score_grades_each_entry_as_the_per_trial_loop(cell):
     entries, s, epsilon = cell
     config = replace(CONFIG, epsilon=epsilon)
-    position, shape = score(entries, ([40] * len(entries), s), config)
+    batch = batch_of(entries, s.size)
+    position, shape = score(batch, ([40] * len(entries), s), config)
     expected = [reference_grade(entry, (40, s), config) for entry in entries]
     assert list(zip(position.tolist(), shape.tolist())) == [
         (bool(p), bool(q)) for p, q in expected]
     from codedscan.metrics import _score_cell
 
     result = _score_cell(SweepCell(0, "bsr", 1.0, 10.0, 10.0, config), generate_de_bruijn(8),
-                         s, [40] * len(entries), entries)
-    assert (result.flat, result.failed_nnls) == (
-        sum(isinstance(entry, FlatSeriesError) for entry in entries),
-        sum(isinstance(entry, NumericalFailureError) for entry in entries))
+                         position, shape, batch.status)
+    assert (result.flat, result.failed_nnls) == (entries.count("flat"), entries.count("failed"))
 
 
 def test_criteria_validation():
@@ -252,7 +264,9 @@ def test_cell_msp_counts_each_component(grades, msps):
     s = unit_gaussian()
     entries = [result_at(40 if p else 80, s if q else s * 1.05) for p, q in grades]
     cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, CONFIG)
-    result = _score_cell(cell, generate_de_bruijn(8), s, [40] * len(entries), entries)
+    batch = batch_of(entries)
+    position, shape = score(batch, ([40] * len(entries), s), CONFIG)
+    result = _score_cell(cell, generate_de_bruijn(8), position, shape, batch.status)
     assert (result.msp_position, result.msp_shape) == msps
     assert (result.k, result.flat, result.failed_nnls) == (len(entries), 0, 0)
 
@@ -374,7 +388,7 @@ def test_single_cell_msp_matches_manual_recomputation():
             series = simulate(matrix, signal, 30.0, (seed, 0, q, r))
             recovered.append(recover(profile, normalize(series), signal))
             p_stars.append(p_star)
-    position, shape = score(recovered, (p_stars, s_true), CONFIG)
+    position, shape = score(batch_of(recovered), (p_stars, s_true), CONFIG)
     hits_p, hits_s, total = int(position.sum()), int(shape.sum()), len(recovered)
     assert cell.k == total
     assert cell.msp_position == pytest.approx(100.0 * hits_p / total, abs=1e-12)
@@ -442,26 +456,31 @@ def test_noiseless_opaque_sweep_is_perfect():
 
 
 def test_flat_series_and_nnls_failures_are_counted_apart(monkeypatch):
-    import codedscan.metrics as metrics_module
-    from codedscan.nnls import NumericalFailureError
+    from codedscan import recovery
 
     # Opaque bars: the 4-bit scans of window 230 see only its five bars
     # (bits 230-234 are all ones), so both count nothing at any noise level.
     cfg = ExperimentConfig(sweep_kind="scan_length", mu_per_um=1e9, seed=7, replicates=2,
                            position_stride=46, scan_bits_values=(4.0,), energies_kev=(10.0,),
                            noise_levels=(10.0, 100.0))
-    cell = run_sweep(cfg).cells[1]
+    cells = run_sweep(cfg).cells
+    cell = cells[1]
     assert (cell.flat, cell.failed_nnls, cell.failures) == (2, 0, 2)
-    real = metrics_module.recover_batch
-    cell_1_rows = cell.k  # the last rows of the batch both cells share, flat ones included
+    real = recovery.nnls
+    # The first row of cell 1 in the batch both cells share, counted among
+    # the rows that are solved: those of cell 0 that are not flat come first.
+    first = cells[0].k - cells[0].flat
+    solved = []  # rows of each nnls call so far
 
-    def first_fails(profile, counts, *args):
-        results = real(profile, counts, *args)
-        first = len(counts) - cell_1_rows
-        return results[:first] + [NumericalFailureError("no convergence", None)] \
-            + results[first + 1:]
+    def first_fails(a, b):
+        x, converged = real(a, b)
+        row = first - sum(solved)
+        if 0 <= row < len(b):
+            converged[row] = False
+        solved.append(len(b))
+        return x, converged
 
-    monkeypatch.setattr(metrics_module, "recover_batch", first_fails)
+    monkeypatch.setattr(recovery, "nnls", first_fails)
     cell = run_sweep(cfg).cells[1]
     assert (cell.flat, cell.failed_nnls, cell.failures) == (2, 1, 3)
     assert cell.msp_position < 100.0

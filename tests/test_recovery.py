@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -316,7 +317,9 @@ def test_ties_between_equal_windows_go_to_the_smallest_offset():
     noiseless = [build_coding_matrix(profile, int(p), m, len(signal)) @ signal.values
                  for p in starts]
     d = np.concatenate([noiseless, rng.random((40, m))])
-    positions = [result.position for result in recover_batch(profile, d, signal)]
+    batch = recover_batch(profile, d, signal)
+    assert set(batch.status) == {"ok"}
+    positions = batch.position.tolist()
     assert positions == [search_position(profile, row / row.max(), signal.values) for row in d]
     assert positions[:40] == (starts % period).tolist()
     assert max(positions) < period
@@ -324,6 +327,15 @@ def test_ties_between_equal_windows_go_to_the_smallest_offset():
 
 def as_tuple(result):
     return (result.position, result.signal.tobytes(), result.scale, result.residual)
+
+
+def row_of(batch, i):
+    """Row i of a ``recover_batch`` record as ``as_tuple`` gives a fit, or
+    its status where that is not ok."""
+    if batch.status[i] != "ok":
+        return str(batch.status[i])
+    return (int(batch.position[i]), batch.signal[i].tobytes(), float(batch.scale[i]),
+            float(batch.residual[i]))
 
 
 @pytest.mark.parametrize("counts", [[1e300, 2e300], [1.2e-297, 2.4e-297]])
@@ -391,11 +403,11 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
     with small_stacks(profile, stack_rows, stack_rows, len(signal)):  # several stacks per call
         batch = recover_batch(profile, d, signal)
     assert len(batch) == rows
-    for row, result in zip(d, batch):
+    for i, row in enumerate(d):
         if row.any():
-            assert as_tuple(result) == as_tuple(recover(profile, row.copy(), signal))
+            assert row_of(batch, i) == as_tuple(recover(profile, row.copy(), signal))
         else:
-            assert isinstance(result, FlatSeriesError)
+            assert batch.status[i] == "flat"
             with pytest.raises(FlatSeriesError):
                 recover(profile, row.copy(), signal)
 
@@ -414,27 +426,28 @@ def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
     with small_stacks(profile, SEARCH_ROWS, SEARCH_ROWS, len(signal)):
         batch = recover_batch(profile, d, signal)
     assert len(batch) == len(d)
-    for counts, result in zip(d, batch):
+    for i, counts in enumerate(d):
         if not counts.any():
-            assert isinstance(result, FlatSeriesError)
+            assert batch.status[i] == "flat"
             continue
         row = normalize(ScanSeries(counts))  # the unit-peak counts that are fitted
         position = search_position(profile, row, signal.values)
         try:
-            shape = solve_signal(profile, row, position, len(signal))
+            shape, status = solve_signal(profile, row, position, len(signal)), "ok"
         except NumericalFailureError as failure:
-            assert isinstance(result, NumericalFailureError)
-            assert result.best_iterate.tobytes() == failure.best_iterate.tobytes()
-            continue
+            # A failed row holds the solve's last iterate as its signal and scale.
+            shape, status = failure.best_iterate, "failed"
+        assert batch.status[i] == status
         scale = shape.sum()
-        assert result.position == position
-        assert result.scale == scale
-        np.testing.assert_array_equal(result.signal, shape / scale if scale > 0 else shape)
+        assert batch.position[i] == position
+        assert batch.scale[i] == scale
+        np.testing.assert_array_equal(batch.signal[i], shape / scale if scale > 0 else shape)
         # The residual is that of scale * signal at the searched offset.
         matrix = build_coding_matrix(profile, position, SCAN_POINTS, len(signal))
-        fit = matrix @ (result.scale * result.signal)
-        assert result.residual == float(np.sum((fit - row) ** 2))
-        assert result.signal.sum() == pytest.approx(1.0 if scale else 0.0)
+        fit = matrix @ (batch.scale[i] * batch.signal[i])
+        assert batch.residual[i] == float(np.sum((fit - row) ** 2))
+        if status == "ok":
+            assert batch.signal[i].sum() == pytest.approx(1.0 if scale else 0.0)
 
 
 @pytest.mark.parametrize("m", [21, 81, 161])
@@ -486,17 +499,18 @@ def test_batch_rows_are_recovered_alone_when_search_and_solve_stacks_do_not_line
     with small_stacks(profile, 2, 3, len(signal)):
         batch = recover_batch(profile, d, signal)
     assert len(batch) == rows
-    for row, result in zip(d, batch):
+    for i, row in enumerate(d):
         if not row.any():
-            assert isinstance(result, FlatSeriesError)
+            assert batch.status[i] == "flat"
             continue
         try:
             alone = recover(profile, row.copy(), signal)
         except NumericalFailureError as failure:
-            assert isinstance(result, NumericalFailureError)
-            assert result.best_iterate.tobytes() == failure.best_iterate.tobytes()
+            assert batch.status[i] == "failed"
+            iterate = batch.scale[i] * batch.signal[i]
+            assert iterate.tobytes() == failure.best_iterate.tobytes()
         else:
-            assert as_tuple(result) == as_tuple(alone)
+            assert row_of(batch, i) == as_tuple(alone)
 
 
 @settings(max_examples=25, deadline=None)
@@ -515,16 +529,16 @@ def test_batch_scales_rows_to_unit_peak_and_flags_flat_rows(seed, flat, k, mu):
     unit[d.any(axis=1)] = normalize(ScanSeries(d))[0]
     unit[flat] = 0.0
     batch = recover_batch(profile, np.ldexp(unit, np.array(k[: len(flat)])[:, None]), signal)
-    for row, result in zip(unit, batch):
+    for i, row in enumerate(unit):
         if not row.any():
-            assert isinstance(result, FlatSeriesError)
+            assert batch.status[i] == "flat"
             continue
         try:
             alone = recover(profile, row, signal)
         except NumericalFailureError:
-            assert isinstance(result, NumericalFailureError)
+            assert batch.status[i] == "failed"
         else:
-            assert as_tuple(result) == as_tuple(alone)
+            assert row_of(batch, i) == as_tuple(alone)
 
 
 def test_batch_failure_stays_in_its_row(monkeypatch):
@@ -541,10 +555,10 @@ def test_batch_failure_stays_in_its_row(monkeypatch):
 
     alone = [recover(profile, row, signal) for row in d]
     monkeypatch.setattr(recovery, "nnls", fail_middle_row)
-    first, middle, last = recover_batch(profile, d, signal)
-    assert isinstance(middle, NumericalFailureError)
-    assert as_tuple(first) == as_tuple(alone[0])
-    assert as_tuple(last) == as_tuple(alone[2])
+    batch = recover_batch(profile, d, signal)
+    assert batch.status.tolist() == ["ok", "failed", "ok"]
+    assert row_of(batch, 0) == as_tuple(alone[0])
+    assert row_of(batch, 2) == as_tuple(alone[2])
     with pytest.raises(NumericalFailureError):
         recover(profile, d[1], signal)
 
@@ -552,7 +566,9 @@ def test_batch_failure_stays_in_its_row(monkeypatch):
 def test_batch_accepts_empty_and_rejects_bad_arguments():
     profile = opaque_profile()
     signal = make_gaussian_signal(10.0, STEP_UM)
-    assert recover_batch(profile, [], signal) == []
+    empty = recover_batch(profile, np.zeros((0, SCAN_POINTS)), signal)
+    assert [column.shape for column in vars(empty).values()] == [
+        (0,), (0, len(signal)), (0,), (0,), (0,)]
     with pytest.raises(ValueError):
         recover_batch(profile, np.ones(SCAN_POINTS), signal)
     with pytest.raises(ValueError, match=r"got shape \(3, 0\)"):  # no scan points
@@ -569,6 +585,14 @@ def test_batch_accepts_empty_and_rejects_bad_arguments():
     d[0, 0] = np.nan  # a non-finite count is named first, as a series does
     with pytest.raises(ValueError, match=r"^row 0: counts must be finite$"):
         recover_batch(profile, d, signal)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 5, 3), (3,), (3, 0), (2, 5, 3)])
+def test_batch_checks_the_stack_shape_when_it_is_empty_too(shape):
+    profile = opaque_profile()
+    signal = make_gaussian_signal(10.0, STEP_UM)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        recover_batch(profile, np.zeros(shape), signal)
 
 
 @st.composite
@@ -700,7 +724,8 @@ def test_near_opaque_bars_keep_the_search_in_double_precision():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = recover_batch(profile, counts, signal)
-    assert [r.position for r in results] == [
+    assert set(results.status) == {"ok"}
+    assert results.position.tolist() == [
         recovery._best_offset(*terms, row / row.max()) for row in counts
     ]
 

@@ -18,10 +18,10 @@ from codedscan import reporting
 from codedscan.cli import main
 from codedscan.config import ExperimentConfig
 from codedscan.metrics import CellResult, SweepCell, SweepResult
+from codedscan.recovery import RecoveryBatch
 from codedscan.reporting import (
     POSITION_TOLERANCE_UM,
     SERIES_COLUMNS,
-    RecoveryRow,
     SeriesFormatError,
     atomic_write_text,
     read_pixel_series,
@@ -181,12 +181,19 @@ def test_patterning_csv_adds_join_columns(tmp_path):
 # ----------------------------------------------------------- recovery CSV
 
 
+def recoveries(signal, residual, status):
+    """A ``RecoveryBatch`` with these columns, at offset 0 and scale 1: the
+    writer reads no others."""
+    signal = np.asarray(signal, dtype=float)
+    t = len(signal)
+    return RecoveryBatch(np.zeros(t, dtype=int), signal, np.ones(t),
+                         np.asarray(residual, dtype=float), np.asarray(status, dtype="<U6"))
+
+
 def test_recovery_csv_rows(tmp_path):
-    rows = [
-        RecoveryRow("3", 370.0, 1.5e-12, np.array([0.25, 0.5, 0.25]), "ok"),
-        RecoveryRow("7", None, None, None, "flat"),
-    ]
-    path = write_recovery_csv(tmp_path / "rec.csv", rows, 3, [("seed", "1")])
+    recovered = recoveries([[0.25, 0.5, 0.25], [0.0, 0.0, 0.0]], [1.5e-12, 0.0], ["ok", "flat"])
+    path = write_recovery_csv(tmp_path / "rec.csv", ["3", "7"], np.array([370.0, 0.0]),
+                              recovered, 3, [("seed", "1")])
     lines = path.read_text().splitlines()
     assert lines[2] == "pixel_id,p_hat_um,residual,s_0,s_1,s_2,status"
     assert lines[3] == "3,370.0,1.5e-12,0.25,0.5,0.25,ok"
@@ -196,15 +203,22 @@ def test_recovery_csv_rows(tmp_path):
 def test_readme_recovery_columns_match_the_csv_header(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (documented,) = re.findall(r"the output's columns are\s+`([^`]+)`", readme)
-    path = write_recovery_csv(tmp_path / "rec.csv", [], 3, [("seed", "1")])
+    path = write_recovery_csv(tmp_path / "rec.csv", [], np.zeros(0),
+                              recoveries(np.zeros((0, 3)), [], []), 3, [("seed", "1")])
     (header,) = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     assert documented.replace("s_0,…,s_{N-1}", "s_0,s_1,s_2") == header
 
 
 def test_recovery_csv_rejects_wrong_signal_length(tmp_path):
-    rows = [RecoveryRow("0", 1.0, 0.0, np.array([1.0, 2.0]), "ok")]
+    recovered = recoveries([[1.0, 2.0]], [0.0], ["ok"])
     with pytest.raises(ValueError, match="signal length"):
-        write_recovery_csv(tmp_path / "rec.csv", rows, 3)
+        write_recovery_csv(tmp_path / "rec.csv", ["0"], np.array([1.0]), recovered, 3)
+
+
+def test_recovery_csv_rejects_ids_that_do_not_match_the_rows(tmp_path):
+    recovered = recoveries([[1.0, 2.0, 3.0]] * 2, [0.0, 0.0], ["ok", "ok"])
+    with pytest.raises(ValueError, match="zip"):
+        write_recovery_csv(tmp_path / "rec.csv", ["0"], np.array([1.0, 2.0]), recovered, 3)
 
 
 # ------------------------------------------------------------- series file
