@@ -10,6 +10,7 @@ fully open aperture would read ``peak_counts``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +121,21 @@ def build_coding_matrix(
 
 
 def trial_rng(*entropy: int) -> np.random.Generator:
-    """Counter-based stream keyed by trial coordinates.
+    """Counter-based stream keyed by ``entropy``, ints >= 0.
 
-    Streams for distinct entropy tuples are independent, so trials may run
-    in any order on any number of workers and still reproduce bit-for-bit.
-    Philox keys itself with ``SeedSequence(entropy).generate_state(2,
-    uint64)``.
+    Streams for distinct entropy tuples are independent, so work keyed by
+    them may run in any order on any number of workers and still reproduce
+    bit-for-bit. Philox keys itself with ``SeedSequence(entropy)
+    .generate_state(2, uint64)``. An entry that is not an int, or is
+    negative, raises ``ValueError``.
     """
-    return np.random.Generator(np.random.Philox([int(e) for e in entropy]))
+    try:
+        key = [operator.index(entry) for entry in entropy]
+    except TypeError:
+        raise ValueError("key entries must be ints") from None
+    if any(entry < 0 for entry in key):
+        raise ValueError(f"key {tuple(key)} holds a negative entry")
+    return np.random.Generator(np.random.Philox(key))
 
 
 def simulate(
@@ -139,116 +147,29 @@ def simulate(
 ) -> ScanSeries:
     """Expected intensities I = A_p s, Poisson-sampled unless noiseless.
 
-    ``matrix`` is A_p from ``build_coding_matrix``. ``peak_counts`` sets
-    the expected count at a fully open alignment (sum of the rescaled
-    signal); ``math.inf`` skips rescaling and noise, returning raw
-    intensities. ``seed`` is an int or tuple of ints keying the per-trial
-    counter-based stream: the counts are ``trial_rng(*seed).poisson(I)``.
-
-    A (W, M, N) stack of matrices takes a sequence of T trial keys, T a
-    multiple of W, and returns the (T, M) stack of series: the keys split
-    evenly over the matrices in order, and row t, drawn from matrix
-    t // (T / W) with key t, equals ``simulate`` of that matrix and key.
-    The stack is drawn in one pass: the Philox keys of all rows are mixed
-    at once (``_philox_keys``), and one Philox, reset to each row's key,
-    draws every row.
+    ``matrix`` is A_p from ``build_coding_matrix``; a (T, M, N) stack of
+    them gives the (T, M) stack of series. ``peak_counts`` sets the
+    expected count at a fully open alignment (sum of the rescaled signal);
+    ``math.inf`` skips rescaling and noise, returning raw intensities.
+    ``seed`` is an int >= 0, or a tuple of them, that keys one
+    counter-based stream: the counts are ``trial_rng(*seed).poisson(I)``,
+    a stack's drawn row after row in C order.
     """
+    return ScanSeries(_counts(matrix @ signal.values, signal, peak_counts, seed, noiseless))
+
+
+def _counts(intensity, signal: Signal, peak_counts: float, seed, noiseless: bool = False):
+    """Counts of ``simulate`` around raw intensities ``intensity`` = A_p s
+    of ``signal``, of any shape: rescaled to ``peak_counts`` and drawn from
+    ``trial_rng(*seed)`` in C order."""
     total = float(signal.values.sum())
     if total <= 0:
         raise ValueError("signal is identically zero: nothing to detect")
-    intensity = matrix @ signal.values
-    exact = math.isinf(peak_counts)
-    if not exact:
-        if peak_counts <= 0:
-            raise ValueError("peak_counts must be positive (or inf for raw intensities)")
-        intensity = intensity * (peak_counts / total)
-    exact = exact or noiseless
-    stacked = intensity.ndim == 2
-    if not stacked:  # a stack of one
-        intensity, seed = intensity[None], [seed]
-    keys = [key if isinstance(key, (tuple, list)) else (key,) for key in seed]
-    if not keys or len(keys) % len(intensity):
-        raise ValueError(f"{len(keys)} trial keys do not split over {len(intensity)} matrices")
-    per_matrix = len(keys) // len(intensity)
-    if exact:
-        counts = np.repeat(intensity, per_matrix, axis=0)
-    else:
-        philox_keys = _philox_keys(keys)
-        bitgen = np.random.Philox(key=philox_keys[0])
-        rng = np.random.Generator(bitgen)
-        state = bitgen.state  # a fresh stream: counter 0, empty buffer
-        counts = np.empty((len(keys), intensity.shape[1]))
-        for t, key in enumerate(philox_keys):
-            state["state"]["key"] = key
-            bitgen.state = state
-            counts[t] = rng.poisson(intensity[t // per_matrix])
-    return ScanSeries(counts if stacked else counts[0])
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _philox_keys(keys) -> np.ndarray:
-    """(T, 2) uint64 Philox key of each trial key, as ``trial_rng`` keys
-    its stream: ``SeedSequence(key).generate_state(2, np.uint64)``.
-
-    Each key becomes its uint32 entropy words, each entry least
-    significant word first, at least one word per entry. Keys with the
-    same number of words are mixed together in uint32 array operations.
-    """
-    by_length = {}  # words per key -> (rows, their words in one list)
-    for t, key in enumerate(keys):
-        words = []
-        for entry in key:
-            entry = int(entry)
-            if entry < 0:
-                raise ValueError(f"trial key {tuple(key)} holds a negative entry")
-            words.append(entry & _MASK32)
-            while entry := entry >> 32:
-                words.append(entry & _MASK32)
-        rows, flat = by_length.setdefault(len(words), ([], []))
-        rows.append(t)
-        flat += words
-    state = np.empty((len(keys), _POOL_SIZE), dtype=np.uint32)
-    for length, (rows, flat) in by_length.items():
-        state[rows] = _seed_state(np.array(flat, dtype=np.uint32).reshape(len(rows), length))
-    # generate_state reads its uint32 words as little-endian uint64 pairs
-    return state.astype("<u4", copy=False).view("<u8")
-
-
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence`` of each row of the (R, L) uint32 ``entropy``: the
-    four uint32 words of ``generate_state(2, np.uint64)``, as (R, 4)."""
-
-    def hasher(const, mult):
-        def hashmix(value):
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const
-            return value ^ value >> 16
-
-        return hashmix
-
-    def mix(x, y):
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ result >> 16
-
-    rows, length = entropy.shape
-    hashmix = hasher(_INIT_A, _MULT_A)
-    zeros = np.zeros(rows, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):  # words past the pool mix into every pool word
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hashmix = hasher(_INIT_B, _MULT_B)
-    return np.stack([hashmix(word) for word in pool], axis=1)
+    if math.isinf(peak_counts):
+        return intensity
+    if peak_counts <= 0:
+        raise ValueError("peak_counts must be positive (or inf for raw intensities)")
+    intensity = intensity * (peak_counts / total)
+    if noiseless:
+        return intensity
+    return trial_rng(*(seed if isinstance(seed, tuple) else (seed,))).poisson(intensity)

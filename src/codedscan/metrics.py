@@ -11,7 +11,7 @@ import numpy as np
 
 from .aperture import build_profile
 from .codes import Pattern, generate_de_bruijn, window_stats
-from .forward import build_coding_matrix, make_gaussian_signal, simulate
+from .forward import _counts, build_coding_matrix, make_gaussian_signal
 # Nothing here calls ``recover``; the benchmark's tracer test looks it up in this module.
 from .recovery import RecoveryBatch, recover, recover_batch  # noqa: F401
 
@@ -168,11 +168,10 @@ def _run_cells(cells: list, pattern: Pattern) -> list:
 
     The cells share one profile, padded as ``recover`` pads it, so a sweep
     searches the offsets that ``recover`` searches. Their trials are drawn
-    with one ``simulate`` call per noise level, recovered in one
+    by ``_simulate_cells``, each cell from its own stream, recovered in one
     ``recover_batch`` call on their rows in cell order and graded by one
-    ``score`` call; row i is ``recover`` of row i alone, and every row keeps
-    its own trial key, so each result is as it would be for the cell by
-    itself.
+    ``score`` call; row i is ``recover`` of row i alone, so each result is
+    as it would be for the cell by itself.
     """
     config = cells[0].config
     profile = build_profile(
@@ -195,35 +194,25 @@ def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
     in cell order, and the true offset of each series.
 
     A cell scans every window of the config, or the one it scores. The
-    windows of all cells at one noise level are drawn by one ``simulate``
-    call on coding matrices built for it, so each noise level computes its
-    windows' intensities anew; replicate r of window q is drawn from its own
-    stream, keyed (seed, cell, q, r). Every cell has as many windows as the
-    others, so the drawn rows split evenly back to the cells.
+    coding matrices of the config's windows are built once and their
+    intensities computed once. Each cell then draws its (replicates,
+    windows, M) counts replicate-major from its own stream,
+    ``trial_rng(seed, cell)``, in one Poisson call, so its rows do not
+    depend on the cells drawn with it, and raising ``replicates`` only
+    appends rows. Every cell has as many windows as the others, so the
+    rows split evenly back to the cells.
     """
     config = cells[0].config
-    reps = config.replicates
-    starts = [
-        _window_starts(pattern, config) if cell.window_start is None else (cell.window_start,)
-        for cell in cells
-    ]
-    offsets = [np.array([profile.index_of(q * config.bit_size_um) for q in s]) for s in starts]
-    by_noise = {}  # noise level -> indices of its cells
-    for i, cell in enumerate(cells):
-        by_noise.setdefault(cell.noise_level, []).append(i)
-    blocks = [None] * len(cells)
-    for noise, indices in by_noise.items():
-        matrices = build_coding_matrix(
-            profile, np.concatenate([offsets[i] for i in indices]), m, len(truth_signal)
-        )
-        keys = [
-            (config.seed, cells[i].index, q, r)
-            for i in indices for q in starts[i] for r in range(reps)
-        ]
-        counts = simulate(matrices, truth_signal, noise, keys).raw
-        for i, block in zip(indices, np.split(counts, len(indices))):
-            blocks[i] = block
-    return np.concatenate(blocks), np.repeat(np.concatenate(offsets), reps)
+    starts = list(_window_starts(pattern, config))
+    offsets = np.array([profile.index_of(q * config.bit_size_um) for q in starts])
+    intensity = build_coding_matrix(profile, offsets, m, len(truth_signal)) @ truth_signal.values
+    blocks, p_stars = [], []
+    for cell in cells:
+        rows = slice(None) if cell.window_start is None else [starts.index(cell.window_start)]
+        scans = np.tile(intensity[rows], (config.replicates, 1))  # replicate-major
+        blocks.append(_counts(scans, truth_signal, cell.noise_level, (config.seed, cell.index)))
+        p_stars.append(np.tile(offsets[rows], config.replicates))
+    return np.concatenate(blocks, dtype=float), np.concatenate(p_stars)
 
 
 def _score_cell(cell: SweepCell, pattern: Pattern, position, shape, status):
@@ -274,9 +263,10 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
 
     Cells that share a config (they differ only in noise level or scored
     window) form one group, run slice by slice by ``_run_cells`` through
-    ``run_slices``. Trials are keyed by (seed, cell, window, replicate),
-    so any split or execution order reproduces the same numbers; merging
-    in cell order keeps output stable.
+    ``run_slices``. Each cell draws its trials from one stream keyed by
+    (seed, cell), replicate-major, and a slice never splits a cell, so any
+    split or execution order reproduces the same numbers; merging in cell
+    order keeps output stable.
     """
     config.bit_size_um  # no sweep kind honours unequal [aperture] bit sizes
     pattern = generate_de_bruijn(config.pattern_order)

@@ -186,37 +186,58 @@ ENTRIES = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
 
 
 @settings(max_examples=60, deadline=None)
-@given(keys=st.lists(st.lists(ENTRIES, min_size=1, max_size=4).map(tuple), min_size=1, max_size=6),
-       per_key=st.booleans(), peak=st.sampled_from([0.5, 50.0, 5000.0]))
-@example(keys=[(0,)], per_key=False, peak=50.0)  # a stack of one, one word
-@example(keys=[(2**130 + 12345, 7, 8)], per_key=True, peak=50.0)  # 7 words
-@example(keys=[(1,), (2**62, 3), (1, 2, 3, 4, 5, 6, 7), (2**64,)], per_key=False, peak=5.0)
-def test_stacked_draw_is_trial_rng_of_each_key(keys, per_key, peak):
-    # One matrix per key, or one for the whole stack; word counts mix.
+@given(key=st.one_of(ENTRIES, st.lists(ENTRIES, min_size=1, max_size=4).map(tuple)),
+       rows=st.integers(1, 6), peak=st.sampled_from([0.5, 50.0, 5000.0]))
+@example(key=0, rows=1, peak=50.0)  # a stack of one, one word
+@example(key=(2**130 + 12345, 7, 8), rows=3, peak=50.0)  # 7 words
+@example(key=(1, 2, 3, 4, 5, 6, 7), rows=6, peak=5.0)
+def test_stacked_draw_is_one_stream_in_c_order(key, rows, peak):
+    # A stack is drawn from the one stream of its key in C order: as one
+    # Poisson call on the stacked intensities, and as its rows drawn one
+    # after another from one generator. Its first row is the (M, N) draw.
     values = np.random.default_rng(5).random(40)
-    matrices = build_coding_matrix(values, np.arange(len(keys) if per_key else 1), 9, 4)
+    matrices = build_coding_matrix(values, np.arange(rows), 9, 4)
     signal = make_gaussian_signal(4.0, 1.0)
-    stack = simulate(matrices, signal, peak, keys).raw
+    stack = simulate(matrices, signal, peak, key).raw
     intensity = matrices @ signal.values * (peak / signal.values.sum())
-    assert stack.shape == (len(keys), 9)
-    for t, key in enumerate(keys):
-        expected = trial_rng(*key).poisson(intensity[t if per_key else 0]).astype(float)
-        assert stack[t].tobytes() == expected.tobytes()
-        alone = simulate(matrices[t if per_key else 0], signal, peak, key).raw
-        assert alone.tobytes() == expected.tobytes()
+    entropy = key if isinstance(key, tuple) else (key,)
+    assert stack.shape == (rows, 9)
+    assert stack.tobytes() == trial_rng(*entropy).poisson(intensity).astype(float).tobytes()
+    rng = trial_rng(*entropy)
+    for t in range(rows):
+        assert stack[t].tobytes() == rng.poisson(intensity[t]).astype(float).tobytes()
+    alone = simulate(matrices[0], signal, peak, key).raw
+    assert alone.tobytes() == trial_rng(*entropy).poisson(intensity[0]).astype(float).tobytes()
 
 
 def test_negative_key_entry_is_rejected():
     # as SeedSequence rejects it, and so trial_rng
     matrices = build_coding_matrix(np.ones(10), np.zeros(2, dtype=int), 3, 2)
     signal = make_gaussian_signal(2.0, 1.0)
-    for keys in ([(0,), (2**40, -(2**40))], [5, -3]):
+    for key in ((2**40, -(2**40)), -3):
         with pytest.raises(ValueError, match="negative"):
-            simulate(matrices, signal, 10.0, keys)
+            simulate(matrices, signal, 10.0, key)
     with pytest.raises(ValueError, match="negative"):
         simulate(matrices[0], signal, 10.0, (1, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative"):
         trial_rng(1, -1)
+
+
+@pytest.mark.parametrize("key", [[(0,), (1,)], [5, 3], (1.5,), 1.5, (2, "3"), None, (True, 2.0)])
+def test_malformed_keys_are_refused_with_value_error(key):
+    # A key is an int >= 0 or a tuple of them: a list of keys, a float
+    # (which int() would truncate) or any other entry is refused.
+    matrix = build_coding_matrix(np.ones(10), 0, 3, 2)
+    with pytest.raises(ValueError, match="key entries must be ints"):
+        simulate(matrix, make_gaussian_signal(2.0, 1.0), 10.0, key)
+    with pytest.raises(ValueError, match="key entries must be ints"):
+        trial_rng(*(key if isinstance(key, tuple) else (key,)))
+
+
+def test_integer_like_key_entries_key_the_int_stream():
+    # numpy integers key the same stream as the int they hold.
+    expected = trial_rng(3, 7).random(4).tobytes()
+    assert trial_rng(np.int64(3), np.uint8(7)).random(4).tobytes() == expected
 
 
 def test_signal_and_series_validation():

@@ -13,6 +13,7 @@ from codedscan import (
     ExperimentConfig,
     RecoveryBatch,
     RecoveryResult,
+    ScanSeries,
     SweepCell,
     SweepResult,
     build_coding_matrix,
@@ -28,7 +29,9 @@ from codedscan import (
     simulate,
     window_stats,
 )
+from codedscan import metrics as metrics_module
 from codedscan.aperture import ApertureGeometry, OpticalContext
+from codedscan.cli import QUICK_REPLICATES
 
 BIT_UM = 10.0
 STEP_UM = 1.0
@@ -364,7 +367,7 @@ def test_sweep_result_rejects_out_of_range_msp():
 
 def test_single_cell_msp_matches_manual_recomputation():
     # Re-derive one cell's MSP from the public primitives, mirroring the
-    # documented trial keying (seed, cell index, window start, replicate).
+    # documented draw: one stream keyed (seed, cell index), replicate-major.
     seed, reps, stride = 99, 2, 16
     cfg = ExperimentConfig(sweep_kind="bsr", seed=seed, replicates=reps, position_stride=stride,
                       bsr_values=(1.0,), energies_kev=(10.0,), noise_levels=(30.0,))
@@ -380,14 +383,9 @@ def test_single_cell_msp_matches_manual_recomputation():
     m, n = scan_point_count(8.0, BIT_UM, STEP_UM), len(signal)
     profile = build_profile(geometry, context, STEP_UM).pad_for_scan(m, n)
     starts = range(0, 249, stride)
-    p_stars, recovered = [], []
-    for q in starts:
-        p_star = profile.index_of(q * BIT_UM)
-        matrix = build_coding_matrix(profile, p_star, m, n)
-        for r in range(reps):
-            series = simulate(matrix, signal, 30.0, (seed, 0, q, r))
-            recovered.append(recover(profile, normalize(series), signal))
-            p_stars.append(p_star)
+    p_stars = np.tile([profile.index_of(q * BIT_UM) for q in starts], reps)
+    counts = simulate(build_coding_matrix(profile, p_stars, m, n), signal, 30.0, (seed, 0))
+    recovered = [recover(profile, normalize(ScanSeries(row)), signal) for row in counts.raw]
     position, shape = score(batch_of(recovered), (p_stars, s_true), CONFIG)
     hits_p, hits_s, total = int(position.sum()), int(shape.sum()), len(recovered)
     assert cell.k == total
@@ -654,7 +652,8 @@ def test_grouped_cells_equal_each_cell_recovered_alone(monkeypatch, cfg, configs
 def test_grouped_draws_equal_each_cell_simulated_alone(monkeypatch):
     # Noise levels 10, inf and 100 alternate cell by cell in the one call:
     # each cell's rows, as recover_batch receives them, are simulate of its
-    # own matrix and keys, on the profile padded as recover pads it.
+    # own matrix, once per replicate, under its key (seed, cell index), on
+    # the profile padded as recover pads it.
     import codedscan.metrics as metrics_module
 
     calls = []
@@ -681,11 +680,84 @@ def test_grouped_draws_equal_each_cell_simulated_alone(monkeypatch):
         for start in range(0, len(rows), cfg.replicates):
             cell = next(cells)
             offset = profile.index_of(cell.window_start * cfg.bit_size_um)
-            keys = [(cfg.seed, cell.index, cell.window_start, r) for r in range(cfg.replicates)]
-            matrices = build_coding_matrix(profile, np.array([offset]), m, len(signal))
-            alone = simulate(matrices, signal, cell.noise_level, keys).raw
+            matrices = build_coding_matrix(profile, np.full(cfg.replicates, offset), m, len(signal))
+            alone = simulate(matrices, signal, cell.noise_level, (cfg.seed, cell.index)).raw
             assert rows[start : start + cfg.replicates].tobytes() == alone.tobytes()
     assert next(cells, None) is None
+
+
+def config_groups(cfg):
+    """The pattern of ``cfg`` and its grid's cells, grouped by config as
+    ``run_sweep`` groups them."""
+    pattern = generate_de_bruijn(cfg.pattern_order)
+    param_name, values, groups, replaced = metrics_module._AXES[cfg.sweep_kind]
+    by_config = {}
+    for cell in metrics_module._cells(cfg, param_name, values(cfg, pattern), groups(cfg), replaced):
+        by_config.setdefault(cell.config, []).append(cell)
+    return pattern, list(by_config.values())
+
+
+def drawing_of(cfg, pattern):
+    """The padded profile, true signal and scan length with which
+    ``_run_cells`` draws the cells of config ``cfg``."""
+    signal = make_gaussian_signal(cfg.signal_width_um, cfg.grid_step_um)
+    m = scan_point_count(cfg.scan_bits, cfg.bit_size_um, cfg.grid_step_um)
+    profile = build_profile(
+        cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample
+    ).pad_for_scan(m, len(signal))
+    return profile, signal, m
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(sweep_kind="patterning", seed=4, replicates=3, position_stride=40,
+                     noise_levels=(10.0, 100.0)),
+    ExperimentConfig(sweep_kind="bsr", seed=8, replicates=3, position_stride=40,
+                     bsr_values=(1.0,), energies_kev=(10.0,),
+                     noise_levels=(10.0, math.inf, 100.0)),
+])
+def test_a_cell_draws_the_same_rows_alone_in_its_group_and_in_any_slice(cfg):
+    # Each cell is drawn from its own stream (seed, cell index), with its
+    # windows' matrices replicate-major, whichever cells share its group
+    # or its slice; two workers draw the group in two processes.
+    pattern, (cells,) = config_groups(cfg)
+    profile, signal, m = drawing_of(cfg, pattern)
+    counts, p_stars = metrics_module._simulate_cells(cells, pattern, profile, signal, m)
+    sliced = metrics_module.run_slices(
+        metrics_module._simulate_cells, [cells], 2, pattern, profile, signal, m
+    )
+    assert np.concatenate(sliced[0::2]).tobytes() == counts.tobytes()
+    assert np.concatenate(sliced[1::2]).tolist() == p_stars.tolist()
+    k = len(counts) // len(cells)
+    for i, cell in enumerate(cells):
+        alone, alone_stars = metrics_module._simulate_cells([cell], pattern, profile, signal, m)
+        assert alone.tobytes() == counts[i * k : (i + 1) * k].tobytes()
+        assert alone_stars.tolist() == p_stars[i * k : (i + 1) * k].tolist()
+        matrices = build_coding_matrix(profile, alone_stars, m, len(signal))
+        drawn = simulate(matrices, signal, cell.noise_level, (cfg.seed, cell.index)).raw
+        assert alone.tobytes() == drawn.tobytes()
+
+
+def test_a_quick_run_draws_the_first_replicates_of_a_full_run():
+    # Replicate-major draws: raising replicates only appends rows, so each
+    # cell of a --quick run draws the first QUICK_REPLICATES * W rows of
+    # the same cell at 30 replicates.
+    full = ExperimentConfig(sweep_kind="bsr", seed=12, replicates=30, position_stride=48,
+                            bsr_values=(0.5, 1.0), energies_kev=(10.0,),
+                            noise_levels=(10.0, math.inf, 100.0))
+    pattern, full_groups = config_groups(full)
+    _, quick_groups = config_groups(replace(full, replicates=QUICK_REPLICATES))
+    assert len(full_groups) == len(quick_groups) == 2
+    for full_cells, quick_cells in zip(full_groups, quick_groups):
+        profile, signal, m = drawing_of(full_cells[0].config, pattern)
+        for full_cell, quick_cell in zip(full_cells, quick_cells, strict=True):
+            assert full_cell.index == quick_cell.index
+            rows, stars = metrics_module._simulate_cells([full_cell], pattern, profile, signal, m)
+            quick, quick_stars = metrics_module._simulate_cells(
+                [quick_cell], pattern, profile, signal, m
+            )
+            assert len(rows) * QUICK_REPLICATES == len(quick) * full.replicates
+            assert quick.tobytes() == rows[: len(quick)].tobytes()
+            assert quick_stars.tolist() == stars[: len(quick)].tolist()
 
 
 def test_scan_length_trend_more_bits_help():

@@ -21,6 +21,7 @@ from codedscan.forward import (
     make_boxcar_signal,
     make_gaussian_signal,
     simulate,
+    trial_rng,
 )
 from codedscan import recovery
 from codedscan.nnls import NumericalFailureError
@@ -82,9 +83,9 @@ def test_normalize_flat_series_rejected():
 
 @st.composite
 def simulated_cells(draw):
-    """A cell's trials: W windows of a profile, R replicates each, keyed
-    (seed, 7, w, r). A zero profile makes every series flat (all zero) at
-    any noise level."""
+    """A cell's trials: W windows of a profile, R replicates each, drawn
+    replicate-major under one key (seed, 7). A zero profile makes every
+    series flat (all zero) at any noise level."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.sampled_from([2, 3, 17, 81]))
     n = draw(st.integers(1, 10))
@@ -97,26 +98,31 @@ def simulated_cells(draw):
         "zeros": np.zeros(size),
     }[kind]
     offsets = rng.integers(0, size - m - n + 2, size=draw(st.integers(1, 5)))
-    replicates = draw(st.integers(1, 4))
-    keys = [(draw(st.integers(0, 2**40)), 7, w, r)
-            for w in range(offsets.size) for r in range(replicates)]
+    offsets = np.tile(offsets, draw(st.integers(1, 4)))
+    key = (draw(st.integers(0, 2**40)), 7)
     signal = make_gaussian_signal(float(n), 1.0)
     noise = draw(st.sampled_from([10.0, 100.0, math.inf]))
-    return values, offsets, m, signal, noise, keys
+    return values, offsets, m, signal, noise, key
 
 
 @settings(max_examples=80, deadline=None)
 @given(simulated_cells())
 def test_stacked_simulate_and_normalize_equal_the_per_trial_ones(cell):
-    values, offsets, m, signal, noise, keys = cell
-    stack = simulate(build_coding_matrix(values, offsets, m, len(signal)), signal, noise, keys)
+    # Trial t of the stack is the t-th draw of its key's one stream, from
+    # the intensities of its own matrix; the first is its (M, N) simulate.
+    values, offsets, m, signal, noise, key = cell
+    stack = simulate(build_coding_matrix(values, offsets, m, len(signal)), signal, noise, key)
     normalized, flat = normalize(stack)
-    replicates = len(keys) // offsets.size
+    rng = trial_rng(*key)
     rows, flags = [], []
-    for t, key in enumerate(keys):
-        matrix = build_coding_matrix(values, int(offsets[t // replicates]), m, len(signal))
-        series = simulate(matrix, signal, noise, key)
+    for t, offset in enumerate(offsets):
+        matrix = build_coding_matrix(values, int(offset), m, len(signal))
+        series = simulate(matrix, signal, math.inf, 0)  # its intensities
+        if not math.isinf(noise):
+            series = ScanSeries(rng.poisson(series.raw * (noise / signal.values.sum())))
         assert stack.raw[t].tobytes() == series.raw.tobytes()
+        if t == 0:
+            assert simulate(matrix, signal, noise, key).raw.tobytes() == series.raw.tobytes()
         try:
             rows.append(normalize(series))
         except FlatSeriesError:
@@ -139,9 +145,10 @@ def test_stacked_series_keep_the_series_checks():
     assert flat.tolist() == [False, True, False] and normalized.tolist() == [[1.0], [1.0]]
     normalized, flat = normalize(ScanSeries(np.zeros((1, 4))))  # a stack of one never raises
     assert flat.tolist() == [True] and normalized.shape == (0, 4)
+    # A stack is drawn under one key: a list of per-trial keys is refused.
     matrices = build_coding_matrix(np.ones(20), np.array([0, 3]), 5, 4)
-    with pytest.raises(ValueError, match="3 trial keys do not split over 2 matrices"):
-        simulate(matrices, make_gaussian_signal(4.0, 1.0), 10.0, [(1,), (2,), (3,)])
+    with pytest.raises(ValueError, match="key entries must be ints"):
+        simulate(matrices, make_gaussian_signal(4.0, 1.0), 10.0, [(1,), (2,)])
 
 
 def test_search_exact_at_truth():
@@ -719,7 +726,7 @@ def test_near_opaque_bars_keep_the_search_in_double_precision():
     terms = recovery._template_terms(profile.values, signal.values, m)
     assert recovery._single_precision(*terms) is None
     matrices = build_coding_matrix(profile, np.arange(0, 2540, 7), m, len(signal))
-    counts = simulate(matrices, signal, 1e4, [(5, k) for k in range(len(matrices))]).raw
+    counts = simulate(matrices, signal, 1e4, 5).raw
     counts = counts[counts.any(axis=1)]  # scans over bars alone count nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
