@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -32,43 +32,17 @@ def _one_of(choices):
 _POSITIVE = ("must be positive", lambda value: value > 0)
 _ANGLE = (_at_least(0), ("must be < 90", lambda value: value < 90))
 
-# Per [section] key, in ExperimentConfig field order: the field it sets, how
-# its text parses (int, float, text, floats: a comma-separated list,
-# floats_inf: one where inf means noiseless, or path: a load_mu_table file
-# relative to the config) and the field's bound, (words, test) checks that
-# the value, or each value of a list, must pass in order. None passes where
-# it is the default.
-_KEYS = {
-    ("aperture", "pattern_order"): ("pattern_order", "int", (_at_least(1),)),
-    ("aperture", "bit_size_zero_um"): ("bit_size_zero_um", "float", (_POSITIVE,)),
-    ("aperture", "bit_size_one_um"): ("bit_size_one_um", "float", (_POSITIVE,)),
-    ("aperture", "thickness_um"): ("thickness_um", "float", (_POSITIVE,)),
-    ("optics", "mu_per_um"): ("mu_per_um", "float", (_at_least(0),)),
-    ("optics", "energy_kev"): ("energy_kev", "float", (_POSITIVE,)),
-    ("optics", "mu_table"): ("mu_table", "path", ()),
-    ("optics", "incidence_angle_deg"): ("incidence_angle_deg", "float", _ANGLE),
-    ("signal", "width_um"): ("signal_width_um", "float", (_POSITIVE,)),
-    ("signal", "template"): ("template", "text", (_one_of(TEMPLATES),)),
-    ("scan", "grid_step_um"): ("grid_step_um", "float", (_POSITIVE,)),
-    ("scan", "scan_bits"): ("scan_bits", "float", (_at_least(1),)),
-    ("scan", "noise_levels"): ("noise_levels", "floats_inf", (_POSITIVE,)),
-    ("scan", "seed"): ("seed", "int", (_at_least(0),)),
-    ("scan", "oversample"): ("oversample", "int", (_at_least(1),)),
-    ("sweep", "kind"): ("sweep_kind", "text", (_one_of(SWEEP_KINDS),)),
-    ("sweep", "bsr_values"): ("bsr_values", "floats", (_POSITIVE,)),
-    ("sweep", "scan_bits_values"): ("scan_bits_values", "floats", (_POSITIVE, _at_least(1))),
-    ("sweep", "aspect_values"): ("aspect_values", "floats", (_POSITIVE,)),
-    ("sweep", "angles_deg"): ("angles_deg", "floats", _ANGLE),
-    ("sweep", "energies_kev"): ("energies_kev", "floats", (_POSITIVE,)),
-    ("sweep", "replicates"): ("replicates", "int", (_at_least(1),)),
-    ("sweep", "position_stride"): ("position_stride", "int", (_at_least(1),)),
-    ("criteria", "epsilon"): ("epsilon", "float", (_POSITIVE,)),
-    ("criteria", "position_margin_bits"): ("position_margin_bits", "float", (_at_least(0),)),
-    ("output", "csv"): ("out_csv", "text", ()),
-}
-# Sections a file may hold. [recover] has no key left; an old file's key
-# there is named as an unknown key, not its section as an unknown section.
-_SECTIONS = {section for section, _ in _KEYS} | {"recover"}
+
+def _key(section: str, key: str, parse: str, default, *bound):
+    """A field that ``[section] key`` sets, with its ``default``.
+
+    ``parse`` is how the key's text parses: int, float, text, floats (a
+    comma-separated list), floats_inf (one where inf means noiseless) or path
+    (a load_mu_table file relative to the config). ``bound`` holds the
+    (words, test) checks that the value, or each value of a list, must pass
+    in order. None passes where it is the default.
+    """
+    return field(default=default, metadata={"ini": (section, key, parse, bound)})
 
 
 @dataclass(frozen=True)
@@ -84,41 +58,51 @@ class ExperimentConfig:
     config is built.
     """
 
-    pattern_order: int = 8
-    bit_size_zero_um: float = 10.0
-    bit_size_one_um: float = 10.0
-    thickness_um: float = 10.0
-    mu_per_um: float | None = None  # overrides the table lookup when set
-    energy_kev: float = 10.0
-    mu_table: tuple = ()
-    incidence_angle_deg: float = 0.0
-    signal_width_um: float = 10.0
-    template: str = "gaussian"
-    grid_step_um: float = 1.0
-    scan_bits: float = 8.0
-    noise_levels: tuple = (10.0, 100.0)
-    seed: int = 0
-    oversample: int = DEFAULT_OVERSAMPLE
-    sweep_kind: str = "bsr"
-    bsr_values: tuple = (0.25, 0.5, 1.0, 2.0)
-    scan_bits_values: tuple = (2.0, 4.0, 8.0, 16.0, 24.0)
-    aspect_values: tuple = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    angles_deg: tuple = (0.0, 10.0, 20.0, 40.0)
-    energies_kev: tuple = (5.0, 10.0, 20.0, 30.0)
-    replicates: int = 30
-    position_stride: int = 1
-    epsilon: float = 0.02
-    position_margin_bits: float = 1.0
-    out_csv: str | None = None
+    pattern_order: int = _key("aperture", "pattern_order", "int", 8, _at_least(1))
+    bit_size_zero_um: float = _key("aperture", "bit_size_zero_um", "float", 10.0, _POSITIVE)
+    bit_size_one_um: float = _key("aperture", "bit_size_one_um", "float", 10.0, _POSITIVE)
+    thickness_um: float = _key("aperture", "thickness_um", "float", 10.0, _POSITIVE)
+    # overrides the table lookup when set
+    mu_per_um: float | None = _key("optics", "mu_per_um", "float", None, _at_least(0))
+    energy_kev: float = _key("optics", "energy_kev", "float", 10.0, _POSITIVE)
+    mu_table: tuple = _key("optics", "mu_table", "path", ())
+    incidence_angle_deg: float = _key("optics", "incidence_angle_deg", "float", 0.0, *_ANGLE)
+    signal_width_um: float = _key("signal", "width_um", "float", 10.0, _POSITIVE)
+    template: str = _key("signal", "template", "text", "gaussian", _one_of(TEMPLATES))
+    grid_step_um: float = _key("scan", "grid_step_um", "float", 1.0, _POSITIVE)
+    scan_bits: float = _key("scan", "scan_bits", "float", 8.0, _at_least(1))
+    noise_levels: tuple = _key("scan", "noise_levels", "floats_inf", (10.0, 100.0), _POSITIVE)
+    seed: int = _key("scan", "seed", "int", 0, _at_least(0))
+    oversample: int = _key("scan", "oversample", "int", DEFAULT_OVERSAMPLE, _at_least(1))
+    sweep_kind: str = _key("sweep", "kind", "text", "bsr", _one_of(SWEEP_KINDS))
+    bsr_values: tuple = _key("sweep", "bsr_values", "floats", (0.25, 0.5, 1.0, 2.0), _POSITIVE)
+    scan_bits_values: tuple = _key(
+        "sweep", "scan_bits_values", "floats", (2.0, 4.0, 8.0, 16.0, 24.0), _POSITIVE, _at_least(1)
+    )
+    aspect_values: tuple = _key(
+        "sweep", "aspect_values", "floats", (0.1, 0.5, 1.0, 2.0, 5.0, 10.0), _POSITIVE
+    )
+    angles_deg: tuple = _key("sweep", "angles_deg", "floats", (0.0, 10.0, 20.0, 40.0), *_ANGLE)
+    energies_kev: tuple = _key(
+        "sweep", "energies_kev", "floats", (5.0, 10.0, 20.0, 30.0), _POSITIVE
+    )
+    replicates: int = _key("sweep", "replicates", "int", 30, _at_least(1))
+    position_stride: int = _key("sweep", "position_stride", "int", 1, _at_least(1))
+    epsilon: float = _key("criteria", "epsilon", "float", 0.02, _POSITIVE)
+    position_margin_bits: float = _key(
+        "criteria", "position_margin_bits", "float", 1.0, _at_least(0)
+    )
+    out_csv: str | None = _key("output", "csv", "text", None)
 
     def __post_init__(self):
         table = self.mu_table or load_mu_table(default_mu_table_path())
         object.__setattr__(self, "mu_table", tuple((float(e), float(m)) for e, m in table))
-        for (section, key), (name, parse, bound) in _KEYS.items():
+        for f in fields(self):
+            section, key, parse, bound = f.metadata["ini"]
             if parse in ("floats", "floats_inf"):
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-            if getattr(self, name) is not None or getattr(ExperimentConfig, name) is not None:
-                _check(getattr(self, name), bound, f"[{section}] {key}")
+                object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+            if getattr(self, f.name) is not None or f.default is not None:
+                _check(getattr(self, f.name), bound, f"[{section}] {key}")
         if min(self.bit_size_zero_um, self.bit_size_one_um) < self.grid_step_um:
             raise ConfigError(f"a bit size is below the grid step of {self.grid_step_um:g} um")
 
@@ -168,44 +152,62 @@ class ExperimentConfig:
             yield f.name, str(value)
 
 
+# Per [section] key, in field order: the field it sets, how its text parses
+# and its bound.
+_KEYS = {
+    (section, key): (f.name, parse, bound)
+    for f in fields(ExperimentConfig)
+    for section, key, parse, bound in [f.metadata["ini"]]
+}
+# Sections a file may hold. [recover] has no key left; an old file's key
+# there is named as an unknown key, not its section as an unknown section.
+_SECTIONS = {section for section, _ in _KEYS} | {"recover"}
+
+
 def default_mu_table_path() -> Path:
     return Path(str(resources.files("codedscan").joinpath("data/au_mu_table.cfg")))
 
 
-def _ini_parser() -> configparser.ConfigParser:
-    """An INI parser without a default section. No section header is empty,
-    so ``[DEFAULT]`` reads as a section like any other: its keys are not
-    copied into every section."""
-    return configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
+def _read_ini(path: Path, what: str, where: str) -> configparser.ConfigParser:
+    """The INI file at ``path``, every value read exactly as written: ``%``
+    has no special meaning. There is no default section, since no section
+    header is empty, so ``[DEFAULT]`` reads as a section like any other: its
+    keys are not copied into every section. A missing file raises a
+    ConfigError naming ``what``, a malformed one a ConfigError prefixed
+    ``where``."""
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), default_section="", interpolation=None
+    )
+    try:
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except configparser.Error as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return parser
 
 
 def load_mu_table(path) -> tuple:
     """Read an energy -> attenuation table: [attenuation] section, keV = 1/um."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"attenuation table not found: {path}")
-    parser = _ini_parser()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-        if not parser.has_section("attenuation"):
-            raise ConfigError(f"attenuation table {path}: missing [attenuation] section")
-        items = parser.items("attenuation")
-    except configparser.Error as exc:  # a malformed file or a bad '%' interpolation
-        raise ConfigError(f"attenuation table {path}: {exc}") from exc
+    where = f"attenuation table {path}"
+    parser = _read_ini(path, "attenuation table", where)
+    if not parser.has_section("attenuation"):
+        raise ConfigError(f"{where}: missing [attenuation] section")
     entries = []
-    for key, raw in items:
+    for key, raw in parser.items("attenuation"):
         try:
             energy, mu = float(key), float(raw)
         except ValueError:
             energy = mu = math.nan
         if not (math.isfinite(energy) and math.isfinite(mu)):
-            raise ConfigError(f"attenuation table {path}: bad entry {key!r} = {raw!r}")
+            raise ConfigError(f"{where}: bad entry {key!r} = {raw!r}")
         if mu < 0:
-            raise ConfigError(f"attenuation table {path}: negative mu at {key} keV")
+            raise ConfigError(f"{where}: negative mu at {key} keV")
         entries.append((energy, mu))
     if not entries:
-        raise ConfigError(f"attenuation table {path}: no entries")
+        raise ConfigError(f"{where}: no entries")
     return tuple(sorted(entries))
 
 
@@ -244,27 +246,20 @@ def load_config(path) -> ExperimentConfig:
     """Parse an experiment file; unknown keys are errors, left-out keys keep
     the ExperimentConfig defaults."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = _ini_parser()
+    parser = _read_ini(path, "config file", str(path))
     given = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise ConfigError(f"[{section}]: unknown section")
-            for key, text in parser.items(section):
-                if (section, key) not in _KEYS:
-                    raise ConfigError(f"[{section}] {key}: unknown key")
-                name, parse, _ = _KEYS[section, key]
-                if parse == "path":
-                    given[name] = load_mu_table(path.parent / text.strip())
-                    continue
-                try:
-                    given[name] = _parse(text.strip(), parse)
-                except ValueError as exc:
-                    raise ConfigError(f"[{section}] {key}: {exc}") from None
-    except configparser.Error as exc:  # a malformed file or a bad '%' interpolation
-        raise ConfigError(f"{path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}]: unknown section")
+        for key, text in parser.items(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            name, parse, _ = _KEYS[section, key]
+            if parse == "path":
+                given[name] = load_mu_table(path.parent / text.strip())
+                continue
+            try:
+                given[name] = _parse(text.strip(), parse)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
     return ExperimentConfig(**given)

@@ -193,7 +193,8 @@ def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
     """``(counts, p_stars)`` of ``cells``: their series as counted, stacked
     in cell order, and the true offset of each series.
 
-    A cell scans every window of the config, or the one it scores. The
+    A cell scans every window of the config, or the one it scores; window q
+    starts at bit edge q of the mask, as in ``codedscan simulate``. The
     coding matrices of the config's windows are built once and their
     intensities computed once. Each cell then draws its (replicates,
     windows, M) counts replicate-major from its own stream,
@@ -204,7 +205,8 @@ def _simulate_cells(cells, pattern, profile, truth_signal, m: int) -> tuple:
     """
     config = cells[0].config
     starts = list(_window_starts(pattern, config))
-    offsets = np.array([profile.index_of(q * config.bit_size_um) for q in starts])
+    edges = config.geometry(pattern).bit_edges_um()
+    offsets = np.array([profile.index_of(edges[q]) for q in starts])
     intensity = build_coding_matrix(profile, offsets, m, len(truth_signal)) @ truth_signal.values
     blocks, p_stars = [], []
     for cell in cells:

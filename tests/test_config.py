@@ -149,6 +149,19 @@ def test_readme_config_example_loads_to_the_defaults(tmp_path):
     assert load_config(write(tmp_path, block)) == ExperimentConfig()
 
 
+def test_readme_config_example_names_every_key_under_its_section():
+    # a key added to a field must be documented, commented out or not
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    named, section = [], None
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = header[1]
+        elif entry := re.match(r"#?\s*(\w+)\s*=", line):
+            named.append((section, entry[1]))
+    assert sorted(named) == sorted(_KEYS)
+
+
 def test_type_errors_carry_section_and_key(tmp_path):
     with pytest.raises(ConfigError, match=r"\[scan\] grid_step_um: not a number"):
         load_config(write(tmp_path, "[scan]\ngrid_step_um = fast\n"))
@@ -158,12 +171,25 @@ def test_type_errors_carry_section_and_key(tmp_path):
         load_config(write(tmp_path, "[scan]\nnoise_levels = 10, soft\n"))
 
 
-def test_bad_interpolation_is_a_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="exp.cfg: '%' must be followed by"):
-        load_config(write(tmp_path, "[output]\ncsv = run%.csv\n"))
+def test_percent_is_read_as_written_and_malformed_files_are_config_errors(tmp_path):
+    # '%' has no special meaning: values are read exactly as written
+    assert load_config(write(tmp_path, "[output]\ncsv = run%.csv\n")).out_csv == "run%.csv"
     write(tmp_path, "[attenuation]\n10 = 0.2%\n", name="mu.cfg")
-    with pytest.raises(ConfigError, match="attenuation table .*mu.cfg: '%' must be followed by"):
+    with pytest.raises(ConfigError, match=r"attenuation table .*mu.cfg: bad entry '10' = '0.2%'"):
         load_config(write(tmp_path, "[optics]\nmu_table = mu.cfg\n"))
+    # a file the INI reader refuses is a ConfigError prefixed with the file
+    for text, words in [
+        ("{key} = 0.2\n[{section}]\n", "contains no section headers"),
+        ("[{section}]\n{key} = 0.2\n{key} = 0.3\n", "already exists"),
+        ("[{section}]\n{key} = 0.2\nbare text\n", "contains parsing errors"),
+    ]:
+        config = write(tmp_path, text.format(section="optics", key="mu_per_um"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}: .*{words}"):
+            load_config(config)
+        table = write(tmp_path, text.format(section="attenuation", key="10"), name="mu.cfg")
+        with pytest.raises(ConfigError, match=f"^attenuation table {re.escape(str(table))}: "
+                                              f".*{words}"):
+            load_mu_table(table)
 
 
 def test_choice_and_range_validation(tmp_path):
@@ -320,6 +346,46 @@ def test_a_value_out_of_bounds_exits_2_naming_its_key(case):
         with contextlib.redirect_stderr(err):
             assert main(["pattern", "--config", str(path)]) == 2
     assert err.getvalue().startswith(f"error: [{section}] {key}: ")
+
+
+_INI_SECTIONS = sorted({section for section, _ in _KEYS} | {"DEFAULT", "recover", "detector"})
+_INI_KEYS = sorted({key for _, key in _KEYS} | {"sped", "bsr", "nnls_tol"})
+# "\u0661" is ARABIC-INDIC DIGIT ONE, which int() and float() read as 1
+_INI_VALUES = ["%", "%(seed)s", "nan", "1e400", "\u0661", "inf", "-1", "0", "1", "2.5",
+               "10, 100", "", "gaussian", "bsr", "run.csv"]
+
+
+@st.composite
+def ini_texts(draw):
+    """Config text: known and unknown sections and keys, lines before any
+    section, odd values, and now and then a continuation line or bare text."""
+    values = st.sampled_from(_INI_VALUES)
+    lines = []
+    for section in draw(st.lists(st.sampled_from([None, *_INI_SECTIONS]), max_size=4,
+                                 unique=True)):
+        if section is not None:
+            lines.append(f"[{section}]")
+        known = [key for where, key in _KEYS if where == section]
+        keys = st.sampled_from(_INI_KEYS)
+        for key in draw(st.lists(st.sampled_from(known) | keys if known else keys, max_size=4,
+                                 unique=True)):
+            lines.append(f"{key} = {draw(values)}")
+            extra = draw(st.sampled_from([None] * 6 + ["continuation", "bare"]))
+            if extra is not None:
+                lines.append(f"    {draw(values)}" if extra == "continuation" else draw(values))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(ini_texts())
+def test_no_config_text_escapes_as_a_traceback(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        # main turns ValueError and OSError into exit codes; anything else
+        # would escape here as a traceback
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["pattern", "--config", str(path)]) in (0, 2)
 
 
 def test_optics_requires_a_known_energy(tmp_path):
