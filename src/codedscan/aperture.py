@@ -7,7 +7,8 @@ shear geometry: a ray entering the mask at lateral coordinate z sweeps the
 lateral interval [z, z + t*tan(theta)] while crossing thickness t, so its
 path through gold is the bar-covered measure of that interval divided by
 sin(theta) (and t times the bar indicator at normal incidence). Bar
-coverage is exact interval arithmetic, not ray marching.
+coverage is piecewise linear in the bit edges and is interpolated between
+them, not ray marched.
 """
 
 from __future__ import annotations
@@ -49,18 +50,6 @@ class ApertureGeometry:
     @property
     def length_um(self) -> float:
         return float(self.bit_edges_um()[-1])
-
-    def bar_intervals(self) -> np.ndarray:
-        """Merged [start, end) intervals of absorber bars, shape (k, 2)."""
-        edges = self.bit_edges_um()
-        intervals: list[list[float]] = []
-        for bit, lo, hi in zip(self.pattern.bits, edges[:-1], edges[1:]):
-            if bit == 1:
-                if intervals and intervals[-1][1] == lo:
-                    intervals[-1][1] = hi
-                else:
-                    intervals.append([lo, hi])
-        return np.asarray(intervals, dtype=float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -128,30 +117,6 @@ class TransmissivityProfile:
         return self.origin_um + np.asarray(index) * self.grid_step_um
 
 
-def _coverage_function(intervals: np.ndarray):
-    """Cumulative bar coverage C(z) = measure of bars within (-inf, z]."""
-    bounds = intervals.reshape(-1)  # [s0, e0, s1, e1, ...], sorted
-    lengths = intervals[:, 1] - intervals[:, 0]
-    # cum[j] = coverage strictly before bounds[j]
-    cum = np.zeros(bounds.size)
-    cum[1::2] = np.cumsum(lengths)
-    cum[2::2] = cum[1:-1:2]
-
-    def coverage(z):
-        z = np.asarray(z, dtype=float)
-        j = np.searchsorted(bounds, z, side="right") - 1
-        out = np.zeros_like(z)
-        valid = j >= 0
-        jv = j[valid]
-        base = cum[jv]
-        inside = jv % 2 == 0  # between a start and its end
-        base = base + np.where(inside, z[valid] - bounds[jv], 0.0)
-        out[valid] = base
-        return out
-
-    return coverage
-
-
 def gold_path_length(geometry: ApertureGeometry, entry_z_um, context: OpticalContext):
     """Length of a ray's intersection with the absorber bars, in micrometers.
 
@@ -161,16 +126,18 @@ def gold_path_length(geometry: ApertureGeometry, entry_z_um, context: OpticalCon
     """
     theta = math.radians(context.incidence_angle_deg)
     z = np.asarray(entry_z_um, dtype=float)
-    intervals = geometry.bar_intervals()
+    edges = geometry.bit_edges_um()
+    bits = geometry.pattern.bits
     if theta == 0.0:
-        bounds = intervals.reshape(-1)
-        j = np.searchsorted(bounds, z, side="right") - 1
-        inside = (j >= 0) & (j % 2 == 0)
-        path = np.where(inside, geometry.thickness_um, 0.0)
+        # the bit holding z, with an open bit beyond each end of the mask
+        holding = np.concatenate([[0], bits, [0]])[np.searchsorted(edges, z, side="right")]
+        path = geometry.thickness_um * holding
     else:
-        coverage = _coverage_function(intervals)
+        # bar length left of each edge; between edges the coverage is linear
+        covered = np.concatenate([[0.0], np.cumsum(np.diff(edges) * bits)])
         sweep = geometry.thickness_um * math.tan(theta)
-        path = (coverage(z + sweep) - coverage(z)) / math.sin(theta)
+        enter, leave = np.interp(z, edges, covered), np.interp(z + sweep, edges, covered)
+        path = (leave - enter) / math.sin(theta)
     return float(path) if np.isscalar(entry_z_um) else path
 
 

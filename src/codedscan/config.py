@@ -195,7 +195,7 @@ def load_mu_table(path) -> tuple:
     parser = _read_ini(path, "attenuation table", where)
     if not parser.has_section("attenuation"):
         raise ConfigError(f"{where}: missing [attenuation] section")
-    entries = []
+    entries = {}  # energy -> (key, mu)
     for key, raw in parser.items("attenuation"):
         try:
             energy, mu = float(key), float(raw)
@@ -205,10 +205,14 @@ def load_mu_table(path) -> tuple:
             raise ConfigError(f"{where}: bad entry {key!r} = {raw!r}")
         if mu < 0:
             raise ConfigError(f"{where}: negative mu at {key} keV")
-        entries.append((energy, mu))
+        if energy in entries:
+            raise ConfigError(
+                f"{where}: keys {entries[energy][0]!r} and {key!r} are both {energy:g} keV"
+            )
+        entries[energy] = (key, mu)
     if not entries:
         raise ConfigError(f"{where}: no entries")
-    return tuple(sorted(entries))
+    return tuple(sorted((energy, mu) for energy, (_, mu) in entries.items()))
 
 
 def _check(value, bound, where: str):
@@ -256,6 +260,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] {key}: unknown key")
             name, parse, _ = _KEYS[section, key]
             if parse == "path":
+                if not text.strip():
+                    raise ConfigError(f"[{section}] {key}: empty value")
                 given[name] = load_mu_table(path.parent / text.strip())
                 continue
             try:

@@ -60,7 +60,6 @@ class CellResult:
 class SweepResult:
     kind: str
     param_name: str
-    param_values: tuple
     cells: tuple
 
     def __post_init__(self):
@@ -273,13 +272,12 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
     config.bit_size_um  # no sweep kind honours unequal [aperture] bit sizes
     pattern = generate_de_bruijn(config.pattern_order)
     param_name, values, groups, replaced = _AXES[config.sweep_kind]
-    param_values = tuple(values(config, pattern))
     by_config = {}
-    for cell in _cells(config, param_name, param_values, groups(config), replaced):
+    for cell in _cells(config, param_name, values(config, pattern), groups(config), replaced):
         by_config.setdefault(cell.config, []).append(cell)
     results = run_slices(_run_cells, list(by_config.values()), workers, pattern)
     results.sort(key=lambda r: r.cell.index)
-    return SweepResult(config.sweep_kind, param_name, param_values, tuple(results))
+    return SweepResult(config.sweep_kind, param_name, tuple(results))
 
 
 def patterning_correlations(result: SweepResult) -> dict:

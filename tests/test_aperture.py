@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedscan.aperture import (
     ApertureGeometry,
@@ -23,12 +25,49 @@ def ray_marched_path(geometry, entry_z, theta_deg, samples=200_000):
     t = geometry.thickness_um
     depths = (np.arange(samples) + 0.5) * (t / samples)
     lateral = entry_z + depths * math.tan(theta)
-    intervals = geometry.bar_intervals()
+    edges = geometry.bit_edges_um()
     inside = np.zeros(samples, dtype=bool)
-    for lo, hi in intervals:
-        inside |= (lateral >= lo) & (lateral < hi)
+    for bit, lo, hi in zip(geometry.pattern.bits, edges[:-1], edges[1:]):
+        if bit == 1:
+            inside |= (lateral >= lo) & (lateral < hi)
     ray_length = t / math.cos(theta)
     return inside.mean() * ray_length
+
+
+def merged_interval_path(geometry, entry_z, context):
+    """Reference: the path over merged [start, end) bar intervals, each run
+    of adjacent bars one interval, with a cumulative table of their lengths."""
+    edges = geometry.bit_edges_um()
+    intervals = []
+    for bit, lo, hi in zip(geometry.pattern.bits, edges[:-1], edges[1:]):
+        if bit == 1:
+            if intervals and intervals[-1][1] == lo:
+                intervals[-1][1] = hi
+            else:
+                intervals.append([lo, hi])
+    bounds = np.asarray(intervals, dtype=float).reshape(-1)  # [s0, e0, s1, e1, ...]
+    cum = np.zeros(bounds.size)  # coverage strictly before bounds[j]
+    cum[1::2] = np.cumsum(bounds[1::2] - bounds[0::2])
+    cum[2::2] = cum[1:-1:2]
+
+    def coverage(z):
+        j = np.searchsorted(bounds, z, side="right") - 1
+        out = np.zeros_like(z)
+        valid = j >= 0
+        jv = j[valid]
+        inside = jv % 2 == 0  # between a start and its end
+        out[valid] = cum[jv] + np.where(inside, z[valid] - bounds[jv], 0.0)
+        return out
+
+    theta = math.radians(context.incidence_angle_deg)
+    z = np.asarray(entry_z, dtype=float)
+    if theta == 0.0:
+        j = np.searchsorted(bounds, z, side="right") - 1
+        path = np.where((j >= 0) & (j % 2 == 0), geometry.thickness_um, 0.0)
+    else:
+        sweep = geometry.thickness_um * math.tan(theta)
+        path = (coverage(z + sweep) - coverage(z)) / math.sin(theta)
+    return float(path) if np.isscalar(entry_z) else path
 
 
 def simple_geometry(bits="01", bit_um=5.0, t_um=10.0):
@@ -236,9 +275,54 @@ def test_geometry_validation_and_unequal_bits():
         ApertureGeometry(0.0, 10.0, 10.0, Pattern.from_string("01"))
     geom = ApertureGeometry(15.0, 7.5, 4.6, Pattern.from_string("0101"))
     assert geom.length_um == pytest.approx(45.0)
-    np.testing.assert_allclose(geom.bar_intervals(), [[15.0, 22.5], [37.5, 45.0]])
+    # bars [15, 22.5) and [37.5, 45): each bar's edges, and the gap between
+    z = np.array([14.999, 15.0, 22.499, 22.5, 37.499, 37.5, 44.999, 45.0])
+    want = np.where([0, 1, 1, 0, 0, 1, 1, 0], 4.6, 0.0)
+    np.testing.assert_array_equal(gold_path_length(geom, z, OpticalContext(0.2)), want)
 
 
 def test_adjacent_bars_merge():
-    geom = simple_geometry("0110", bit_um=10.0)
-    np.testing.assert_allclose(geom.bar_intervals(), [[10.0, 30.0]])
+    # "0110" at 10 um has bars [10, 20) and [20, 30): a tilted ray across
+    # their shared edge sees the path of a ray through one 20 um bar
+    # [10, 30), with no seam at 20
+    adjacent = simple_geometry("0110", bit_um=10.0)
+    one_bar = ApertureGeometry(10.0, 20.0, 10.0, Pattern.from_string("010"))
+    for theta in (20.0, 45.0):
+        ctx = OpticalContext(mu_per_um=0.2, incidence_angle_deg=theta)
+        z = np.linspace(0.0, 35.0, 141)
+        np.testing.assert_array_equal(
+            gold_path_length(adjacent, z, ctx), gold_path_length(one_bar, z, ctx)
+        )
+        assert gold_path_length(adjacent, 17.0, ctx) == pytest.approx(
+            10.0 / math.cos(math.radians(theta)), rel=1e-12
+        )
+
+
+# Masks whose bit sizes are multiples of 0.25 um, so every edge and every
+# cumulative bar length is an exact binary fraction; entry points anywhere
+# around the mask, its bit edges included.
+@st.composite
+def masks_and_rays(draw):
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=64))
+    zero_um, one_um = (draw(st.integers(1, 80)) * 0.25 for _ in range(2))
+    thickness = draw(st.floats(0.01, 100.0))
+    geom = ApertureGeometry(zero_um, one_um, thickness, Pattern(np.array(bits)))
+    theta = draw(st.one_of(st.just(0.0), st.floats(0.0, 89.0)))
+    margin = thickness * math.tan(math.radians(theta)) + 5.0
+    ray = st.one_of(
+        st.floats(-margin, geom.length_um + 5.0),
+        st.sampled_from(geom.bit_edges_um().tolist()),
+    )
+    vector = draw(st.booleans())
+    entry = np.array(draw(st.lists(ray, min_size=1, max_size=40))) if vector else draw(ray)
+    return geom, OpticalContext(0.2, theta), entry
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks_and_rays())
+def test_path_from_bit_edges_equals_merged_intervals_bit_for_bit(case):
+    geom, ctx, entry = case
+    got = gold_path_length(geom, entry, ctx)
+    want = merged_interval_path(geom, entry, ctx)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

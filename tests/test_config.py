@@ -225,6 +225,25 @@ def test_missing_mu_table_path_names_the_file(tmp_path):
         load_config(write(tmp_path, "[optics]\nmu_table = mu_missing.cfg\n"))
 
 
+def test_empty_mu_table_value_is_named_and_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "[optics]\nmu_table =\n")
+    with pytest.raises(ConfigError, match=r"^\[optics\] mu_table: empty value$"):
+        load_config(cfg)
+    assert main(["pattern", "3", "--config", str(cfg)]) == 2
+    assert "[optics] mu_table: empty value" in capsys.readouterr().err
+
+
+def test_one_energy_spelled_twice_in_a_mu_table_is_refused(tmp_path, capsys):
+    # configparser sees three keys; all three are 10 keV
+    table = write(tmp_path, "[attenuation]\n10 = 0.2\n10.0 = 0.3\n1e1 = 0.1\n", name="mu.cfg")
+    clash = f"attenuation table {table}: keys '10' and '10.0' are both 10 keV"
+    with pytest.raises(ConfigError, match=re.escape(clash)):
+        load_mu_table(table)
+    cfg = write(tmp_path, "[optics]\nmu_table = mu.cfg\nenergy_kev = 10\n")
+    assert main(["pattern", "3", "--config", str(cfg)]) == 2
+    assert "keys '10' and '10.0' are both 10 keV" in capsys.readouterr().err
+
+
 def test_custom_mu_table_resolved_relative_to_config(tmp_path):
     write(tmp_path, "[attenuation]\n8.0 = 0.5\n4.0 = 1.25\n", name="mu.cfg")
     cfg = load_config(write(tmp_path, "[optics]\nmu_table = mu.cfg\nenergy_kev = 8\n"))

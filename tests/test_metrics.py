@@ -359,7 +359,7 @@ def test_sweep_result_rejects_out_of_range_msp():
     cell = SweepCell(0, "bsr", 1.0, 10.0, 10.0, ExperimentConfig())
     bad = CellResult(cell, 120.0, 0.0, 4, 25.0, 0, 0)
     with pytest.raises(ValueError, match="MSP"):
-        SweepResult("bsr", "bsr", (1.0,), (bad,))
+        SweepResult("bsr", "bsr", (bad,))
 
 
 # ------------------------------------------------- harness against oracle
@@ -671,15 +671,17 @@ def test_grouped_draws_equal_each_cell_simulated_alone(monkeypatch):
     signal = make_gaussian_signal(cfg.signal_width_um, cfg.grid_step_um)
     m = scan_point_count(cfg.scan_bits, cfg.bit_size_um, cfg.grid_step_um)
     pattern = generate_de_bruijn(cfg.pattern_order)
+    geometry = cfg.geometry(pattern)
+    edges = geometry.bit_edges_um()
     padded = build_profile(
-        cfg.geometry(pattern), cfg.optics(), cfg.grid_step_um, cfg.oversample
+        geometry, cfg.optics(), cfg.grid_step_um, cfg.oversample
     ).pad_for_scan(m, len(signal))
     for profile, rows in calls:
         assert profile.values.tobytes() == padded.values.tobytes()
         assert profile.origin_um == padded.origin_um
         for start in range(0, len(rows), cfg.replicates):
             cell = next(cells)
-            offset = profile.index_of(cell.window_start * cfg.bit_size_um)
+            offset = profile.index_of(edges[cell.window_start])
             matrices = build_coding_matrix(profile, np.full(cfg.replicates, offset), m, len(signal))
             alone = simulate(matrices, signal, cell.noise_level, (cfg.seed, cell.index)).raw
             assert rows[start : start + cfg.replicates].tobytes() == alone.tobytes()
@@ -807,7 +809,7 @@ def make_patterning_result(msps, zeros, flips, noise=10.0):
         cell = SweepCell(i, "subseq_start", float(i), 10.0, noise, ExperimentConfig(),
                          window_start=i)
         cells.append(CellResult(cell, m, 0.0, 4, 25.0, 0, 0, z, f))
-    return SweepResult("patterning", "subseq_start", tuple(range(len(cells))), tuple(cells))
+    return SweepResult("patterning", "subseq_start", tuple(cells))
 
 
 def test_patterning_correlations_known_rankings():
@@ -860,7 +862,7 @@ def test_patterning_correlations_require_patterning_result():
 def test_patterning_correlations_reject_missing_join():
     res = make_patterning_result([10.0, 20.0], [0.1, 0.2], [1, 2])
     broken = SweepResult(
-        "patterning", "subseq_start", (0, 1),
+        "patterning", "subseq_start",
         tuple(CellResult(c.cell, c.msp_position, 0.0, c.k, c.stderr, 0, 0) for c in res.cells),
     )
     with pytest.raises(ValueError, match="join"):
@@ -873,4 +875,3 @@ def test_run_sweep_dispatch():
     res = run_sweep(cfg)
     assert res.kind == "aspect"
     assert res.param_name == "aspect"
-    assert res.param_values == (1.0,)

@@ -47,7 +47,7 @@ def bsr_result():
         cell(2, 1.0, 10.0, 10.0, 93.75, 6.25),
         cell(3, 1.0, 10.0, 100.0, 100.0, 12.5),
     )
-    return SweepResult("bsr", "bsr", (0.5, 1.0), cells)
+    return SweepResult("bsr", "bsr", cells)
 
 
 def patterning_result():
@@ -55,7 +55,7 @@ def patterning_result():
         cell(0, 0.0, 10.0, 10.0, 25.0, zeros=1.0, flips=0, name="subseq_start"),
         cell(1, 1.0, 10.0, 10.0, 75.0, zeros=0.875, flips=1, name="subseq_start"),
     )
-    return SweepResult("patterning", "subseq_start", (0.0, 1.0), cells)
+    return SweepResult("patterning", "subseq_start", cells)
 
 
 # The row-by-row reader that the bulk reader replaced, kept verbatim: on
@@ -157,15 +157,14 @@ def test_sweep_csv_layout(tmp_path):
 
 def test_sweep_csv_floats_round_trip(tmp_path):
     awkward = 100.0 * 83 / 249  # non-terminating decimal
-    result = SweepResult("bsr", "bsr", (1.0,), (cell(0, 1.0, 10.0, 10.0, awkward),))
+    result = SweepResult("bsr", "bsr", (cell(0, 1.0, 10.0, 10.0, awkward),))
     path = write_sweep_csv(tmp_path / "grid.csv", result)
     row = path.read_text().splitlines()[-1].split(",")
     assert float(row[4]) == awkward
 
 
 def test_sweep_csv_infinite_noise_spelled_inf(tmp_path):
-    result = SweepResult("bsr", "bsr", (1.0,),
-                         (cell(0, 1.0, 10.0, math.inf, 100.0),))
+    result = SweepResult("bsr", "bsr", (cell(0, 1.0, 10.0, math.inf, 100.0),))
     path = write_sweep_csv(tmp_path / "grid.csv", result)
     assert path.read_text().splitlines()[-1].split(",")[3] == "inf"
 
@@ -711,7 +710,6 @@ def test_write_sweep_svgs_one_file_per_noise(tmp_path):
 
 
 def test_write_sweep_svgs_names_infinite_noise(tmp_path):
-    result = SweepResult("bsr", "bsr", (1.0,),
-                         (cell(0, 1.0, 10.0, math.inf, 100.0),))
+    result = SweepResult("bsr", "bsr", (cell(0, 1.0, 10.0, math.inf, 100.0),))
     paths = write_sweep_svgs(tmp_path / "plot", result)
     assert [p.name for p in paths] == ["plot_noiseinf.svg"]
