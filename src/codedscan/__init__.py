@@ -27,11 +27,9 @@ from .metrics import (
     scan_point_count,
     score,
 )
-from .nnls import NumericalFailureError, nnls
+from .nnls import nnls
 from .recovery import (
-    FlatSeriesError,
     RecoveryBatch,
-    RecoveryResult,
     normalize,
     recover,
     recover_batch,
@@ -45,12 +43,9 @@ __all__ = [
     "ApertureGeometry",
     "CellResult",
     "ExperimentConfig",
-    "FlatSeriesError",
-    "NumericalFailureError",
     "OpticalContext",
     "Pattern",
     "RecoveryBatch",
-    "RecoveryResult",
     "ScanSeries",
     "Signal",
     "SubsequenceStats",

@@ -176,7 +176,7 @@ def run_recover_command(args) -> int:
     if args.truncate_bits is not None:
         items.append(("truncate_bits", f"{args.truncate_bits:g}"))
     out = Path(args.out or cfg.out_csv or "recovery.csv")
-    write_recovery_csv(out, pixel_ids, p_hat_um, recovered, len(probe), items)
+    write_recovery_csv(out, pixel_ids, p_hat_um, recovered, items)
     for pixel_id, p_hat, residual, status in zip(
         pixel_ids, p_hat_um.tolist(), recovered.residual.tolist(), recovered.status.tolist()
     ):
@@ -223,18 +223,19 @@ def run_simulate_command(args) -> int:
     n_windows = len(pattern) - cfg.pattern_order + 1
     if not 0 <= args.window < n_windows:
         raise ConfigError(f"window must be in [0, {n_windows}), got {args.window}")
-    start_um = float(geometry.bit_edges_um()[args.window])
     m = scan_point_count(cfg.scan_bits, bit, cfg.grid_step_um)
     n = len(signal)
     profile = profile.pad_for_scan(m, n)
-    p_star = profile.index_of(start_um)
+    # The grid cell nearest the window's first bit edge, which a sweep scores too.
+    p_star = profile.index_of(geometry.bit_edges_um()[args.window])
     matrix = build_coding_matrix(profile, p_star, m, n)
     peak = cfg.noise_levels[0]
     series = simulate(matrix, signal, peak, (seed, args.window), noiseless=args.noiseless)
     positions = profile.position_of(p_star + np.arange(m))
+    p_star_um = float(positions[0])
     items = list(cfg.echo_items()) + [
         ("window_start", str(args.window)),
-        ("p_star_um", f"{start_um:g}"),
+        ("p_star_um", f"{p_star_um:g}"),
         ("peak_counts", f"{peak:g}"),
         ("effective_seed", str(seed)),
         ("noiseless_run", str(args.noiseless)),
@@ -242,7 +243,7 @@ def run_simulate_command(args) -> int:
     payload = {"0": (positions, series.raw)}
     if args.out:
         write_series_csv(args.out, payload, items)
-        print(f"wrote {args.out} ({m} samples, window {args.window} at {start_um:g} um)")
+        print(f"wrote {args.out} ({m} samples, window {args.window} at {p_star_um:g} um)")
     else:
         sys.stdout.write(series_csv_text(payload, items))
     return 0

@@ -14,7 +14,7 @@ import numpy as np
 MAX_ORDER = 20  # memory guard: 2**20 bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
     """Immutable bit pattern. ``order`` is the intended uniqueness window."""
 
@@ -29,16 +29,6 @@ class Pattern:
             raise ValueError("pattern bits must be 0 or 1")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
-
-    # By value: equal bits and order are one pattern in any process. The
-    # dataclass methods would compare the bit arrays elementwise and could not hash them.
-    def __eq__(self, other):
-        if not isinstance(other, Pattern):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash((self.bits.tobytes(), self.order))
 
     def __len__(self) -> int:
         return int(self.bits.size)

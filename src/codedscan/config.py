@@ -97,6 +97,10 @@ class ExperimentConfig:
     def __post_init__(self):
         table = self.mu_table or load_mu_table(default_mu_table_path())
         object.__setattr__(self, "mu_table", tuple((float(e), float(m)) for e, m in table))
+        energies = sorted(energy for energy, _ in self.mu_table)
+        twice = [e for e, next_e in zip(energies, energies[1:]) if e == next_e]
+        if twice:
+            raise ConfigError(f"[optics] mu_table: {twice[0]:g} keV is given twice")
         for f in fields(self):
             section, key, parse, bound = f.metadata["ini"]
             if parse in ("floats", "floats_inf"):

@@ -5,7 +5,7 @@ the dual w = A'(b - A x), w_i = 0 where x_i > 0 and w_i <= 0 where x_i = 0.
 Where A has full column rank that point is unique. A stack of T problems
 is solved together, so the numpy call overhead of steps 1 and 2 is paid
 per step, not per problem, and a row's answer does not depend on the rows
-beside it: one problem is a stack of one.
+beside it: one problem is a stack of one, (1, M, N) and (1, M).
 
 1. Block principal pivoting on the normal equations A'A z = A'b
    (``_predict``) gives each row a point z with support P. Each of its
@@ -48,54 +48,34 @@ CHANGES_PER_COLUMN = 10
 SINGULAR_RATIO = 1e-4
 
 
-class NumericalFailureError(RuntimeError):
-    """Solver exceeded its iteration budget; carries the best iterate found."""
-
-    def __init__(self, message: str, best_iterate: np.ndarray):
-        super().__init__(message)
-        self.best_iterate = best_iterate
-
-
 def nnls(a, b):
-    """Return argmin_{x >= 0} ||A x - b||_2^2, for one problem or a stack.
+    """Return argmin_{x >= 0} ||A x - b||_2^2 for each problem of a stack.
 
     Parameters
     ----------
-    a : (M, N) or (T, M, N) array_like
-    b : (M,) or (T, M) array_like
+    a : (T, M, N) array_like
+    b : (T, M) array_like
 
     Returns
     -------
-    x : (N,) ndarray
-        For a single problem.
     (x, converged) : (T, N) ndarray and (T,) bool ndarray
-        For a stack. A problem that exceeds the cap reads ``converged``
-        False and holds its best iterate in ``x``; the other problems are
-        unaffected.
+        A problem that exceeds the cap reads ``converged`` False and holds
+        its best iterate in ``x``; the other problems are unaffected.
 
     Raises
     ------
     ValueError
         If the shapes disagree, or if A or b has a non-finite entry; the
-        message names the first such problem of a stack.
-    NumericalFailureError
-        If a single problem does not converge; the exception carries the
-        best iterate.
+        message names the first such problem.
     """
     # Contiguous inputs, so the products over A round the same for any layout.
     a = np.ascontiguousarray(a, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
-    single = a.ndim == 2
-    if single:
-        b = b.reshape(-1)
-    if not (single or a.ndim == 3) or b.shape != a.shape[:-1]:
+    if a.ndim != 3 or b.shape != a.shape[:-1]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    if single:
-        a, b = a[None], b[None]
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     if not finite.all():
-        where = "" if single else f"problem {int(np.argmin(finite))}: "
-        raise ValueError(f"{where}A and b must be finite")
+        raise ValueError(f"problem {int(np.argmin(finite))}: A and b must be finite")
     cap = CHANGES_PER_COLUMN * a.shape[2]
     a_t = a.transpose(0, 2, 1)
     # An overflow or a NaN in the prediction fails its test, so it sends the
@@ -106,11 +86,7 @@ def nnls(a, b):
         converged = finished & _accepted(a, b, gram, atb, x)
     for i in np.flatnonzero(~converged):
         x[i], converged[i] = _lawson_hanson(a[i], b[i], cap)
-    if not single:
-        return x, converged
-    if not converged[0]:
-        raise NumericalFailureError(f"no convergence within {cap} active-set changes", x[0])
-    return x[0]
+    return x, converged
 
 
 def _predict(gram, atb, cap):

@@ -1,9 +1,11 @@
-"""Recover beam position and shape from a scan series.
+"""Recover beam position and shape from a stack of scan series.
 
-The pipeline: scale each series to unit peak, locate the scan offset by
+A series is a row of a (T, M) stack, and one series is a stack of one.
+The pipeline: scale each row to unit peak, locate its scan offset by
 exhaustive template matching against every feasible profile window, then
 solve a non-negative least-squares problem for the beam shape at that
-offset. Each series gets one search and one solve.
+offset. Each row gets one search and one solve, and reports its outcome
+in its ``status``: a flat row or a failed solve does not raise.
 
 A stack of series is searched together: chunked float32 matrix products
 screen every offset of every row, and only a row whose best offsets tie to
@@ -15,9 +17,9 @@ Counts are fitted as they are, up to one scale: the search scores offset
 p by d . r_p / ||r_p|| for its template window r_p, which ranks offsets as
 the best non-negative multiple of the window does, so the template's scale
 does not matter; exact ties break toward the smallest offset. The shape
-solve fits the unit-peak counts directly. ``recover`` returns the fitted
-shape s as its unit-sum ``signal`` s / sum(s) and its ``scale`` sum(s),
-the unit-peak count that a fully open alignment would read.
+solve fits the unit-peak counts directly. ``recover_batch`` returns each
+fitted shape s as its unit-sum ``signal`` s / sum(s) and its ``scale``
+sum(s), the unit-peak count that a fully open alignment would read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .aperture import TransmissivityProfile
 from .forward import ScanSeries, Signal, build_coding_matrix
-from .nnls import NumericalFailureError, nnls
+from .nnls import nnls
 
 # Doubles in the (rows, M, N) stack of coding matrices that one ``nnls`` call
 # holds: about 624 rows at M = 21 and N = 10, 81 at M = 161. A row that alone
@@ -45,30 +47,16 @@ SCREEN_FLOATS = 2**18
 F32 = np.finfo(np.float32)
 
 
-class FlatSeriesError(ValueError):
-    """Series carries no counts to fit (every count is zero)."""
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    """One series' fit: the beam's unit-sum ``signal`` at offset ``position``,
-    its sum ``scale`` in unit-peak counts, and the residual
-    ||A_p (scale * signal) - d||^2 against the unit-peak counts d."""
-
-    position: int
-    signal: np.ndarray
-    scale: float
-    residual: float
-
-
 @dataclass(frozen=True)
 class RecoveryBatch:
-    """A stack's recoveries as columns, row i for series i: ``position`` (T,),
-    unit-sum ``signal`` (T, N), ``scale`` (T,) and ``residual`` (T,) as in
-    ``RecoveryResult``, and ``status`` (T,): "ok", "flat" (no positive count)
-    or "failed" (the shape solve did not converge). A flat row holds 0 in the
-    other columns; a failed row, its searched offset and the solve's last
-    iterate, split into signal and scale and scored as a fit is."""
+    """A stack's recoveries as columns, row i for series i: the offset
+    ``position`` (T,), the beam's unit-sum ``signal`` (T, N) there, its sum
+    ``scale`` (T,) in unit-peak counts, the ``residual`` (T,)
+    ||A_p (scale * signal) - d||^2 against the unit-peak counts d, and
+    ``status`` (T,): "ok", "flat" (no positive count) or "failed" (the shape
+    solve did not converge). A flat row holds 0 in the other columns; a
+    failed row, its searched offset and the solve's last iterate, split into
+    signal and scale and scored as a fit is."""
 
     position: np.ndarray
     signal: np.ndarray
@@ -81,21 +69,16 @@ class RecoveryBatch:
 
 
 def normalize(series: ScanSeries):
-    """Unit-peak counts: each series divided by its largest count.
+    """Unit-peak counts: each row of the stack divided by its largest count.
 
-    One series gives its unit-peak counts, or raises ``FlatSeriesError``
-    if every count is zero. A (T, M) stack gives ``(normalized, flat)``:
-    the (T,) bool mask ``flat`` of all-zero rows, and the unit-peak counts
-    of the other rows, in order. Each row equals its normalization alone.
+    Returns ``(normalized, flat)``: the (T,) bool mask ``flat`` of all-zero
+    rows, and the unit-peak counts of the other rows, in order. One series
+    (M,) is a stack of one. Each row equals its normalization alone.
     """
     raw = np.atleast_2d(series.raw)
     peak = raw.max(axis=1)
     flat = ~(peak > 0)
-    if series.raw.ndim == 1 and flat[0]:
-        raise FlatSeriesError("no counts: every count is zero")
-    keep = ~flat
-    normalized = raw[keep] / peak[keep, None]
-    return normalized[0] if series.raw.ndim == 1 else (normalized, flat)
+    return raw[~flat] / peak[~flat, None], flat
 
 
 def _template_terms(a: np.ndarray, t: np.ndarray, m: int) -> tuple:
@@ -209,78 +192,58 @@ def _best_offsets(window_dots, inv_norm, screen, d) -> list:
 
 
 def search_position(profile: TransmissivityProfile, d: np.ndarray, template: np.ndarray):
-    """Offset minimizing min_{c>=0} ||c * A_p template - d||^2 over all feasible p.
+    """Offset minimizing min_{c>=0} ||c * A_p template - d||^2 over all
+    feasible p, for each row of the (T, M) stack d, as a list.
 
-    One series d (M,) gives its offset, and a (T, M) stack the list of its
-    rows' offsets. The template's scale does not matter. Every offset is
-    scored at once through sliding correlations (the fit at p needs only the
-    window sums r[p+m] = sum_n a[p+m+n] t_n), O(L*M) rather than O(L*M*N).
+    The template's scale does not matter. Every offset is scored at once
+    through sliding correlations (the fit at p needs only the window sums
+    r[p+m] = sum_n a[p+m+n] t_n), O(L*M) rather than O(L*M*N).
     The template terms are computed once per call, and ``_best_offsets``
     screens stacks of max(1, ``SCREEN_FLOATS`` // P) rows for P feasible
     offsets: each offset is ``_best_offset``'s bit for bit, and ties break
     toward the smallest offset. The rows may hold any float; the template
     must be one that ``Signal`` accepts (non-empty, finite, >= 0), or a
-    ValueError is raised, as it is for d of any shape but (M,) or (T, M)
-    with M >= 1.
+    ValueError is raised, as it is for d of any shape but (T, M) with M >= 1.
     """
     d = np.asarray(d, dtype=float)
-    if d.ndim not in (1, 2) or d.shape[-1] == 0:
-        raise ValueError(f"expected a series (M,) or (T, M) stack, M >= 1, got shape {d.shape}")
-    rows = np.atleast_2d(d)
-    terms = _template_terms(profile.values, Signal(template).values, rows.shape[1])
+    if d.ndim != 2 or d.shape[1] == 0:
+        raise ValueError(f"expected a (T, M) stack of series with M >= 1, got shape {d.shape}")
+    terms = _template_terms(profile.values, Signal(template).values, d.shape[1])
     screen = _single_precision(*terms)
     stack = max(1, SCREEN_FLOATS // terms[1].size)
     positions = []
-    for start in range(0, len(rows), stack):
-        positions += _best_offsets(*terms, screen, rows[start : start + stack])
-    return positions[0] if d.ndim == 1 else positions
+    for start in range(0, len(d), stack):
+        positions += _best_offsets(*terms, screen, d[start : start + stack])
+    return positions
 
 
-def solve_signal(
-    profile: TransmissivityProfile,
-    d: np.ndarray,
-    p: int,
-    n_signal: int,
-) -> np.ndarray:
-    """Non-negative beam shape at offset p: argmin_{s>=0} ||A_p s - d||^2."""
-    matrix = build_coding_matrix(profile, p, d.size, n_signal)
-    return nnls(matrix, d)
+def solve_signal(profile: TransmissivityProfile, d: np.ndarray, p, n_signal: int):
+    """Non-negative beam shapes argmin_{s>=0} ||A_p s - d||^2 of the (T, M)
+    stack d at its (T,) offsets p: ``nnls``'s ``(x, converged)``."""
+    return nnls(build_coding_matrix(profile, p, d.shape[1], n_signal), d)
 
 
-def recover(profile: TransmissivityProfile, counts, template: Signal) -> RecoveryResult:
-    """Search the position with the template, then solve the shape there.
-
-    ``counts`` is one series as measured; the fit is that of its unit-peak
-    counts d (``normalize``). The position is ``search_position(profile, d,
-    template.values)`` and the shape is ``solve_signal`` s >= 0 there. The
-    result holds s / sum(s) and sum(s), or a zero signal and scale where s
-    is zero. Raises ``FlatSeriesError`` if every count is zero and
-    ``NumericalFailureError``, carrying scale * signal as its iterate, if
-    the shape solve does not converge.
-    """
-    batch = recover_batch(profile, np.asarray(counts)[None], template)
-    position, signal, scale = int(batch.position[0]), batch.signal[0], float(batch.scale[0])
-    if batch.status[0] == "flat":
-        raise FlatSeriesError("no counts: every count is zero")
-    if batch.status[0] == "failed":
-        message = f"no convergence for the shape at offset {position}"
-        raise NumericalFailureError(message, scale * signal)
-    return RecoveryResult(position, signal, scale, float(batch.residual[0]))
+def recover(profile: TransmissivityProfile, counts, template: Signal) -> RecoveryBatch:
+    """``recover_batch`` of one series ``counts`` (M,): its one-row record."""
+    return recover_batch(profile, np.asarray(counts)[None], template)
 
 
 def recover_batch(profile: TransmissivityProfile, counts, template: Signal) -> RecoveryBatch:
-    """``recover`` for every row of ``counts``, a (T, M) stack of series as measured.
+    """Search each position with the template, then solve the shape there,
+    for every row of ``counts``, a (T, M) stack of series as measured.
 
-    Returns the stack's ``RecoveryBatch``, whose row i is ``recover(profile,
-    counts[i], template)`` bit for bit where its status is ok. A (0, M)
-    stack gives an empty record. The rows are scaled to unit peak and the
-    flat ones left out (``normalize``); the others are placed by one
-    ``search_position`` call, and their shapes come from one stacked
-    ``nnls`` call per stack of coding matrices that holds at most
-    ``SOLVE_DOUBLES`` doubles (one row if a row alone holds more). A row
-    with a non-finite or negative count raises the ValueError of
-    ``ScanSeries``, which names the row, and ``counts`` of any shape but
-    (T, M) with M >= 1 raises a ValueError.
+    Returns the stack's ``RecoveryBatch``. Each row's fit is that of its
+    unit-peak counts d (``normalize``): the position is ``search_position``
+    with ``template.values``, and the shape is the ``nnls`` solution s >= 0
+    there, held as s / sum(s) and sum(s), or as a zero signal and scale
+    where s is zero. Row i is that of ``counts[i : i + 1]`` alone, bit for
+    bit, where its status is ok. A (0, M) stack gives an empty record. The
+    flat rows are left out; the others are placed by one ``search_position``
+    call, and their shapes come from one stacked ``nnls`` call per stack of
+    coding matrices that holds at most ``SOLVE_DOUBLES`` doubles (one row if
+    a row alone holds more). A row with a non-finite or negative count
+    raises the ValueError of ``ScanSeries``, which names the row, and
+    ``counts`` of any shape but (T, M) with M >= 1 raises a ValueError.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] == 0:

@@ -89,12 +89,11 @@ def write_sweep_csv(path, result: SweepResult, config_items=()) -> Path:
     return atomic_write_text(path, out.getvalue())
 
 
-def write_recovery_csv(path, pixel_ids, p_hat_um, recovered, n_signal, config_items=()) -> Path:
+def write_recovery_csv(path, pixel_ids, p_hat_um, recovered, config_items=()) -> Path:
     """Per-pixel recoveries: pixel_id, p_hat_um, residual, s_0.., status. Row
     i is ``pixel_ids[i]`` at ``p_hat_um[i]`` with row i of the ``RecoveryBatch``
     ``recovered``; a row whose status is not ok leaves its numbers blank."""
-    if recovered.signal.shape[1] != n_signal:
-        raise ValueError(f"signal length {recovered.signal.shape[1]}, expected {n_signal}")
+    n_signal = recovered.signal.shape[1]
     out = io.StringIO()
     out.write(_comment_block("recovery results", config_items))
     writer = csv.writer(out, lineterminator="\n")

@@ -413,6 +413,22 @@ def test_simulate_defaults_to_stdout(tmp_path, capsys):
     assert "# window_start = 0" in stdout
 
 
+@pytest.mark.parametrize("bit_um, start_um", [(10.0, 30.0), (2.5, 7.0)])
+def test_simulate_reports_the_offset_it_simulated(tmp_path, capsys, bit_um, start_um):
+    # Window 3 starts at 3 bits, 7.5 um for 2.5 um bits: between two cells of
+    # the 1 um grid. The scan starts at the nearest cell, 7 um, where a sweep
+    # scores it, and the header and the summary line name that cell.
+    cfg = write_cfg(tmp_path, f"[aperture]\nbit_size_zero_um = {bit_um}\nbit_size_one_um = {bit_um}\n")
+    assert main(["simulate", "3", "--config", str(cfg), "--noiseless"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (header,) = [line for line in lines if line.startswith("# p_star_um = ")]
+    first = lines[lines.index("pixel_id,scan_index,position_um,counts") + 1].split(",")
+    assert float(header.removeprefix("# p_star_um = ")) == float(first[2]) == start_um
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "3", "--config", str(cfg), "--noiseless", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"window 3 at {start_um:g} um)\n")
+
+
 def test_simulate_rejects_out_of_range_window(tmp_path, capsys):
     cfg = write_cfg(tmp_path, OPAQUE)
     assert main(["simulate", "500", "--config", str(cfg)]) == 2

@@ -125,11 +125,3 @@ def test_pattern_roundtrip_and_immutability():
     assert Pattern.from_string(pattern.to_string()).to_string() == pattern.to_string()
     with pytest.raises(ValueError):
         pattern.bits[0] = 1
-
-
-def test_patterns_compare_and_hash_by_value():
-    a, b = generate_de_bruijn(5), generate_de_bruijn(5)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != generate_de_bruijn(6)
-    assert a != Pattern(a.bits, order=None)
-    assert len({a, b, Pattern.from_string("0110")}) == 2

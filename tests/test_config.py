@@ -244,6 +244,16 @@ def test_one_energy_spelled_twice_in_a_mu_table_is_refused(tmp_path, capsys):
     assert "keys '10' and '10.0' are both 10 keV" in capsys.readouterr().err
 
 
+def test_one_energy_given_twice_in_code_is_refused():
+    # A table built in code is checked as a file's is: dict(mu_table) would
+    # keep only the last entry for 10 keV and read 0.3 silently.
+    with pytest.raises(ConfigError, match=r"^\[optics\] mu_table: 10 keV is given twice$"):
+        ExperimentConfig(mu_table=((10.0, 0.2), (10.0, 0.3)), energy_kev=10.0)
+    with pytest.raises(ConfigError, match="30 keV is given twice"):
+        ExperimentConfig(mu_table=((30, 0.1), (10.0, 0.2), (30.0, 0.1)))
+    assert ExperimentConfig(mu_table=((10.0, 0.2), (30.0, 0.1))).mu_at(30.0) == 0.1
+
+
 def test_custom_mu_table_resolved_relative_to_config(tmp_path):
     write(tmp_path, "[attenuation]\n8.0 = 0.5\n4.0 = 1.25\n", name="mu.cfg")
     cfg = load_config(write(tmp_path, "[optics]\nmu_table = mu.cfg\nenergy_kev = 8\n"))

@@ -1,7 +1,7 @@
 """Cell scoring, MSP aggregation, and sweep-harness behaviour."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from codedscan import (
     CellResult,
     ExperimentConfig,
     RecoveryBatch,
-    RecoveryResult,
     ScanSeries,
     SweepCell,
     SweepResult,
@@ -40,23 +39,23 @@ CONFIG = ExperimentConfig(bit_size_zero_um=BIT_UM, bit_size_one_um=BIT_UM, grid_
 
 
 def result_at(position, signal):
-    return RecoveryResult(position=position, signal=np.asarray(signal, dtype=float),
-                          scale=1.0, residual=0.0)
+    """One trial's fit: its offset and its signal, of scale 1 and residual 0."""
+    return position, np.asarray(signal, dtype=float)
 
 
 def batch_of(entries, n=None):
-    """The ``recover_batch`` record of ``entries``: each a ``RecoveryResult``,
-    or "flat" or "failed" for a row without a fit, held as zeros. Its signals
-    have ``n`` cells, or as many as the first fit's."""
+    """The ``recover_batch`` record of ``entries``: each a fit ``result_at``
+    gives, or "flat" or "failed" for a row without a fit, held as zeros. Its
+    signals have ``n`` cells, or as many as the first fit's."""
+    fitted = [not isinstance(entry, str) for entry in entries]
     if n is None:
-        n = next(entry.signal.size for entry in entries if isinstance(entry, RecoveryResult))
-    rows = [entry if isinstance(entry, RecoveryResult) else RecoveryResult(0, np.zeros(n), 0.0, 0.0)
-            for entry in entries]
+        n = next(entry[1].size for entry, fit in zip(entries, fitted) if fit)
+    fits = [entry if fit else (0, np.zeros(n)) for entry, fit in zip(entries, fitted)]
     return RecoveryBatch(
-        np.array([row.position for row in rows], dtype=int),
-        np.array([row.signal for row in rows]).reshape(len(rows), n),
-        np.array([row.scale for row in rows]),
-        np.array([row.residual for row in rows]),
+        np.array([position for position, _ in fits], dtype=int),
+        np.array([signal for _, signal in fits]).reshape(len(fits), n),
+        np.array(fitted, dtype=float),
+        np.zeros(len(fits)),
         np.array([entry if isinstance(entry, str) else "ok" for entry in entries], dtype="<U6"),
     )
 
@@ -140,18 +139,19 @@ def test_score_rejects_a_true_offset_per_entry_mismatch():
 def reference_grade(result, truth, config):
     """(position, shape) success of one trial, as 0/1, by the per-trial
     grading ``score`` applied before it took a cell's entries."""
-    if not isinstance(result, RecoveryResult):
+    if isinstance(result, str):
         return 0, 0
+    position, signal = result
     p_star, s_true = truth
     s_true = np.asarray(s_true, dtype=float)
-    if result.signal.size != s_true.size:
+    if signal.size != s_true.size:
         raise ValueError("signal length mismatch")
     denom = float(np.linalg.norm(s_true))
     if denom == 0.0:
         raise ValueError("true signal has zero norm")
-    offset_um = abs(result.position - p_star) * config.grid_step_um
+    offset_um = abs(position - p_star) * config.grid_step_um
     position_success = int(offset_um <= config.position_margin_bits * config.bit_size_um)
-    relative = float(np.linalg.norm(result.signal - s_true)) / denom
+    relative = float(np.linalg.norm(signal - s_true)) / denom
     return position_success, int(position_success == 1 and relative < config.epsilon)
 
 
@@ -218,11 +218,11 @@ def graded_cells(draw):
         else:
             noise = rng.normal(0.0, 10.0 ** rng.uniform(-4.0, -0.5), n)
             entries.append(result_at(40 + int(rng.integers(-12, 13)), s + noise))
-    fits = [entry for entry in entries if isinstance(entry, RecoveryResult)]
+    fits = [entry for entry in entries if not isinstance(entry, str)]
     epsilon = 0.02
     if fits:
         pinned = fits[int(rng.integers(0, len(fits)))]
-        epsilon = float(np.linalg.norm(pinned.signal - s)) / float(np.linalg.norm(s))
+        epsilon = float(np.linalg.norm(pinned[1] - s)) / float(np.linalg.norm(s))
         epsilon = float(epsilon + draw(st.integers(-3, 3)) * np.spacing(epsilon))
     return entries, s, epsilon
 
@@ -385,8 +385,11 @@ def test_single_cell_msp_matches_manual_recomputation():
     starts = range(0, 249, stride)
     p_stars = np.tile([profile.index_of(q * BIT_UM) for q in starts], reps)
     counts = simulate(build_coding_matrix(profile, p_stars, m, n), signal, 30.0, (seed, 0))
-    recovered = [recover(profile, normalize(ScanSeries(row)), signal) for row in counts.raw]
-    position, shape = score(batch_of(recovered), (p_stars, s_true), CONFIG)
+    alone = [recover(profile, normalize(ScanSeries(row))[0][0], signal) for row in counts.raw]
+    recovered = RecoveryBatch(*(np.concatenate([getattr(one, f.name) for one in alone])
+                                for f in fields(RecoveryBatch)))
+    assert set(recovered.status) == {"ok"}
+    position, shape = score(recovered, (p_stars, s_true), CONFIG)
     hits_p, hits_s, total = int(position.sum()), int(shape.sum()), len(recovered)
     assert cell.k == total
     assert cell.msp_position == pytest.approx(100.0 * hits_p / total, abs=1e-12)

@@ -24,9 +24,7 @@ from codedscan.forward import (
     trial_rng,
 )
 from codedscan import recovery
-from codedscan.nnls import NumericalFailureError
 from codedscan.recovery import (
-    FlatSeriesError,
     normalize,
     recover,
     recover_batch,
@@ -55,30 +53,32 @@ def synthetic_normalized(profile, p_star, template: Signal) -> np.ndarray:
 def noiseless_series(profile, p_star, signal: Signal, peak=100.0) -> np.ndarray:
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
     raw = simulate(matrix, signal, peak_counts=peak, seed=0, noiseless=True)
-    return normalize(raw)
+    normalized, _ = normalize(raw)
+    return normalized[0]
 
 
 def test_normalize_maps_extremes():
     # The largest count maps to 1 and the rest keep their ratio to it.
     series = ScanSeries(np.array([100.0, 9800.0, 10000.0]))
-    normalized = normalize(series)
-    assert normalized.tolist() == [0.01, 0.98, 1.0]
+    normalized, flat = normalize(series)
+    assert normalized.tolist() == [[0.01, 0.98, 1.0]] and flat.tolist() == [False]
 
 
 def test_normalize_zero_minimum():
     series = ScanSeries(np.array([0.0, 10.0, 40.0]))
-    normalized = normalize(series)
-    assert normalized[0] == 0.0
+    normalized, _ = normalize(series)
+    assert normalized[0, 0] == 0.0
 
 
 def test_normalize_flat_series_rejected():
-    with pytest.raises(FlatSeriesError):
-        normalize(ScanSeries(np.zeros(10)))
+    # A series of zeros is flagged flat and left out of the unit-peak rows.
+    normalized, flat = normalize(ScanSeries(np.zeros(10)))
+    assert flat.tolist() == [True] and normalized.shape == (0, 10)
     # A constant or weak series that counted anything is fitted, not flat.
-    assert normalize(ScanSeries(np.full(10, 7.0))).tolist() == [1.0] * 10
-    assert normalize(ScanSeries(np.array([0.0, 0.0, 1.0]))).tolist() == [0.0, 0.0, 1.0]
+    assert normalize(ScanSeries(np.full(10, 7.0)))[0].tolist() == [[1.0] * 10]
+    assert normalize(ScanSeries(np.array([0.0, 0.0, 1.0])))[0].tolist() == [[0.0, 0.0, 1.0]]
     # Unit peak is defined for one scan point.
-    assert normalize(ScanSeries(np.array([4.0]))).tolist() == [1.0]
+    assert normalize(ScanSeries(np.array([4.0])))[0].tolist() == [[1.0]]
 
 
 @st.composite
@@ -123,12 +123,9 @@ def test_stacked_simulate_and_normalize_equal_the_per_trial_ones(cell):
         assert stack.raw[t].tobytes() == series.raw.tobytes()
         if t == 0:
             assert simulate(matrix, signal, noise, key).raw.tobytes() == series.raw.tobytes()
-        try:
-            rows.append(normalize(series))
-        except FlatSeriesError:
-            flags.append(True)
-        else:
-            flags.append(False)
+        row, row_flat = normalize(series)  # (1, M), or (0, M) if flat
+        rows += list(row)
+        flags += row_flat.tolist()
     assert flat.tolist() == flags
     assert normalized.shape == (len(rows), m)
     assert normalized.tobytes() == b"".join(row.tobytes() for row in rows)
@@ -156,7 +153,7 @@ def test_search_exact_at_truth():
     template = make_gaussian_signal(10.0, STEP_UM)
     for p_star in (0, 7, 480, 1033, 2480):
         d = synthetic_normalized(profile, p_star, template)
-        assert search_position(profile, d, template.unit_sum().values) == p_star
+        assert search_position(profile, d[None], template.unit_sum().values) == [p_star]
 
 
 def test_search_boxcar_template_within_one_bit_everywhere():
@@ -167,7 +164,7 @@ def test_search_boxcar_template_within_one_bit_everywhere():
     for q in range(249):
         p_star = q * int(BIT_UM / STEP_UM)
         d = synthetic_normalized(profile, p_star, truth)
-        p_hat = search_position(profile, d, boxcar)
+        (p_hat,) = search_position(profile, d[None], boxcar)
         worst = max(worst, abs(p_hat - p_star))
     assert worst * STEP_UM <= BIT_UM
 
@@ -180,8 +177,9 @@ def test_solve_antidiagonal_matrix_clamps_reversed_data():
     values[n - 1] = 1.0
     profile = TransmissivityProfile(values, 1.0)
     d = np.array([0.5, -0.2, 0.1, -0.9, 0.0, 0.3])
-    s_hat = solve_signal(profile, d, 0, n)
-    np.testing.assert_allclose(s_hat, np.clip(d[::-1], 0.0, None), atol=1e-12)
+    s_hat, converged = solve_signal(profile, d[None], [0], n)
+    assert converged.tolist() == [True]
+    np.testing.assert_allclose(s_hat[0], np.clip(d[::-1], 0.0, None), atol=1e-12)
 
 
 def test_solve_square_system_matches_direct_solve():
@@ -193,7 +191,8 @@ def test_solve_square_system_matches_direct_solve():
     assert np.linalg.matrix_rank(matrix) == n
     s_true = rng.random(n) + 0.2
     d = matrix @ s_true
-    s_hat = solve_signal(profile, d, 20, n)
+    (s_hat,), converged = solve_signal(profile, d[None], [20], n)
+    assert converged.tolist() == [True]
     direct = np.linalg.solve(matrix, d)
     np.testing.assert_allclose(s_hat, direct, rtol=1e-6)
     np.testing.assert_allclose(s_hat, s_true, rtol=1e-6)
@@ -203,7 +202,9 @@ def test_solve_all_negative_data_yields_zero():
     profile = opaque_profile()
     matrix = build_coding_matrix(profile, 40, SCAN_POINTS, 10)
     d = -(matrix @ np.ones(10)) - 0.1
-    np.testing.assert_array_equal(solve_signal(profile, d, 40, 10), 0.0)
+    s_hat, converged = solve_signal(profile, d[None], [40], 10)
+    assert converged.tolist() == [True]
+    np.testing.assert_array_equal(s_hat, 0.0)
 
 
 @pytest.mark.parametrize("p_star", [0, 1, 17, 248, 1240, 2470, 2480])
@@ -212,11 +213,12 @@ def test_recover_noiseless_exactness(p_star):
     signal = make_gaussian_signal(10.0, STEP_UM)
     series = noiseless_series(profile, p_star, signal)
     result = recover(profile, series, signal)
-    assert result.position == p_star
+    assert result.status.tolist() == ["ok"]
+    assert result.position.tolist() == [p_star]
     truth = signal.unit_sum().values
-    error = np.linalg.norm(result.signal - truth) / np.linalg.norm(truth)
+    error = np.linalg.norm(result.signal[0] - truth) / np.linalg.norm(truth)
     assert error < 1e-6
-    assert result.residual < 1e-12
+    assert result.residual[0] < 1e-12
 
 
 def test_recover_residual_dominates_template_fit():
@@ -224,12 +226,13 @@ def test_recover_residual_dominates_template_fit():
     signal = make_gaussian_signal(10.0, STEP_UM)
     p_star = 950
     matrix = build_coding_matrix(profile, p_star, SCAN_POINTS, len(signal))
-    noisy = normalize(simulate(matrix, signal, 100.0, seed=(3, 1)))
+    (noisy,), _ = normalize(simulate(matrix, signal, 100.0, seed=(3, 1)))
     result = recover(profile, noisy, signal)
     template_fit = np.sum(
         (matrix @ signal.unit_sum().values - noisy) ** 2
     )
-    assert result.residual <= template_fit + 1e-12
+    assert result.status.tolist() == ["ok"]
+    assert result.residual[0] <= template_fit + 1e-12
 
 
 def test_recover_zero_shape_gives_zero_signal_and_scale():
@@ -238,13 +241,13 @@ def test_recover_zero_shape_gives_zero_signal_and_scale():
     template = make_gaussian_signal(10.0, STEP_UM)
     dark = TransmissivityProfile(np.zeros(SCAN_POINTS + 40), STEP_UM)
     result = recover(dark, np.ones(SCAN_POINTS), template)
-    assert (result.position, result.scale) == (0, 0.0)
+    assert result.status.tolist() == ["ok"]
+    assert (result.position[0], result.scale[0]) == (0, 0.0)
     np.testing.assert_array_equal(result.signal, 0.0)
-    assert result.residual == SCAN_POINTS
+    assert result.residual[0] == SCAN_POINTS
     # Counts of nothing have nothing to fit; negative counts were not counted.
     profile = opaque_profile()
-    with pytest.raises(FlatSeriesError):
-        recover(profile, np.zeros(SCAN_POINTS), template)
+    assert recover(profile, np.zeros(SCAN_POINTS), template).status.tolist() == ["flat"]
     with pytest.raises(ValueError, match="counts must be >= 0"):
         recover(profile, -np.ones(SCAN_POINTS), template)
 
@@ -259,11 +262,11 @@ def test_normalization_scale_invariance():
 
     # Unit-peak counts are scale-free up to rounding, and so is the search,
     # whatever the template's scale.
-    a = normalize(base)
-    b = normalize(scaled)
+    a, _ = normalize(base)
+    b, _ = normalize(scaled)
     np.testing.assert_allclose(a, b, atol=1e-15)
     for t in (signal.values, signal.unit_sum().values, 3.0 * signal.values):
-        assert search_position(profile, a, t) == search_position(profile, b, t) == p_star
+        assert search_position(profile, a, t) == search_position(profile, b, t) == [p_star]
 
 
 @st.composite
@@ -298,8 +301,8 @@ def test_search_is_invariant_to_a_power_of_two_count_scale(search, k):
     # while they stay normal, so no offset's rank can change.
     profile, template, d, (k_min, k_max) = search
     k = min(max(k, k_min), k_max)
-    assert search_position(profile, np.ldexp(d, k), template) == search_position(
-        profile, d, template
+    assert search_position(profile, np.ldexp(d, k)[None], template) == search_position(
+        profile, d[None], template
     )
 
 
@@ -309,8 +312,8 @@ def test_search_ranks_rows_near_the_float_range_ends_as_their_unit_peak_row(d):
     # would leave the float range.
     profile = TransmissivityProfile(np.array([0, 0, 0, 0.25, 1, 1]), 1.0)
     template = np.array([4.7e6])
-    assert search_position(profile, np.array([0.5, 1.0]), template) == 3
-    assert search_position(profile, np.array(d), template) == 3
+    assert search_position(profile, np.array([[0.5, 1.0]]), template) == [3]
+    assert search_position(profile, np.array([d]), template) == [3]
 
 
 def test_ties_between_equal_windows_go_to_the_smallest_offset():
@@ -327,13 +330,15 @@ def test_ties_between_equal_windows_go_to_the_smallest_offset():
     batch = recover_batch(profile, d, signal)
     assert set(batch.status) == {"ok"}
     positions = batch.position.tolist()
-    assert positions == [search_position(profile, row / row.max(), signal.values) for row in d]
+    assert positions == [search_position(profile, row[None] / row.max(), signal.values)[0] for row in d]
     assert positions[:40] == (starts % period).tolist()
     assert max(positions) < period
 
 
 def as_tuple(result):
-    return (result.position, result.signal.tobytes(), result.scale, result.residual)
+    """The one row of ``recover``'s record, which must be ok, as ``row_of`` gives it."""
+    assert result.status.tolist() == ["ok"]
+    return row_of(result, 0)
 
 
 def row_of(batch, i):
@@ -354,7 +359,7 @@ def test_recover_rows_near_the_float_range_ends_as_their_unit_peak_row(counts):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert as_tuple(recover(profile, np.array(counts), template)) == as_tuple(unit_peak)
-    assert unit_peak.position == 3 and unit_peak.scale > 0.0
+    assert unit_peak.position[0] == 3 and unit_peak.scale[0] > 0.0
 
 
 def screen_floats(rows, profile, m, n):
@@ -415,8 +420,7 @@ def test_batch_row_equals_recover_bit_for_bit(seed, rows, stack_rows, mu):
             assert row_of(batch, i) == as_tuple(recover(profile, row.copy(), signal))
         else:
             assert batch.status[i] == "flat"
-            with pytest.raises(FlatSeriesError):
-                recover(profile, row.copy(), signal)
+            assert recover(profile, row.copy(), signal).status.tolist() == ["flat"]
 
 
 @settings(max_examples=12, deadline=None)
@@ -437,13 +441,12 @@ def test_batch_row_is_one_search_and_one_solve(seed, extra, mu):
         if not counts.any():
             assert batch.status[i] == "flat"
             continue
-        row = normalize(ScanSeries(counts))  # the unit-peak counts that are fitted
-        position = search_position(profile, row, signal.values)
-        try:
-            shape, status = solve_signal(profile, row, position, len(signal)), "ok"
-        except NumericalFailureError as failure:
-            # A failed row holds the solve's last iterate as its signal and scale.
-            shape, status = failure.best_iterate, "failed"
+        d_i, _ = normalize(ScanSeries(counts))  # the unit-peak counts that are fitted
+        row = d_i[0]
+        (position,) = search_position(profile, d_i, signal.values)
+        (shape,), converged = solve_signal(profile, d_i, [position], len(signal))
+        # A failed row holds the solve's last iterate as its signal and scale.
+        status = "ok" if converged[0] else "failed"
         assert batch.status[i] == status
         scale = shape.sum()
         assert batch.position[i] == position
@@ -510,12 +513,11 @@ def test_batch_rows_are_recovered_alone_when_search_and_solve_stacks_do_not_line
         if not row.any():
             assert batch.status[i] == "flat"
             continue
-        try:
-            alone = recover(profile, row.copy(), signal)
-        except NumericalFailureError as failure:
+        alone = recover(profile, row.copy(), signal)
+        if alone.status[0] == "failed":
             assert batch.status[i] == "failed"
             iterate = batch.scale[i] * batch.signal[i]
-            assert iterate.tobytes() == failure.best_iterate.tobytes()
+            assert iterate.tobytes() == (alone.scale[0] * alone.signal[0]).tobytes()
         else:
             assert row_of(batch, i) == as_tuple(alone)
 
@@ -540,9 +542,8 @@ def test_batch_scales_rows_to_unit_peak_and_flags_flat_rows(seed, flat, k, mu):
         if not row.any():
             assert batch.status[i] == "flat"
             continue
-        try:
-            alone = recover(profile, row, signal)
-        except NumericalFailureError:
+        alone = recover(profile, row, signal)
+        if alone.status[0] == "failed":
             assert batch.status[i] == "failed"
         else:
             assert row_of(batch, i) == as_tuple(alone)
@@ -566,8 +567,7 @@ def test_batch_failure_stays_in_its_row(monkeypatch):
     assert batch.status.tolist() == ["ok", "failed", "ok"]
     assert row_of(batch, 0) == as_tuple(alone[0])
     assert row_of(batch, 2) == as_tuple(alone[2])
-    with pytest.raises(NumericalFailureError):
-        recover(profile, d[1], signal)
+    assert recover(profile, d[1], signal).status.tolist() == ["failed"]
 
 
 def test_batch_accepts_empty_and_rejects_bad_arguments():
@@ -796,13 +796,14 @@ def test_search_stacks_hold_at_most_the_budget(monkeypatch, rows_per_stack):
         (np.ones((2, 0)), np.ones(3), "got shape"),  # ZeroDivisionError in the screen
         (np.ones((2, 2, 5)), np.ones(3), "got shape"),
         (np.ones(0), np.ones(3), "got shape"),
-        (np.ones(5), np.ones(0), "non-empty"),
-        (np.ones(5), np.ones((2, 3)), "non-empty"),
-        (np.ones(5), np.array([1.0, np.nan, 1.0]), "finite"),  # silently placed at 0
-        (np.ones(5), np.array([1.0, np.inf]), "finite"),
-        (np.ones(5), np.array([1.0, -1.0]), ">= 0"),
+        (np.ones(5), np.ones(3), "got shape"),  # one series is a stack of one, (1, M)
+        (np.ones((1, 5)), np.ones(0), "non-empty"),
+        (np.ones((1, 5)), np.ones((2, 3)), "non-empty"),
+        (np.ones((1, 5)), np.array([1.0, np.nan, 1.0]), "finite"),  # silently placed at 0
+        (np.ones((1, 5)), np.array([1.0, np.inf]), "finite"),
+        (np.ones((1, 5)), np.array([1.0, -1.0]), ">= 0"),
     ],
-    ids=["no-points", "3-d", "empty-series", "empty-template", "2-d-template",
+    ids=["no-points", "3-d", "empty-series", "one-series", "empty-template", "2-d-template",
          "nan-template", "inf-template", "negative-template"],
 )
 def test_search_refuses_malformed_arguments(d, template, message):

@@ -192,7 +192,7 @@ def recoveries(signal, residual, status):
 def test_recovery_csv_rows(tmp_path):
     recovered = recoveries([[0.25, 0.5, 0.25], [0.0, 0.0, 0.0]], [1.5e-12, 0.0], ["ok", "flat"])
     path = write_recovery_csv(tmp_path / "rec.csv", ["3", "7"], np.array([370.0, 0.0]),
-                              recovered, 3, [("seed", "1")])
+                              recovered, [("seed", "1")])
     lines = path.read_text().splitlines()
     assert lines[2] == "pixel_id,p_hat_um,residual,s_0,s_1,s_2,status"
     assert lines[3] == "3,370.0,1.5e-12,0.25,0.5,0.25,ok"
@@ -203,21 +203,15 @@ def test_readme_recovery_columns_match_the_csv_header(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (documented,) = re.findall(r"the output's columns are\s+`([^`]+)`", readme)
     path = write_recovery_csv(tmp_path / "rec.csv", [], np.zeros(0),
-                              recoveries(np.zeros((0, 3)), [], []), 3, [("seed", "1")])
+                              recoveries(np.zeros((0, 3)), [], []), [("seed", "1")])
     (header,) = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     assert documented.replace("s_0,…,s_{N-1}", "s_0,s_1,s_2") == header
-
-
-def test_recovery_csv_rejects_wrong_signal_length(tmp_path):
-    recovered = recoveries([[1.0, 2.0]], [0.0], ["ok"])
-    with pytest.raises(ValueError, match="signal length"):
-        write_recovery_csv(tmp_path / "rec.csv", ["0"], np.array([1.0]), recovered, 3)
 
 
 def test_recovery_csv_rejects_ids_that_do_not_match_the_rows(tmp_path):
     recovered = recoveries([[1.0, 2.0, 3.0]] * 2, [0.0, 0.0], ["ok", "ok"])
     with pytest.raises(ValueError, match="zip"):
-        write_recovery_csv(tmp_path / "rec.csv", ["0"], np.array([1.0, 2.0]), recovered, 3)
+        write_recovery_csv(tmp_path / "rec.csv", ["0"], np.array([1.0, 2.0]), recovered)
 
 
 # ------------------------------------------------------------- series file
