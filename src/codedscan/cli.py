@@ -177,13 +177,12 @@ def run_recover_command(args) -> int:
         items.append(("truncate_bits", f"{args.truncate_bits:g}"))
     out = Path(args.out or cfg.out_csv or "recovery.csv")
     write_recovery_csv(out, pixel_ids, p_hat_um, recovered, items)
-    for pixel_id, p_hat, residual, status in zip(
-        pixel_ids, p_hat_um.tolist(), recovered.residual.tolist(), recovered.status.tolist()
-    ):
-        if status == "ok":
-            print(f"pixel {pixel_id}: p_hat {p_hat:.3f} um, residual {residual:.3e}")
-        else:
-            print(f"pixel {pixel_id}: {status}")
+    sys.stdout.write("".join(
+        f"pixel {pixel_id}: p_hat {p_hat:.3f} um, residual {residual:.3e}\n" if status == "ok"
+        else f"pixel {pixel_id}: {status}\n"
+        for pixel_id, p_hat, residual, status in zip(
+            pixel_ids, p_hat_um.tolist(), recovered.residual.tolist(), recovered.status.tolist())
+    ))
     skipped = int((recovered.status != "ok").sum())
     if skipped:
         print(f"warning: {skipped} of {len(recovered)} pixels not recovered")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -94,23 +93,30 @@ def write_recovery_csv(path, pixel_ids, p_hat_um, recovered, config_items=()) ->
     i is ``pixel_ids[i]`` at ``p_hat_um[i]`` with row i of the ``RecoveryBatch``
     ``recovered``; a row whose status is not ok leaves its numbers blank."""
     n_signal = recovered.signal.shape[1]
-    out = io.StringIO()
-    out.write(_comment_block("recovery results", config_items))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["pixel_id", "p_hat_um", "residual"]
-        + [f"s_{i}" for i in range(n_signal)]
-        + ["status"]
-    )
-    blank = [""] * (n_signal + 2)
+    header = ["pixel_id", "p_hat_um", "residual", *(f"s_{i}" for i in range(n_signal)), "status"]
+    lines = [_comment_block("recovery results", config_items), ",".join(header) + "\n"]
+    blank = "," * (n_signal + 1)
     for pixel_id, p_hat, residual, signal, status in zip(
         pixel_ids, np.asarray(p_hat_um).tolist(), recovered.residual.tolist(),
         recovered.signal.tolist(), recovered.status.tolist(), strict=True,
     ):
-        # repr is _fmt's text for finite floats
-        numbers = map(repr, [p_hat, residual, *signal]) if status == "ok" else blank
-        writer.writerow([pixel_id, *numbers, status])
-    return atomic_write_text(path, out.getvalue())
+        # repr is _fmt's text for finite floats, and no float's text needs quotes
+        numbers = ",".join(map(repr, [p_hat, residual, *signal])) if status == "ok" else blank
+        lines.append(f"{_csv_field(pixel_id)},{numbers},{status}\n")
+    return atomic_write_text(path, "".join(lines))
+
+
+# No field without one of these is quoted by csv.writer's default dialect.
+_QUOTE_TRIGGERS = frozenset(',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row of several fields."""
+    if _QUOTE_TRIGGERS.isdisjoint(text):
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
 
 
 def series_csv_text(pixel_series, config_items=()) -> str:
@@ -141,40 +147,41 @@ def read_pixel_series(path) -> dict:
     increasing and equidistant per pixel (within ``POSITION_TOLERANCE_UM``);
     scan indices must count up from zero per pixel.
 
-    Each block of lines goes through one ``np.loadtxt`` call, and every
-    check runs on the columns. Only a block whose table cannot be trusted
-    is read again: without the lines to skip, and then, if still
-    untrusted, line by line to name its first bad line.
+    Each block of lines goes through one ``np.loadtxt`` call, after the
+    lines to skip that open it, and every check runs on the columns. Only
+    a block whose table cannot be trusted is read again: without the lines
+    to skip, and then, if still untrusted, line by line to name its first
+    bad line.
     """
     path = Path(path)
     if not path.is_file():
         raise SeriesFormatError(f"series file not found: {path}")
-    tables = []
+    heads, lengths, numbers = [], [], []
     problem = None
     rows = 0  # data lines before the current block
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             lines = _DataLines(handle)
-            for table, good, problem in lines.tables():
+            for runs, good, problem in lines.tables():
                 if good:
-                    tables.append(table)
+                    heads += runs[0]
+                    lengths.append(runs[1])
+                    numbers.append(runs[2])
                 rows += good
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if not tables and problem is None:
+    if not numbers and problem is None:
         raise SeriesFormatError(f"{path}: no data rows")
-    if tables:
-        # column by column, so that each column is contiguous
-        table = {name: np.concatenate([t[name] for t in tables]) for name in SERIES_COLUMNS}
-        del tables
-        pixel_ids, codes, order = _group(table["pixel_id"])
-        _check_rows(path, table, pixel_ids, codes, order, lines.line_of)
+    if numbers:
+        numbers = np.concatenate(numbers)
+        pixel_ids, codes, order = _group(heads, np.concatenate(lengths))
+        _check_rows(path, numbers, pixel_ids, codes, order, lines.line_of)
     if problem is not None:
         raise SeriesFormatError(f"{path}:{lines.line_of(rows)}: {problem}")
     sizes = np.bincount(codes)
-    positions = table["position_um"][order]
-    counts = table["counts"][order]
-    del table  # before the step checks, which would raise the peak memory
+    positions = numbers["position_um"][order]
+    counts = numbers["counts"][order]
+    del numbers  # before the step checks, which would raise the peak memory
     pixel_of_row = codes[order]
     within = pixel_of_row[1:] == pixel_of_row[:-1]
     steps = np.diff(positions)[within]
@@ -204,13 +211,14 @@ def read_pixel_series(path) -> dict:
     }
 
 
-# One data line: the pixel id as text, then the three numbers.
-_SERIES_ROW = np.dtype([
-    ("pixel_id", object),
+# The numbers of one data line, kept as one record per row.
+_NUMBERS = np.dtype([
     ("scan_index", np.int64),
     ("position_um", np.float64),
     ("counts", np.float64),
 ])
+# One data line: the pixel id as text, then the numbers.
+_SERIES_ROW = np.dtype([("pixel_id", object), *_NUMBERS.descr])
 
 # Python's int() and float() refuse these around a number, numpy strips them.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
@@ -229,15 +237,21 @@ class _DataLines:
         self.skipped = []
 
     def tables(self):
-        """``(table, good, problem)`` per block, up to the first bad line: the
-        table of the block's first ``good`` data lines, which come before its
-        first bad line, and what is wrong with that line, or None if no line
-        is bad."""
+        """``(runs, good, problem)`` per block, up to the first bad line: the
+        ``_runs`` of the block's first ``good`` data lines, which come before
+        its first bad line, and what is wrong with that line, or None if no
+        line is bad."""
         count = 0  # lines read
         while block := self._handle.readlines(self.BLOCK_CHARS):
             first, count = count + 1, count + len(block)
-            table = _trusted(block)
-            if table is None:
+            # a file's comments and header open its first block
+            lead = next((k for k, line in enumerate(block) if not _skipped(line)), len(block))
+            self.skipped.extend(range(first, first + lead))
+            first, block = first + lead, block[lead:]
+            if not block:
+                continue
+            runs = _trusted(block)
+            if runs is None:
                 kept = []
                 for number, line in enumerate(block, start=first):
                     if _skipped(line):
@@ -248,15 +262,15 @@ class _DataLines:
                     continue
                 if len(kept) < len(block):
                     block = kept
-                    table = _trusted(block)
-            if table is None:
+                    runs = _trusted(block)
+            if runs is None:
                 for good, line in enumerate(block):
                     problem = _line_problem(line)
                     if problem is not None:
-                        yield (_parse(block[:good]) if good else None), good, problem
+                        yield (_runs(_parse(block[:good])) if good else None), good, problem
                         return
-                table = _parse(block)
-            yield table, len(block), None
+                runs = _runs(_parse(block))
+            yield runs, len(block), None
 
     def line_of(self, rows):
         """Line numbers of the data lines at indices ``rows`` (one index or
@@ -267,26 +281,36 @@ class _DataLines:
 
 
 def _parse(lines, dtype=_SERIES_ROW) -> np.ndarray:
-    # Interned, the ids of one pixel's rows share one string object: with a
-    # string per row they would cost more memory than the numbers.
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                      ndmin=1, converters={0: sys.intern})
+    # An object per id keeps every id exact, at one string per row. Only
+    # single lines and the blocks that _trusted refuses are parsed so;
+    # _trusted passes its own dtype.
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
 
 
-def _group(ids):
-    """Stripped pixel ids in first-appearance order, each row's index into
-    them, and the stable order that sorts the rows by pixel."""
+def _runs(table):
+    """``table`` as runs of one pixel id: the id that starts each run as
+    text, the run lengths, and every row's numbers as one ``_NUMBERS``
+    record. Nothing in them keeps the table alive."""
     # A file lists each pixel's rows together, so runs of one id are few.
-    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    ids = table["pixel_id"]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    return (ids[starts].tolist(), np.diff(starts, append=len(ids)),
+            table[list(_NUMBERS.names)].astype(_NUMBERS))
+
+
+def _group(heads, lengths):
+    """Stripped pixel ids in first-appearance order, each row's index into
+    them, and the stable order that sorts the rows by pixel, from the runs
+    of one id: each run's id ``heads`` and the run ``lengths``."""
     index = {}
-    run_pixels = [index.setdefault(ids[head].strip(), len(index)) for head in heads]
-    codes = np.repeat(run_pixels, np.diff(heads, append=len(ids)))
+    run_pixels = [index.setdefault(head.strip(), len(index)) for head in heads]
+    codes = np.repeat(run_pixels, lengths)
     return list(index), codes, np.argsort(codes, kind="stable")
 
 
-def _check_rows(path, table, pixel_ids, codes, order, line_of):
+def _check_rows(path, numbers, pixel_ids, codes, order, line_of):
     """Raise for the first row with a bad number or an out-of-order scan index."""
-    index, positions, counts = (table[name] for name in SERIES_COLUMNS[1:])
+    index, positions, counts = (numbers[name] for name in _NUMBERS.names)
     sizes = np.bincount(codes)
     rank = np.empty_like(index)  # rows of the same pixel before this one
     rank[order] = np.arange(codes.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -322,23 +346,30 @@ def _line_problem(line):
 
 
 def _trusted(lines):
-    """The table of ``lines``, or None where it cannot be trusted: no line
-    holds data, the lines hold one of ``_SEPARATORS``, the call fails, it
-    joins lines (an unclosed quote) or skips one (a blank line), or an id
-    holds a line break or starts with ``#``.
+    """The ``_runs`` of ``lines``, or None where their table cannot be
+    trusted: no line holds data, the lines hold one of ``_SEPARATORS``, the
+    call fails, it joins lines (an unclosed quote) or skips one (a blank
+    line), or an id holds a line break or starts with ``#``.
     """
     text = "".join(lines)
     if not text.strip("\r\n") or any(c in text for c in _SEPARATORS):
         return None  # on lines that are all blank, loadtxt would warn
+    # Fixed-width ids as wide as the longest line are never cut, and cost no
+    # object per row. Objects keep an id's trailing NULs, which fixed-width
+    # text drops, and keep a block with one long line (a long comment among
+    # short rows) from taking that line's width on every row.
+    width = max(map(len, lines))
+    ids = object if "\x00" in text or width * len(lines) > 4 * len(text) else f"U{width}"
     try:
-        table = _parse(lines)
+        table = _parse(lines, np.dtype([("pixel_id", ids), *_NUMBERS.descr]))
     except ValueError:
         return None
-    if len(table) < len(lines) or any(
-        "\n" in i or "\r" in i or i.lstrip().startswith("#") for i in set(table["pixel_id"])
-    ):
+    if len(table) < len(lines):
         return None
-    return table
+    runs = _runs(table)
+    if any("\n" in i or "\r" in i or i.lstrip().startswith("#") for i in runs[0]):
+        return None
+    return runs
 
 
 def _skipped(line):

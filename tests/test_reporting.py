@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,59 @@ def test_recovery_csv_rejects_ids_that_do_not_match_the_rows(tmp_path):
         write_recovery_csv(tmp_path / "rec.csv", ["0"], np.array([1.0, 2.0]), recovered)
 
 
+# The csv.writer rendering that write_recovery_csv replaced, kept as the
+# reference: the writer must write exactly these bytes.
+def recovery_csv_oracle(pixel_ids, p_hat_um, recovered, config_items=()) -> str:
+    n_signal = recovered.signal.shape[1]
+    out = io.StringIO()
+    out.write(reporting._comment_block("recovery results", config_items))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["pixel_id", "p_hat_um", "residual"]
+        + [f"s_{i}" for i in range(n_signal)]
+        + ["status"]
+    )
+    blank = [""] * (n_signal + 2)
+    for pixel_id, p_hat, residual, signal, status in zip(
+        pixel_ids, np.asarray(p_hat_um).tolist(), recovered.residual.tolist(),
+        recovered.signal.tolist(), recovered.status.tolist(), strict=True,
+    ):
+        numbers = map(repr, [p_hat, residual, *signal]) if status == "ok" else blank
+        writer.writerow([pixel_id, *numbers, status])
+    return out.getvalue()
+
+
+# Every character csv quotes for, and text it passes as it is.
+RECOVERY_IDS = st.text(alphabet=',"\r\n #a1\xe9\U0001d535', max_size=6)
+RECOVERY_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, -1e-5, -370.25]),
+)
+
+
+@st.composite
+def recovery_tables(draw):
+    """Ids, positions and a ``RecoveryBatch`` of up to 6 rows."""
+    n_signal = draw(st.integers(0, 4))
+    t = draw(st.integers(0, 6))
+    numbers = np.array(draw(st.lists(RECOVERY_FLOATS, min_size=t * (n_signal + 2),
+                                     max_size=t * (n_signal + 2)))).reshape(t, n_signal + 2)
+    statuses = draw(st.lists(st.sampled_from(["ok", "flat", "failed"]), min_size=t, max_size=t))
+    ids = draw(st.lists(RECOVERY_IDS, min_size=t, max_size=t))
+    return ids, numbers[:, 0], recoveries(numbers[:, 2:], numbers[:, 1], statuses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recovery_tables())
+def test_recovery_writer_matches_the_csv_writer_oracle(table):
+    ids, p_hat_um, recovered = table
+    items = [("seed", "1"), ("note", "a, b")]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = write_recovery_csv(Path(scratch) / "rec.csv", ids, p_hat_um, recovered, items)
+        written = path.read_bytes()
+    assert written == recovery_csv_oracle(ids, p_hat_um, recovered, items).encode("utf-8")
+
+
 # ------------------------------------------------------------- series file
 
 
@@ -300,7 +354,9 @@ def test_series_reader_names_the_line_after_skipped_lines(tmp_path):
 PADS = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", " \t"])
 EOLS = st.sampled_from(["\n", "\r\n", "\r"])
 # An id that starts with "#" makes its row a comment: comment_lines covers that.
-PIXEL_IDS = st.text(alphabet='ab1 ,"#x', max_size=5).map(str.strip).filter(
+# NUL, a tab and text outside ASCII and outside the BMP are what a reader
+# that holds ids as fixed-width text could drop or alter.
+PIXEL_IDS = st.text(alphabet='ab1 ,"#x\x00\t\xe9\U0001d535', max_size=5).map(str.strip).filter(
     lambda pixel_id: not pixel_id.startswith("#"))
 COMMENT_TEXT = st.text(alphabet="ab ,#\t'\x1c", max_size=8)
 
@@ -614,12 +670,11 @@ def test_rejection_parses_whole_blocks(tmp_path, small_blocks, parse_calls):
         with pytest.raises(SeriesFormatError, match=r"bad.csv:3002: expected 4 columns, got 5$"):
             read_pixel_series(path)
         assert len(blocks) > 10
-        # one per block, one more for the header's block (parsed again
-        # without its header), then in the last block `per_line` per good
-        # line (a quoted line is parsed again for its fields), two for the
-        # bad line (the second counts its columns) and one for the block's
-        # good lines
-        assert len(parse_calls) == len(blocks) + 1 + per_line * (len(blocks[-1]) - 1) + 3
+        # one per block (the header that opens the first is dropped before
+        # its parse), then in the last block `per_line` per good line (a
+        # quoted line is parsed again for its fields), two for the bad line
+        # (the second counts its columns) and one for the block's good lines
+        assert len(parse_calls) == len(blocks) + per_line * (len(blocks[-1]) - 1) + 3
         assert len(parse_calls) < 3002 / 10
     assert quoted.count('"p0",') == 76
 
@@ -653,6 +708,51 @@ def test_comment_in_every_block_costs_two_parses_per_block(tmp_path, small_block
     assert new == outcome(read_pixel_series_oracle, path)
     assert 0 < len(parse_calls) <= 2 * len(blocks)
     assert set(read_by_csv) == {lines[0], "# note\n"}
+
+
+def test_written_file_parses_each_block_once(tmp_path, small_blocks, parse_calls, monkeypatch):
+    # A file as write_series_csv writes it opens with comments and a header.
+    # They are screened and dropped before the first block is parsed, so
+    # every block is parsed once, and the screen reads only them and the
+    # line that ends them in each block.
+    series = {f"p{k}": (np.arange(75.0), np.arange(75.0) * k) for k in range(40)}
+    path = write_series_csv(tmp_path / "s.csv", series, [("seed", "2"), ("note", "x, y")])
+    blocks = blocks_of(path)
+    leading = ["# scan series\n", "# seed = 2\n", "# note = x, y\n", ",".join(SERIES_COLUMNS) + "\n"]
+    assert len(blocks) >= 10 and blocks[0][:4] == leading
+    screened = []
+    real = reporting._skipped
+
+    def screening(line):
+        screened.append(line)
+        return real(line)
+
+    monkeypatch.setattr(reporting, "_skipped", screening)
+    back = read_pixel_series(path)
+    assert len(parse_calls) == len(blocks)
+    assert screened == leading + [block[4 * (k == 0)] for k, block in enumerate(blocks)]
+    assert list(back) == list(series)
+    for (p, c), (p_in, c_in) in zip(back.values(), series.values()):
+        assert p.tobytes() == p_in.tobytes() and c.tobytes() == c_in.tobytes()
+
+
+def test_one_long_line_does_not_widen_every_row(tmp_path):
+    # Fixed-width ids as wide as a block's longest line would give each of
+    # these 2,000 short rows the 20,000-character width of one comment: 160
+    # MB for a 48 KB file.
+    rows = [f"p0,{j},{j}.0,1\n" for j in range(2010)]
+    rows.insert(2000, "# " + "x" * 20_000 + "\n")
+    path = tmp_path / "long.csv"
+    path.write_text("".join(rows))
+    assert len(blocks_of(path)) == 1
+    tracemalloc.start()
+    try:
+        back = read_pixel_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back["p0"][0].tolist() == list(range(2010))
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("edits, message", [
