@@ -281,9 +281,8 @@ class _DataLines:
 
 
 def _parse(lines, dtype=_SERIES_ROW) -> np.ndarray:
-    # An object per id keeps every id exact, at one string per row. Only
-    # single lines and the blocks that _trusted refuses are parsed so;
-    # _trusted passes its own dtype.
+    # An object per id keeps every id exact, with no Python call per row.
+    # The ids' strings live only until _runs reduces the block to its runs.
     return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
 
 
@@ -354,14 +353,8 @@ def _trusted(lines):
     text = "".join(lines)
     if not text.strip("\r\n") or any(c in text for c in _SEPARATORS):
         return None  # on lines that are all blank, loadtxt would warn
-    # Fixed-width ids as wide as the longest line are never cut, and cost no
-    # object per row. Objects keep an id's trailing NULs, which fixed-width
-    # text drops, and keep a block with one long line (a long comment among
-    # short rows) from taking that line's width on every row.
-    width = max(map(len, lines))
-    ids = object if "\x00" in text or width * len(lines) > 4 * len(text) else f"U{width}"
     try:
-        table = _parse(lines, np.dtype([("pixel_id", ids), *_NUMBERS.descr]))
+        table = _parse(lines)
     except ValueError:
         return None
     if len(table) < len(lines):

@@ -7,7 +7,6 @@ import math
 import os
 import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -734,25 +733,6 @@ def test_written_file_parses_each_block_once(tmp_path, small_blocks, parse_calls
     assert list(back) == list(series)
     for (p, c), (p_in, c_in) in zip(back.values(), series.values()):
         assert p.tobytes() == p_in.tobytes() and c.tobytes() == c_in.tobytes()
-
-
-def test_one_long_line_does_not_widen_every_row(tmp_path):
-    # Fixed-width ids as wide as a block's longest line would give each of
-    # these 2,000 short rows the 20,000-character width of one comment: 160
-    # MB for a 48 KB file.
-    rows = [f"p0,{j},{j}.0,1\n" for j in range(2010)]
-    rows.insert(2000, "# " + "x" * 20_000 + "\n")
-    path = tmp_path / "long.csv"
-    path.write_text("".join(rows))
-    assert len(blocks_of(path)) == 1
-    tracemalloc.start()
-    try:
-        back = read_pixel_series(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back["p0"][0].tolist() == list(range(2010))
-    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("edits, message", [
